@@ -23,6 +23,7 @@ class CoverGraph:
     edge_projection: dict  # cover edge id -> base edge id
     p: int
     n: int
+    tower_voltage: dict  # cover edge e@t -> floor((t + a_e) / p^n), its voltage in the tower above
 
     def fiber(self, base_vertex):
         return [v for v in self.graph.vertices if self.vertex_projection[v] == base_vertex]
@@ -53,6 +54,7 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     vproj = {cv: cv[0] for cv in vertices}
     edges = []
     eproj = {}
+    lift = {}
     for e in g.edges:
         a = voltage.get(e.id, 0)
         for t in range(pn):
@@ -61,12 +63,13 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
             eid = f"{e.id}@{t}"
             edges.append(Edge(eid, cu, cv))
             eproj[eid] = e.id
+            lift[eid] = (t + a) // pn
 
     graph = Multigraph(vertices, edges)
     residual = RamificationData(
         {(v, i): max(k - n, 0) for v, k in r.depths.items() for i in range(mods[v])}
     )
-    return CoverGraph(graph, g, residual, vproj, eproj, p, n)
+    return CoverGraph(graph, g, residual, vproj, eproj, p, n, lift)
 
 
 def segment_preimage(c: CoverGraph, segment):

@@ -16,7 +16,6 @@ Four families, each marking two vertices:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .graph import GraphError, Multigraph, RamificationData, build_graph
 
@@ -44,9 +43,7 @@ def line_f2(multiplicities):
     if not ns or any(x < 1 for x in ns):
         raise FamilyError("line multiplicities must be positive integers")
     prod = math.prod(ns)
-    total = prod * sum(Fraction(1, n) for n in ns)
-    assert total.denominator == 1
-    return int(total)
+    return sum(prod // n for n in ns)  # prod * sum(1/n), exact: n divides prod
 
 
 def modified_line_graph(k, n, m):

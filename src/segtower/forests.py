@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import GraphError, Multigraph, laplacian
+from .graph import GraphError, Multigraph, UnionFind, laplacian
 
 
 class CapExceeded(RuntimeError):
@@ -71,31 +71,11 @@ def forest_count_det(g: Multigraph, marked) -> ForestCount:
     return ForestCount(det_int(_delete_rows_cols(lap, {index[v] for v in marked})), "determinant")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent[x]
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _forest_subsets(g: Multigraph, size):
     """Yield acyclic edge subsets of the given size (as tuples of Edge)."""
     edges = g.edges
     for combo in combinations(edges, size):
-        uf = _UnionFind(g.vertices)
+        uf = UnionFind()
         ok = True
         for e in combo:
             if e.is_loop or not uf.union(e.u, e.v):

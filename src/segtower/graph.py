@@ -127,6 +127,28 @@ class Multigraph:
         return f"Multigraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
+class UnionFind:
+    """Disjoint sets over hashable items, created on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            return True
+        return False
+
+
 class RamificationData:
     """Map vertex -> ramification depth k_v >= 0; absent vertices unramified.
 

@@ -6,6 +6,18 @@ gamma = 1 + T, M the unramified block of the voltage Laplacian.  From f we
 read off mu (minimal p-adic coefficient valuation) and lambda; the Jacobian
 invariants are mu(f) and (l - 1) + lambda(f).
 
+The spanning-tree counts along the tower come from the same block.  Let n0
+be the largest ramification depth and Y = X_{n0} (Y = X when n0 = 0), whose
+ramified vertices are totally ramified in every X_n over it; X_n is the
+level-m cover of Y, m = n - n0, for the voltage floor((t + a_e) / p^n0) on
+the edge e@t of Y.  With l' ramified vertices in Y and M_Y its unramified
+block, the Artin-Ihara factorisation gives
+
+    kappa(X_n) = kappa(Y) * p^(m (l' - 1)) * prod_{zeta^(p^m) = 1, zeta != 1} det M_Y(zeta)
+
+(with l' = 0, M_Y is the full voltage Laplacian and the division by p^m is
+exact).  Levels n <= n0 are counted on explicit covers.
+
 Empirically, ord_p of the spanning-tree count at level n is mu*p^n +
 lambda*n + nu for n large (exactly for all n when the voltage is trivial);
 we fit the triple exactly over the rationals from the last three levels.
@@ -19,7 +31,8 @@ from fractions import Fraction
 from .cover import build_cover, segment_preimage
 from .forests import forest_count_det, kappa
 from .graph import GraphError, Multigraph, RamificationData, prune_tails
-from .linalg import IntPoly, LaurentPoly, det_laurent, expand_at_gamma, mu_lambda, ord_p
+from .linalg import IntPoly, LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p
+from .linalg import root_of_unity_product
 from .seal import admissible_sets, decompose
 
 
@@ -59,13 +72,6 @@ class Verdict:
         return self.ok
 
 
-def ordered_vertices(g: Multigraph, r: RamificationData):
-    """Unramified vertices first (in graph order), then ramified."""
-    unram = [v for v in g.vertices if not r.is_ramified(v)]
-    ram = [v for v in g.vertices if r.is_ramified(v)]
-    return unram, ram
-
-
 def build_matrices(g: Multigraph, r: RamificationData, voltage):
     """Voltage matrices with vertices ordered unramified-first.
 
@@ -74,11 +80,11 @@ def build_matrices(g: Multigraph, r: RamificationData, voltage):
       D      -- integer diagonal: degree on unramified, 1 on ramified
       Dprime -- description of D': same as D but the symbol T on ramified
       A      -- voltage adjacency over LaurentPoly; ramified columns are zero
-      B      -- alias of A (identical by definition)
       M      -- unramified r x r block of D - A
     """
     voltage = voltage or {}
-    unram, ram = ordered_vertices(g, r)
+    unram = [v for v in g.vertices if not r.is_ramified(v)]
+    ram = [v for v in g.vertices if r.is_ramified(v)]
     if not unram:
         raise GraphError("need at least one unramified vertex")
     order = unram + ram
@@ -105,7 +111,6 @@ def build_matrices(g: Multigraph, r: RamificationData, voltage):
         "D": D,
         "Dprime": {"diagonal": D[:rr], "ramified": "T"},
         "A": A,
-        "B": A,
         "M": M,
     }
 
@@ -132,29 +137,36 @@ def symbolic_invariants(c: CharElement) -> InvariantTriple:
     return InvariantTriple(mu, (c.t_power - 1) + lam)
 
 
-def default_n_max(p: int) -> int:
-    if p == 2:
-        return 3
-    if p == 3:
-        return 2
-    return 1
-
-
 def tower_kappas(g, r, voltage, p, n_max):
-    """kappa(X_n) for n = 0..n_max; raises DisconnectedCover on failure."""
+    """kappa(X_n) for n = 0..n_max; raises DisconnectedCover at the first
+    level whose count is 0.  See the module docstring for the formula."""
+    n0 = max(r.depths.values(), default=0)
     out = []
-    for n in range(n_max + 1):
-        c = build_cover(g, r, voltage, p, n)
-        if not c.graph.connected():
+
+    def level(n, count):
+        if count == 0:
             raise DisconnectedCover(n)
-        out.append(
-            {
-                "n": n,
-                "vertices": len(c.graph.vertices),
-                "edges": len(c.graph.edges),
-                "kappa": kappa(c.graph).value,
-            }
-        )
+        vertices = sum(p ** min(n, r.depths.get(v, n)) for v in g.vertices)
+        out.append({"n": n, "vertices": vertices, "edges": len(g.edges) * p**n, "kappa": count})
+
+    y, ry, y_voltage = g, r, voltage
+    level(0, kappa(g).value)
+    for n in range(1, min(n0, n_max) + 1):
+        c = build_cover(g, r, voltage, p, n)
+        y, ry, y_voltage = c.graph, c.ram, c.tower_voltage
+        level(n, kappa(y).value)
+    if n_max <= n0:
+        return out
+    l_y = len(ry.depths)
+    det = LaurentPoly.one()  # no unramified vertex: the block is empty
+    if len(y.vertices) > l_y:
+        det = det_laurent(build_matrices(y, ry, y_voltage)["M"])
+    base = out[-1]["kappa"]
+    for m in range(1, n_max - n0 + 1):
+        count, rem = divmod(base * root_of_unity_product(det, p**m) * p ** (m * l_y), p**m)
+        if rem:  # only l_y = 0 divides: the product then carries the factor p^m
+            raise LinalgError(f"level {n0 + m}: tree count not divisible by p^{m}")
+        level(n0 + m, count)
     return out
 
 
@@ -201,19 +213,21 @@ def empirical_invariants(g, r, voltage, p, n_max=None):
 
     Returns (InvariantTriple, levels, stable); levels is the per-level data.
     """
-    if n_max is None:
-        n_max = default_n_max(p)
-    min_needed = max(r.depths.values(), default=0) + 2
-    if n_max < min_needed:
-        n_max = min_needed
+    n0 = max(r.depths.values(), default=0)
+    n_max = n0 + 4 if n_max is None else max(n_max, n0 + 2)
     levels = tower_kappas(g, r, voltage, p, n_max)
-    points = [(lv["n"], ord_p(lv["kappa"], p)) for lv in levels]
-    if any(y is None for _, y in points):
-        raise TowerError("kappa vanished at some level; cover disconnected?")
-    fit, stable = fit_orders(points, p)
+    fit, stable = fit_orders([(lv["n"], ord_p(lv["kappa"], p)) for lv in levels], p)  # kappa > 0: tower_kappas raised on 0
     if fit is None:
         raise TowerError("no exact integer fit for the tower orders")
     return fit, levels, stable
+
+
+def _explicit_kappa(g, r, voltage, p, n):
+    """kappa of the level-n cover, built explicitly."""
+    count = kappa(build_cover(g, r, voltage, p, n).graph).value
+    if count == 0:
+        raise DisconnectedCover(n)
+    return count
 
 
 def _decomposed(g, r, voltage):
@@ -247,10 +261,7 @@ def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     rhs = base * p ** (n * (d.l - 1))
     for f in counts:
         rhs *= f ** (p**n - 1)
-    c = build_cover(g2, r2, voltage, p, n)
-    if not c.graph.connected():
-        raise DisconnectedCover(n)
-    lhs = kappa(c.graph).value
+    lhs = _explicit_kappa(g2, r2, voltage, p, n)
     return Verdict(lhs == rhs, lhs, rhs, {"kappa_base": base, "segment_counts": counts, "l": d.l})
 
 
@@ -271,18 +282,12 @@ def verify_partial_ramification(g, r, voltage, p, n, n0=None) -> Verdict:
     r2 = r.restrict(g2.vertices)
     d = decompose(g2, r2)
     counts = _segment_counts(g2, d)
-    c0 = build_cover(g2, r2, voltage, p, n0)
-    if not c0.graph.connected():
-        raise DisconnectedCover(n0)
-    base = kappa(c0.graph).value
+    base = _explicit_kappa(g2, r2, voltage, p, n0)
     l_n0 = sum(p ** min(n0, k) for k in r2.depths.values())
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
         rhs *= f ** (p**n - p**n0)
-    cn = build_cover(g2, r2, voltage, p, n)
-    if not cn.graph.connected():
-        raise DisconnectedCover(n)
-    lhs = kappa(cn.graph).value
+    lhs = _explicit_kappa(g2, r2, voltage, p, n)
     return Verdict(
         lhs == rhs,
         lhs,
@@ -365,26 +370,20 @@ def segment_growth_invariants(segment_graph, seg_ram, voltage, p, n_max=None):
 
     Returns (fit, symbolic, levels, stable).
     """
-    if n_max is None:
-        n_max = default_n_max(p)
     marked = list(seg_ram.depths)
     if len(marked) not in (1, 2) or any(k != 0 for k in seg_ram.depths.values()):
         raise TowerError("segment must have 1 or 2 totally ramified vertices")
-    levels = []
-    points = []
-    for n in range(n_max + 1):
-        c = build_cover(segment_graph, seg_ram, voltage, p, n)
-        marks = [v for v in c.graph.vertices if seg_ram.is_ramified(c.vertex_projection[v])]
-        f = forest_count_det(c.graph, marks).value
-        levels.append({"n": n, "forest_count": f})
-        points.append((n, ord_p(f, p)))
+    if n_max is None:
+        n_max = 4  # n0 + 4, as every mark has depth n0 = 0
+    # F_t(S_n) is the product of det M_S over all p^n-th roots of unity
+    ce = char_element(segment_graph, seg_ram, voltage, p)
+    at_one = ce.det_gamma.at_one()
+    levels = [{"n": n, "forest_count": at_one * root_of_unity_product(ce.det_gamma, p**n)} for n in range(n_max + 1)]
+    points = [(lv["n"], ord_p(lv["forest_count"], p)) for lv in levels]
     if any(y is None for _, y in points):
         raise TowerError("forest count vanished at some level")
     fit, stable = fit_orders(points, p)
-    ce = char_element(segment_graph, seg_ram, voltage, p)
-    mu, lam = mu_lambda(ce.body, p)
-    symbolic = InvariantTriple(mu, lam)
-    return fit, symbolic, levels, stable
+    return fit, InvariantTriple(*mu_lambda(ce.body, p)), levels, stable
 
 
 def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):

@@ -233,7 +233,8 @@ def det_int(m) -> int:
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise LinalgError("inexact Bareiss division")
                 a[i][j] = q
             a[i][k] = 0
         prev = a[k][k]
@@ -282,6 +283,47 @@ def det_laurent(m) -> LaurentPoly:
     if sign < 0:
         det = -det
     return det.shift(-total_shift)
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def root_of_unity_product(f: LaurentPoly, n: int) -> int:
+    """prod of f(zeta) over the n-th roots of unity zeta != 1, exactly.
+
+    Write f = g^s * Q(g), Q of degree d with leading coefficient c.  The
+    product is (-1)^((n-1)(d+s)) * c^(n-1) * det(I + C + ... + C^(n-1)) for
+    the companion matrix C of Q/c.  With B = c*C that sum is S / c^(n-1) for
+    the integer S = sum_k c^(n-1-k) B^k, formed by doubling in O(d^3 log n);
+    the product is then the sign times det(S) / c^((n-1)(d-1)).
+    """
+    if n < 1:
+        raise LinalgError("need n >= 1 roots of unity")
+    if n == 1:
+        return 1
+    if f.is_zero:
+        return 0
+    s = f.min_exp()
+    q = [f.coeffs.get(e, 0) for e in range(s, f.max_exp() + 1)]
+    d, c = len(q) - 1, q[-1]
+    sign = -1 if (n - 1) * (d + s) % 2 else 1
+    if d == 0:
+        return sign * c ** (n - 1)
+    b = [[c if j == i - 1 else 0 for j in range(d - 1)] + [-q[i]] for i in range(d)]
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    total, power, cpow = eye, b, c  # S, B^k and c^k for k = 1
+    for bit in bin(n)[3:]:
+        scaled = [[x + cpow if i == j else x for j, x in enumerate(row)] for i, row in enumerate(power)]
+        total, power, cpow = _matmul(scaled, total), _matmul(power, power), cpow * cpow
+        if bit == "1":
+            total = [[c * x + y for x, y in zip(tr, pr)] for tr, pr in zip(total, power)]
+            power, cpow = _matmul(power, b), cpow * c
+    value, rem = divmod(det_int(total), c ** ((n - 1) * (d - 1)))
+    if rem:
+        raise LinalgError("root-of-unity product is not an integer")
+    return sign * value
 
 
 def _binomial_power(exponent):

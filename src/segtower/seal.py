@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import GraphError, Multigraph, RamificationData
+from .graph import GraphError, Multigraph, RamificationData, UnionFind
 
 
 class PathCapExceeded(RuntimeError):
@@ -156,29 +156,9 @@ def admissible_paths(g: Multigraph, r: RamificationData, v, v2, cap=10000):
     return [AdmissiblePath(vs, eids) for vs, eids in results]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            return True
-        return False
-
-
 def _closure_groups(g, r, edge_ids):
     """Group edges by the transitive closure of sharing an unramified vertex."""
-    uf = _UnionFind()
+    uf = UnionFind()
     by_vertex = {}
     for eid in edge_ids:
         uf.find(eid)
@@ -296,7 +276,7 @@ def admissible_sets(d: SegmentDecomposition):
     k_prime = d.k_prime
     out = []
     for combo in combinations(range(k_prime), l - 1):
-        uf = _UnionFind()
+        uf = UnionFind()
         for v in d.ramified:
             uf.find(v)
         ok = True

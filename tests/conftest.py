@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from segtower.cover import build_cover
+from segtower.forests import forest_count_det, kappa
 from segtower.graph import build_graph, graph_from_json
+from segtower.iwasawa import DisconnectedCover
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,6 +43,34 @@ def random_connected_graph(rng, max_vertices=8, max_edges=14):
         g = build_graph(vertices, edges)
         if g.connected():
             return g
+
+
+def explicit_tower_kappas(g, r, voltage, p, n_max):
+    """Oracle for iwasawa.tower_kappas: build every X_n and count its trees."""
+    out = []
+    for n in range(n_max + 1):
+        c = build_cover(g, r, voltage, p, n)
+        if not c.graph.connected():
+            raise DisconnectedCover(n)
+        out.append(
+            {
+                "n": n,
+                "vertices": len(c.graph.vertices),
+                "edges": len(c.graph.edges),
+                "kappa": kappa(c.graph).value,
+            }
+        )
+    return out
+
+
+def explicit_forest_counts(g, r, voltage, p, n_max):
+    """Oracle for the segment forest counts: F_t on every explicit S_n."""
+    out = []
+    for n in range(n_max + 1):
+        c = build_cover(g, r, voltage, p, n)
+        marks = [v for v in c.graph.vertices if r.is_ramified(c.vertex_projection[v])]
+        out.append(forest_count_det(c.graph, marks).value)
+    return out
 
 
 @pytest.fixture

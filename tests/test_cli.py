@@ -4,14 +4,24 @@ import sys
 
 import pytest
 
-from conftest import fixture_path
-from segtower.cli import run
+from conftest import fixture_path, load_fixture
+from segtower.cli import _num, run
+from segtower.iwasawa import tower_kappas
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def parse_decimal(s, chunk=4000):
+    """int from a decimal string of any length, in chunks under the digit limit."""
+    value = 0
+    for i in range(0, len(s), chunk):
+        piece = s[i : i + chunk]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 class TestSeal:
@@ -99,6 +109,24 @@ class TestInvariants:
         assert out["symbolic"] == {"mu": 2, "lambda": 1}
         assert "levels" not in out
 
+    def test_counts_past_the_digit_limit(self, capsys):
+        code, out = invoke(
+            capsys, "invariants", "--input", fixture_path("three_segment.json"), "--p", "3", "--nmax", "8"
+        )
+        assert code == 0
+        assert len(out["levels"][8]["kappa"]) > 4300
+        g, r, volt = load_fixture("three_segment.json")
+        assert parse_decimal(out["levels"][8]["kappa"]) == tower_kappas(g, r, volt, 3, 8)[8]["kappa"]
+        assert out["empirical"] == {"mu": 1, "lambda": 1, "nu": 2}
+
+
+def test_num_any_size():
+    for x in [0, 7, -12345, 10**4299, 10**4300 - 1, 3**20000, -(7**9001), 10**9000, 2**60000 + 1]:
+        s = _num(x)
+        sign = -1 if s.startswith("-") else 1
+        assert s.lstrip("-") == s.lstrip("-").lstrip("0") or s == "0"
+        assert sign * parse_decimal(s.lstrip("-")) == x
+
 
 class TestVerify:
     def test_theorem_A(self, capsys):
@@ -166,11 +194,3 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
-
-
-class TestSelftest:
-    def test_seeded_run(self, capsys):
-        code, out = invoke(capsys, "selftest", "--seed", "42", "--rounds", "15")
-        assert code == 0
-        assert out["ok"] is True
-        assert out["graphs_checked"] > 0

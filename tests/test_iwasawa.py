@@ -1,9 +1,14 @@
-import pytest
+import math
 
-from conftest import load_fixture
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture
 from segtower.graph import RamificationData, build_graph
 from segtower.iwasawa import (
     CharElement,
+    DisconnectedCover,
     InvariantTriple,
     TowerError,
     build_matrices,
@@ -13,6 +18,7 @@ from segtower.iwasawa import (
     fit_orders,
     segment_growth_invariants,
     symbolic_invariants,
+    tower_kappas,
     tower_report,
     verify_char_factorization,
     verify_general_case,
@@ -142,6 +148,114 @@ class TestEmpiricalInvariants:
             fit_orders([(0, 1)], 2)
 
 
+@st.composite
+def voltage_towers(draw, depths=(0, 1, 2), voltages=(-1, 0, 1, 2), marks=(0, 3), ps=(2, 3, 5)):
+    """(graph, ramification, voltage, p, n_max) on at most four vertices.
+
+    Edges start from a random spanning tree (so most draws are connected);
+    extra edges may be loops or parallel.  n_max <= 3 is capped so that the
+    explicit covers stay below 65 vertices.
+    """
+    nv = draw(st.integers(1, 4))
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [(vs[draw(st.integers(0, i - 1))], vs[i], f"t{i}") for i in range(1, nv)]
+    for i in range(draw(st.integers(0, 4))):
+        edges.append((vs[draw(st.integers(0, nv - 1))], vs[draw(st.integers(0, nv - 1))], f"x{i}"))
+    voltage = {eid: draw(st.sampled_from(voltages)) for _, _, eid in edges}
+    marked = draw(st.lists(st.sampled_from(vs), min_size=marks[0], max_size=marks[1], unique=True))
+    r = RamificationData({v: draw(st.sampled_from(depths)) for v in marked})
+    p = draw(st.sampled_from(ps))
+    n_max = max(n for n in range(4) if p**n * nv <= 64)
+    return build_graph(vs, edges), r, voltage, p, n_max
+
+
+def assert_same_tower(g, r, voltage, p, n_max):
+    try:
+        want = explicit_tower_kappas(g, r, voltage, p, n_max)
+    except DisconnectedCover as exc:
+        with pytest.raises(DisconnectedCover) as got:
+            tower_kappas(g, r, voltage, p, n_max)
+        assert got.value.level == exc.level
+        return exc.level
+    assert tower_kappas(g, r, voltage, p, n_max) == want
+    return None
+
+
+class TestTowerKappas:
+    """The root-of-unity product against explicit covers."""
+
+    @given(voltage_towers())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_explicit_covers(self, tower):
+        assert_same_tower(*tower)
+
+    @given(voltage_towers(voltages=(0, 2, -2), marks=(0, 0), ps=(2,)))
+    @settings(max_examples=40, deadline=None)
+    def test_unramified_even_voltages_disconnect(self, tower):
+        # every cycle has an even voltage, so X_1 splits into two copies
+        g, r, voltage, p, n_max = tower
+        assert assert_same_tower(g, r, voltage, p, n_max) in (0, 1)
+
+    def test_fixtures(self):
+        for name in ["glued_voltage_triangles.json", "voltage_segment.json", "three_segment.json",
+                     "cycle5_partial.json", "cycle5_ram245.json"]:
+            g, r, volt = load_fixture(name)
+            for p in (2, 3):
+                assert_same_tower(g, r, volt, p, 2 if p == 3 else 3)
+
+    def test_disconnected_base(self):
+        g = build_graph(["a", "b", "c"], [("a", "b")])
+        with pytest.raises(DisconnectedCover) as exc:
+            tower_kappas(g, RamificationData.totally_ramified(["a"]), {}, 2, 3)
+        assert exc.value.level == 0
+
+    def test_unramified_trivial_voltage_disconnects_at_level_one(self):
+        g = build_graph(["a", "b"], [("a", "b"), ("a", "b")])
+        with pytest.raises(DisconnectedCover) as exc:
+            tower_kappas(g, RamificationData(), {}, 3, 2)
+        assert exc.value.level == 1
+
+    def test_all_vertices_ramified(self):
+        # no unramified block: every edge lifts to p^n parallel copies
+        g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        r = RamificationData.totally_ramified(["a", "b", "c"])
+        levels = tower_kappas(g, r, {}, 3, 3)
+        assert [lv["kappa"] for lv in levels] == [3 * 3 ** (2 * n) for n in range(4)]
+
+    def test_high_level_matches_theorem_A(self):
+        # kappa(X_n) = kappa(X) p^{n(l-1)} prod F^{p^n - 1}, with kappa(X),
+        # l and the segment counts F taken from the theorem A harness
+        g, r, _ = load_fixture("three_segment.json")
+        detail = verify_theorem_A(g, r, {}, 3, 1).detail
+        f = math.prod(detail["segment_counts"])
+        levels = tower_kappas(g, r, {}, 3, 8)
+        for lv in levels:
+            n = lv["n"]
+            assert lv["kappa"] == detail["kappa_base"] * 3 ** (n * (detail["l"] - 1)) * f ** (3**n - 1)
+        assert levels[8]["vertices"] == 5 * 3**8 + 2 and levels[8]["edges"] == 9 * 3**8
+
+
+class TestDefaultLevels:
+    def test_empirical_default_spans_five_levels(self):
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        _, levels, stable = empirical_invariants(g, r, {}, 5)
+        assert [lv["n"] for lv in levels] == [0, 1, 2, 3, 4]
+        assert stable
+        g, r, _ = load_fixture("cycle5_partial.json")
+        _, levels, _ = empirical_invariants(g, r, {}, 2)
+        assert len(levels) == max(r.depths.values()) + 5
+
+    def test_explicit_n_max_still_clamped(self):
+        g, r, _ = load_fixture("cycle5_partial.json")
+        _, levels, _ = empirical_invariants(g, r, {}, 2, 0)
+        assert len(levels) == max(r.depths.values()) + 3
+
+    def test_segment_default_spans_five_levels(self):
+        g, r, volt = load_fixture("voltage_segment.json")
+        _, _, levels, _ = segment_growth_invariants(g, r, volt, 3)
+        assert [lv["n"] for lv in levels] == [0, 1, 2, 3, 4]
+
+
 class TestVerdicts:
     def test_theorem_A_levels(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
@@ -226,6 +340,28 @@ class TestSegmentGrowth:
             fit, sym, _, _ = segment_growth_invariants(g, r, volt, 3, 2)
             assert (sym.mu, sym.lam) == (1, 0), name
             assert (fit.mu, fit.lam) == (1, 0), name
+
+    def test_fixtures_match_explicit_preimages(self):
+        for name in ["voltage_segment.json", "voltage_triangle_a.json", "voltage_triangle_b.json"]:
+            g, r, volt = load_fixture(name)
+            for p in (2, 3, 5):
+                n_max = 3 if p < 5 else 2
+                _, _, levels, _ = segment_growth_invariants(g, r, volt, p, n_max)
+                assert [lv["forest_count"] for lv in levels] == explicit_forest_counts(g, r, volt, p, n_max), name
+
+    @given(voltage_towers(depths=(0,), marks=(1, 2)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_explicit_preimages(self, tower):
+        g, r, voltage, p, n_max = tower
+        if len(r.depths) == len(g.vertices):
+            return  # no unramified block, so no characteristic element
+        want = explicit_forest_counts(g, r, voltage, p, max(n_max, 2))
+        if 0 in want:
+            with pytest.raises(TowerError):
+                segment_growth_invariants(g, r, voltage, p, max(n_max, 2))
+            return
+        _, _, levels, _ = segment_growth_invariants(g, r, voltage, p, max(n_max, 2))
+        assert [lv["forest_count"] for lv in levels] == want
 
 
 class TestTowerReport:

@@ -15,6 +15,7 @@ from segtower.linalg import (
     laurent_exact_div,
     mu_lambda,
     ord_p,
+    root_of_unity_product,
 )
 
 
@@ -234,3 +235,46 @@ def test_ord_p():
     assert ord_p(320, 2) == 6
     assert ord_p(320, 3) == 0
     assert ord_p(-27, 3) == 3
+
+
+def ring_product(f, n):
+    """Oracle: prod over zeta^n = 1, zeta != 1 of f(zeta) is the determinant of
+    multiplication by f on Z[x] / (1 + x + ... + x^(n-1)), where x^-1 = x^(n-1)."""
+    d = n - 1
+    x = [[1 if i == j + 1 else 0 for j in range(d - 1)] + [-1] for i in range(d)]  # companion matrix
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for _ in range(n - 1):
+        prev = powers[-1]
+        powers.append([[sum(prev[i][k] * x[k][j] for k in range(d)) for j in range(d)] for i in range(d)])
+    m = [[sum(c * powers[e % n][i][j] for e, c in f.coeffs.items()) for j in range(d)] for i in range(d)]
+    return det_int(m)
+
+
+class TestRootOfUnityProduct:
+    @given(
+        st.dictionaries(st.integers(-3, 4), st.integers(-5, 5), max_size=5),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ring_determinant(self, coeffs, n):
+        f = LaurentPoly(coeffs)
+        assert root_of_unity_product(f, n) == ring_product(f, n)
+
+    def test_small_cases(self):
+        gamma = LaurentPoly.gamma
+        assert root_of_unity_product(LaurentPoly.zero(), 1) == 1
+        assert root_of_unity_product(LaurentPoly.zero(), 3) == 0
+        assert root_of_unity_product(LaurentPoly.const(-2), 4) == -8
+        # prod (zeta - 1) over zeta != 1 is (-1)^(n-1) n
+        assert root_of_unity_product(gamma(1) - LaurentPoly.one(), 9) == 9
+        assert root_of_unity_product(gamma(1) - LaurentPoly.one(), 8) == -8
+        # g + g^-1 at the cube roots w, w^2: (w + w^2)^2 = 1
+        assert root_of_unity_product(gamma(1) + gamma(-1), 3) == 1
+
+    def test_non_monic_large_n(self):
+        f = LaurentPoly({-1: 2, 0: 3, 2: 6})
+        assert root_of_unity_product(f, 25) == ring_product(f, 25)
+
+    def test_bad_n(self):
+        with pytest.raises(LinalgError):
+            root_of_unity_product(LaurentPoly.one(), 0)
