@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import families, iwasawa
@@ -235,6 +236,8 @@ def run(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if "p" in vars(args) and not (args.p >= 2 and all(args.p % d for d in range(2, math.isqrt(args.p) + 1))):
+            raise CliError(f"--p must be a prime, got {args.p}")
         return args.fn(args)
     except DecompositionError as exc:
         _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})

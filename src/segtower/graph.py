@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 
@@ -60,16 +61,19 @@ class Multigraph:
 
     def __init__(self, vertices, edges):
         vs = tuple(vertices)
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex id")
-        vset = set(vs)
         es = tuple(edges)
+        try:
+            vset = set(vs)
+            unknown = [e.id for e in es if e.u not in vset or e.v not in vset]
+        except TypeError:
+            raise GraphError("vertex ids and edge endpoints must be hashable") from None
+        if len(vset) != len(vs):
+            raise GraphError("duplicate vertex id")
         ids = [e.id for e in es]
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate edge id")
-        for e in es:
-            if e.u not in vset or e.v not in vset:
-                raise GraphError(f"edge {e.id!r} has unknown endpoint")
+        if unknown:
+            raise GraphError(f"edge {unknown[0]!r} has unknown endpoint")
         self.vertices = vs
         self.edges = es
         self._edge_by_id = {e.id: e for e in es}
@@ -158,9 +162,8 @@ class RamificationData:
     def __init__(self, depths=None):
         self.depths = {}
         for v, k in (depths or {}).items():
-            k = int(k)
-            if k < 0:
-                raise GraphError("ramification depth must be non-negative")
+            if type(k) is not int or k < 0:
+                raise GraphError(f"ramification depth of {v!r} must be a non-negative integer, got {k!r}")
             self.depths[v] = k
 
     @classmethod
@@ -316,14 +319,20 @@ def graph_to_json(g: Multigraph, r: RamificationData, voltage=None) -> dict:
 
 
 def graph_from_json(obj):
-    """Parse the shared JSON format; returns (graph, ramification, voltage)."""
+    """Parse the shared JSON format; returns (graph, ramification, voltage).
+
+    Malformed input raises GraphError: ids must be hashable, voltages and
+    depths integers, and ramified vertices vertices of the graph."""
     if not isinstance(obj, dict):
         raise GraphError("graph JSON must be an object")
     try:
         vertices = obj["vertices"]
         raw_edges = obj["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GraphError(f"graph JSON missing field: {exc}") from None
+    marks = obj.get("ramified", [])
+    if not all(isinstance(x, list) for x in (vertices, raw_edges, marks)):
+        raise GraphError("vertices, edges and ramified must be lists")
     edges = []
     voltage = {}
     for i, e in enumerate(raw_edges):
@@ -331,18 +340,23 @@ def graph_from_json(obj):
             u, v = e["from"], e["to"]
         except (KeyError, TypeError):
             raise GraphError(f"edge #{i} missing from/to") from None
-        eid = e.get("id", f"e{i}")
-        edges.append(Edge(str(eid), u, v))
-        a = int(e.get("voltage", 0))
+        eid = str(e.get("id", f"e{i}"))
+        edges.append(Edge(eid, u, v))
+        a = e.get("voltage", 0)
+        if type(a) is not int:  # bool and float are not voltages
+            raise GraphError(f"voltage of edge {eid!r} must be an integer, got {a!r}")
         if a:
-            voltage[str(eid)] = a
+            voltage[eid] = a
+    g = Multigraph(vertices, edges)
     depths = {}
-    for m in obj.get("ramified", []):
+    for m in marks:
         try:
-            depths[m["vertex"]] = int(m.get("depth", 0))
+            v = m["vertex"]
         except (KeyError, TypeError):
             raise GraphError("ramified entries need a 'vertex' field") from None
-    g = Multigraph(vertices, edges)
+        if not isinstance(v, Hashable) or not g.has_vertex(v):
+            raise GraphError(f"ramified vertex {v!r} is not a vertex of the graph")
+        depths[v] = m.get("depth", 0)
     return g, RamificationData(depths), voltage
 
 

@@ -72,47 +72,23 @@ class Verdict:
         return self.ok
 
 
-def build_matrices(g: Multigraph, r: RamificationData, voltage):
-    """Voltage matrices with vertices ordered unramified-first.
-
-    Returns a dict with:
-      order  -- vertex order (unramified block first)
-      D      -- integer diagonal: degree on unramified, 1 on ramified
-      Dprime -- description of D': same as D but the symbol T on ramified
-      A      -- voltage adjacency over LaurentPoly; ramified columns are zero
-      M      -- unramified r x r block of D - A
-    """
+def unramified_block(g: Multigraph, r: RamificationData, voltage):
+    """M, the block of the voltage Laplacian D - A on the unramified vertices
+    (in vertex order): degrees on the diagonal, and -g^a at [w][u] for each
+    dart u -> w of voltage a between unramified vertices."""
     voltage = voltage or {}
     unram = [v for v in g.vertices if not r.is_ramified(v)]
-    ram = [v for v in g.vertices if r.is_ramified(v)]
     if not unram:
         raise GraphError("need at least one unramified vertex")
-    order = unram + ram
-    index = {v: i for i, v in enumerate(order)}
-    s = len(order)
-    rr = len(unram)
-    A = [[LaurentPoly.zero() for _ in range(s)] for _ in range(s)]
-    for d in g.darts():
-        j = index[d.origin]
-        if j >= rr:  # ramified columns stay zero
-            continue
-        i = index[d.terminus]
-        a = voltage.get(d.edge.id, 0)
-        if not d.forward:
-            a = -a
-        A[i][j] = A[i][j] + LaurentPoly.gamma(a)
-    D = [g.degree(v) if i < rr else 1 for i, v in enumerate(order)]
-    M = [
-        [LaurentPoly.const(D[i]) - A[i][j] if i == j else -A[i][j] for j in range(rr)]
-        for i in range(rr)
-    ]
-    return {
-        "order": order,
-        "D": D,
-        "Dprime": {"diagonal": D[:rr], "ramified": "T"},
-        "A": A,
-        "M": M,
-    }
+    index = {v: i for i, v in enumerate(unram)}
+    M = [[LaurentPoly.const(g.degree(v) if i == j else 0) for j in range(len(unram))] for i, v in enumerate(unram)]
+    for e in g.edges:
+        if e.u in index and e.v in index:
+            i, j = index[e.u], index[e.v]
+            a = voltage.get(e.id, 0)
+            M[j][i] = M[j][i] - LaurentPoly.gamma(a)
+            M[i][j] = M[i][j] - LaurentPoly.gamma(-a)
+    return M
 
 
 def default_truncation(g, r, voltage) -> int:
@@ -123,8 +99,7 @@ def default_truncation(g, r, voltage) -> int:
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
-    mats = build_matrices(g, r, voltage)
-    det = det_laurent(mats["M"])
+    det = det_laurent(unramified_block(g, r, voltage))
     body = expand_at_gamma(det, default_truncation(g, r, voltage))
     return CharElement(len(r.depths), body, det, p)
 
@@ -160,7 +135,7 @@ def tower_kappas(g, r, voltage, p, n_max):
     l_y = len(ry.depths)
     det = LaurentPoly.one()  # no unramified vertex: the block is empty
     if len(y.vertices) > l_y:
-        det = det_laurent(build_matrices(y, ry, y_voltage)["M"])
+        det = det_laurent(unramified_block(y, ry, y_voltage))
     base = out[-1]["kappa"]
     for m in range(1, n_max - n0 + 1):
         count, rem = divmod(base * root_of_unity_product(det, p**m) * p ** (m * l_y), p**m)
@@ -278,9 +253,7 @@ def verify_partial_ramification(g, r, voltage, p, n, n0=None) -> Verdict:
         n0 = max(r.depths.values())
     if n < n0:
         raise TowerError("n must be at least n0")
-    g2 = prune_tails(g, r)
-    r2 = r.restrict(g2.vertices)
-    d = decompose(g2, r2)
+    g2, r2, d = _decomposed(g, r, voltage)
     counts = _segment_counts(g2, d)
     base = _explicit_kappa(g2, r2, voltage, p, n0)
     l_n0 = sum(p ** min(n0, k) for k in r2.depths.values())

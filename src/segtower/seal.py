@@ -6,24 +6,26 @@ a 1-segment is a block of leftover edges hanging off a single ramified
 vertex.  Decomposition fails when some edge lies on admissible paths between
 two different ramified pairs.
 
-The classical presentation colours path by path, which makes the outcome
-depend on iteration order.  Here we use an equivalent order-independent
-edge-set formulation:
+No path is listed.  The closure classes of "shares an unramified vertex"
+over all edges are the direct edges and loops at ramified vertices, and the
+components of X minus its ramified vertices with their attaching edges.  An
+admissible path runs inside one class, so each class is judged by the
+ramified vertices it touches:
 
-  1. for each unordered pair of distinct ramified vertices, collect the set
-     of edges on admissible paths between them;
-  2. fail if an edge occurs for two distinct pairs (conflict witness);
-  3. within one pair's edge set, segments are the classes of the transitive
-     closure of "shares an unramified vertex"; a direct edge between the two
-     ramified vertices is its own singleton 2-segment;
-  4. leftover edges are grouped by the same closure; each group must touch
-     exactly one ramified vertex and becomes a 1-segment;
-  5. fail if a leftover group touches zero or two ramified vertices.
+  1. three or more, a, b, c first in vertex order: fail; the witness is the
+     first edge from a into the component, on admissible a-b and a-c paths;
+  2. one: the class is a 1-segment (a loop segment if it is one loop);
+  3. two, v and v2: an edge is on an admissible v-v2 path iff it shares a
+     biconnected block with a virtual edge v-v2.  If the block is the whole
+     class, the class is a 2-segment; else the rest, which avoids v and v2,
+     fails as uncoloured (its first closure group is the witness).
+
+Conflicts are reported before uncoloured groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import GraphError, Multigraph, RamificationData, UnionFind
@@ -183,7 +185,44 @@ def _segment_from_edges(g, color, t, ram, edge_ids, is_loop=False):
     return Segment(color, t, tuple(ram), frozenset(edge_ids), frozenset(vs), is_loop)
 
 
-def decompose(g: Multigraph, r: RamificationData, cap=10000) -> SegmentDecomposition:
+def _block_with(g, edge_ids, v, v2):
+    """The edges of edge_ids that share a biconnected block with a virtual
+    edge v-v2 (those on some simple v-v2 path), by one iterative lowpoint DFS
+    from v whose first tree edge is the virtual one: its block stays last."""
+    ends = [(v, v2)] + [(g.edge(eid).u, g.edge(eid).v) for eid in edge_ids]  # index 0: virtual
+    adj = {}
+    for i, (a, b) in enumerate(ends):
+        if a != b:
+            adj.setdefault(a, []).append((b, i))
+            adj.setdefault(b, []).append((a, i))
+    disc, low = {v: 0}, {v: 0}
+    stack = []  # edge indices of the blocks still open
+    dfs = [(v, -1, iter(adj[v]))]
+    while dfs:
+        x, via, nbrs = dfs[-1]
+        for y, i in nbrs:
+            if i == via:
+                continue
+            if y not in disc:
+                stack.append(i)
+                disc[y] = low[y] = len(disc)
+                dfs.append((y, i, iter(adj[y])))
+                break
+            if disc[y] < disc[x]:
+                stack.append(i)
+                low[x] = min(low[x], disc[y])
+        else:
+            dfs.pop()
+            if via > 0:
+                parent = dfs[-1][0]
+                low[parent] = min(low[parent], low[x])
+                if low[x] >= disc[parent]:  # x's subtree closes a block without the virtual edge
+                    while stack.pop() != via:
+                        pass
+    return {edge_ids[i - 1] for i in stack if i}
+
+
+def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     """Segment decomposition, or DecompositionError with a witness.
 
     The graph must be connected, tail-free and have at least one ramified
@@ -194,52 +233,34 @@ def decompose(g: Multigraph, r: RamificationData, cap=10000) -> SegmentDecomposi
     ram = [v for v in g.vertices if r.is_ramified(v)]
     if not ram:
         raise DecompositionError("no ramified vertex")
+    rank = {v: i for i, v in enumerate(ram)}
 
-    # steps 1-2: edge sets per ramified pair, with conflict detection
-    owner = {}  # edge id -> pair
-    pair_edges = {}
-    for v, v2 in combinations(ram, 2):
-        paths = admissible_paths(g, r, v, v2, cap=cap)
-        if not paths:
-            continue
-        eids = set()
-        for path in paths:
-            eids.update(path.edge_ids)
-        pair = (v, v2)
-        pair_edges[pair] = eids
-        for eid in eids:
-            if eid in owner and owner[eid] != pair:
-                raise DecompositionError(
-                    "edge lies on admissible paths between two ramified pairs",
-                    {"edge": eid, "pairs": [list(owner[eid]), list(pair)]},
-                )
-            owner[eid] = pair
-
-    # step 3: split each pair's edge set into segments
     two_segments = []
-    for (v, v2), eids in pair_edges.items():
-        direct = [eid for eid in eids if {g.edge(eid).u, g.edge(eid).v} == {v, v2}]
-        rest = [eid for eid in eids if eid not in set(direct)]
-        pieces = [[eid] for eid in direct] + _closure_groups(g, r, rest)
-        for piece in pieces:
-            two_segments.append(((v, v2), piece))
-
-    # step 4-5: leftover edges become 1-segments
-    colored = set(owner)
-    leftovers = [e.id for e in g.edges if e.id not in colored]
     one_segments = []
-    for piece in _closure_groups(g, r, leftovers):
-        touched = set()
-        for eid in piece:
-            e = g.edge(eid)
-            touched.update(w for w in (e.u, e.v) if r.is_ramified(w))
-        if len(touched) != 1:
+    uncoloured = set()
+    for piece in _closure_groups(g, r, [e.id for e in g.edges]):
+        touched = sorted({w for eid in piece for w in (g.edge(eid).u, g.edge(eid).v) if r.is_ramified(w)}, key=rank.get)
+        if len(touched) > 2:
+            a, b, c = touched[:3]
+            eid = next(eid for eid in piece if a in (g.edge(eid).u, g.edge(eid).v))
             raise DecompositionError(
-                "uncoloured edge group touches %d ramified vertices" % len(touched),
-                {"edges": sorted(piece), "ramified": sorted(map(str, touched))},
+                "edge lies on admissible paths between two ramified pairs",
+                {"edge": eid, "pairs": [[a, b], [a, c]]},
             )
-        is_loop = len(piece) == 1 and g.edge(piece[0]).is_loop
-        one_segments.append((touched.pop(), piece, is_loop))
+        if len(touched) == 2:
+            kept = _block_with(g, piece, *touched)
+            if len(kept) == len(piece):
+                two_segments.append((tuple(touched), piece))
+            else:  # kept holds every edge at the two ramified vertices
+                uncoloured.update(eid for eid in piece if eid not in kept)
+        else:  # a connected graph has no class without a ramified vertex
+            is_loop = len(piece) == 1 and g.edge(piece[0]).is_loop
+            one_segments.append((touched[0], piece, is_loop))
+    if uncoloured:
+        piece = _closure_groups(g, r, [e.id for e in g.edges if e.id in uncoloured])[0]
+        raise DecompositionError(
+            "uncoloured edge group touches 0 ramified vertices", {"edges": sorted(piece), "ramified": []}
+        )
 
     # deterministic ordering: 2-segments by endpoint pair then edge ids,
     # 1-segments by attachment vertex then edge ids
@@ -251,20 +272,6 @@ def decompose(g: Multigraph, r: RamificationData, cap=10000) -> SegmentDecomposi
         segments.append(_segment_from_edges(g, color, 2, sorted((v, v2), key=str), piece))
     for color, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments)):
         segments.append(_segment_from_edges(g, color, 1, (v,), piece, is_loop))
-
-    # safety net: segments must be pairwise disjoint in unramified vertices
-    seen_unram = {}
-    for s in segments:
-        for w in s.vertices:
-            if r.is_ramified(w):
-                continue
-            if w in seen_unram:
-                raise DecompositionError(
-                    "two segments share an unramified vertex",
-                    {"vertex": str(w), "segments": [seen_unram[w], s.color]},
-                )
-            seen_unram[w] = s.color
-
     return SegmentDecomposition(tuple(segments), tuple(ram))
 
 

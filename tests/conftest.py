@@ -1,13 +1,21 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from segtower.cover import build_cover
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import build_graph, graph_from_json
+from segtower.graph import RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
+from segtower.seal import (
+    DecompositionError,
+    SegmentDecomposition,
+    _closure_groups,
+    _segment_from_edges,
+    admissible_paths,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,6 +53,15 @@ def random_connected_graph(rng, max_vertices=8, max_edges=14):
             return g
 
 
+def grid_graph(rows, cols):
+    """rows x cols grid with its two opposite corners ramified: one 2-segment."""
+    name = lambda i, j: f"g{i}_{j}"
+    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
+    edges = [(name(i, j), name(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(name(i, j), name(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return build_graph(vertices, edges), RamificationData.totally_ramified([name(0, 0), name(rows - 1, cols - 1)])
+
+
 def explicit_tower_kappas(g, r, voltage, p, n_max):
     """Oracle for iwasawa.tower_kappas: build every X_n and count its trees."""
     out = []
@@ -71,6 +88,56 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
         marks = [v for v in c.graph.vertices if r.is_ramified(c.vertex_projection[v])]
         out.append(forest_count_det(c.graph, marks).value)
     return out
+
+
+def path_decompose(g, r):
+    """Oracle for seal.decompose: the pairwise formulation over listed paths.
+
+      1. for each pair of distinct ramified vertices, collect the edges on
+         admissible paths between them;
+      2. fail if an edge occurs for two pairs;
+      3. a pair's edges form its 2-segments: each direct edge alone, the rest
+         by the closure of "shares an unramified vertex";
+      4. the leftover edges, grouped by the same closure, are 1-segments;
+      5. fail if a leftover group does not touch exactly one ramified vertex.
+
+    The conflict witness depends on set iteration order; compare reasons."""
+    if not g.connected():
+        raise DecompositionError("graph is disconnected")
+    ram = [v for v in g.vertices if r.is_ramified(v)]
+    if not ram:
+        raise DecompositionError("no ramified vertex")
+    owner = {}
+    two_segments = []
+    for v, v2 in combinations(ram, 2):
+        eids = {eid for path in admissible_paths(g, r, v, v2) for eid in path.edge_ids}
+        for eid in eids:
+            if eid in owner:
+                raise DecompositionError(
+                    "edge lies on admissible paths between two ramified pairs",
+                    {"edge": eid, "pairs": [list(owner[eid]), [v, v2]]},
+                )
+            owner[eid] = (v, v2)
+        direct = [eid for eid in eids if {g.edge(eid).u, g.edge(eid).v} == {v, v2}]
+        rest = [eid for eid in eids if eid not in direct]
+        two_segments += [((v, v2), piece) for piece in [[eid] for eid in direct] + _closure_groups(g, r, rest)]
+    one_segments = []
+    for piece in _closure_groups(g, r, [e.id for e in g.edges if e.id not in owner]):
+        touched = {w for eid in piece for w in (g.edge(eid).u, g.edge(eid).v) if r.is_ramified(w)}
+        if len(touched) != 1:
+            raise DecompositionError(
+                "uncoloured edge group touches %d ramified vertices" % len(touched),
+                {"edges": sorted(piece), "ramified": sorted(map(str, touched))},
+            )
+        one_segments.append((touched.pop(), piece, len(piece) == 1 and g.edge(piece[0]).is_loop))
+    two_segments.sort(key=lambda sp: (str(min(map(str, sp[0]))), str(max(map(str, sp[0]))), sorted(sp[1])))
+    one_segments.sort(key=lambda sp: (str(sp[0]), sorted(sp[1])))
+    segments = [_segment_from_edges(g, c, 2, sorted(ends, key=str), piece) for c, (ends, piece) in enumerate(two_segments)]
+    segments += [
+        _segment_from_edges(g, c, 1, (v,), piece, is_loop)
+        for c, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments))
+    ]
+    return SegmentDecomposition(tuple(segments), tuple(ram))
 
 
 @pytest.fixture

@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, grid_graph, load_fixture
 from segtower.cli import _num, run
+from segtower.graph import graph_to_json
 from segtower.iwasawa import tower_kappas
 
 
@@ -36,6 +42,25 @@ class TestSeal:
         assert code == 2
         assert out["error"] == "no_decomposition"
         assert "witness" in out
+
+    def test_witness_independent_of_hash_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = set()
+        for seed in "0123":
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            argv = [sys.executable, "-m", "segtower.cli", "seal", "--input", fixture_path("k5_ram245.json")]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert done.returncode == 2
+            outs.add(done.stdout)
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["witness"] == {"edge": "e12", "pairs": [["v2", "v4"], ["v2", "v5"]]}
+
+    def test_grid_past_the_path_cap(self, capsys, monkeypatch):
+        g, r = grid_graph(6, 6)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph_to_json(g, r))))
+        code, out = invoke(capsys, "seal")
+        assert code == 0
+        assert out["k"] == out["k_prime"] == 1 and len(out["segments"][0]["edges"]) == 60
 
     def test_deterministic(self, capsys):
         _, first = invoke(capsys, "seal", "--input", fixture_path("doubled_cycle_pendant_triangle.json"))
@@ -194,3 +219,68 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, graph",
+        [
+            (["kappa"], {"vertices": [[1]], "edges": []}),
+            (["kappa"], {"vertices": ["a"], "edges": [{"from": "a", "to": {"b": 1}}]}),
+            (["seal"], {"vertices": ["a"], "edges": [], "ramified": [{"vertex": ["a"]}]}),
+            (["kappa"], {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "voltage": "x"}]}),
+            (["kappa"], {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "voltage": 1.7}]}),
+            (["seal"], {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified": [{"vertex": "a", "depth": "0"}]}),
+            (["seal"], {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified": [{"vertex": "z"}]}),
+            (["kappa"], {"vertices": "ab", "edges": []}),
+            (["cover", "--p", "4", "--n", "1"], None),
+            (["invariants", "--p", "4"], None),
+            (["verify", "--theorem", "A", "--p", "1", "--n", "1"], None),
+            (["verify", "--theorem", "factorization", "--p", "-3"], None),
+        ],
+    )
+    def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):
+        if graph is None:
+            argv = argv + ["--input", fixture_path("cycle5_ram45.json")]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
+        code, out = invoke(capsys, *argv)
+        assert code == 1
+        assert out["error"] == "bad_input"
+
+
+_scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(["a", "b", ""])
+_json = st.recursive(
+    _scalars,
+    lambda c: st.lists(c, max_size=3) | st.dictionaries(st.sampled_from(["vertex", "depth", "from", "to", "voltage"]), c, max_size=3),
+    max_leaves=8,
+)
+_ids = st.sampled_from(["a", "b", 0]) | _json
+_graphs = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(_ids, max_size=4) | _json,
+        "edges": st.lists(
+            st.fixed_dictionaries({"from": _ids, "to": _ids}, optional={"id": _json, "voltage": st.integers(-2, 2) | _json}),
+            max_size=5,
+        ) | _json,
+    },
+    optional={"ramified": st.lists(st.fixed_dictionaries({"vertex": _ids}, optional={"depth": _json}), max_size=3) | _json},
+)
+
+
+@given(
+    st.one_of(_json, _graphs),
+    st.sampled_from([
+        ["seal"], ["kappa"], ["forests", "--marked", "a"], ["cover", "--p", "2", "--n", "1"],
+        ["invariants", "--p", "2", "--nmax", "2"], ["verify", "--theorem", "general", "--p", "2", "--n", "1"],
+    ]),
+)
+@settings(max_examples=300, deadline=None)
+def test_any_json_gets_a_json_reply(obj, argv):
+    out = io.StringIO()
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(json.dumps(obj)), out
+    try:
+        code = run(argv)
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)

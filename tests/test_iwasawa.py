@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture
-from segtower.graph import RamificationData, build_graph
+from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.iwasawa import (
     CharElement,
     DisconnectedCover,
     InvariantTriple,
     TowerError,
-    build_matrices,
     char_element,
     default_truncation,
     empirical_invariants,
@@ -20,6 +19,7 @@ from segtower.iwasawa import (
     symbolic_invariants,
     tower_kappas,
     tower_report,
+    unramified_block,
     verify_char_factorization,
     verify_general_case,
     verify_partial_ramification,
@@ -29,37 +29,40 @@ from segtower.linalg import IntPoly, LaurentPoly
 
 
 class TestBuildMatrices:
+    """unramified_block: M = D - A on the unramified vertices, in vertex order."""
+
     def test_glued_triangles_display(self):
+        # the two triangles meet only in ramified vertices, so M is diagonal
         g, r, volt = load_fixture("glued_voltage_triangles.json")
-        mats = build_matrices(g, r, volt)
-        assert mats["D"] == [3, 3, 1, 1]
-        A = mats["A"]
-        gamma = LaurentPoly.gamma
-        # ramified columns zero
-        assert all(A[i][j].is_zero for i in range(4) for j in (2, 3))
-        # row of B: entries from A and A2 into B
-        assert A[2][0] == gamma(1) and A[2][1] == LaurentPoly.one()
-        assert A[3][0] == LaurentPoly.const(2) and A[3][1] == LaurentPoly.one() + gamma(-1)
+        c, zero = LaurentPoly.const, LaurentPoly.zero()
+        assert unramified_block(g, r, volt) == [[c(3), zero], [zero, c(3)]]
 
     def test_unramified_block_is_m(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
-        mats = build_matrices(g, r, {})
-        M = mats["M"]
-        assert len(M) == 3
-        assert M[0][0] == LaurentPoly.const(2)
-        # D' description: T symbol on ramified entries
-        assert mats["Dprime"]["ramified"] == "T"
+        c = LaurentPoly.const
+        assert unramified_block(g, r, {}) == [[c(2), c(-1), c(0)], [c(-1), c(2), c(-1)], [c(0), c(-1), c(2)]]
+
+    def test_voltage_entries(self):
+        # voltage a on a dart u -> w puts -g^a at [w][u]; a loop of voltage a
+        # takes g^a + g^-a off its diagonal entry, which counts it twice
+        g = build_graph(["u", "w", "b"], [("u", "w", "e"), ("w", "u", "f"), ("u", "u", "l"), ("w", "b", "h")])
+        r = RamificationData.totally_ramified(["b"])
+        M = unramified_block(g, r, {"e": 2, "l": 1, "h": 5})
+        gamma, one = LaurentPoly.gamma, LaurentPoly.one()
+        assert M[0][0] == LaurentPoly.const(4) - gamma(1) - gamma(-1)
+        assert M[1][0] == LaurentPoly.zero() - gamma(2) - one
+        assert M[0][1] == LaurentPoly.zero() - gamma(-2) - one
+        assert M[1][1] == LaurentPoly.const(3)
 
     def test_single_unramified_vertex(self):
         g, r, volt = load_fixture("voltage_triangle_a.json")
-        mats = build_matrices(g, r, volt)
-        assert mats["M"] == [[LaurentPoly.const(3)]]
+        assert unramified_block(g, r, volt) == [[LaurentPoly.const(3)]]
 
     def test_no_unramified_rejected(self):
         g = build_graph(["a", "b"], [("a", "b")])
         r = RamificationData.totally_ramified(["a", "b"])
-        with pytest.raises(Exception):
-            build_matrices(g, r, {})
+        with pytest.raises(GraphError):
+            unramified_block(g, r, {})
 
 
 class TestCharElement:

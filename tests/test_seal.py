@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_fixture, random_connected_graph
+from conftest import all_fixture_names, grid_graph, load_fixture, path_decompose, random_connected_graph
 from segtower.forests import enumerate_spanning_trees, kappa
-from segtower.graph import RamificationData, build_graph
+from segtower.graph import RamificationData, build_graph, prune_tails
 from segtower.seal import (
     DecompositionError,
     PathCapExceeded,
@@ -149,10 +151,86 @@ class TestDecompose:
             assert set().union(*(s.edge_ids for s in d.segments)) == {e.id for e in g.edges}
             done += 1
 
+    def test_cycle_hanging_off_a_two_class(self):
+        # the triangle a-b-c meets the v-w path only at a, so it lies on no
+        # admissible path; both edge orders make the DFS close its block at a
+        for order in ([("b", "c"), ("a", "b"), ("c", "a")], [("c", "a"), ("a", "b"), ("b", "c")]):
+            g = build_graph(["v", "a", "w", "b", "c"], [("v", "a"), ("a", "w")] + order)
+            r = RamificationData.totally_ramified(["v", "w"])
+            with pytest.raises(DecompositionError) as exc:
+                decompose(g, r)
+            assert exc.value.witness == {"edges": ["e2", "e3", "e4"], "ramified": []}
+
     def test_disconnected_rejected(self):
         g = build_graph(["a", "b"], [])
         with pytest.raises(DecompositionError):
             decompose(g, RamificationData.totally_ramified(["a"]))
+
+
+@st.composite
+def marked_multigraphs(draw):
+    """Tail-free multigraphs on 2-8 vertices with loops, parallel edges and
+    1-5 ramified vertices; a random spanning tree keeps them connected."""
+    nv = draw(st.integers(2, 8))
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, nv)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=8))
+    ram = draw(st.lists(st.sampled_from(vs), min_size=1, max_size=5, unique=True))
+    g = build_graph(vs, draw(st.permutations(edges + extra)))  # edge order steers the DFS
+    r = RamificationData.totally_ramified(ram)
+    g2 = prune_tails(g, r)
+    return g2, r.restrict(g2.vertices)
+
+
+class TestAgainstPaths:
+    """decompose against path_decompose, the formulation over listed paths."""
+
+    @given(marked_multigraphs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_segments_or_reason(self, graph):
+        g, r = graph
+        try:
+            want = path_decompose(g, r)
+        except DecompositionError as exc:
+            with pytest.raises(DecompositionError) as got:
+                decompose(g, r)
+            assert got.value.reason == exc.reason
+            witness = got.value.witness
+            if "pairs" in witness:
+                (a, b), (a2, c) = witness["pairs"]
+                assert a == a2 and len({a, b, c}) == 3
+                for pair in witness["pairs"]:
+                    assert any(witness["edge"] in p.edge_ids for p in admissible_paths(g, r, *pair))
+            return
+        d = decompose(g, r)
+        assert d.segments == want.segments and d.ramified == want.ramified
+
+    def test_fixtures(self):
+        for name in all_fixture_names():
+            g, r, _ = load_fixture(name)
+            g = prune_tails(g, r)
+            r = r.restrict(g.vertices)
+            try:
+                want = path_decompose(g, r)
+            except DecompositionError as exc:
+                with pytest.raises(DecompositionError, match=exc.reason):
+                    decompose(g, r)
+                continue
+            assert decompose(g, r).segments == want.segments, name
+
+
+class TestGrids:
+    def test_6x6_one_segment(self):
+        g, r = grid_graph(6, 6)
+        with pytest.raises(PathCapExceeded):
+            path_decompose(g, r)
+        d = decompose(g, r)
+        assert d.k == d.k_prime == 1 and d.segments[0].edge_ids == {e.id for e in g.edges}
+
+    def test_30x30_one_segment(self):
+        g, r = grid_graph(30, 30)
+        d = decompose(g, r)
+        assert d.k == d.k_prime == 1 and len(d.segments[0].edge_ids) == 1740
 
 
 class TestLemmaCount:
