@@ -4,7 +4,7 @@ branched Z_p-towers of finite multigraphs.
 The package is organised bottom-up:
 
   linalg   -- exact integer / Laurent-polynomial determinants
-  graph    -- dart-based multigraphs with ramification marks
+  graph    -- multigraphs with ramification marks
   cover    -- derived (voltage) covers at finite levels
   seal     -- segment decomposition and admissible sets
   forests  -- tree/forest counts, by determinant and by enumeration

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import families, iwasawa
-from .cover import build_cover
+from .cover import build_cover, check_prime
 from .forests import forest_count_bruteforce, forest_count_det, kappa
 from .graph import GraphError, graph_from_json, graph_to_json, load_graph, prune_tails
 from .seal import DecompositionError, admissible_sets, decompose
@@ -236,8 +235,8 @@ def run(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if "p" in vars(args) and not (args.p >= 2 and all(args.p % d for d in range(2, math.isqrt(args.p) + 1))):
-            raise CliError(f"--p must be a prime, got {args.p}")
+        if "p" in vars(args):
+            check_prime(args.p, "--p")
         return args.fn(args)
     except DecompositionError as exc:
         _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})

@@ -9,6 +9,7 @@ is the voltage exponent of e and m_v the fiber modulus of v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import Edge, GraphError, Multigraph, RamificationData
@@ -29,6 +30,12 @@ class CoverGraph:
         return [v for v in self.graph.vertices if self.vertex_projection[v] == base_vertex]
 
 
+def check_prime(p, name="p"):
+    """Raise GraphError unless p is a prime (by trial division)."""
+    if not (p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        raise GraphError(f"{name} must be a prime, got {p}")
+
+
 def _modulus(r: RamificationData, p: int, n: int, v) -> int:
     if r.is_ramified(v):
         return p ** min(n, r.depths[v])
@@ -44,8 +51,7 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     """
     if n < 0:
         raise GraphError("cover level must be non-negative")
-    if p < 2:
-        raise GraphError("p must be a prime >= 2")
+    check_prime(p)
     voltage = voltage or {}
     pn = p ** n
     mods = {v: _modulus(r, p, n, v) for v in g.vertices}
@@ -79,8 +85,9 @@ def segment_preimage(c: CoverGraph, segment):
     vertices lying over the segment's ramified endpoints.
     """
     edge_ids = set(segment.edge_ids)
+    base_ids = {e.id for e in c.base.edges}
     for eid in edge_ids:
-        if eid not in {e.id for e in c.base.edges}:
+        if eid not in base_ids:
             raise GraphError(f"segment edge {eid!r} is not an edge of the cover's base")
     edges = [e for e in c.graph.edges if c.edge_projection[e.id] in edge_ids]
     vset = []

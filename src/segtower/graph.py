@@ -1,9 +1,8 @@
-"""Dart-based finite multigraphs with ramification marks.
+"""Finite multigraphs with ramification marks.
 
-An undirected edge is a pair of mutually inverse darts.  Loops and parallel
-edges are allowed; a loop contributes 2 to the degree of its vertex.  Vertex
-and edge identifiers are stable, so derived objects (segments, cover fibers)
-can refer back to base objects.
+Loops and parallel edges are allowed; a loop contributes 2 to the degree of
+its vertex.  Vertex and edge identifiers are stable, so derived objects
+(segments, cover fibers) can refer back to base objects.
 """
 
 from __future__ import annotations
@@ -34,26 +33,6 @@ class Edge:
         if w == self.v:
             return self.u
         raise GraphError(f"vertex {w!r} is not an endpoint of edge {self.id!r}")
-
-
-@dataclass(frozen=True)
-class Dart:
-    """One of the two orientations of an edge."""
-
-    edge: Edge
-    forward: bool
-
-    @property
-    def origin(self):
-        return self.edge.u if self.forward else self.edge.v
-
-    @property
-    def terminus(self):
-        return self.edge.v if self.forward else self.edge.u
-
-    @property
-    def inverse(self):
-        return Dart(self.edge, not self.forward)
 
 
 class Multigraph:
@@ -92,18 +71,11 @@ class Multigraph:
     def has_vertex(self, v):
         return v in self._incident
 
-    def darts(self):
-        out = []
-        for e in self.edges:
-            out.append(Dart(e, True))
-            out.append(Dart(e, False))
-        return out
-
     def degree(self, v):
         return len(self._incident[v])
 
     def incident_edges(self, v):
-        """Edges at v; loops appear twice (once per dart)."""
+        """Edges at v; loops appear twice (once per end)."""
         return list(self._incident[v])
 
     def neighbors(self, v):

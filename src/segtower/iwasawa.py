@@ -4,7 +4,11 @@ The characteristic element of a tower over (g, r, voltage) is T^l * f(T)
 where l is the number of ramified vertices and f is det(M) expanded at
 gamma = 1 + T, M the unramified block of the voltage Laplacian.  From f we
 read off mu (minimal p-adic coefficient valuation) and lambda; the Jacobian
-invariants are mu(f) and (l - 1) + lambda(f).
+invariants are mu(f) and (l - 1) + lambda(f).  When det(M) has negative
+powers of gamma, f is a power series, kept to its first span + 1 terms
+(span = max exponent - min exponent of det(M)): gamma = 1 + T is a unit of
+Z_p[[T]], so shifting det(M) by a power of gamma changes neither mu nor
+lambda, and lambda <= span (see linalg.expand_at_gamma).
 
 The spanning-tree counts along the tower come from the same block.  Let n0
 be the largest ramification depth and Y = X_{n0} (Y = X when n0 = 0), whose
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import build_cover, segment_preimage
+from .cover import build_cover, check_prime, segment_preimage
 from .forests import forest_count_det, kappa
 from .graph import GraphError, Multigraph, RamificationData, prune_tails
 from .linalg import IntPoly, LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p
@@ -49,7 +53,7 @@ class DisconnectedCover(TowerError):
 @dataclass(frozen=True)
 class CharElement:
     t_power: int  # exponent l of the leading T^l factor
-    body: IntPoly  # det(M) at gamma = 1 + T
+    body: IntPoly  # det(M) at gamma = 1 + T, to its first span + 1 terms
     det_gamma: LaurentPoly  # det(M) as a Laurent polynomial in gamma
     p: int
 
@@ -91,16 +95,10 @@ def unramified_block(g: Multigraph, r: RamificationData, voltage):
     return M
 
 
-def default_truncation(g, r, voltage) -> int:
-    voltage = voltage or {}
-    unram = sum(1 for v in g.vertices if not r.is_ramified(v))
-    max_exp = max((abs(a) for a in voltage.values()), default=0)
-    return unram * max_exp + 8
-
-
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
+    check_prime(p)
     det = det_laurent(unramified_block(g, r, voltage))
-    body = expand_at_gamma(det, default_truncation(g, r, voltage))
+    body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)
 
 
@@ -115,6 +113,7 @@ def symbolic_invariants(c: CharElement) -> InvariantTriple:
 def tower_kappas(g, r, voltage, p, n_max):
     """kappa(X_n) for n = 0..n_max; raises DisconnectedCover at the first
     level whose count is 0.  See the module docstring for the formula."""
+    check_prime(p)
     n0 = max(r.depths.values(), default=0)
     out = []
 

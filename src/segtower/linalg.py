@@ -2,8 +2,9 @@
 
 Determinants use Bareiss fraction-free elimination, so everything stays in
 exact integer (or integer-polynomial) arithmetic.  Laurent polynomials in the
-deck-group generator g can be expanded at g = 1 + T, giving ordinary integer
-polynomials whose p-adic coefficient data yield the mu/lambda invariants.
+deck-group generator g can be expanded at g = 1 + T, giving integer
+polynomials (series prefixes when g has negative powers) whose p-adic
+coefficient data yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
@@ -326,55 +327,27 @@ def root_of_unity_product(f: LaurentPoly, n: int) -> int:
     return sign * value
 
 
-def _binomial_power(exponent):
-    """(1 + T)^exponent for exponent >= 0, exact."""
-    res = [1]
-    c = 1
-    for i in range(1, exponent + 1):
-        c = c * (exponent - i + 1) // i
-        res.append(c)
-    return res
+def expand_at_gamma(f: LaurentPoly) -> IntPoly:
+    """Substitute g = 1 + T: f(1+T) to its first deg Q + 1 terms, where
+    Q = g^s * f and s = max(0, -min exponent); exact when s = 0.
 
-
-def _truncated_mul(a, b, cap):
-    res = [0] * min(len(a) + len(b) - 1, cap + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > cap:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            res[i + j] += x * y
-    return res
-
-
-def expand_at_gamma(f: LaurentPoly, truncation_degree: int) -> IntPoly:
-    """Substitute g = 1 + T.
-
-    Non-negative powers expand exactly; negative powers use the geometric
-    series (1+T)^-1 = sum (-T)^i truncated at truncation_degree.  When f has
-    only non-negative exponents the result is exact and no truncation applies.
+    Q(1+T) is one Taylor shift (Horner); each of the s divisions by 1 + T
+    is a running difference.  (1+T)^-s is a unit of Z_p[[T]] with constant
+    term 1, so f(1+T) has the mu and lambda of Q(1+T), and lambda <= deg Q:
+    the prefix always reaches index lambda.
     """
-    if truncation_degree < 0:
-        raise LinalgError("truncation_degree must be non-negative")
     if f.is_zero:
         return IntPoly()
-    has_negative = f.min_exp() < 0
-    cap = truncation_degree if has_negative else max(f.max_exp(), 0)
-    inv = [(-1) ** i for i in range(cap + 1)]  # (1+T)^-1 truncated
-    total = [0] * (cap + 1)
-    for e, c in sorted(f.coeffs.items()):
-        if e >= 0:
-            term = _binomial_power(e)
-        else:
-            term = [1]
-            for _ in range(-e):
-                term = _truncated_mul(term, inv, cap)
-        for i, x in enumerate(term):
-            if i > cap:
-                break
-            total[i] += c * x
-    return IntPoly(total)
+    s = max(0, -f.min_exp())
+    a = [f.coeffs.get(e - s, 0) for e in range(f.max_exp() + s + 1)]
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    for _ in range(s):
+        for i in range(1, d + 1):
+            a[i] -= a[i - 1]
+    return IntPoly(a)
 
 
 def ord_p(x: int, p: int):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -88,6 +89,14 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
         marks = [v for v in c.graph.vertices if r.is_ramified(c.vertex_projection[v])]
         out.append(forest_count_det(c.graph, marks).value)
     return out
+
+
+def taylor_shift_oracle(f):
+    """Oracle for linalg.expand_at_gamma: (Q(1+T) by binomials, s), where
+    Q = g^s * f is a polynomial and s = max(0, -min exponent of f)."""
+    s = max(0, -f.min_exp())
+    d = f.max_exp() + s
+    return [sum(c * math.comb(e + s, i) for e, c in f.coeffs.items()) for i in range(d + 1)], s
 
 
 def path_decompose(g, r):

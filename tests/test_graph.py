@@ -21,18 +21,15 @@ from segtower.graph import (
 class TestBuildGraph:
     def test_cycle(self):
         g = build_graph(["v1", "v2", "v3", "v4", "v5"], [(f"v{i}", f"v{i % 5 + 1}") for i in range(1, 6)])
-        assert len(g.darts()) == 10
         assert len(g.edges) == 5
         assert all(g.degree(v) == 2 for v in g.vertices)
 
     def test_single_vertex(self):
         g = build_graph(["v"], [])
-        assert g.darts() == []
         assert g.connected()
 
     def test_parallel_edges(self):
         g = build_graph(["a", "b"], [("a", "b"), ("a", "b")])
-        assert len(g.darts()) == 4
         assert len(g.edges) == 2
         assert len(g.edges_between("a", "b")) == 2
 
@@ -48,18 +45,6 @@ class TestBuildGraph:
             build_graph(["a"], [("a", "b")])
         with pytest.raises(GraphError):
             build_graph(["a", "b"], [("a", "b", "e"), ("a", "b", "e")])
-
-
-class TestDartInvariants:
-    def test_involution(self, rng):
-        for _ in range(10):
-            g = random_connected_graph(rng)
-            for d in g.darts():
-                assert d.inverse != d
-                assert d.inverse.inverse == d
-                assert d.inverse.origin == d.terminus
-                assert d.inverse.terminus == d.origin
-            assert len(g.darts()) == 2 * len(g.edges)
 
 
 class TestLaplacian:

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture
+from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture, taylor_shift_oracle
+from segtower.cover import build_cover
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.iwasawa import (
     CharElement,
@@ -12,7 +13,6 @@ from segtower.iwasawa import (
     InvariantTriple,
     TowerError,
     char_element,
-    default_truncation,
     empirical_invariants,
     fit_orders,
     segment_growth_invariants,
@@ -25,7 +25,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import IntPoly, LaurentPoly
+from segtower.linalg import IntPoly, LaurentPoly, mu_lambda
 
 
 class TestBuildMatrices:
@@ -95,10 +95,6 @@ class TestCharElement:
             for s in d.segments:
                 prod *= forest_count_det(s.subgraph(g), list(s.ramified)).value
             assert ce.body[0] == prod, name
-
-    def test_default_truncation(self):
-        g, r, volt = load_fixture("voltage_segment.json")
-        assert default_truncation(g, r, volt) == 2 * 1 + 8
 
 
 class TestSymbolicInvariants:
@@ -367,6 +363,47 @@ class TestSegmentGrowth:
         assert [lv["forest_count"] for lv in levels] == want
 
 
+class TestCharElementOracle:
+    """The exact g-shift against an independent binomial Taylor shift."""
+
+    @given(voltage_towers(voltages=tuple(range(-6, 7)), marks=(0, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_taylor_shift(self, tower):
+        g, r, voltage, p, _ = tower
+        assume(len(r.depths) < len(g.vertices))
+        ce = char_element(g, r, voltage, p)
+        if ce.det_gamma.is_zero:
+            assert ce.body.is_zero
+            return
+        q_at_gamma, s = taylor_shift_oracle(ce.det_gamma)
+        # the body is f(1+T) to its first deg Q + 1 terms: times (1+T)^s it is Q(1+T)
+        body = list(ce.body.coeffs)
+        assert len(body) <= len(q_at_gamma)
+        body += [0] * (len(q_at_gamma) - len(body))
+        for _ in range(s):
+            body = [c + (body[i - 1] if i else 0) for i, c in enumerate(body)]
+        assert body == q_at_gamma
+        mu, lam = mu_lambda(IntPoly(q_at_gamma), p)
+        assert symbolic_invariants(ce) == InvariantTriple(mu, ce.t_power - 1 + lam)
+
+
+class TestPrimeCheck:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, r: build_cover(g, r, {}, 4, 1),
+            lambda g, r: tower_kappas(g, r, {}, 4, 3),
+            lambda g, r: char_element(g, r, {}, 4),
+            lambda g, r: tower_report(g, r, {}, 4, n_max=3),
+        ],
+        ids=["build_cover", "tower_kappas", "char_element", "tower_report"],
+    )
+    def test_non_prime_p_rejected(self, call):
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        with pytest.raises(GraphError, match="p must be a prime, got 4"):
+            call(g, r)
+
+
 class TestTowerReport:
     def test_report_fields(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
@@ -376,3 +413,17 @@ class TestTowerReport:
         assert report["agreement"] is True
         assert report["fit_stable"] is True
         assert len(report["levels"]) == 4
+
+    def test_negative_powers_past_the_old_truncation(self):
+        # det M runs from g^-16 to g^16, so lambda = 32 needs all 33 terms;
+        # the first 27 alone have their least valuation 2 at index 16
+        g = build_graph(
+            ["v0", "v1", "v2", "v3"],
+            [("v0", "v1", "e0"), ("v1", "v2", "e1"), ("v2", "v3", "e2"), ("v3", "v0", "e3"), ("v1", "v3", "e4")],
+        )
+        voltage = {"e0": 5, "e1": -6, "e2": -6, "e3": -1, "e4": 4}
+        report = tower_report(g, RamificationData({"v0": 0}), voltage, 2, n_max=7)
+        assert report["symbolic"] == {"mu": 0, "lambda": 32}
+        assert report["empirical"]["mu"] == 0 and report["empirical"]["lambda"] == 32
+        assert report["fit_stable"] is True
+        assert report["agreement"] is True

@@ -167,8 +167,8 @@ class TestDetLaurent:
                 [LaurentPoly({e: rng.randint(-3, 3) for e in range(0, 3)}) for _ in range(3)]
                 for _ in range(3)
             ]
-            lhs = expand_at_gamma(det_laurent(m), 0)
-            rows = [[expand_at_gamma(x, 0) for x in row] for row in m]
+            lhs = expand_at_gamma(det_laurent(m))
+            rows = [[expand_at_gamma(x) for x in row] for row in m]
             # Leibniz over IntPoly
             total = IntPoly()
             for perm in permutations(range(3)):
@@ -182,22 +182,30 @@ class TestDetLaurent:
 
 class TestExpandAtGamma:
     def test_gamma(self):
-        assert expand_at_gamma(LaurentPoly.gamma(1), 0) == IntPoly([1, 1])
+        assert expand_at_gamma(LaurentPoly.gamma(1)) == IntPoly([1, 1])
 
     def test_geometric_series(self):
-        assert expand_at_gamma(LaurentPoly.gamma(-1), 3) == IntPoly([1, -1, 1, -1])
+        # (1+T)^-1 = sum (-T)^i is kept to span + 1 terms: span 0 for g^-1,
+        # span 3 for g^-1 + g^2 = (1+T)^-1 + 1 + 2T + T^2
+        assert expand_at_gamma(LaurentPoly.gamma(-1)) == IntPoly([1])
+        assert expand_at_gamma(LaurentPoly({-1: 1, 2: 1})) == IntPoly([2, 1, 2, -1])
+        assert expand_at_gamma(LaurentPoly.gamma(-4, 3)) == IntPoly([3])
 
     def test_binomial_square(self):
         f = LaurentPoly({2: 1, 1: -2, 0: 1})  # (g-1)^2
-        assert expand_at_gamma(f, 0) == IntPoly([0, 0, 1])
+        assert expand_at_gamma(f) == IntPoly([0, 0, 1])
 
     def test_inverse_pair_truncates_consistently(self):
-        f = LaurentPoly({1: 1, -1: 1, 0: -2})  # g + g^-1 - 2 = T^2/(1+T)
-        got = expand_at_gamma(f, 5)
-        assert got == IntPoly([0, 0, 1, -1, 1, -1])
+        # g + g^-1 - 2 = T^2/(1+T) = T^2 - T^3 + ..., span 2: three terms
+        f = LaurentPoly({1: 1, -1: 1, 0: -2})
+        assert expand_at_gamma(f) == IntPoly([0, 0, 1])
+        # a shift by g^-2 = (1+T)^-2 keeps the span: T^2 (1 - 3T + ...)
+        assert expand_at_gamma(f.shift(-2)) == IntPoly([0, 0, 1])
+        # g - 2 + 3g^-1 = 2 - 2T + 3T^2 - 3T^3 + ...
+        assert expand_at_gamma(LaurentPoly({1: 1, 0: -2, -1: 3})) == IntPoly([2, -2, 3])
 
     def test_zero(self):
-        assert expand_at_gamma(LaurentPoly.zero(), 4).is_zero
+        assert expand_at_gamma(LaurentPoly.zero()).is_zero
 
 
 class TestMuLambda:
