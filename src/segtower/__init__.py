@@ -17,14 +17,7 @@ from .graph import Multigraph, RamificationData, Edge, build_graph, glue, laplac
 from .linalg import IntPoly, LaurentPoly, det_int, det_laurent, expand_at_gamma, mu_lambda
 from .cover import CoverGraph, build_cover, segment_preimage
 from .seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths, admissible_sets, decompose
-from .forests import (
-    ForestCount,
-    enumerate_spanning_trees,
-    forest_count_bruteforce,
-    forest_count_det,
-    kappa,
-    kappa_enumerate,
-)
+from .forests import ForestCount, forest_count_bruteforce, forest_count_det, kappa
 
 __all__ = [
     "Multigraph", "RamificationData", "Edge", "build_graph", "glue", "laplacian", "prune_tails",
@@ -32,6 +25,5 @@ __all__ = [
     "CoverGraph", "build_cover", "segment_preimage",
     "DecompositionError", "Segment", "SegmentDecomposition",
     "admissible_paths", "admissible_sets", "decompose",
-    "ForestCount", "enumerate_spanning_trees", "forest_count_bruteforce",
-    "forest_count_det", "kappa", "kappa_enumerate",
+    "ForestCount", "forest_count_bruteforce", "forest_count_det", "kappa",
 ]

@@ -228,10 +228,14 @@ def build_parser():
     return ap
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every request; building it costs about as much as a small request
+_PARSER = build_parser()
+
+
 def run(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -3,8 +3,8 @@
 kappa counts spanning trees by the matrix-tree theorem (determinant of a
 Laplacian minor); forest_count_det counts spanning forests with t components,
 each containing exactly one marked vertex, by deleting the t marked
-rows/columns.  Every determinant route has an exhaustive-enumeration oracle
-with a configurable edge cap.
+rows/columns.  forest_count_bruteforce counts F_t by exhaustive enumeration
+under a configurable edge cap (the CLI's `forests --method brute`).
 """
 
 from __future__ import annotations
@@ -83,25 +83,6 @@ def _forest_subsets(g: Multigraph, size):
                 break
         if ok:
             yield combo, uf
-
-
-def kappa_enumerate(g: Multigraph, cap=20) -> ForestCount:
-    """Exhaustive spanning-tree count (oracle for kappa)."""
-    if len(g.edges) > cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
-    size = len(g.vertices) - 1
-    if size < 0:
-        raise GraphError("kappa of the empty graph")
-    count = sum(1 for _ in _forest_subsets(g, size))
-    return ForestCount(count, "enumeration")
-
-
-def enumerate_spanning_trees(g: Multigraph, cap=20):
-    """All spanning trees as frozensets of edge ids."""
-    if len(g.edges) > cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
-    size = len(g.vertices) - 1
-    return [frozenset(e.id for e in combo) for combo, _ in _forest_subsets(g, size)]
 
 
 def forest_count_bruteforce(g: Multigraph, marked, cap=20) -> ForestCount:

@@ -7,6 +7,7 @@ its vertex.  Vertex and edge identifiers are stable, so derived objects
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from collections.abc import Hashable
@@ -208,27 +209,31 @@ def laplacian(g: Multigraph, order=None):
 
 def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
     """Iteratively delete unramified vertices with a single neighbour joined
-    by a single edge.  The spanning-tree count is unchanged."""
-    vertices = list(g.vertices)
-    edges = list(g.edges)
-    while True:
-        incident = {v: [] for v in vertices}
-        for e in edges:
-            incident[e.u].append(e)
-            incident[e.v].append(e)
-        victim = None
-        for v in vertices:
-            if r.is_ramified(v):
-                continue
-            es = incident[v]
-            if len(es) == 1 and not es[0].is_loop:
-                victim = v
-                break
-        if victim is None:
-            break
-        vertices.remove(victim)
-        edges.remove(incident[victim][0])
-    return Multigraph(vertices, edges)
+    by a single edge.  The spanning-tree count is unchanged.
+
+    A heap of candidate positions always deletes the first deletable vertex
+    in vertex order, which decides which end of an isolated edge survives.
+    """
+    position = {v: i for i, v in enumerate(g.vertices)}
+    degree = {v: g.degree(v) for v in g.vertices}  # a loop counts 2, so degree 1 is never a loop
+    gone_vertices, gone_edges = set(), set()
+    todo = [position[v] for v in g.vertices if degree[v] == 1 and not r.is_ramified(v)]  # sorted: a heap
+    while todo:
+        v = g.vertices[heapq.heappop(todo)]
+        if degree[v] != 1:  # its neighbour went first and left it isolated
+            continue
+        e = next(e for e in g.incident_edges(v) if e.id not in gone_edges)
+        w = e.other(v)
+        gone_vertices.add(v)
+        gone_edges.add(e.id)
+        degree[v] = 0
+        degree[w] -= 1
+        if degree[w] == 1 and not r.is_ramified(w):
+            heapq.heappush(todo, position[w])
+    return Multigraph(
+        [v for v in g.vertices if v not in gone_vertices],
+        [e for e in g.edges if e.id not in gone_edges],
+    )
 
 
 def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationData, identification):

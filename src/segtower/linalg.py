@@ -1,7 +1,9 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-Determinants use Bareiss fraction-free elimination, so everything stays in
-exact integer (or integer-polynomial) arithmetic.  Laurent polynomials in the
+det_int, Bareiss fraction-free elimination over Z, is the one elimination
+routine.  det_laurent reduces a determinant over Z[g, g^-1] to det_int values
+at integer points of g and recovers the polynomial by Newton interpolation,
+exactly and with no prime or coefficient bound.  Laurent polynomials in the
 deck-group generator g can be expanded at g = 1 + T, giving integer
 polynomials (series prefixes when g has negative powers) whose p-adic
 coefficient data yield the mu/lambda invariants.
@@ -85,18 +87,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise LinalgError("negative power; use shift for monomials")
-        res = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
@@ -121,8 +111,9 @@ class LaurentPoly:
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Divide a by b, requiring the quotient to lie in Z[g, g^-1].
 
-    Used inside Bareiss elimination, where divisions are exact by construction;
-    a non-exact division raises LinalgError.
+    A non-exact division raises LinalgError.  No production path divides
+    polynomials (det_laurent interpolates); this serves the tests' Bareiss
+    reference over Z[g], and the benchmark's tracer wraps it by name.
     """
     if b.is_zero:
         raise LinalgError("division by zero polynomial")
@@ -175,27 +166,6 @@ class IntPoly:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] - other[i] for i in range(n)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        res = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                res[i + j] += a * b
-        return IntPoly(res)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = IntPoly([other])
@@ -245,45 +215,39 @@ def det_int(m) -> int:
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of a square matrix of LaurentPoly entries.
 
-    Negative exponents are cleared row by row (multiply row i by g^{k_i}),
-    elimination runs fraction-free over Z[g], and the result is shifted back
-    by g^{-sum k_i}.
+    Row i times g^{k_i}, k_i = max(0, -min exponent of the row), has only
+    non-negative powers, so Q = g^S * det, S = sum k_i, is a polynomial of
+    degree at most D = sum of the shifted rows' max exponents.  Q is
+    evaluated by det_int at the D + 1 nodes 0, 1, -1, 2, -2, ... and
+    recovered by Newton interpolation.  The divided differences of an
+    integer polynomial at integer nodes are integers, so every division is
+    exact; an inexact one raises LinalgError.
     """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise LinalgError("matrix is not square")
-    if n == 0:
-        return LaurentPoly.one()
-    a = [list(row) for row in m]
-    total_shift = 0
-    for i in range(n):
-        mins = [x.min_exp() for x in a[i] if not x.is_zero]
-        if mins and min(mins) < 0:
-            k = -min(mins)
-            a[i] = [x.shift(k) for x in a[i]]
-            total_shift += k
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = laurent_exact_div(num, prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det.shift(-total_shift)
+    rows, shift, deg = [], 0, 0
+    for row in m:
+        exps = [e for x in row for e in x.coeffs]
+        if not exps:
+            return LaurentPoly.zero()
+        k = max(0, -min(exps))
+        rows.append([[(e + k, c) for e, c in x.coeffs.items()] for x in row])
+        shift, deg = shift + k, deg + max(exps) + k
+    nodes = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(deg + 1)]
+    q = []
+    for x in nodes:
+        q.append(det_int([[sum(c * x**e for e, c in entry) for entry in row] for row in rows]))
+    for j in range(1, deg + 1):  # q[i] becomes Q[x_{i-j}, ..., x_i]
+        for i in range(deg, j - 1, -1):
+            q[i], r = divmod(q[i] - q[i - 1], nodes[i] - nodes[i - j])
+            if r:
+                raise LinalgError("inexact divided difference: det_int values do not fit a polynomial")
+    for j in range(deg - 1, -1, -1):  # Newton form to monomials, Horner from the top
+        for i in range(j, deg):
+            q[i] -= nodes[j] * q[i + 1]
+    return LaurentPoly({e - shift: c for e, c in enumerate(q)})
 
 
 def _matmul(a, b):

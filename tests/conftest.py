@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from segtower.cover import build_cover
-from segtower.forests import forest_count_det, kappa
-from segtower.graph import RamificationData, build_graph, graph_from_json
+from segtower.forests import CapExceeded, ForestCount, _forest_subsets, forest_count_det, kappa
+from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
+from segtower.linalg import IntPoly, LaurentPoly, LinalgError, laurent_exact_div
 from segtower.seal import (
     DecompositionError,
     SegmentDecomposition,
@@ -97,6 +98,116 @@ def taylor_shift_oracle(f):
     s = max(0, -f.min_exp())
     d = f.max_exp() + s
     return [sum(c * math.comb(e + s, i) for e, c in f.coeffs.items()) for i in range(d + 1)], s
+
+
+def bareiss_det_laurent(m):
+    """Oracle for linalg.det_laurent: Bareiss fraction-free elimination over
+    Z[g] with polynomial products and exact long division.
+
+    Negative exponents are cleared row by row (multiply row i by g^{k_i}),
+    and the result is shifted back by g^{-sum k_i}.
+    """
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise LinalgError("matrix is not square")
+    if n == 0:
+        return LaurentPoly.one()
+    a = [list(row) for row in m]
+    total_shift = 0
+    for i in range(n):
+        mins = [x.min_exp() for x in a[i] if not x.is_zero]
+        if mins and min(mins) < 0:
+            k = -min(mins)
+            a[i] = [x.shift(k) for x in a[i]]
+            total_shift += k
+    sign = 1
+    prev = LaurentPoly.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = laurent_exact_div(num, prev)
+            a[i][k] = LaurentPoly.zero()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    if sign < 0:
+        det = -det
+    return det.shift(-total_shift)
+
+
+def laurent_pow(f, n):
+    """f^n for n >= 0, by repeated squaring."""
+    res, base = LaurentPoly.one(), f
+    while n:
+        if n & 1:
+            res = res * base
+        base = base * base
+        n >>= 1
+    return res
+
+
+def intpoly_add(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return IntPoly([a[i] + b[i] for i in range(n)])
+
+
+def intpoly_mul(a, b):
+    res = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            res[i + j] += x * y
+    return IntPoly(res)
+
+
+def kappa_enumerate(g, cap=20):
+    """Oracle for forests.kappa: count spanning trees exhaustively."""
+    if len(g.edges) > cap:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
+    size = len(g.vertices) - 1
+    if size < 0:
+        raise GraphError("kappa of the empty graph")
+    return ForestCount(sum(1 for _ in _forest_subsets(g, size)), "enumeration")
+
+
+def enumerate_spanning_trees(g, cap=20):
+    """All spanning trees as frozensets of edge ids."""
+    if len(g.edges) > cap:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
+    return [frozenset(e.id for e in combo) for combo, _ in _forest_subsets(g, len(g.vertices) - 1)]
+
+
+def prune_tails_quadratic(g, r):
+    """Oracle for graph.prune_tails: rebuild the incidence map after every
+    deletion and delete the first deletable vertex in vertex order."""
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    while True:
+        incident = {v: [] for v in vertices}
+        for e in edges:
+            incident[e.u].append(e)
+            incident[e.v].append(e)
+        victim = None
+        for v in vertices:
+            if r.is_ramified(v):
+                continue
+            es = incident[v]
+            if len(es) == 1 and not es[0].is_loop:
+                victim = v
+                break
+        if victim is None:
+            break
+        vertices.remove(victim)
+        edges.remove(incident[victim][0])
+    return Multigraph(vertices, edges)
 
 
 def path_decompose(g, r):

@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from conftest import load_fixture, random_connected_graph
+from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph
 from segtower.cover import build_cover, segment_preimage
 from segtower.families import (
     chorded_cycle_f2,
@@ -15,12 +15,7 @@ from segtower.families import (
     modified_line_f2,
     modified_line_graph,
 )
-from segtower.forests import (
-    enumerate_spanning_trees,
-    forest_count_bruteforce,
-    forest_count_det,
-    kappa,
-)
+from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
 from segtower.graph import RamificationData, glue, laplacian
 from segtower.iwasawa import (
     char_element,

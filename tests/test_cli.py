@@ -205,6 +205,28 @@ class TestFamily:
         assert code == 1
 
 
+class TestOneParser:
+    def test_replies_match_fresh_processes(self, capsys):
+        # one process reuses its parser: argparse errors in between and a
+        # flag set by an earlier request must not change any later reply
+        inp = fixture_path("cycle5_ram245.json")
+        symbolic = ["invariants", "--input", inp, "--p", "3", "--nmax", "3", "--symbolic-only"]
+        both = ["invariants", "--input", inp, "--p", "3", "--symbolic-only", "--empirical-only"]
+        full = ["invariants", "--input", inp, "--p", "3", "--nmax", "3"]
+        not_a_number = ["cover", "--input", inp, "--p", "two", "--n", "1"]
+        forests = ["forests", "--input", inp, "--marked", "v2,v4"]
+        sequence = [symbolic, both, full, not_a_number, forests, symbolic]
+        replies = []
+        for argv in sequence:
+            code = run(list(argv))
+            replies.append((code, capsys.readouterr().out))
+        assert [code for code, _ in replies] == [0, 1, 0, 1, 0, 0]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for argv, reply in zip(sequence, replies):
+            done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True)
+            assert reply == (done.returncode, done.stdout), argv
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, out = invoke(capsys, "kappa", "--input", "/nonexistent.json")

@@ -1,14 +1,7 @@
 import pytest
 
-from conftest import load_fixture, random_connected_graph
-from segtower.forests import (
-    CapExceeded,
-    enumerate_spanning_trees,
-    forest_count_bruteforce,
-    forest_count_det,
-    kappa,
-    kappa_enumerate,
-)
+from conftest import enumerate_spanning_trees, kappa_enumerate, load_fixture, random_connected_graph
+from segtower.forests import CapExceeded, forest_count_bruteforce, forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph, glue
 
 

@@ -1,8 +1,12 @@
 import json
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_fixture, random_connected_graph
+from conftest import load_fixture, prune_tails_quadratic, random_connected_graph
 from segtower.forests import kappa
 from segtower.graph import (
     Edge,
@@ -114,6 +118,48 @@ class TestPruneTails:
             assert kappa(pruned).value == kappa(gt).value
             again = prune_tails(pruned, r)
             assert again.vertices == pruned.vertices and again.edges == pruned.edges
+
+    def test_isolated_edge_keeps_the_later_vertex(self):
+        g = build_graph(["b", "a", "c"], [("a", "b"), ("c", "c")])
+        pruned = prune_tails(g, RamificationData())
+        assert pruned.vertices == ("a", "c") and [e.id for e in pruned.edges] == ["e1"]
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_oracle(self, seed):
+        # a random multigraph, possibly disconnected, with pendant trees hung
+        # on it and a free-standing tree, vertices shuffled so that tree
+        # vertices interleave with the rest
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=6, max_edges=9)
+        vertices = list(g.vertices)
+        edges = [(e.u, e.v, e.id) for e in g.edges]
+        for i in range(rng.randint(0, 12)):
+            new = f"t{i}"
+            edges.append((rng.choice(vertices), new, f"te{i}"))
+            vertices.append(new)
+        for i in range(rng.randint(0, 4)):
+            new = f"f{i}"
+            if i:
+                edges.append((f"f{rng.randrange(i)}", new, f"fe{i}"))
+            vertices.append(new)
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        gt = build_graph(vertices, edges)
+        r = RamificationData.totally_ramified(rng.sample(vertices, rng.randint(0, min(3, len(vertices)))))
+        pruned, expected = prune_tails(gt, r), prune_tails_quadratic(gt, r)
+        assert pruned.vertices == expected.vertices and pruned.edges == expected.edges
+
+    def test_long_tail_is_linear(self):
+        n = 20_000
+        vertices = ["root"] + [f"p{i}" for i in range(n)]
+        edges = [("root", "root", "loop"), ("root", "p0", "e0")]
+        edges += [(f"p{i}", f"p{i + 1}", f"e{i + 1}") for i in range(n - 1)]
+        g = build_graph(vertices, edges)
+        t0 = time.process_time()
+        pruned = prune_tails(g, RamificationData())
+        assert time.process_time() - t0 < 2.0
+        assert pruned.vertices == ("root",) and [e.id for e in pruned.edges] == ["loop"]
 
 
 class TestGlue:

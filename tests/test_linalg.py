@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bareiss_det_laurent, intpoly_add, intpoly_mul, laurent_pow, random_connected_graph
+from segtower import linalg
+from segtower.graph import RamificationData
+from segtower.iwasawa import unramified_block
 from segtower.linalg import (
     IntPoly,
     LaurentPoly,
@@ -48,7 +52,6 @@ class TestLaurentPoly:
         gi = LaurentPoly.gamma(-1)
         assert g * gi == LaurentPoly.one()
         assert (g + gi) - g == gi
-        assert g**3 == LaurentPoly.gamma(3)
         assert (g - g).is_zero
         assert 2 * g == LaurentPoly.gamma(1, 2)
 
@@ -175,9 +178,62 @@ class TestDetLaurent:
                 inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
                 prod = IntPoly([1]) if inv % 2 == 0 else IntPoly([-1])
                 for i in range(3):
-                    prod = prod * rows[i][perm[i]]
-                total = total + prod
+                    prod = intpoly_mul(prod, rows[i][perm[i]])
+                total = intpoly_add(total, prod)
             assert lhs == total
+
+    def test_diagonal_power(self):
+        for f in [LaurentPoly({-2: 3, 1: -1}), LaurentPoly({0: 2, 5: 1}), LaurentPoly.gamma(-3, -2)]:
+            for n in range(5):
+                m = [[f if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
+                assert det_laurent(m) == laurent_pow(f, n)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(LinalgError):
+            det_laurent([[LaurentPoly.one(), LaurentPoly.one()]])
+
+    def test_values_off_a_polynomial_raise(self, monkeypatch):
+        # [[g^2]] is evaluated at 0, 1, -1; values 0, 1, 0 give the divided
+        # difference (0 - 1) / (-1 - 1), which is not an integer
+        values = iter([0, 1, 0])
+        monkeypatch.setattr(linalg, "det_int", lambda m: next(values))
+        with pytest.raises(LinalgError, match="inexact divided difference"):
+            det_laurent([[LaurentPoly.gamma(2)]])
+
+
+laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
+constant_terms = st.dictionaries(st.just(0), st.integers(-5, 5), max_size=1)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of dimension 0-7; entries with 0-3 terms, or constants
+    only (degree 0); sometimes with a zero row."""
+    n = draw(st.integers(0, 7))
+    terms = draw(st.sampled_from([laurent_terms, constant_terms]))
+    m = [[LaurentPoly(draw(terms)) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.integers(0, 4)) == 0:
+        m[draw(st.integers(0, n - 1))] = [LaurentPoly.zero()] * n
+    return m
+
+
+class TestDetLaurentOracle:
+    """Evaluation and interpolation against Bareiss elimination over Z[g]."""
+
+    @given(laurent_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, m):
+        assert det_laurent(m) == bareiss_det_laurent(m)
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unramified_blocks(self, seed, data):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=9, max_edges=16)
+        voltage = {e.id: rng.randint(-6, 6) for e in g.edges}
+        marks = data.draw(st.lists(st.sampled_from(g.vertices), unique=True, max_size=len(g.vertices) - 1))
+        m = unramified_block(g, RamificationData.totally_ramified(marks), voltage)
+        assert det_laurent(m) == bareiss_det_laurent(m)
 
 
 class TestExpandAtGamma:
@@ -234,7 +290,7 @@ class TestMuLambda:
         unit = IntPoly([1, 1])
         fk = f
         for _ in range(k):
-            fk = fk * unit
+            fk = intpoly_mul(fk, unit)
         assert mu_lambda(f, p) == mu_lambda(fk, p)
 
 

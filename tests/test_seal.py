@@ -2,8 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_fixture_names, grid_graph, load_fixture, path_decompose, random_connected_graph
-from segtower.forests import enumerate_spanning_trees, kappa
+from conftest import (
+    all_fixture_names,
+    enumerate_spanning_trees,
+    grid_graph,
+    load_fixture,
+    path_decompose,
+    random_connected_graph,
+)
+from segtower.forests import kappa
 from segtower.graph import RamificationData, build_graph, prune_tails
 from segtower.seal import (
     DecompositionError,
