@@ -5,7 +5,8 @@ prints deterministic JSON to standard output.  All potentially large counts
 are emitted as decimal strings.
 
 Exit codes: 0 success; 2 no decomposition / theorem hypothesis violated;
-1 malformed input or bad arguments.
+1 malformed input or bad arguments ("bad_input"), or an exact-arithmetic
+check that failed inside the library ("internal_error").
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import families, iwasawa
 from .cover import build_cover, check_prime
 from .forests import forest_count_bruteforce, forest_count_det, kappa
 from .graph import GraphError, graph_from_json, graph_to_json, load_graph, prune_tails
+from .linalg import LinalgError
 from .seal import DecompositionError, admissible_sets, decompose
 
 
@@ -250,6 +252,9 @@ def run(argv=None):
         return 2
     except (GraphError, CliError, families.FamilyError) as exc:
         _emit({"error": "bad_input", "reason": str(exc)})
+        return 1
+    except LinalgError as exc:
+        _emit({"error": "internal_error", "reason": str(exc)})
         return 1
 
 

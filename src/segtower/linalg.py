@@ -1,15 +1,21 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-det_int, Bareiss fraction-free elimination over Z, is the one elimination
-routine.  det_laurent reduces a determinant over Z[g, g^-1] to det_int values
-at integer points of g and recovers the polynomial by Newton interpolation,
-exactly and with no prime or coefficient bound.  Laurent polynomials in the
-deck-group generator g can be expanded at g = 1 + T, giving integer
-polynomials (series prefixes when g has negative powers) whose p-adic
-coefficient data yield the mu/lambda invariants.
+One elimination kernel serves every determinant.  det_int renumbers rows and
+columns by one reverse Cuthill-McKee order of the nonzero pattern, eliminates
+modulo primes just below 2^62, skipping rows whose multiplier is 0, and
+combines the residues by CRT until the product of the primes exceeds twice
+Hadamard's bound.  det_laurent keeps that order for every prime and node:
+modulo each prime it evaluates g^S * det at the nodes 0..D and recovers the
+coefficients by Newton interpolation, with prod_i sum_j ||M_ij||_1 as the CRT
+bound.  Laurent polynomials in the deck-group generator g can be expanded at
+g = 1 + T, giving integer polynomials (series prefixes when g has negative
+powers) whose p-adic coefficient data yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 
 class LinalgError(ValueError):
@@ -180,36 +186,187 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Trial division by the bases, then Miller-Rabin with them: exact for
+    1 < n < 3 * 10^23."""
+    if math.gcd(n, math.prod(_BASES)) != 1:
+        return n in _BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# the largest primes below 2^62, descending, as far as any call has needed;
+# every caller sees the same sequence, so one cache serves the process
+_PRIMES = []
+
+
+def _primes():
+    """Yield the primes below 2^62 in descending order.  Each is found on
+    first use and kept for later calls."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            q = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
+            while not _is_prime(q):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[i]
+
+
+def _crt(residues, bound, size):
+    """The size integers of absolute value at most bound whose residues
+    modulo each prime q are residues(q): Chinese remaindering over the
+    primes until their product exceeds 2 * bound, then the symmetric lift."""
+    xs, m = [0] * size, 1
+    primes = _primes()
+    while m <= 2 * bound:
+        q = next(primes, None)
+        if q is None:
+            raise LinalgError("the primes ran out before their product passed the bound")
+        minv = pow(m, -1, q)
+        xs = [x + m * ((r - x) * minv % q) for x, r in zip(xs, residues(q))]
+        m *= q
+    return [x - m if 2 * x > m else x for x in xs]
+
+
+def _rcm(rows):
+    """Renumber a square matrix of sparse rows [(column, entry)] by the
+    reverse Cuthill-McKee order of its symmetrised pattern: breadth-first
+    from a vertex of least degree in each component, neighbours by
+    increasing degree, then reversed.  A symmetric permutation keeps the
+    determinant, and the band it leaves bounds the fill of elimination.
+
+    Returns the renumbered rows, the rows listed at their first column
+    (index n for an empty row) and one past each row's last column.
+    """
+    n = len(rows)
+    adj = [{j for j, _ in row} for row in rows]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            adj[j].add(i)
+    degree = [len(s) for s in adj]
+    by_degree = sorted(range(n), key=degree.__getitem__)
+    nbrs = [[] for _ in range(n)]  # each vertex's neighbours, by increasing degree
+    for v in by_degree:
+        for w in adj[v]:
+            nbrs[w].append(v)
+    seen = [False] * n
+    order = []
+    for start in by_degree:
+        if seen[start]:
+            continue
+        seen[start] = True
+        level = [start]
+        for v in level:  # the list grows while it is walked: a queue
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    level.append(w)
+        order += level
+    order.reverse()
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    out, joins, ends = [], [[] for _ in range(n + 1)], []
+    for i, v in enumerate(order):
+        row, first, end = [], n, 0
+        for j, x in rows[v]:
+            j = pos[j]
+            row.append((j, x))
+            if j < first:
+                first = j
+            if j >= end:
+                end = j + 1
+        out.append(row)
+        joins[first].append(i)
+        ends.append(end)
+    return out, joins, ends
+
+
+def _det_mod(a, joins, ends, q):
+    """det mod q of the dense residue matrix a, which it overwrites.
+
+    joins and ends come from _rcm.  Column k updates only the rows with a
+    nonzero entry there, and only up to the last column the pivot row can
+    reach; rows join at their first column.  The pivot is row k when it
+    qualifies, so a band stays a band.
+    """
+    n = len(a)
+    hi = list(ends)
+    active, pivots, det = [], [], 1
+    for k in range(n):
+        active += joins[k]
+        hits = [i for i in active if a[i][k]]
+        if not hits:
+            return 0
+        p = k if k in hits else hits[0]
+        active.remove(p)
+        pivots.append(p)
+        rp, h = a[p], hi[p]
+        det = det * rp[k] % q
+        if h <= k + 1 or len(hits) == 1:
+            continue
+        inv, tail = pow(rp[k], -1, q), rp[k + 1 : h]
+        for i in hits:
+            if i != p:
+                f, ri = a[i][k] * inv % q, a[i]
+                ri[k + 1 : h] = [(x - f * y) % q for x, y in zip(ri[k + 1 : h], tail)]
+                if hi[i] < h:
+                    hi[i] = h
+    for k in range(n):  # the sign of the permutation k -> pivots[k], by transpositions
+        while pivots[k] != k:
+            t = pivots[k]
+            pivots[k], pivots[t] = pivots[t], t
+            det = -det
+    return det % q
+
+
 def det_int(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix.
+
+    Elimination modulo primes in a reverse Cuthill-McKee order, combined by
+    CRT until the product of the primes exceeds twice Hadamard's bound
+    |det|^2 <= prod_i sum_j a_ij^2.
+    """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise LinalgError("matrix is not square")
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise LinalgError("inexact Bareiss division")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rows, bound = [], 1
+    for row in m:
+        sparse, norm = [], 0
+        for j, x in enumerate(row):
+            if x:
+                sparse.append((j, x))
+                norm += x * x
+        rows.append(sparse)
+        bound *= norm
+    rows, joins, ends = _rcm(rows)
+
+    def residue(q):
+        a = []
+        for row in rows:
+            dense = [0] * n
+            for j, x in row:
+                dense[j] = x % q
+            a.append(dense)
+        return [_det_mod(a, joins, ends, q)]
+
+    return _crt(residue, math.isqrt(bound), 1)[0]
 
 
 def det_laurent(m) -> LaurentPoly:
@@ -217,37 +374,54 @@ def det_laurent(m) -> LaurentPoly:
 
     Row i times g^{k_i}, k_i = max(0, -min exponent of the row), has only
     non-negative powers, so Q = g^S * det, S = sum k_i, is a polynomial of
-    degree at most D = sum of the shifted rows' max exponents.  Q is
-    evaluated by det_int at the D + 1 nodes 0, 1, -1, 2, -2, ... and
-    recovered by Newton interpolation.  The divided differences of an
-    integer polynomial at integer nodes are integers, so every division is
-    exact; an inexact one raises LinalgError.
+    degree at most D = sum of the shifted rows' max exponents.  Modulo each
+    prime, Q is evaluated at the nodes 0..D by the det_int kernel in one
+    reverse Cuthill-McKee order and recovered by Newton interpolation.  Every
+    coefficient of Q is at most prod_i sum_j ||M_ij||_1 in absolute value,
+    the bound for the CRT.
     """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise LinalgError("matrix is not square")
-    rows, shift, deg = [], 0, 0
+    rows, shift, deg, bound = [], 0, 0, 1
     for row in m:
         exps = [e for x in row for e in x.coeffs]
         if not exps:
             return LaurentPoly.zero()
         k = max(0, -min(exps))
-        rows.append([[(e + k, c) for e, c in x.coeffs.items()] for x in row])
+        rows.append([(j, [(e + k, c) for e, c in x.coeffs.items()]) for j, x in enumerate(row) if not x.is_zero])
         shift, deg = shift + k, deg + max(exps) + k
-    nodes = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(deg + 1)]
-    q = []
-    for x in nodes:
-        q.append(det_int([[sum(c * x**e for e, c in entry) for entry in row] for row in rows]))
-    for j in range(1, deg + 1):  # q[i] becomes Q[x_{i-j}, ..., x_i]
-        for i in range(deg, j - 1, -1):
-            q[i], r = divmod(q[i] - q[i - 1], nodes[i] - nodes[i - j])
-            if r:
-                raise LinalgError("inexact divided difference: det_int values do not fit a polynomial")
-    for j in range(deg - 1, -1, -1):  # Newton form to monomials, Horner from the top
-        for i in range(j, deg):
-            q[i] -= nodes[j] * q[i + 1]
-    return LaurentPoly({e - shift: c for e, c in enumerate(q)})
+        bound *= sum(abs(c) for x in row for c in x.coeffs.values())
+    rows, joins, ends = _rcm(rows)
+    top = max((e for row in rows for _, terms in row for e, _ in terms), default=0)
+
+    def residues(q):
+        values = []
+        for x in range(deg + 1):
+            xp = [1]
+            for _ in range(top):
+                xp.append(xp[-1] * x % q)
+            a = []
+            for row in rows:
+                dense = [0] * n
+                for j, terms in row:
+                    v = 0
+                    for e, c in terms:
+                        v += c * xp[e]
+                    dense[j] = v % q
+                a.append(dense)
+            values.append(_det_mod(a, joins, ends, q))
+        for j in range(1, deg + 1):  # values[i] becomes Q[i-j, ..., i]; the nodes differ by j
+            inv = pow(j, -1, q)
+            for i in range(deg, j - 1, -1):
+                values[i] = (values[i] - values[i - 1]) * inv % q
+        for j in range(deg - 1, -1, -1):  # Newton form to monomials, Horner from the top
+            for i in range(j, deg):
+                values[i] = (values[i] - j * values[i + 1]) % q
+        return values
+
+    return LaurentPoly({e - shift: c for e, c in enumerate(_crt(residues, bound, deg + 1))})
 
 
 def _matmul(a, b):

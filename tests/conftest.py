@@ -100,6 +100,39 @@ def taylor_shift_oracle(f):
     return [sum(c * math.comb(e + s, i) for e, c in f.coeffs.items()) for i in range(d + 1)], s
 
 
+def bareiss_det_int(m):
+    """Oracle for linalg.det_int: Bareiss fraction-free elimination over Z
+    in the given order, with every division checked."""
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise LinalgError("matrix is not square")
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                q, r = divmod(num, prev)
+                if r:
+                    raise LinalgError("inexact Bareiss division")
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def bareiss_det_laurent(m):
     """Oracle for linalg.det_laurent: Bareiss fraction-free elimination over
     Z[g] with polynomial products and exact long division.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, grid_graph, load_fixture
+from segtower import linalg
 from segtower.cli import _num, run
 from segtower.graph import graph_to_json
 from segtower.iwasawa import tower_kappas
@@ -241,6 +242,13 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    def test_linalg_error_is_a_json_reply(self, capsys, monkeypatch):
+        # with no primes to reduce by, the determinant kernel raises
+        monkeypatch.setattr(linalg, "_primes", lambda: iter(()))
+        code, out = invoke(capsys, "kappa", "--input", fixture_path("cycle5_ram45.json"))
+        assert code == 1
+        assert out == {"error": "internal_error", "reason": "the primes ran out before their product passed the bound"}
 
     @pytest.mark.parametrize(
         "argv, graph",

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_det_laurent, intpoly_add, intpoly_mul, laurent_pow, random_connected_graph
+from conftest import (
+    bareiss_det_int,
+    bareiss_det_laurent,
+    intpoly_add,
+    intpoly_mul,
+    laurent_pow,
+    load_fixture,
+    random_connected_graph,
+)
 from segtower import linalg
-from segtower.graph import RamificationData
+from segtower.cover import build_cover
+from segtower.graph import RamificationData, laplacian
 from segtower.iwasawa import unramified_block
 from segtower.linalg import (
     IntPoly,
@@ -122,6 +131,21 @@ class TestDetInt:
     def test_empty_matrix(self):
         assert det_int([]) == 1
 
+    def test_symmetric_lift_at_the_bound(self):
+        # Hadamard's bound is exact on diagonal matrices: with |det| = q - 1
+        # for the first prime q, one prime does not pass twice the bound
+        q = next(linalg._primes())
+        for m in ([[q - 1]], [[-(q - 1)]], [[1 - q, 0], [0, 1]], [[0, q - 1], [1, 0]]):
+            assert det_int(m) == bareiss_det_int(m)
+        assert det_laurent([[LaurentPoly.gamma(3, 1 - q)]]) == LaurentPoly.gamma(3, 1 - q)
+
+    def test_short_prime_supply_raises(self, monkeypatch):
+        # |det| = 2^70 needs two primes: one prime must not be lifted
+        one_prime = [next(linalg._primes())]
+        monkeypatch.setattr(linalg, "_primes", lambda: iter(one_prime))
+        with pytest.raises(LinalgError, match="primes ran out"):
+            det_int([[2**70]])
+
 
 class TestDetLaurent:
     def test_unit_cancellation(self):
@@ -192,17 +216,96 @@ class TestDetLaurent:
         with pytest.raises(LinalgError):
             det_laurent([[LaurentPoly.one(), LaurentPoly.one()]])
 
-    def test_values_off_a_polynomial_raise(self, monkeypatch):
-        # [[g^2]] is evaluated at 0, 1, -1; values 0, 1, 0 give the divided
-        # difference (0 - 1) / (-1 - 1), which is not an integer
-        values = iter([0, 1, 0])
-        monkeypatch.setattr(linalg, "det_int", lambda m: next(values))
-        with pytest.raises(LinalgError, match="inexact divided difference"):
-            det_laurent([[LaurentPoly.gamma(2)]])
+    def test_short_prime_supply_raises(self, monkeypatch):
+        # the coefficient 2^70 needs two primes: one prime must not be lifted
+        one_prime = [next(linalg._primes())]
+        monkeypatch.setattr(linalg, "_primes", lambda: iter(one_prime))
+        with pytest.raises(LinalgError, match="primes ran out"):
+            det_laurent([[LaurentPoly.gamma(1, 2**70)]])
+
+
+def count_primes(monkeypatch):
+    """Wrap linalg._primes; the returned list grows by one per prime drawn."""
+    drawn, primes = [], linalg._primes
+
+    def counting():
+        for q in primes():
+            drawn.append(q)
+            yield q
+
+    monkeypatch.setattr(linalg, "_primes", counting)
+    return drawn
+
+
+@st.composite
+def int_matrices(draw, entries=st.integers(-9, 9), max_dim=12):
+    """Square matrices of dimension 0-max_dim whose patterns are sparse or
+    dense and in general not symmetric; some with a repeated row or a zero
+    column, which make them singular."""
+    n = draw(st.integers(0, max_dim))
+    cell = st.one_of(st.just(0), entries) if draw(st.booleans()) else entries
+    m = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["plain", "repeated row", "zero column"]))
+    if n >= 2 and kind == "repeated row":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[j] = list(m[i])
+    elif n and kind == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in m:
+            row[j] = 0
+    return m
+
+
+class TestDetIntOracle:
+    """Modular elimination against Bareiss elimination over Z."""
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, m):
+        assert det_int(m) == bareiss_det_int(m)
+
+    @given(int_matrices(entries=st.integers(-(2**200), 2**200), max_dim=8))
+    @settings(max_examples=100, deadline=None)
+    def test_huge_entries(self, m):
+        assert det_int(m) == bareiss_det_int(m)
+
+    def test_huge_entries_use_many_primes(self, monkeypatch):
+        rng = random.Random(17)
+        m = [[rng.randint(-(2**200), 2**200) for _ in range(6)] for _ in range(6)]
+        drawn = count_primes(monkeypatch)
+        assert det_int(m) == bareiss_det_int(m)
+        assert len(drawn) >= 20  # Hadamard's bound is about 2^1200
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_laplacian_minors(self, seed, data):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=12, max_edges=24)
+        lap = laplacian(g)
+        drop = data.draw(st.sets(st.integers(0, len(lap) - 1), max_size=3))
+        keep = [i for i in range(len(lap)) if i not in drop]
+        minor = [[lap[i][j] for j in keep] for i in keep]
+        assert det_int(minor) == bareiss_det_int(minor)
+
+    @pytest.mark.parametrize(
+        "name, p, n",
+        [("chorded_cycle_pendant_triangle.json", 5, 2), ("glue_kappa_l2.json", 2, 6), ("three_segment.json", 3, 3)],
+    )
+    def test_cover_laplacians(self, name, p, n):
+        # covers list their vertices fibre by fibre, far from a band
+        g, r, voltage = load_fixture(name)
+        lap = laplacian(build_cover(g, r, voltage, p, n).graph)
+        assert len(lap) >= 100
+        minor = [row[1:] for row in lap[1:]]
+        assert det_int(minor) == bareiss_det_int(minor)
 
 
 laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
 constant_terms = st.dictionaries(st.just(0), st.integers(-5, 5), max_size=1)
+
+
+big_coefficients = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
+big_entries = st.dictionaries(st.integers(-4, 4), big_coefficients, min_size=1, max_size=2).map(LaurentPoly)
 
 
 @st.composite
@@ -224,6 +327,20 @@ class TestDetLaurentOracle:
     @settings(max_examples=300, deadline=None)
     def test_random_matrices(self, m):
         assert det_laurent(m) == bareiss_det_laurent(m)
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.lists(big_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_large_coefficients(self, m):
+        # every row holds a coefficient of at least 2^63, so the bound is at
+        # least 2^126 and two primes below 2^62 cannot reach twice it
+        assert det_laurent(m) == bareiss_det_laurent(m)
+
+    def test_large_coefficients_use_three_primes(self, monkeypatch):
+        g = LaurentPoly.gamma
+        m = [[g(1, 2**63) + g(-2, 5), g(0, -(2**64))], [g(2, 3), g(-1, 2**65 + 1)]]
+        drawn = count_primes(monkeypatch)
+        assert det_laurent(m) == bareiss_det_laurent(m)
+        assert len(drawn) >= 3
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=150, deadline=None)
