@@ -85,14 +85,14 @@ def unramified_block(g: Multigraph, r: RamificationData, voltage):
     if not unram:
         raise GraphError("need at least one unramified vertex")
     index = {v: i for i, v in enumerate(unram)}
-    M = [[LaurentPoly.const(g.degree(v) if i == j else 0) for j in range(len(unram))] for i, v in enumerate(unram)]
+    M = [[{0: g.degree(v)} if i == j else {} for j in range(len(unram))] for i, v in enumerate(unram)]
     for e in g.edges:
         if e.u in index and e.v in index:
             i, j = index[e.u], index[e.v]
             a = voltage.get(e.id, 0)
-            M[j][i] = M[j][i] - LaurentPoly.gamma(a)
-            M[i][j] = M[i][j] - LaurentPoly.gamma(-a)
-    return M
+            M[j][i][a] = M[j][i].get(a, 0) - 1
+            M[i][j][-a] = M[i][j].get(-a, 0) - 1
+    return [[LaurentPoly(x) for x in row] for row in M]
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:

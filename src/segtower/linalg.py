@@ -4,12 +4,16 @@ One elimination kernel serves every determinant.  det_int renumbers rows and
 columns by one reverse Cuthill-McKee order of the nonzero pattern, eliminates
 modulo primes just below 2^62, skipping rows whose multiplier is 0, and
 combines the residues by CRT until the product of the primes exceeds twice
-Hadamard's bound.  det_laurent keeps that order for every prime and node:
-modulo each prime it evaluates g^S * det at the nodes 0..D and recovers the
-coefficients by Newton interpolation, with prod_i sum_j ||M_ij||_1 as the CRT
-bound.  Laurent polynomials in the deck-group generator g can be expanded at
-g = 1 + T, giving integer polynomials (series prefixes when g has negative
-powers) whose p-adic coefficient data yield the mu/lambda invariants.
+Hadamard's bound.  det_laurent keeps that order for every prime and node.
+It bounds the exponents of det to [lo, hi] by LP duality on the entries'
+extreme exponents, in O(nnz); when M(1/g) is the transpose of M(g), as for
+every voltage Laplacian block, det is palindromic, lo = -hi, and each
+elimination at a node x also gives the value at 1/x.  Modulo each prime it
+evaluates g^-lo * det at the nodes and recovers the coefficients by Newton
+interpolation, with prod_i sum_j ||M_ij||_1 as the CRT bound.  Laurent
+polynomials in the deck-group generator g can be expanded at g = 1 + T,
+giving integer polynomials (series prefixes when g has negative powers)
+whose p-adic coefficient data yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
@@ -369,38 +373,68 @@ def det_int(m) -> int:
     return _crt(residue, math.isqrt(bound), 1)[0]
 
 
+def _dual_bound(rows, n):
+    """sum u + sum v for potentials with w_ij <= u_i + v_j on every entry of
+    the sparse weight rows [(column, w_ij)], which leave no row or column
+    empty.  By weak LP duality it bounds sum_i w_i,s(i) for every
+    permutation s through the entries.  u_i is the row maximum, v_j the
+    column maximum of w_ij - u_i, and u_i is then lowered against v: O(nnz).
+    """
+    v = [None] * n
+    for row in rows:
+        u = max(w for _, w in row)
+        for j, w in row:
+            if v[j] is None or w - u > v[j]:
+                v[j] = w - u
+    return sum(max(w - v[j] for j, w in row) for row in rows) + sum(v)
+
+
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of a square matrix of LaurentPoly entries.
 
-    Row i times g^{k_i}, k_i = max(0, -min exponent of the row), has only
-    non-negative powers, so Q = g^S * det, S = sum k_i, is a polynomial of
-    degree at most D = sum of the shifted rows' max exponents.  Modulo each
-    prime, Q is evaluated at the nodes 0..D by the det_int kernel in one
-    reverse Cuthill-McKee order and recovered by Newton interpolation.  Every
-    coefficient of Q is at most prod_i sum_j ||M_ij||_1 in absolute value,
-    the bound for the CRT.
+    Every Leibniz term has exponents in [lo, hi], the dual bounds (see
+    _dual_bound) on the entries' max exponents and negated min exponents, so
+    Q = g^-lo * det is a polynomial of degree at most hi - lo.  When
+    M_ji(g) = M_ij(1/g) for every entry, as for every voltage Laplacian,
+    M(1/g) is the transpose of M(g), det is palindromic and lo = -hi with
+    hi = min(hi, -lo); then one elimination at the node x gives Q at x and at
+    1/x.  Modulo each prime q, Q is evaluated by the det_int kernel in one
+    reverse Cuthill-McKee order at the nodes 1, 2, ... (and their inverses,
+    which differ from them and from each other because x * y < q) and
+    recovered by Newton interpolation.  Every coefficient of Q is at most
+    prod_i sum_j ||M_ij||_1 in absolute value, the bound for the CRT.
     """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise LinalgError("matrix is not square")
-    rows, shift, deg, bound = [], 0, 0, 1
-    for row in m:
-        exps = [e for x in row for e in x.coeffs]
-        if not exps:
+    rows, bound, mirrored = [], 1, True
+    for i, row in enumerate(m):
+        sparse = [(j, x.coeffs) for j, x in enumerate(row) if x.coeffs]
+        if not sparse:
             return LaurentPoly.zero()
-        k = max(0, -min(exps))
-        rows.append([(j, [(e + k, c) for e, c in x.coeffs.items()]) for j, x in enumerate(row) if not x.is_zero])
-        shift, deg = shift + k, deg + max(exps) + k
-        bound *= sum(abs(c) for x in row for c in x.coeffs.values())
-    rows, joins, ends = _rcm(rows)
-    top = max((e for row in rows for _, terms in row for e, _ in terms), default=0)
+        rows.append(sparse)
+        bound *= sum(abs(c) for _, cs in sparse for c in cs.values())
+        mirrored = mirrored and all(m[j][i].coeffs == {-e: c for e, c in cs.items()} for j, cs in sparse)
+    if len({j for row in rows for j, _ in row}) < n:
+        return LaurentPoly.zero()
+    hi = _dual_bound([[(j, max(cs)) for j, cs in row] for row in rows], n)
+    lo = -_dual_bound([[(j, -min(cs)) for j, cs in row] for row in rows], n)
+    if mirrored:
+        hi = min(hi, -lo)
+        lo = -hi
+    if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
+        return LaurentPoly.zero()
+    emin = min((e for row in rows for _, cs in row for e in cs), default=0)
+    emax = max((e for row in rows for _, cs in row for e in cs), default=0)
+    rows, joins, ends = _rcm([[(j, [(e - emin, c) for e, c in cs.items()]) for j, cs in row] for row in rows])
+    size = hi - lo + 1
 
     def residues(q):
-        values = []
-        for x in range(deg + 1):
-            xp = [1]
-            for _ in range(top):
+        xs, values = [], []
+        for x in range(1, (hi + 1 if mirrored else size) + 1):
+            xp = [pow(x, emin, q)]  # x^e for e = emin..emax
+            for _ in range(emax - emin):
                 xp.append(xp[-1] * x % q)
             a = []
             for row in rows:
@@ -411,17 +445,21 @@ def det_laurent(m) -> LaurentPoly:
                         v += c * xp[e]
                     dense[j] = v % q
                 a.append(dense)
-            values.append(_det_mod(a, joins, ends, q))
-        for j in range(1, deg + 1):  # values[i] becomes Q[i-j, ..., i]; the nodes differ by j
-            inv = pow(j, -1, q)
-            for i in range(deg, j - 1, -1):
-                values[i] = (values[i] - values[i - 1]) * inv % q
-        for j in range(deg - 1, -1, -1):  # Newton form to monomials, Horner from the top
-            for i in range(j, deg):
-                values[i] = (values[i] - j * values[i + 1]) % q
+            d = _det_mod(a, joins, ends, q)  # det M(x); Q(x) = x^-lo * d
+            xs.append(x)
+            values.append(d * pow(x, -lo, q) % q)
+            if mirrored and x > 1:  # det M(1/x) = d, so Q(1/x) = x^lo * d
+                xs.append(pow(x, -1, q))
+                values.append(d * pow(x, lo, q) % q)
+        for j in range(1, size):  # values[i] becomes Q[x_i-j, ..., x_i]
+            for i in range(size - 1, j - 1, -1):
+                values[i] = (values[i] - values[i - 1]) * pow(xs[i] - xs[i - j], -1, q) % q
+        for j in range(size - 2, -1, -1):  # Newton form to monomials, Horner from the top
+            for i in range(j, size - 1):
+                values[i] = (values[i] - xs[j] * values[i + 1]) % q
         return values
 
-    return LaurentPoly({e - shift: c for e, c in enumerate(_crt(residues, bound, deg + 1))})
+    return LaurentPoly({e + lo: c for e, c in enumerate(_crt(residues, bound, size))})
 
 
 def _matmul(a, b):

@@ -1,13 +1,15 @@
+import math
 import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     bareiss_det_int,
     bareiss_det_laurent,
+    grid_graph,
     intpoly_add,
     intpoly_mul,
     laurent_pow,
@@ -320,8 +322,86 @@ def laurent_matrices(draw):
     return m
 
 
+sparse_weights = st.one_of(st.none(), st.integers(-6, 6))
+
+
+def mirror(x):
+    """x(1/g)"""
+    return LaurentPoly({-e: c for e, c in x.coeffs.items()})
+
+
+@st.composite
+def hermitian_matrices(draw, min_dim=0):
+    """M_ji(g) = M_ij(1/g), as for a voltage Laplacian block: dimension
+    0-8, entries with exponents in [-6, 6], a constant plus loops
+    c * (g^a + g^-a) on the diagonal; sometimes a zero row and column."""
+    n = draw(st.integers(min_dim, 8))
+    m = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        diag = {0: draw(st.integers(-5, 5))}
+        for a, c in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=2)):
+            diag[a] = diag.get(a, 0) + c
+            diag[-a] = diag.get(-a, 0) + c
+        m[i][i] = LaurentPoly(diag)
+        for j in range(i + 1, n):
+            m[i][j] = LaurentPoly(draw(laurent_terms))
+            m[j][i] = mirror(m[i][j])
+    if n and draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            m[k][i] = m[i][k] = LaurentPoly.zero()
+    return m
+
+
 class TestDetLaurentOracle:
     """Evaluation and interpolation against Bareiss elimination over Z[g]."""
+
+    @given(hermitian_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_hermitian_matrices(self, m):
+        assert det_laurent(m) == bareiss_det_laurent(m)
+
+    @given(hermitian_matrices(min_dim=1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_entry_off_hermitian(self, m, data):
+        # one added term breaks M_ji(g) = M_ij(1/g): det need not be palindromic
+        n = len(m)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        e = data.draw(st.integers(-6, 6).filter(lambda e: i != j or e != 0))
+        m[i][j] = m[i][j] + LaurentPoly.gamma(e, data.draw(st.sampled_from([-2, -1, 1, 2])))
+        assert any(m[b][a] != mirror(m[a][b]) for a in range(n) for b in range(n))
+        assert det_laurent(m) == bareiss_det_laurent(m)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(sparse_weights, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_dual_bound_covers_every_permutation(self, w):
+        # w[i][j] is the weight of entry (i, j), None where the entry is 0
+        n = len(w)
+        rows = [[(j, x) for j, x in enumerate(row) if x is not None] for row in w]
+        assume(all(rows) and all(any(row[j] is not None for row in w) for j in range(n)))
+        terms = [
+            sum(w[i][s[i]] for i in range(n))
+            for s in permutations(range(n))
+            if None not in (w[i][s[i]] for i in range(n))
+        ]
+        assert linalg._dual_bound(rows, n) >= max(terms, default=-math.inf)
+
+    def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
+        # one elimination per node x serves x and 1/x, and hi is the dual
+        # bound; a row-span bound D = sum_i (row max - min(0, row min))
+        # needs D + 1 nodes
+        g, r = grid_graph(5, 5)
+        rng = random.Random(0)
+        m = unramified_block(g, r, {e.id: rng.choice((-1, 1)) for e in g.edges})
+        rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero] for row in m]
+        hi = linalg._dual_bound([[(j, x.max_exp()) for j, x in row] for row in rows], len(m))
+        spans = sum(max(x.max_exp() for _, x in row) - min(0, min(x.min_exp() for _, x in row)) for row in rows)
+        calls, det_mod = [], linalg._det_mod
+        monkeypatch.setattr(linalg, "_det_mod", lambda *args: calls.append(1) or det_mod(*args))
+        drawn = count_primes(monkeypatch)
+        assert det_laurent(m) == bareiss_det_laurent(m)
+        assert len(calls) <= (hi + 1) * len(drawn)
+        assert 2 * len(calls) < (spans + 1) * len(drawn)
 
     @given(laurent_matrices())
     @settings(max_examples=300, deadline=None)
