@@ -5,14 +5,17 @@ p^min(n, k_v) elements (k_v the ramification depth, unramified vertices
 behave like k_v = infinity), and every edge fiber has p^n elements.  The
 edge (e, t) joins (o(e), t mod m_o) to (t(e), (t + a_e) mod m_t) where a_e
 is the voltage exponent of e and m_v the fiber modulus of v.
+
+Tree counts along the tower build no cover (see iwasawa.tower_kappas);
+covers serve the `cover` subcommand and the theorem harnesses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graph import Edge, GraphError, Multigraph, RamificationData
+from .linalg import PRIME_TEST_LIMIT, _is_prime
 
 
 @dataclass(frozen=True)
@@ -24,15 +27,17 @@ class CoverGraph:
     edge_projection: dict  # cover edge id -> base edge id
     p: int
     n: int
-    tower_voltage: dict  # cover edge e@t -> floor((t + a_e) / p^n), its voltage in the tower above
 
     def fiber(self, base_vertex):
         return [v for v in self.graph.vertices if self.vertex_projection[v] == base_vertex]
 
 
 def check_prime(p, name="p"):
-    """Raise GraphError unless p is a prime (by trial division)."""
-    if not (p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))):
+    """Raise GraphError unless p is a prime, by deterministic Miller-Rabin
+    (linalg._is_prime), which is exact only below 3 * 10^23."""
+    if p >= PRIME_TEST_LIMIT:
+        raise GraphError(f"{name} must be below 3 * 10^23, the limit of the primality test, got {p}")
+    if not (p >= 2 and _is_prime(p)):
         raise GraphError(f"{name} must be a prime, got {p}")
 
 
@@ -60,7 +65,6 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     vproj = {cv: cv[0] for cv in vertices}
     edges = []
     eproj = {}
-    lift = {}
     for e in g.edges:
         a = voltage.get(e.id, 0)
         for t in range(pn):
@@ -69,13 +73,12 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
             eid = f"{e.id}@{t}"
             edges.append(Edge(eid, cu, cv))
             eproj[eid] = e.id
-            lift[eid] = (t + a) // pn
 
     graph = Multigraph(vertices, edges)
     residual = RamificationData(
         {(v, i): max(k - n, 0) for v, k in r.depths.items() for i in range(mods[v])}
     )
-    return CoverGraph(graph, g, residual, vproj, eproj, p, n, lift)
+    return CoverGraph(graph, g, residual, vproj, eproj, p, n)
 
 
 def segment_preimage(c: CoverGraph, segment):

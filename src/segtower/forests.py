@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import GraphError, Multigraph, UnionFind, laplacian
+from .linalg import det_int
 
 
 class CapExceeded(RuntimeError):
@@ -35,19 +36,18 @@ class ForestCount:
         return NotImplemented
 
 
-def _delete_rows_cols(m, indices):
-    keep = [i for i in range(len(m)) if i not in indices]
-    return [[m[i][j] for j in keep] for i in keep]
+def _laplacian_minor(g: Multigraph, deleted) -> ForestCount:
+    """det of the Laplacian of g without the rows and columns in deleted."""
+    lap = laplacian(g)
+    keep = [i for i in range(len(lap)) if i not in deleted]
+    return ForestCount(det_int([[lap[i][j] for j in keep] for i in keep]), "determinant")
 
 
 def kappa(g: Multigraph) -> ForestCount:
     """Number of spanning trees by matrix-tree.  A disconnected graph gives 0."""
-    from .linalg import det_int
-
     if not g.vertices:
         raise GraphError("kappa of the empty graph")
-    lap = laplacian(g)
-    return ForestCount(det_int(_delete_rows_cols(lap, {0})), "determinant")
+    return _laplacian_minor(g, {0})
 
 
 def forest_count_det(g: Multigraph, marked) -> ForestCount:
@@ -56,8 +56,6 @@ def forest_count_det(g: Multigraph, marked) -> ForestCount:
     The empty minor has determinant 1, so a graph whose vertices are all
     marked (e.g. a single edge between two marked vertices) yields 1.
     """
-    from .linalg import det_int
-
     marked = list(marked)
     if len(marked) not in (1, 2):
         raise GraphError("marked must contain 1 or 2 vertices")
@@ -67,8 +65,7 @@ def forest_count_det(g: Multigraph, marked) -> ForestCount:
         if not g.has_vertex(v):
             raise GraphError(f"marked vertex {v!r} is not in the graph")
     index = {v: i for i, v in enumerate(g.vertices)}
-    lap = laplacian(g)
-    return ForestCount(det_int(_delete_rows_cols(lap, {index[v] for v in marked})), "determinant")
+    return _laplacian_minor(g, {index[v] for v in marked})
 
 
 def _forest_subsets(g: Multigraph, size):

@@ -10,17 +10,22 @@ powers of gamma, f is a power series, kept to its first span + 1 terms
 Z_p[[T]], so shifting det(M) by a power of gamma changes neither mu nor
 lambda, and lambda <= span (see linalg.expand_at_gamma).
 
-The spanning-tree counts along the tower come from the same block.  Let n0
-be the largest ramification depth and Y = X_{n0} (Y = X when n0 = 0), whose
-ramified vertices are totally ramified in every X_n over it; X_n is the
-level-m cover of Y, m = n - n0, for the voltage floor((t + a_e) / p^n0) on
-the edge e@t of Y.  With l' ramified vertices in Y and M_Y its unramified
-block, the Artin-Ihara factorisation gives
+The spanning-tree counts along the tower come from blocks of X alone.  A
+character of Z/p^n of order p^a lives on the fibre over v exactly when
+k_v >= a (k_v the depth, infinite when v is unmarked).  There L(X_n) is
+diag(p^max(0, n - k_v)) * M_a(zeta), M_a the unramified block for R_a, the
+marks of depth < a taken as depth 0 (M_a = M for a > n0, the largest depth);
+on the trivial part it is that diagonal times L(X).  The matrix-tree theorem
+with sum_v p^min(n, k_v) = |V_n| and sum_{a <= k} phi(p^a) = p^k - 1 gives
 
-    kappa(X_n) = kappa(Y) * p^(m (l' - 1)) * prod_{zeta^(p^m) = 1, zeta != 1} det M_Y(zeta)
+    kappa(X_n) = kappa(X) * p^s_n * prod_{a=1..n} prod_{ord zeta = p^a} det M_a(zeta),
+    s_n = sum_{marks v} p^k_v * max(0, n - k_v) - n.
 
-(with l' = 0, M_Y is the full voltage Laplacian and the division by p^m is
-exact).  Levels n <= n0 are counted on explicit covers.
+The inner product is root_of_unity_product(det M_a, p^a) over the same at
+p^(a-1), which is never 0: if R_a is not empty and X is connected, M_a(zeta)
+is positive definite on |zeta| = 1; if R_a is empty, M_a = M_a' for every
+a' < a, whose values entered kappa(X_a') != 0.  Both divisions (by that
+product, and by p^-s_n when s_n < 0) are checked.
 
 Empirically, ord_p of the spanning-tree count at level n is mu*p^n +
 lambda*n + nu for n large (exactly for all n when the voltage is trivial);
@@ -29,12 +34,13 @@ we fit the triple exactly over the rationals from the last three levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import build_cover, check_prime, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, prune_tails
+from .graph import Multigraph, RamificationData, prune_tails
 from .linalg import IntPoly, LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p
 from .linalg import root_of_unity_product
 from .seal import admissible_sets, decompose
@@ -79,11 +85,10 @@ class Verdict:
 def unramified_block(g: Multigraph, r: RamificationData, voltage):
     """M, the block of the voltage Laplacian D - A on the unramified vertices
     (in vertex order): degrees on the diagonal, and -g^a at [w][u] for each
-    dart u -> w of voltage a between unramified vertices."""
+    dart u -> w of voltage a between unramified vertices.  With every vertex
+    ramified M is empty, and its determinant is 1."""
     voltage = voltage or {}
     unram = [v for v in g.vertices if not r.is_ramified(v)]
-    if not unram:
-        raise GraphError("need at least one unramified vertex")
     index = {v: i for i, v in enumerate(unram)}
     M = [[{0: g.degree(v)} if i == j else {} for j in range(len(unram))] for i, v in enumerate(unram)]
     for e in g.edges:
@@ -114,33 +119,31 @@ def tower_kappas(g, r, voltage, p, n_max):
     """kappa(X_n) for n = 0..n_max; raises DisconnectedCover at the first
     level whose count is 0.  See the module docstring for the formula."""
     check_prime(p)
-    n0 = max(r.depths.values(), default=0)
-    out = []
 
-    def level(n, count):
+    @functools.cache
+    def det(marks):  # det M_a, where marks = R_a
+        return det_laurent(unramified_block(g, RamificationData.totally_ramified(marks), voltage))
+
+    @functools.cache
+    def product(marks, size):  # prod of det M_a(zeta) over zeta^size = 1, zeta != 1
+        return root_of_unity_product(det(marks), size)
+
+    base, primitive, out = kappa(g).value, 1, []
+    for n in range(n_max + 1):
+        if n:
+            marks = tuple(v for v, k in r.depths.items() if k < n)
+            factor, rem = divmod(product(marks, p**n), product(marks, p ** (n - 1)))
+            if rem:
+                raise LinalgError(f"level {n}: root-of-unity product not divisible by the level below")
+            primitive *= factor
+        s = sum(p**k * (n - k) for k in r.depths.values() if k < n) - n
+        count, rem = divmod(base * primitive * p ** max(s, 0), p ** max(-s, 0))
+        if rem:
+            raise LinalgError(f"level {n}: tree count not divisible by {p}^{-s}")
         if count == 0:
             raise DisconnectedCover(n)
         vertices = sum(p ** min(n, r.depths.get(v, n)) for v in g.vertices)
         out.append({"n": n, "vertices": vertices, "edges": len(g.edges) * p**n, "kappa": count})
-
-    y, ry, y_voltage = g, r, voltage
-    level(0, kappa(g).value)
-    for n in range(1, min(n0, n_max) + 1):
-        c = build_cover(g, r, voltage, p, n)
-        y, ry, y_voltage = c.graph, c.ram, c.tower_voltage
-        level(n, kappa(y).value)
-    if n_max <= n0:
-        return out
-    l_y = len(ry.depths)
-    det = LaurentPoly.one()  # no unramified vertex: the block is empty
-    if len(y.vertices) > l_y:
-        det = det_laurent(unramified_block(y, ry, y_voltage))
-    base = out[-1]["kappa"]
-    for m in range(1, n_max - n0 + 1):
-        count, rem = divmod(base * root_of_unity_product(det, p**m) * p ** (m * l_y), p**m)
-        if rem:  # only l_y = 0 divides: the product then carries the factor p^m
-            raise LinalgError(f"level {n0 + m}: tree count not divisible by p^{m}")
-        level(n0 + m, count)
     return out
 
 
@@ -314,12 +317,7 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
     factors = []
     for s in d.segments:
         sub = s.subgraph(g2)
-        sr = RamificationData.totally_ramified(s.ramified)
-        if all(sr.is_ramified(w) for w in sub.vertices):
-            # no unramified block: the determinant factor is empty, so 1
-            factors.append({"segment": s.color, "mu": 0, "lambda": 0})
-            continue
-        sce = char_element(sub, sr, voltage, p)
+        sce = char_element(sub, RamificationData.totally_ramified(s.ramified), voltage, p)
         product = product * sce.det_gamma
         mu_i, lam_i = mu_lambda(sce.body, p)
         mu_sum += mu_i

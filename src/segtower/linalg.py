@@ -191,11 +191,12 @@ class IntPoly:
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_LIMIT = 3 * 10**23  # Miller-Rabin with these bases is exact below it
 
 
 def _is_prime(n):
     """Trial division by the bases, then Miller-Rabin with them: exact for
-    1 < n < 3 * 10^23."""
+    1 < n < PRIME_TEST_LIMIT."""
     if math.gcd(n, math.prod(_BASES)) != 1:
         return n in _BASES
     d, s = n - 1, 0

@@ -135,6 +135,22 @@ class TestInvariants:
         assert out["symbolic"] == {"mu": 2, "lambda": 1}
         assert "levels" not in out
 
+    def test_every_vertex_ramified(self, capsys, monkeypatch):
+        # the unramified block is empty, so det M = 1 and the characteristic
+        # element is T^3; every edge lifts to p^n parallel copies
+        triangle = {
+            "vertices": ["a", "b", "c"],
+            "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}, {"from": "c", "to": "a"}],
+            "ramified": [{"vertex": v} for v in "abc"],
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(triangle)))
+        code, out = invoke(capsys, "invariants", "--p", "3")
+        assert code == 0
+        assert out["symbolic"] == {"mu": 0, "lambda": 2}
+        assert out["empirical"] == {"mu": 0, "lambda": 2, "nu": 1}
+        assert out["agreement"] is True
+        assert [lv["kappa"] for lv in out["levels"]] == [str(3 ** (2 * n + 1)) for n in range(5)]
+
     def test_counts_past_the_digit_limit(self, capsys):
         code, out = invoke(
             capsys, "invariants", "--input", fixture_path("three_segment.json"), "--p", "3", "--nmax", "8"

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import load_fixture
-from segtower.cover import build_cover, segment_preimage
+from segtower import linalg
+from segtower.cover import build_cover, check_prime, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -86,6 +87,25 @@ class TestBuildCover:
         g, r, _ = load_fixture("cycle5_ram45.json")
         with pytest.raises(GraphError):
             build_cover(g, r, {}, 2, -1)
+
+
+class TestCheckPrime:
+    @pytest.mark.parametrize("p", [0, 1, 4, 561, 3215031751, -7])
+    def test_composites_rejected(self, p):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+        # the bases 2, 3, 5 and 7
+        with pytest.raises(GraphError, match=f"p must be a prime, got {p}"):
+            check_prime(p)
+
+    def test_large_primes_accepted(self):
+        # a prime near 2^62, where trial division would take minutes
+        check_prime(next(linalg._primes()))
+        check_prime(2**61 - 1)
+
+    def test_bound_named(self):
+        check_prime(3 * 10**23 - 13, "--p")  # the largest prime below the bound
+        with pytest.raises(GraphError, match=r"--p must be below 3 \* 10\^23"):
+            check_prime(3 * 10**23 + 37, "--p")  # the least prime above it
 
 
 class TestSegmentPreimage:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture, taylor_shift_oracle
+from segtower import iwasawa
 from segtower.cover import build_cover
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.iwasawa import (
@@ -58,11 +59,13 @@ class TestBuildMatrices:
         g, r, volt = load_fixture("voltage_triangle_a.json")
         assert unramified_block(g, r, volt) == [[LaurentPoly.const(3)]]
 
-    def test_no_unramified_rejected(self):
+    def test_no_unramified_vertex_gives_empty_block(self):
+        # every vertex ramified: M is empty and det M = 1, so the symbolic
+        # half of a report is defined too
         g = build_graph(["a", "b"], [("a", "b")])
         r = RamificationData.totally_ramified(["a", "b"])
-        with pytest.raises(GraphError):
-            unramified_block(g, r, {})
+        assert unramified_block(g, r, {}) == []
+        assert char_element(g, r, {}, 2).det_gamma == LaurentPoly.one()
 
 
 class TestCharElement:
@@ -148,12 +151,12 @@ class TestEmpiricalInvariants:
 
 
 @st.composite
-def voltage_towers(draw, depths=(0, 1, 2), voltages=(-1, 0, 1, 2), marks=(0, 3), ps=(2, 3, 5)):
+def voltage_towers(draw, depths=(0, 1, 2), voltages=(-1, 0, 1, 2), marks=(0, 3), ps=(2, 3, 5), top=3):
     """(graph, ramification, voltage, p, n_max) on at most four vertices.
 
     Edges start from a random spanning tree (so most draws are connected);
-    extra edges may be loops or parallel.  n_max <= 3 is capped so that the
-    explicit covers stay below 65 vertices.
+    extra edges may be loops or parallel.  n_max <= top is capped so that
+    the explicit covers stay below 65 vertices.
     """
     nv = draw(st.integers(1, 4))
     vs = [f"v{i}" for i in range(nv)]
@@ -164,7 +167,7 @@ def voltage_towers(draw, depths=(0, 1, 2), voltages=(-1, 0, 1, 2), marks=(0, 3),
     marked = draw(st.lists(st.sampled_from(vs), min_size=marks[0], max_size=marks[1], unique=True))
     r = RamificationData({v: draw(st.sampled_from(depths)) for v in marked})
     p = draw(st.sampled_from(ps))
-    n_max = max(n for n in range(4) if p**n * nv <= 64)
+    n_max = max(n for n in range(top + 1) if p**n * nv <= 64)
     return build_graph(vs, edges), r, voltage, p, n_max
 
 
@@ -187,6 +190,26 @@ class TestTowerKappas:
     @settings(max_examples=150, deadline=None)
     def test_matches_explicit_covers(self, tower):
         assert_same_tower(*tower)
+
+    @given(
+        voltage_towers(depths=(0, 1, 2, 3), ps=(2,), top=4)
+        | voltage_towers(depths=(1, 2, 3), marks=(1, 3), ps=(2,), top=4)
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_deep_marks(self, tower):
+        # without a depth-0 mark, s_n < 0 at low levels: the count is divided by a power of p
+        assert_same_tower(*tower)
+
+    @pytest.mark.parametrize("p, depths", [(2, {"v4": 1, "v5": 0}), (3, {"v4": 1, "v5": 0}), (2, {"v4": 3, "v5": 0})])
+    def test_builds_no_cover(self, monkeypatch, p, depths):
+        def no_cover(*args):
+            raise AssertionError("tower_kappas built a cover")
+
+        g, _, volt = load_fixture("cycle5_partial.json")
+        r, n_max = RamificationData(depths), 4 if p == 2 else 3
+        want = explicit_tower_kappas(g, r, volt, p, n_max)
+        monkeypatch.setattr(iwasawa, "build_cover", no_cover)
+        assert tower_kappas(g, r, volt, p, n_max) == want
 
     @given(voltage_towers(voltages=(0, 2, -2), marks=(0, 0), ps=(2,)))
     @settings(max_examples=40, deadline=None)
