@@ -37,7 +37,7 @@ def check_prime(p, name="p"):
     (linalg._is_prime), which is exact only below 3 * 10^23."""
     if p >= PRIME_TEST_LIMIT:
         raise GraphError(f"{name} must be below 3 * 10^23, the limit of the primality test, got {p}")
-    if not (p >= 2 and _is_prime(p)):
+    if not _is_prime(p):
         raise GraphError(f"{name} must be a prime, got {p}")
 
 

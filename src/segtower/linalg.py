@@ -1,16 +1,17 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
 One elimination kernel serves every determinant.  det_int renumbers rows and
-columns by one reverse Cuthill-McKee order of the nonzero pattern, eliminates
-modulo primes just below 2^62, skipping rows whose multiplier is 0, and
-combines the residues by CRT until the product of the primes exceeds twice
-Hadamard's bound.  det_laurent keeps that order for every prime and node.
-It bounds the exponents of det to [lo, hi] by LP duality on the entries'
-extreme exponents, in O(nnz); when M(1/g) is the transpose of M(g), as for
-every voltage Laplacian block, det is palindromic, lo = -hi, and each
-elimination at a node x also gives the value at 1/x.  Modulo each prime it
-evaluates g^-lo * det at the nodes and recovers the coefficients by Newton
-interpolation, with prod_i sum_j ||M_ij||_1 as the CRT bound.  Laurent
+columns by one reverse Cuthill-McKee order of the nonzero pattern and
+eliminates, skipping rows whose multiplier is 0, modulo the product m of the
+primes below 2^62 it takes to pass twice Hadamard's bound; each prime gets
+its own elimination, combined by CRT, only when a pivot is divisible by one
+of them.  det_laurent keeps that order for every node.  It bounds the
+exponents of det to [lo, hi] by LP duality on the entries' extreme
+exponents, in O(nnz); when M(1/g) is the transpose of M(g), as for every
+voltage Laplacian block, det is palindromic, lo = -hi, and each elimination
+at a node x also gives the value at 1/x.  Modulo m it evaluates g^-lo * det
+at the nodes and recovers the coefficients by Newton interpolation, with
+prod_i sum_j ||M_ij||_1 as the bound.  Laurent
 polynomials in the deck-group generator g can be expanded at g = 1 + T,
 giving integer polynomials (series prefixes when g has negative powers)
 whose p-adic coefficient data yield the mu/lambda invariants.
@@ -196,7 +197,9 @@ PRIME_TEST_LIMIT = 3 * 10**23  # Miller-Rabin with these bases is exact below it
 
 def _is_prime(n):
     """Trial division by the bases, then Miller-Rabin with them: exact for
-    1 < n < PRIME_TEST_LIMIT."""
+    n < PRIME_TEST_LIMIT."""
+    if n < 2:
+        return False
     if math.gcd(n, math.prod(_BASES)) != 1:
         return n in _BASES
     d, s = n - 1, 0
@@ -232,19 +235,32 @@ def _primes():
         yield _PRIMES[i]
 
 
+class _NonUnitPivot(ArithmeticError):
+    """A pivot shares a prime factor with a composite modulus."""
+
+
 def _crt(residues, bound, size):
     """The size integers of absolute value at most bound whose residues
-    modulo each prime q are residues(q): Chinese remaindering over the
-    primes until their product exceeds 2 * bound, then the symmetric lift."""
-    xs, m = [0] * size, 1
+    modulo m are residues(m), for m the product of the primes drawn until it
+    exceeds 2 * bound, by the symmetric lift.  One call modulo m serves
+    unless an elimination meets a pivot that one of the primes divides;
+    then residues(q) for each prime q, combined by Chinese remaindering."""
+    qs, m = [], 1
     primes = _primes()
     while m <= 2 * bound:
         q = next(primes, None)
         if q is None:
             raise LinalgError("the primes ran out before their product passed the bound")
-        minv = pow(m, -1, q)
-        xs = [x + m * ((r - x) * minv % q) for x, r in zip(xs, residues(q))]
+        qs.append(q)
         m *= q
+    try:
+        xs = residues(m)
+    except _NonUnitPivot:
+        xs, m = [0] * size, 1
+        for q in qs:
+            minv = pow(m, -1, q)
+            xs = [x + m * ((r - x) * minv % q) for x, r in zip(xs, residues(q))]
+            m *= q
     return [x - m if 2 * x > m else x for x in xs]
 
 
@@ -303,7 +319,9 @@ def _rcm(rows):
 
 
 def _det_mod(a, joins, ends, q):
-    """det mod q of the dense residue matrix a, which it overwrites.
+    """det mod q of the dense residue matrix a, which it overwrites.  q is
+    a prime or a product of primes; _NonUnitPivot is raised when a pivot it
+    must invert is not a unit modulo q.
 
     joins and ends come from _rcm.  Column k updates only the rows with a
     nonzero entry there, and only up to the last column the pivot row can
@@ -325,7 +343,11 @@ def _det_mod(a, joins, ends, q):
         det = det * rp[k] % q
         if h <= k + 1 or len(hits) == 1:
             continue
-        inv, tail = pow(rp[k], -1, q), rp[k + 1 : h]
+        try:
+            inv = pow(rp[k], -1, q)
+        except ValueError:  # q is a product of primes and one divides the pivot
+            raise _NonUnitPivot from None
+        tail = rp[k + 1 : h]
         for i in hits:
             if i != p:
                 f, ri = a[i][k] * inv % q, a[i]
@@ -343,9 +365,10 @@ def _det_mod(a, joins, ends, q):
 def det_int(m) -> int:
     """Exact determinant of a square integer matrix.
 
-    Elimination modulo primes in a reverse Cuthill-McKee order, combined by
-    CRT until the product of the primes exceeds twice Hadamard's bound
-    |det|^2 <= prod_i sum_j a_ij^2.
+    One elimination in a reverse Cuthill-McKee order modulo the product of
+    the primes that passes twice Hadamard's bound |det|^2 <= prod_i
+    sum_j a_ij^2, or one per prime, combined by CRT, when a pivot is
+    divisible by one of them (see _crt).
     """
     n = len(m)
     for row in m:
@@ -399,11 +422,13 @@ def det_laurent(m) -> LaurentPoly:
     M_ji(g) = M_ij(1/g) for every entry, as for every voltage Laplacian,
     M(1/g) is the transpose of M(g), det is palindromic and lo = -hi with
     hi = min(hi, -lo); then one elimination at the node x gives Q at x and at
-    1/x.  Modulo each prime q, Q is evaluated by the det_int kernel in one
-    reverse Cuthill-McKee order at the nodes 1, 2, ... (and their inverses,
-    which differ from them and from each other because x * y < q) and
-    recovered by Newton interpolation.  Every coefficient of Q is at most
-    prod_i sum_j ||M_ij||_1 in absolute value, the bound for the CRT.
+    1/x.  Modulo the product of the primes that passes twice the bound (see
+    _crt), Q is evaluated by the det_int kernel in one reverse Cuthill-McKee
+    order at the nodes 1, 2, ... (and their inverses, which differ from them
+    and from each other because x * y < q for every prime q, so every
+    difference is a unit) and recovered by Newton interpolation.  Every
+    coefficient of Q is at most prod_i sum_j ||M_ij||_1 in absolute value,
+    the bound for the lift.
     """
     n = len(m)
     for row in m:

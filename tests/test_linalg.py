@@ -1,6 +1,10 @@
 import math
+import os
 import random
-from itertools import permutations
+import subprocess
+import sys
+from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -239,6 +243,27 @@ def count_primes(monkeypatch):
     return drawn
 
 
+def count_eliminations(monkeypatch):
+    """Wrap linalg._det_mod; the returned list holds the modulus of each call."""
+    moduli, det_mod = [], linalg._det_mod
+
+    def counting(a, joins, ends, q):
+        moduli.append(q)
+        return det_mod(a, joins, ends, q)
+
+    monkeypatch.setattr(linalg, "_det_mod", counting)
+    return moduli
+
+
+# the first two primes of the CRT; an entry that one of them divides can make
+# a pivot that is no unit modulo their product
+Q0, Q1 = islice(linalg._primes(), 2)
+prime_multiples = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda c, q: c * q, st.integers(-3, 3).filter(bool), st.sampled_from([Q0, Q1, Q0 * Q1])),
+)
+
+
 @st.composite
 def int_matrices(draw, entries=st.integers(-9, 9), max_dim=12):
     """Square matrices of dimension 0-max_dim whose patterns are sparse or
@@ -275,8 +300,29 @@ class TestDetIntOracle:
         rng = random.Random(17)
         m = [[rng.randint(-(2**200), 2**200) for _ in range(6)] for _ in range(6)]
         drawn = count_primes(monkeypatch)
+        moduli = count_eliminations(monkeypatch)
         assert det_int(m) == bareiss_det_int(m)
         assert len(drawn) >= 20  # Hadamard's bound is about 2^1200
+        assert moduli == [math.prod(drawn)]  # one elimination, modulo their product
+
+    def test_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
+        # either order puts a multiple of Q0 on the diagonal: modulo the
+        # product of the primes the first pivot is no unit, so each prime
+        # gets its own elimination
+        m = [[2 * Q0, 3], [5, Q0]]
+        drawn = count_primes(monkeypatch)
+        moduli = count_eliminations(monkeypatch)
+        assert det_int(m) == bareiss_det_int(m) == 2 * Q0 * Q0 - 15
+        assert len(drawn) >= 2 and moduli == [math.prod(drawn), *drawn]
+
+    def test_entries_divisible_by_a_prime(self):
+        m = [[1, Q0], [Q0, Q0 * Q0 + 1]]
+        assert det_int(m) == bareiss_det_int(m) == 1
+
+    @given(int_matrices(entries=prime_multiples, max_dim=7))
+    @settings(max_examples=200, deadline=None)
+    def test_prime_multiple_entries(self, m):
+        assert det_int(m) == bareiss_det_int(m)
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=200, deadline=None)
@@ -396,8 +442,7 @@ class TestDetLaurentOracle:
         rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero] for row in m]
         hi = linalg._dual_bound([[(j, x.max_exp()) for j, x in row] for row in rows], len(m))
         spans = sum(max(x.max_exp() for _, x in row) - min(0, min(x.min_exp() for _, x in row)) for row in rows)
-        calls, det_mod = [], linalg._det_mod
-        monkeypatch.setattr(linalg, "_det_mod", lambda *args: calls.append(1) or det_mod(*args))
+        calls = count_eliminations(monkeypatch)
         drawn = count_primes(monkeypatch)
         assert det_laurent(m) == bareiss_det_laurent(m)
         assert len(calls) <= (hi + 1) * len(drawn)
@@ -419,8 +464,23 @@ class TestDetLaurentOracle:
         g = LaurentPoly.gamma
         m = [[g(1, 2**63) + g(-2, 5), g(0, -(2**64))], [g(2, 3), g(-1, 2**65 + 1)]]
         drawn = count_primes(monkeypatch)
+        moduli = count_eliminations(monkeypatch)
         assert det_laurent(m) == bareiss_det_laurent(m)
         assert len(drawn) >= 3
+        # the dual bounds give exponents -3..2: one elimination at each of
+        # six nodes, all modulo the product of the primes
+        assert moduli == [math.prod(drawn)] * 6
+
+    def test_coefficient_equal_to_a_prime(self, monkeypatch):
+        # at the node 1 both diagonal entries are Q0, and a pivot that Q0
+        # divides sends every prime through its own eliminations
+        g = LaurentPoly.gamma
+        m = [[g(1, Q0) + g(2, 1) - g(1, 1), g(0, 1)], [g(2, 1), g(0, Q0) + g(-1, 3) - g(0, 3)]]
+        drawn = count_primes(monkeypatch)
+        moduli = count_eliminations(monkeypatch)
+        assert det_laurent(m) == bareiss_det_laurent(m)
+        assert len(drawn) >= 2 and moduli[0] == math.prod(drawn)
+        assert sorted(set(moduli[1:])) == sorted(drawn)
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=150, deadline=None)
@@ -489,6 +549,17 @@ class TestMuLambda:
         for _ in range(k):
             fk = intpoly_mul(fk, unit)
         assert mu_lambda(f, p) == mu_lambda(fk, p)
+
+
+def test_is_prime_below_two():
+    # in a child process with a timeout, so that a loop that never ends
+    # fails the test instead of hanging the suite
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "from segtower.linalg import _is_prime; print([_is_prime(n) for n in (-7, -1, 0, 1, 2, 3)])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "[False, False, False, False, True, True]"
 
 
 def test_ord_p():
