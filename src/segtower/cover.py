@@ -28,9 +28,6 @@ class CoverGraph:
     p: int
     n: int
 
-    def fiber(self, base_vertex):
-        return [v for v in self.graph.vertices if self.vertex_projection[v] == base_vertex]
-
 
 def check_prime(p, name="p"):
     """Raise GraphError unless p is a prime, by deterministic Miller-Rabin

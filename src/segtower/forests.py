@@ -25,9 +25,6 @@ class ForestCount:
     value: int
     method: str  # "determinant" or "enumeration"
 
-    def __int__(self):
-        return self.value
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other

@@ -79,13 +79,6 @@ class Multigraph:
         """Edges at v; loops appear twice (once per end)."""
         return list(self._incident[v])
 
-    def neighbors(self, v):
-        """Other endpoints of non-loop edges at v (v itself for loops)."""
-        return {e.other(v) for e in self._incident[v]}
-
-    def edges_between(self, u, v):
-        return [e for e in self._incident[u] if e.other(u) == v]
-
     def connected(self) -> bool:
         if not self.vertices:
             return True

@@ -21,11 +21,13 @@ with sum_v p^min(n, k_v) = |V_n| and sum_{a <= k} phi(p^a) = p^k - 1 gives
     kappa(X_n) = kappa(X) * p^s_n * prod_{a=1..n} prod_{ord zeta = p^a} det M_a(zeta),
     s_n = sum_{marks v} p^k_v * max(0, n - k_v) - n.
 
-The inner product is root_of_unity_product(det M_a, p^a) over the same at
-p^(a-1), which is never 0: if R_a is not empty and X is connected, M_a(zeta)
-is positive definite on |zeta| = 1; if R_a is empty, M_a = M_a' for every
-a' < a, whose values entered kappa(X_a') != 0.  Both divisions (by that
-product, and by p^-s_n when s_n < 0) are checked.
+The inner product is P_a / P_(a-1), for P_a the product of det M_a over
+the p^a-th roots of unity other than 1, from one root-power chain per block
+(linalg.root_of_unity_products); over a run of levels with the same block
+the quotients telescope.  P_(a-1) is never 0: if R_a is not empty and X is
+connected, M_a(zeta) is positive definite on |zeta| = 1; if R_a is empty,
+M_a = M_a' for every a' < a, whose values entered kappa(X_a') != 0.  Both
+divisions (by that product, and by p^-s_n when s_n < 0) are checked.
 
 Empirically, ord_p of the spanning-tree count at level n is mu*p^n +
 lambda*n + nu for n large (exactly for all n when the voltage is trivial);
@@ -34,15 +36,13 @@ we fit the triple exactly over the rationals from the last three levels.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import build_cover, check_prime, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import Multigraph, RamificationData, prune_tails
-from .linalg import IntPoly, LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p
-from .linalg import root_of_unity_product
+from .graph import GraphError, Multigraph, RamificationData, prune_tails
+from .linalg import IntPoly, LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p, root_of_unity_products
 from .seal import admissible_sets, decompose
 
 
@@ -115,29 +115,45 @@ def symbolic_invariants(c: CharElement) -> InvariantTriple:
     return InvariantTriple(mu, (c.t_power - 1) + lam)
 
 
-def tower_kappas(g, r, voltage, p, n_max):
-    """kappa(X_n) for n = 0..n_max; raises DisconnectedCover at the first
-    level whose count is 0.  See the module docstring for the formula."""
+WORK_LIMIT = 2**31  # bit operations a tower may take, estimated as in tower_kappas
+
+
+def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
+    """kappa(X_n) for n = 0..n_max (see the module docstring); raises
+    DisconnectedCover at the first level whose count is 0.  _det_m is det M of
+    X's block with every mark ramified, when the caller has it (pruning tails
+    leaves det M unchanged: the Schur complement at a pendant vertex takes back
+    the 1 it added to its neighbour's degree).  Level n takes about
+    (p*d^2 + 1) * (p^n * log2(||det M_n||_1 * |c|^d) + (s_n + n) * log2 p) bit
+    operations, d the span and c the leading coefficient of det M_n; GraphError
+    names the level where their sum passes WORK_LIMIT before any chain starts."""
     check_prime(p)
+    marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
+    for n in range(1, n_max + 1):
+        m = tuple(v for v, k in r.depths.items() if k < n)
+        if m not in dets:
+            full = _det_m is not None and len(m) == len(r.depths)
+            dets[m] = _det_m if full else det_laurent(unramified_block(g, RamificationData.totally_ramified(m), voltage))
+        marks.append(m)
+        shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
+        cs = dets[m].coeffs
+        d = max(cs, default=0) - min(cs, default=0)
+        size = sum(map(abs, cs.values())) * abs(cs.get(max(cs, default=0), 0)) ** d
+        work += (p * d * d + 1) * (p**n * max(size - 1, 0).bit_length() + (max(shifts[n], 0) + n) * p.bit_length())
+        if work > WORK_LIMIT:
+            raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, past 2^31")
+    chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
 
-    @functools.cache
-    def det(marks):  # det M_a, where marks = R_a
-        return det_laurent(unramified_block(g, RamificationData.totally_ramified(marks), voltage))
-
-    @functools.cache
-    def product(marks, size):  # prod of det M_a(zeta) over zeta^size = 1, zeta != 1
-        return root_of_unity_product(det(marks), size)
-
-    base, primitive, out = kappa(g).value, 1, []
-    for n in range(n_max + 1):
+    base, primitive, start, out = kappa(g).value, [1], 0, []  # primitive[n]: prod over a <= n of order p^a
+    for n, s in enumerate(shifts):
         if n:
-            marks = tuple(v for v, k in r.depths.items() if k < n)
-            factor, rem = divmod(product(marks, p**n), product(marks, p ** (n - 1)))
+            if marks[n] != marks[n - 1]:
+                start = n - 1  # levels start+1..n share M_n: their products telescope
+            q, rem = divmod(chains[marks[n]][n], chains[marks[n]][start])
             if rem:
-                raise LinalgError(f"level {n}: root-of-unity product not divisible by the level below")
-            primitive *= factor
-        s = sum(p**k * (n - k) for k in r.depths.values() if k < n) - n
-        count, rem = divmod(base * primitive * p ** max(s, 0), p ** max(-s, 0))
+                raise LinalgError(f"level {n}: root-of-unity product not divisible by the one at level {start}")
+            primitive.append(primitive[start] * q)
+        count, rem = divmod(base * primitive[n] * p ** max(s, 0), p ** max(-s, 0))
         if rem:
             raise LinalgError(f"level {n}: tree count not divisible by {p}^{-s}")
         if count == 0:
@@ -185,14 +201,16 @@ def fit_orders(points, p):
     return fit, stable
 
 
-def empirical_invariants(g, r, voltage, p, n_max=None):
+def empirical_invariants(g, r, voltage, p, n_max=None, *, _det_m=None):
     """Fit (mu, lambda, nu) from tower spanning-tree counts.
 
     Returns (InvariantTriple, levels, stable); levels is the per-level data.
     """
+    if n_max is not None and n_max < 0:
+        raise GraphError(f"tower level must be non-negative, got {n_max}")
     n0 = max(r.depths.values(), default=0)
     n_max = n0 + 4 if n_max is None else max(n_max, n0 + 2)
-    levels = tower_kappas(g, r, voltage, p, n_max)
+    levels = tower_kappas(g, r, voltage, p, n_max, _det_m=_det_m)
     fit, stable = fit_orders([(lv["n"], ord_p(lv["kappa"], p)) for lv in levels], p)  # kappa > 0: tower_kappas raised on 0
     if fit is None:
         raise TowerError("no exact integer fit for the tower orders")
@@ -340,15 +358,14 @@ def segment_growth_invariants(segment_graph, seg_ram, voltage, p, n_max=None):
 
     Returns (fit, symbolic, levels, stable).
     """
-    marked = list(seg_ram.depths)
-    if len(marked) not in (1, 2) or any(k != 0 for k in seg_ram.depths.values()):
+    if len(seg_ram.depths) not in (1, 2) or any(k != 0 for k in seg_ram.depths.values()):
         raise TowerError("segment must have 1 or 2 totally ramified vertices")
     if n_max is None:
         n_max = 4  # n0 + 4, as every mark has depth n0 = 0
     # F_t(S_n) is the product of det M_S over all p^n-th roots of unity
     ce = char_element(segment_graph, seg_ram, voltage, p)
     at_one = ce.det_gamma.at_one()
-    levels = [{"n": n, "forest_count": at_one * root_of_unity_product(ce.det_gamma, p**n)} for n in range(n_max + 1)]
+    levels = [{"n": n, "forest_count": at_one * x} for n, x in enumerate(root_of_unity_products(ce.det_gamma, p, n_max))]
     points = [(lv["n"], ord_p(lv["forest_count"], p)) for lv in levels]
     if any(y is None for _, y in points):
         raise TowerError("forest count vanished at some level")
@@ -359,7 +376,7 @@ def segment_growth_invariants(segment_graph, seg_ram, voltage, p, n_max=None):
 def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):
     """Combined report: per-level counts, empirical fit, symbolic invariants."""
     report = {"p": p}
-    sym = None
+    sym = ce = None
     if symbolic:
         g2 = prune_tails(g, r)
         ce = char_element(g2, r.restrict(g2.vertices), voltage, p)
@@ -368,7 +385,7 @@ def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):
         report["t_power"] = ce.t_power
         report["symbolic"] = {"mu": sym.mu, "lambda": sym.lam}
     if empirical:
-        fit, levels, stable = empirical_invariants(g, r, voltage, p, n_max)
+        fit, levels, stable = empirical_invariants(g, r, voltage, p, n_max, _det_m=ce.det_gamma if ce else None)
         report["levels"] = levels
         report["empirical"] = {"mu": fit.mu, "lambda": fit.lam, "nu": fit.nu}
         report["fit_stable"] = stable

@@ -1,20 +1,13 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-One elimination kernel serves every determinant.  det_int renumbers rows and
-columns by one reverse Cuthill-McKee order of the nonzero pattern and
-eliminates, skipping rows whose multiplier is 0, modulo the product m of the
-primes below 2^62 it takes to pass twice Hadamard's bound; each prime gets
-its own elimination, combined by CRT, only when a pivot is divisible by one
-of them.  det_laurent keeps that order for every node.  It bounds the
-exponents of det to [lo, hi] by LP duality on the entries' extreme
-exponents, in O(nnz); when M(1/g) is the transpose of M(g), as for every
-voltage Laplacian block, det is palindromic, lo = -hi, and each elimination
-at a node x also gives the value at 1/x.  Modulo m it evaluates g^-lo * det
-at the nodes and recovers the coefficients by Newton interpolation, with
-prod_i sum_j ||M_ij||_1 as the bound.  Laurent
-polynomials in the deck-group generator g can be expanded at g = 1 + T,
-giving integer polynomials (series prefixes when g has negative powers)
-whose p-adic coefficient data yield the mu/lambda invariants.
+One elimination kernel, modulo a product of primes below 2^62 in a reverse
+Cuthill-McKee order, serves every determinant: det_int directly, and
+det_laurent at interpolation nodes (see their docstrings).  Products of a
+Laurent polynomial over the p^a-th roots of unity come from one root-power
+(Graeffe) chain over Z, with no matrix and no prime.  Laurent polynomials in
+the deck-group generator g expand at g = 1 + T to integer polynomials
+(series prefixes when g has negative powers) whose p-adic coefficient data
+yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
@@ -169,10 +162,6 @@ class IntPoly:
     @property
     def is_zero(self):
         return not self.coeffs
-
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
 
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -488,45 +477,52 @@ def det_laurent(m) -> LaurentPoly:
     return LaurentPoly({e + lo: c for e, c in enumerate(_crt(residues, bound, size))})
 
 
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def root_of_unity_products(f: LaurentPoly, p: int, n: int) -> list:
+    """[prod of f(zeta) over zeta^N = 1, zeta != 1, for N = p^a], a = 0..n.
 
-
-def root_of_unity_product(f: LaurentPoly, n: int) -> int:
-    """prod of f(zeta) over the n-th roots of unity zeta != 1, exactly.
-
-    Write f = g^s * Q(g), Q of degree d with leading coefficient c.  The
-    product is (-1)^((n-1)(d+s)) * c^(n-1) * det(I + C + ... + C^(n-1)) for
-    the companion matrix C of Q/c.  With B = c*C that sum is S / c^(n-1) for
-    the integer S = sum_k c^(n-1-k) B^k, formed by doubling in O(d^3 log n);
-    the product is then the sign times det(S) / c^((n-1)(d-1)).
+    Write f = g^s (g - 1)^j R(g), R(1) != 0, deg R = d, leading coefficient
+    c.  B_0 = c^(d-1) R(x/c) = x^d + a_1 x^(d-1) + ... is monic with the roots
+    c*alpha of R, and B_a has their p^a-th powers: Newton's identities give
+    the power sums s_1..s_pd of B_(a-1)'s roots, s_p, ..., s_dp are B_a's,
+    and back again k*b_k, exactly divisible by k.  The product over all N-th
+    roots is (-1)^(d(N+1)) c^(N(1-d)) B_a(c^N); R(1) leaves zeta = 1 out, and
+    g^s and (g - 1)^j add (-1)^((N-1)s) and ((-1)^(N-1) N)^j.  Every division
+    is checked.
     """
-    if n < 1:
-        raise LinalgError("need n >= 1 roots of unity")
-    if n == 1:
-        return 1
+    if n < 0:
+        raise LinalgError("need a level n >= 0")
     if f.is_zero:
-        return 0
+        return [1] + [0] * n
     s = f.min_exp()
-    q = [f.coeffs.get(e, 0) for e in range(s, f.max_exp() + 1)]
-    d, c = len(q) - 1, q[-1]
-    sign = -1 if (n - 1) * (d + s) % 2 else 1
-    if d == 0:
-        return sign * c ** (n - 1)
-    b = [[c if j == i - 1 else 0 for j in range(d - 1)] + [-q[i]] for i in range(d)]
-    eye = [[int(i == j) for j in range(d)] for i in range(d)]
-    total, power, cpow = eye, b, c  # S, B^k and c^k for k = 1
-    for bit in bin(n)[3:]:
-        scaled = [[x + cpow if i == j else x for j, x in enumerate(row)] for i, row in enumerate(power)]
-        total, power, cpow = _matmul(scaled, total), _matmul(power, power), cpow * cpow
-        if bit == "1":
-            total = [[c * x + y for x, y in zip(tr, pr)] for tr, pr in zip(total, power)]
-            power, cpow = _matmul(power, b), cpow * c
-    value, rem = divmod(det_int(total), c ** ((n - 1) * (d - 1)))
-    if rem:
-        raise LinalgError("root-of-unity product is not an integer")
-    return sign * value
+    r = [f.coeffs.get(e, 0) for e in range(s, f.max_exp() + 1)]  # lowest first
+    j = 0
+    while sum(r) == 0:  # divide by g - 1: the quotient's coefficients are suffix sums
+        r, j = list(itertools.accumulate(r[:0:-1]))[::-1], j + 1
+    d, c, out = len(r) - 1, r[-1], []
+    a = [r[d - k] * c ** (k - 1) for k in range(1, d + 1)]  # [a_1..a_d]
+    for level in range(n + 1):
+        if level:
+            ps = [0]  # power sums
+            for k in range(1, p * d + 1):
+                ps.append(-sum(a[k - i - 1] * ps[i] for i in range(max(1, k - d), k)) - (k * a[k - 1] if k <= d else 0))
+            b = []
+            for k in range(1, d + 1):
+                q, rem = divmod(-ps[p * k] - sum(b[i - 1] * ps[p * (k - i)] for i in range(1, k)), k)
+                if rem:
+                    raise LinalgError(f"root-power step {level}: Newton division by {k} is not exact")
+                b.append(q)
+            a = b
+        N, value = p**level, 1
+        x = c**N
+        for coeff in a:
+            value = value * x + coeff
+        value, rem = divmod(x * value, x**d)  # c^(N(1-d)) * B_a(c^N)
+        if not rem:
+            value, rem = divmod(value, sum(r))
+        if rem:
+            raise LinalgError(f"root-of-unity product at N = {N} is not an integer")
+        out.append((-1 if (d * (N + 1) + (N - 1) * (s + j)) % 2 else 1) * value * N**j)
+    return out
 
 
 def expand_at_gamma(f: LaurentPoly) -> IntPoly:

@@ -177,6 +177,62 @@ def bareiss_det_laurent(m):
     return det.shift(-total_shift)
 
 
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def companion_root_of_unity_product(f, n):
+    """Oracle for linalg.root_of_unity_products at large n: prod of f(zeta)
+    over the n-th roots of unity zeta != 1.
+
+    Write f = g^s * Q(g), Q of degree d with leading coefficient c.  The
+    product is (-1)^((n-1)(d+s)) * c^(n-1) * det(I + C + ... + C^(n-1)) for
+    the companion matrix C of Q/c.  With B = c*C that sum is S / c^(n-1) for
+    the integer S = sum_k c^(n-1-k) B^k, formed by doubling in O(d^3 log n);
+    the product is then the sign times det(S) / c^((n-1)(d-1)).
+    """
+    if n == 1:
+        return 1
+    if f.is_zero:
+        return 0
+    s = f.min_exp()
+    q = [f.coeffs.get(e, 0) for e in range(s, f.max_exp() + 1)]
+    d, c = len(q) - 1, q[-1]
+    sign = -1 if (n - 1) * (d + s) % 2 else 1
+    if d == 0:
+        return sign * c ** (n - 1)
+    b = [[c if j == i - 1 else 0 for j in range(d - 1)] + [-q[i]] for i in range(d)]
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    total, power, cpow = eye, b, c  # S, B^k and c^k for k = 1
+    for bit in bin(n)[3:]:
+        scaled = [[x + cpow if i == j else x for j, x in enumerate(row)] for i, row in enumerate(power)]
+        total, power, cpow = _matmul(scaled, total), _matmul(power, power), cpow * cpow
+        if bit == "1":
+            total = [[c * x + y for x, y in zip(tr, pr)] for tr, pr in zip(total, power)]
+            power, cpow = _matmul(power, b), cpow * c
+    value, rem = divmod(bareiss_det_int(total), c ** ((n - 1) * (d - 1)))
+    if rem:
+        raise LinalgError("root-of-unity product is not an integer")
+    return sign * value
+
+
+def ring_product(f, n):
+    """Oracle: prod over zeta^n = 1, zeta != 1 of f(zeta) is the determinant of
+    multiplication by f on Z[x] / (1 + x + ... + x^(n-1)).  Column k is x^k f
+    modulo x^n - 1 with x^(n-1) replaced by -(1 + x + ... + x^(n-2))."""
+    d = n - 1
+    cyc = [0] * n  # f modulo x^n - 1
+    for e, c in f.coeffs.items():
+        cyc[e % n] += c
+    m = [[0] * d for _ in range(d)]
+    for k in range(d):
+        col = [cyc[(i - k) % n] for i in range(n)]
+        for i in range(d):
+            m[i][k] = col[i] - col[d]
+    return bareiss_det_int(m)
+
+
 def laurent_pow(f, n):
     """f^n for n >= 0, by repeated squaring."""
     res, base = LaurentPoly.one(), f

@@ -266,6 +266,24 @@ class TestErrors:
         assert code == 1
         assert out == {"error": "internal_error", "reason": "the primes ran out before their product passed the bound"}
 
+    def test_refuses_a_tower_that_cannot_finish(self):
+        # in a child process with a time and an address-space limit, so that
+        # a request that runs on fails the test instead of the suite
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "segtower.cli", "invariants", "--input", fixture_path("voltage_segment.json")]
+        argv += ["--p", "1000000007"]
+        done = subprocess.run(argv + ["--nmax", "2"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+        assert done.returncode == 1
+        out = json.loads(done.stdout)
+        assert out["error"] == "bad_input" and "level 1 " in out["reason"]
+        done = subprocess.run(argv + ["--symbolic-only"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+        assert done.returncode == 0 and json.loads(done.stdout)["p"] == 1000000007
+
     @pytest.mark.parametrize(
         "argv, graph",
         [
@@ -281,6 +299,7 @@ class TestErrors:
             (["invariants", "--p", "4"], None),
             (["verify", "--theorem", "A", "--p", "1", "--n", "1"], None),
             (["verify", "--theorem", "factorization", "--p", "-3"], None),
+            (["invariants", "--p", "3", "--nmax", "-3"], None),
         ],
     )
     def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):

@@ -55,7 +55,7 @@ class TestBuildCover:
         g, r, volt = load_fixture("voltage_segment.json")
         p, n = 3, 1
         c = build_cover(g, r, volt, p, n)
-        mods = {v: len(c.fiber(v)) for v in g.vertices}
+        mods = {v: sum(c.vertex_projection[cv] == v for cv in c.graph.vertices) for v in g.vertices}
 
         def shift(cv):
             base, t = cv

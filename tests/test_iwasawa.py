@@ -1,10 +1,12 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_forest_counts, explicit_tower_kappas, load_fixture, taylor_shift_oracle
+from conftest import explicit_forest_counts, explicit_tower_kappas, grid_graph, load_fixture, taylor_shift_oracle
 from segtower import iwasawa
 from segtower.cover import build_cover
 from segtower.graph import GraphError, RamificationData, build_graph
@@ -26,7 +28,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import IntPoly, LaurentPoly, mu_lambda
+from segtower.linalg import IntPoly, LaurentPoly, det_laurent, mu_lambda
 
 
 class TestBuildMatrices:
@@ -256,6 +258,27 @@ class TestTowerKappas:
             assert lv["kappa"] == detail["kappa_base"] * 3 ** (n * (detail["l"] - 1)) * f ** (3**n - 1)
         assert levels[8]["vertices"] == 5 * 3**8 + 2 and levels[8]["edges"] == 9 * 3**8
 
+    def test_grid_within_budget(self):
+        # a 5 x 5 grid with +-1 voltages and two corner marks: det M has span
+        # 20, so level 5 multiplies integers of thousands of bits.  Measured
+        # on a 2-core x86 host: 0.21 s with the root-power chain, 60 s with a
+        # companion-matrix determinant per level
+        g, r = grid_graph(5, 5)
+        rng = random.Random(7)
+        voltage = {e.id: rng.choice([-1, 1]) for e in g.edges}
+        t0 = time.process_time()
+        levels = tower_kappas(g, r, voltage, 3, 5)
+        assert time.process_time() - t0 < 4.0
+        assert levels[:3] == explicit_tower_kappas(g, r, voltage, 3, 2)
+        assert levels[5]["kappa"].bit_length() > 7000
+
+    def test_refuses_a_level_past_the_work_limit(self):
+        # with trivial voltage det M is constant, 2 here: level 1 passes, and
+        # level 2 would raise 2 to the power p^2
+        g, r, _ = load_fixture("glue_kappa_l1.json")
+        with pytest.raises(GraphError, match="level 2 "):
+            tower_kappas(g, r, {}, 1000000007, 2)
+
 
 class TestDefaultLevels:
     def test_empirical_default_spans_five_levels(self):
@@ -428,6 +451,21 @@ class TestPrimeCheck:
 
 
 class TestTowerReport:
+    @pytest.mark.parametrize("name", ["glued_voltage_triangles.json", "cycle5_ram45.json"])
+    def test_one_det_m_per_report(self, monkeypatch, name):
+        # char_element's det M on the pruned X serves the tower levels too
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return det_laurent(m)
+
+        monkeypatch.setattr(iwasawa, "det_laurent", counted)
+        g, r, volt = load_fixture(name)
+        report = tower_report(g, r, volt, 3)
+        assert len(calls) == 1
+        assert report["levels"] == explicit_tower_kappas(g, r, volt, 3, 4)
+
     def test_report_fields(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
         report = tower_report(g, r, {}, 2, 3)

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from conftest import (
     bareiss_det_int,
     bareiss_det_laurent,
+    companion_root_of_unity_product,
     grid_graph,
     intpoly_add,
     intpoly_mul,
     laurent_pow,
     load_fixture,
     random_connected_graph,
+    ring_product,
 )
 from segtower import linalg
 from segtower.cover import build_cover
@@ -34,7 +36,7 @@ from segtower.linalg import (
     laurent_exact_div,
     mu_lambda,
     ord_p,
-    root_of_unity_product,
+    root_of_unity_products,
 )
 
 
@@ -569,44 +571,42 @@ def test_ord_p():
     assert ord_p(-27, 3) == 3
 
 
-def ring_product(f, n):
-    """Oracle: prod over zeta^n = 1, zeta != 1 of f(zeta) is the determinant of
-    multiplication by f on Z[x] / (1 + x + ... + x^(n-1)), where x^-1 = x^(n-1)."""
-    d = n - 1
-    x = [[1 if i == j + 1 else 0 for j in range(d - 1)] + [-1] for i in range(d)]  # companion matrix
-    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
-    for _ in range(n - 1):
-        prev = powers[-1]
-        powers.append([[sum(prev[i][k] * x[k][j] for k in range(d)) for j in range(d)] for i in range(d)])
-    m = [[sum(c * powers[e % n][i][j] for e, c in f.coeffs.items()) for j in range(d)] for i in range(d)]
-    return det_int(m)
-
-
 class TestRootOfUnityProduct:
+    """The root-power chain against the ring determinant and the companion matrix."""
+
     @given(
         st.dictionaries(st.integers(-3, 4), st.integers(-5, 5), max_size=5),
-        st.integers(1, 9),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 2),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_ring_determinant(self, coeffs, n):
-        f = LaurentPoly(coeffs)
-        assert root_of_unity_product(f, n) == ring_product(f, n)
+    def test_matches_ring_determinant(self, coeffs, p, j):
+        # negative exponents, leading coefficients other than +-1, zero and
+        # constant f, and (g - 1)^j, so that f(1) = 0 for j > 0
+        f = LaurentPoly(coeffs) * laurent_pow(LaurentPoly({1: 1, 0: -1}), j)
+        n = max(n for n in range(6) if p**n <= 49)
+        assert root_of_unity_products(f, p, n) == [ring_product(f, p**a) for a in range(n + 1)]
 
     def test_small_cases(self):
         gamma = LaurentPoly.gamma
-        assert root_of_unity_product(LaurentPoly.zero(), 1) == 1
-        assert root_of_unity_product(LaurentPoly.zero(), 3) == 0
-        assert root_of_unity_product(LaurentPoly.const(-2), 4) == -8
+        assert root_of_unity_products(LaurentPoly.zero(), 3, 1) == [1, 0]
+        assert root_of_unity_products(LaurentPoly.const(-2), 2, 2) == [1, -2, -8]
         # prod (zeta - 1) over zeta != 1 is (-1)^(n-1) n
-        assert root_of_unity_product(gamma(1) - LaurentPoly.one(), 9) == 9
-        assert root_of_unity_product(gamma(1) - LaurentPoly.one(), 8) == -8
+        assert root_of_unity_products(gamma(1) - LaurentPoly.one(), 3, 2) == [1, 3, 9]
+        assert root_of_unity_products(gamma(1) - LaurentPoly.one(), 2, 3) == [1, -2, -4, -8]
         # g + g^-1 at the cube roots w, w^2: (w + w^2)^2 = 1
-        assert root_of_unity_product(gamma(1) + gamma(-1), 3) == 1
+        assert root_of_unity_products(gamma(1) + gamma(-1), 3, 1) == [1, 1]
 
     def test_non_monic_large_n(self):
         f = LaurentPoly({-1: 2, 0: 3, 2: 6})
-        assert root_of_unity_product(f, 25) == ring_product(f, 25)
+        assert root_of_unity_products(f, 5, 2) == [1, ring_product(f, 5), ring_product(f, 25)]
+
+    @pytest.mark.parametrize("p, n", [(2, 12), (7, 5)])
+    def test_voltage_segment_against_companion(self, p, n):
+        g, r, volt = load_fixture("voltage_segment.json")
+        f = det_laurent(unramified_block(g, r, volt))
+        assert root_of_unity_products(f, p, n) == [companion_root_of_unity_product(f, p**a) for a in range(n + 1)]
 
     def test_bad_n(self):
         with pytest.raises(LinalgError):
-            root_of_unity_product(LaurentPoly.one(), 0)
+            root_of_unity_products(LaurentPoly.one(), 2, -1)
