@@ -54,10 +54,8 @@ def _emit(obj):
 
 def cmd_seal(args):
     g, r, _ = _read_graph(args)
-    if not args.no_prune:
-        g = prune_tails(g, r)
-        r = r.restrict(g.vertices)
-    d = decompose(g, r)
+    g = prune_tails(g, r)
+    d = decompose(g, r.restrict(g.vertices))
     _emit(
         {
             "segments": [
@@ -140,15 +138,12 @@ def cmd_invariants(args):
 
 def cmd_verify(args):
     g, r, voltage = _read_graph(args)
-    p, n = args.p, args.n
-    if args.theorem == "A":
-        v = iwasawa.verify_theorem_A(g, r, voltage, p, n if n is not None else 1)
-    elif args.theorem == "partial":
-        v = iwasawa.verify_partial_ramification(g, r, voltage, p, n if n is not None else 1, args.n0)
-    elif args.theorem == "general":
-        v = iwasawa.verify_general_case(g, r, voltage, p, n if n is not None else 1)
+    if args.theorem == "factorization":
+        v = iwasawa.verify_char_factorization(g, r, voltage, args.p)
     else:
-        v = iwasawa.verify_char_factorization(g, r, voltage, p)
+        harness = {"A": iwasawa.verify_theorem_A, "partial": iwasawa.verify_partial_ramification,
+                   "general": iwasawa.verify_general_case}[args.theorem]
+        v = harness(g, r, voltage, args.p, args.n)
 
     def conv(x):
         if isinstance(x, dict):
@@ -186,8 +181,13 @@ def cmd_family(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # the subparsers share the class
+    def error(self, message):  # argument errors get a JSON bad_input reply
+        raise CliError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="segtower", description=__doc__)
+    ap = _Parser(prog="segtower", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -196,8 +196,7 @@ def build_parser():
         sp.add_argument("--input", help="graph JSON file (default: standard input)")
         return sp
 
-    sp = add("seal", cmd_seal, help="segment decomposition")
-    sp.add_argument("--no-prune", action="store_true", help="skip tail pruning")
+    add("seal", cmd_seal, help="segment decomposition")
 
     add("kappa", cmd_kappa, help="spanning tree count")
 
@@ -219,8 +218,7 @@ def build_parser():
     sp = add("verify", cmd_verify, help="check a counting identity on a built cover")
     sp.add_argument("--theorem", choices=["A", "partial", "general", "factorization"], required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n0", type=int)
+    sp.add_argument("--n", type=int, default=1)
 
     sp = sub.add_parser("family", help="generate an example family graph")
     sp.set_defaults(fn=cmd_family)
@@ -238,9 +236,6 @@ _PARSER = build_parser()
 def run(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
         if "p" in vars(args):
             check_prime(args.p, "--p")
         return args.fn(args)
@@ -256,6 +251,8 @@ def run(argv=None):
     except LinalgError as exc:
         _emit({"error": "internal_error", "reason": str(exc)})
         return 1
+    except SystemExit:  # --help, after printing it
+        return 0
 
 
 def main():

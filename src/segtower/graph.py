@@ -136,10 +136,6 @@ class RamificationData:
     def totally_ramified(cls, vertices):
         return cls({v: 0 for v in vertices})
 
-    @property
-    def ramified(self):
-        return tuple(self.depths)
-
     def is_ramified(self, v):
         return v in self.depths
 
@@ -165,9 +161,7 @@ def build_graph(vertex_ids, edges) -> Multigraph:
     used = set()
     auto = 0
     for spec in edges:
-        if isinstance(spec, Edge):
-            e = spec
-        elif len(spec) == 2:
+        if len(spec) == 2:
             u, v = spec
             while f"e{auto}" in used:
                 auto += 1
@@ -182,17 +176,16 @@ def build_graph(vertex_ids, edges) -> Multigraph:
     return Multigraph(vertex_ids, out)
 
 
-def laplacian(g: Multigraph, order=None):
-    """Laplacian Val - A as a list of integer rows.
+def laplacian(g: Multigraph):
+    """Laplacian Val - A as a list of integer rows, in vertex order.
 
     Loops add 2 to both the degree and the adjacency diagonal, so they cancel.
     """
-    order = list(order) if order is not None else list(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
     m = [[0] * n for _ in range(n)]
-    for v in order:
-        m[index[v]][index[v]] = g.degree(v)
+    for v, i in index.items():
+        m[i][i] = g.degree(v)
     for e in g.edges:
         i, j = index[e.u], index[e.v]
         m[i][j] -= 1

@@ -549,13 +549,17 @@ def expand_at_gamma(f: LaurentPoly) -> IntPoly:
 
 
 def ord_p(x: int, p: int):
-    """p-adic valuation; None stands in for +infinity at x = 0."""
+    """p-adic valuation; None stands in for +infinity at x = 0.  Each step
+    divides by the largest p^(2^k) dividing x: O(log^2 v) divisions, not v."""
     if x == 0:
         return None
     v = 0
     while x % p == 0:
-        x //= p
-        v += 1
+        q, k = p, 1
+        while x % (q * q) == 0:
+            q, k = q * q, 2 * k
+        x //= q
+        v += k
     return v
 
 

@@ -92,6 +92,17 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
     return out
 
 
+def ord_p_oracle(x, p):
+    """Oracle for linalg.ord_p: divide out one p per step."""
+    if x == 0:
+        return None
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def taylor_shift_oracle(f):
     """Oracle for linalg.expand_at_gamma: (Q(1+T) by binomials, s), where
     Q = g^s * f is a polynomial and s = max(0, -min exponent of f)."""

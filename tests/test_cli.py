@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path, grid_graph, load_fixture
+from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture
 from segtower import linalg
 from segtower.cli import _num, run
-from segtower.graph import graph_to_json
+from segtower.graph import RamificationData, graph_to_json
 from segtower.iwasawa import tower_kappas
 
 
@@ -202,6 +202,28 @@ class TestVerify:
         )
         assert code == 0 and out["ok"] is True
 
+    def test_A_is_partial_at_depth_zero(self, capsys, monkeypatch):
+        checked = 0
+        for name in all_fixture_names():
+            _, r, _ = load_fixture(name)
+            if any(r.depths.values()):
+                continue
+            for p in ("2", "3"):
+                for n in ("1", "2"):
+                    argv = ["--p", p, "--n", n, "--input", fixture_path(name)]
+                    code_a, a = invoke(capsys, "verify", "--theorem", "A", *argv)
+                    code_p, q = invoke(capsys, "verify", "--theorem", "partial", *argv)
+                    assert code_a == code_p, (name, p, n)
+                    keys = ("ok", "lhs", "rhs") if code_a == 0 else ("error",)
+                    assert [a[k] for k in keys] == [q[k] for k in keys], (name, p, n)
+                    checked += code_a == 0
+        assert checked >= 20
+        # with no mark, A still reports the missing decomposition
+        g, _, _ = load_fixture("cycle5_ram45.json")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph_to_json(g, RamificationData()))))
+        code, out = invoke(capsys, "verify", "--theorem", "A", "--p", "2")
+        assert code == 2 and out["error"] == "no_decomposition"
+
 
 class TestFamily:
     def test_line(self, capsys):
@@ -300,6 +322,11 @@ class TestErrors:
             (["verify", "--theorem", "A", "--p", "1", "--n", "1"], None),
             (["verify", "--theorem", "factorization", "--p", "-3"], None),
             (["invariants", "--p", "3", "--nmax", "-3"], None),
+            (["seal", "--no-prune"], None),
+            (["verify", "--theorem", "partial", "--p", "2", "--n", "2", "--n0", "0"], None),
+            (["kappa", "--bogus"], None),
+            (["cover", "--p", "two", "--n", "1"], None),
+            ([], {"vertices": ["a"], "edges": []}),
         ],
     )
     def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):

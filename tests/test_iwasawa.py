@@ -255,7 +255,7 @@ class TestTowerKappas:
         levels = tower_kappas(g, r, {}, 3, 8)
         for lv in levels:
             n = lv["n"]
-            assert lv["kappa"] == detail["kappa_base"] * 3 ** (n * (detail["l"] - 1)) * f ** (3**n - 1)
+            assert lv["kappa"] == detail["kappa_n0"] * 3 ** (n * (detail["l_n0"] - 1)) * f ** (3**n - 1)
         assert levels[8]["vertices"] == 5 * 3**8 + 2 and levels[8]["edges"] == 9 * 3**8
 
     def test_grid_within_budget(self):
@@ -324,7 +324,7 @@ class TestVerdicts:
     def test_partial_reduces_to_A_at_depth_zero(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
         va = verify_theorem_A(g, r, {}, 2, 2)
-        vp = verify_partial_ramification(g, r, {}, 2, 2, n0=0)
+        vp = verify_partial_ramification(g, r, {}, 2, 2)
         assert vp.ok and vp.lhs == va.lhs and vp.rhs == va.rhs
 
     def test_general_case_voltage(self):

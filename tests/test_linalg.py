@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import islice, permutations
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from conftest import (
     intpoly_mul,
     laurent_pow,
     load_fixture,
+    ord_p_oracle,
     random_connected_graph,
     ring_product,
 )
@@ -569,6 +571,22 @@ def test_ord_p():
     assert ord_p(320, 2) == 6
     assert ord_p(320, 3) == 0
     assert ord_p(-27, 3) == 3
+
+
+@given(st.integers(-10**6, 10**6), st.sampled_from([2, 3, 5, 7, 97, 2**61 - 1]), st.integers(0, 300))
+def test_ord_p_matches_one_step_loop(m, p, k):
+    x = m * p**k
+    assert ord_p(x, p) == ord_p_oracle(x, p)
+
+
+def test_ord_p_within_budget():
+    # valuation 200000 of a 464000-bit integer.  Measured on a 2-core x86
+    # host: 0.5 s dividing by the largest p^(2^k) at each step, 27 s
+    # dividing by one p per step
+    x = 7 * 5**200000
+    t0 = time.process_time()
+    assert ord_p(x, 5) == 200000
+    assert time.process_time() - t0 < 4.0
 
 
 class TestRootOfUnityProduct:
