@@ -4,55 +4,38 @@ kappa counts spanning trees by the matrix-tree theorem (determinant of a
 Laplacian minor); forest_count_det counts spanning forests with t components,
 each containing exactly one marked vertex, by deleting the t marked
 rows/columns.  forest_count_bruteforce counts F_t by exhaustive enumeration
-under a configurable edge cap (the CLI's `forests --method brute`).
+under an edge cap (the CLI's `forests --method brute`).  All three return
+ints; a bad mark (not 1 or 2 distinct vertices of g) and the cap raise GraphError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import GraphError, Multigraph, UnionFind, laplacian
 from .linalg import det_int
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class ForestCount:
-    value: int
-    method: str  # "determinant" or "enumeration"
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other
-        if isinstance(other, ForestCount):
-            return self.value == other.value and self.method == other.method
-        return NotImplemented
-
-
-def _laplacian_minor(g: Multigraph, deleted) -> ForestCount:
+def _laplacian_minor(g: Multigraph, deleted) -> int:
     """det of the Laplacian of g without the rows and columns in deleted."""
     lap = laplacian(g)
     keep = [i for i in range(len(lap)) if i not in deleted]
-    return ForestCount(det_int([[lap[i][j] for j in keep] for i in keep]), "determinant")
+    return det_int([[lap[i][j] for j in keep] for i in keep])
 
 
-def kappa(g: Multigraph) -> ForestCount:
+def kappa(g: Multigraph) -> int:
     """Number of spanning trees by matrix-tree.  A disconnected graph gives 0."""
     if not g.vertices:
         raise GraphError("kappa of the empty graph")
     return _laplacian_minor(g, {0})
 
 
-def forest_count_det(g: Multigraph, marked) -> ForestCount:
-    """F_t by determinant: delete the rows/columns of the t marked vertices.
-
-    The empty minor has determinant 1, so a graph whose vertices are all
-    marked (e.g. a single edge between two marked vertices) yields 1.
-    """
+def _check_marked(g: Multigraph, marked) -> list:
+    """marked as a list of 1 or 2 distinct vertices of g."""
     marked = list(marked)
     if len(marked) not in (1, 2):
         raise GraphError("marked must contain 1 or 2 vertices")
@@ -61,8 +44,17 @@ def forest_count_det(g: Multigraph, marked) -> ForestCount:
     for v in marked:
         if not g.has_vertex(v):
             raise GraphError(f"marked vertex {v!r} is not in the graph")
+    return marked
+
+
+def forest_count_det(g: Multigraph, marked) -> int:
+    """F_t by determinant: delete the rows/columns of the t marked vertices.
+
+    The empty minor has determinant 1, so a graph whose vertices are all
+    marked (e.g. a single edge between two marked vertices) yields 1.
+    """
     index = {v: i for i, v in enumerate(g.vertices)}
-    return _laplacian_minor(g, {index[v] for v in marked})
+    return _laplacian_minor(g, {index[v] for v in _check_marked(g, marked)})
 
 
 def _forest_subsets(g: Multigraph, size):
@@ -79,25 +71,16 @@ def _forest_subsets(g: Multigraph, size):
             yield combo, uf
 
 
-def forest_count_bruteforce(g: Multigraph, marked, cap=20) -> ForestCount:
+def forest_count_bruteforce(g: Multigraph, marked, cap=20) -> int:
     """Exhaustive F_t count (oracle for forest_count_det).
 
     Counts spanning forests with exactly t = len(marked) tree components,
     each containing exactly one marked vertex.
     """
-    marked = list(marked)
-    if len(marked) not in (1, 2):
-        raise GraphError("marked must contain 1 or 2 vertices")
+    marked = _check_marked(g, marked)
     if len(g.edges) > cap:
         raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
     t = len(marked)
-    size = len(g.vertices) - t
-    if size < 0:
-        raise GraphError("more marked vertices than vertices")
-    count = 0
-    for _, uf in _forest_subsets(g, size):
-        # acyclic with |V| - t edges means exactly t components; they each
-        # contain exactly one marked vertex iff the marked roots are distinct
-        if len({uf.find(v) for v in marked}) == t:
-            count += 1
-    return ForestCount(count, "enumeration")
+    # acyclic with |V| - t edges means exactly t components; they each
+    # contain exactly one marked vertex iff the marked roots are distinct
+    return sum(len({uf.find(v) for v in marked}) == t for _, uf in _forest_subsets(g, len(g.vertices) - t))

@@ -5,9 +5,9 @@ Cuthill-McKee order, serves every determinant: det_int directly, and
 det_laurent at interpolation nodes (see their docstrings).  Products of a
 Laurent polynomial over the p^a-th roots of unity come from one root-power
 (Graeffe) chain over Z, with no matrix and no prime.  Laurent polynomials in
-the deck-group generator g expand at g = 1 + T to integer polynomials
-(series prefixes when g has negative powers) whose p-adic coefficient data
-yield the mu/lambda invariants.
+the deck-group generator g expand at g = 1 + T to tuples of integer
+coefficients (series prefixes when g has negative powers) whose p-adic
+valuations yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
@@ -146,38 +146,6 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             elif k in rem:
                 del rem[k]
     return LaurentPoly(quot).shift(shift)
-
-
-class IntPoly:
-    """Polynomial in T with integer coefficients, dense list lowest-first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -525,9 +493,10 @@ def root_of_unity_products(f: LaurentPoly, p: int, n: int) -> list:
     return out
 
 
-def expand_at_gamma(f: LaurentPoly) -> IntPoly:
-    """Substitute g = 1 + T: f(1+T) to its first deg Q + 1 terms, where
-    Q = g^s * f and s = max(0, -min exponent); exact when s = 0.
+def expand_at_gamma(f: LaurentPoly) -> tuple:
+    """Substitute g = 1 + T: the coefficients of f(1+T), lowest first, to
+    its first deg Q + 1 terms, where Q = g^s * f and s = max(0, -min
+    exponent); exact when s = 0.  Trailing zeros are dropped: f = 0 gives ().
 
     Q(1+T) is one Taylor shift (Horner); each of the s divisions by 1 + T
     is a running difference.  (1+T)^-s is a unit of Z_p[[T]] with constant
@@ -535,7 +504,7 @@ def expand_at_gamma(f: LaurentPoly) -> IntPoly:
     the prefix always reaches index lambda.
     """
     if f.is_zero:
-        return IntPoly()
+        return ()
     s = max(0, -f.min_exp())
     a = [f.coeffs.get(e - s, 0) for e in range(f.max_exp() + s + 1)]
     d = len(a) - 1
@@ -545,7 +514,9 @@ def expand_at_gamma(f: LaurentPoly) -> IntPoly:
     for _ in range(s):
         for i in range(1, d + 1):
             a[i] -= a[i - 1]
-    return IntPoly(a)
+    while not a[-1]:
+        a.pop()
+    return tuple(a)
 
 
 def ord_p(x: int, p: int):
@@ -563,21 +534,18 @@ def ord_p(x: int, p: int):
     return v
 
 
-def mu_lambda(f: IntPoly, p: int):
-    """Weierstrass data of a nonzero integer polynomial.
+def mu_lambda(f, p: int):
+    """Weierstrass data of a nonzero integer polynomial, given by its
+    coefficients lowest first.
 
     mu is the minimum p-adic valuation over the coefficients, lambda the least
     index attaining it.
     """
-    if f.is_zero:
-        raise LinalgError("mu_lambda of the zero polynomial")
-    mu = None
-    lam = None
-    for i, c in enumerate(f.coeffs):
+    mu = lam = None
+    for i, c in enumerate(f):
         v = ord_p(c, p)
-        if v is None:
-            continue
-        if mu is None or v < mu:
-            mu = v
-            lam = i
+        if v is not None and (mu is None or v < mu):
+            mu, lam = v, i
+    if mu is None:
+        raise LinalgError("mu_lambda of the zero polynomial")
     return mu, lam

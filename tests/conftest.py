@@ -1,16 +1,16 @@
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import pytest
 
 from segtower.cover import build_cover
-from segtower.forests import CapExceeded, ForestCount, _forest_subsets, forest_count_det, kappa
+from segtower.forests import CapExceeded, _forest_subsets, forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
-from segtower.linalg import IntPoly, LaurentPoly, LinalgError, laurent_exact_div
+from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div
 from segtower.seal import (
     DecompositionError,
     SegmentDecomposition,
@@ -76,7 +76,7 @@ def explicit_tower_kappas(g, r, voltage, p, n_max):
                 "n": n,
                 "vertices": len(c.graph.vertices),
                 "edges": len(c.graph.edges),
-                "kappa": kappa(c.graph).value,
+                "kappa": kappa(c.graph),
             }
         )
     return out
@@ -88,7 +88,7 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
     for n in range(n_max + 1):
         c = build_cover(g, r, voltage, p, n)
         marks = [v for v in c.graph.vertices if r.is_ramified(c.vertex_projection[v])]
-        out.append(forest_count_det(c.graph, marks).value)
+        out.append(forest_count_det(c.graph, marks))
     return out
 
 
@@ -255,17 +255,26 @@ def laurent_pow(f, n):
     return res
 
 
-def intpoly_add(a, b):
-    n = max(len(a.coeffs), len(b.coeffs))
-    return IntPoly([a[i] + b[i] for i in range(n)])
+def _strip(cs):
+    """Coefficients lowest first as a tuple, trailing zeros dropped."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-def intpoly_mul(a, b):
-    res = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+def poly_add(a, b):
+    """Sum of two coefficient tuples (lowest first)."""
+    return _strip(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def poly_mul(a, b):
+    """Product of two coefficient tuples (lowest first)."""
+    res = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             res[i + j] += x * y
-    return IntPoly(res)
+    return _strip(res)
 
 
 def kappa_enumerate(g, cap=20):
@@ -275,7 +284,7 @@ def kappa_enumerate(g, cap=20):
     size = len(g.vertices) - 1
     if size < 0:
         raise GraphError("kappa of the empty graph")
-    return ForestCount(sum(1 for _ in _forest_subsets(g, size)), "enumeration")
+    return sum(1 for _ in _forest_subsets(g, size))
 
 
 def enumerate_spanning_trees(g, cap=20):

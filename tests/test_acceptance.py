@@ -27,7 +27,6 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import IntPoly
 from segtower.seal import DecompositionError, admissible_sets, decompose
 
 import pytest
@@ -52,10 +51,10 @@ def test_criterion_01_symbolic_motivating_example():
     """char element is T^2 * 4 for one placement and T^2 * 6 for the other."""
     g, r, _ = load_fixture("cycle5_ram45.json")
     ce = char_element(g, r, {}, 2)
-    assert (ce.t_power, ce.body) == (2, IntPoly([4]))
+    assert (ce.t_power, ce.body) == (2, (4,))
     g, r, _ = load_fixture("cycle5_ram25.json")
     ce = char_element(g, r, {}, 3)
-    assert (ce.t_power, ce.body) == (2, IntPoly([6]))
+    assert (ce.t_power, ce.body) == (2, (6,))
 
 
 def test_criterion_02_combinatorial_motivating_example():
@@ -64,7 +63,7 @@ def test_criterion_02_combinatorial_motivating_example():
         g, r, _ = load_fixture(name)
         for p, n in product((2, 3), (1, 2)):
             c = build_cover(g, r, {}, p, n)
-            assert kappa(c.graph).value == 5 * p**n * base ** (p**n - 1), (name, p, n)
+            assert kappa(c.graph) == 5 * p**n * base ** (p**n - 1), (name, p, n)
 
 
 def test_criterion_03_three_segment_product_formula():
@@ -82,13 +81,13 @@ def test_criterion_04_det_equals_bruteforce():
     for name in DECOMPOSABLE_FIXTURES:
         g, r, _ = load_fixture(name)
         marked = list(r.depths)[:2]
-        assert forest_count_det(g, marked).value == forest_count_bruteforce(g, marked).value, name
+        assert forest_count_det(g, marked) == forest_count_bruteforce(g, marked), name
     rng = random.Random(404)
     for i in range(200):
         g = random_connected_graph(rng, max_vertices=8, max_edges=14)
         t = rng.choice([1, 2])
         marked = rng.sample(list(g.vertices), t)
-        assert forest_count_det(g, marked).value == forest_count_bruteforce(g, marked).value, i
+        assert forest_count_det(g, marked) == forest_count_bruteforce(g, marked), i
 
 
 def test_criterion_05_voltage_cover_forest_count():
@@ -96,8 +95,8 @@ def test_criterion_05_voltage_cover_forest_count():
     g, r, volt = load_fixture("voltage_segment.json")
     c = build_cover(g, r, volt, 3, 1)
     marked = [v for v in c.graph.vertices if v[0] in ("v1", "v4")]
-    assert forest_count_det(c.graph, marked).value == 320
-    assert forest_count_bruteforce(c.graph, marked).value == 320
+    assert forest_count_det(c.graph, marked) == 320
+    assert forest_count_bruteforce(c.graph, marked) == 320
 
 
 def test_criterion_06_gluing():
@@ -106,16 +105,16 @@ def test_criterion_06_gluing():
     l1, r1, _ = load_fixture("glue_kappa_l1.json")
     l2, r2, _ = load_fixture("glue_kappa_l2.json")
     glued, _ = glue(l1, r1, l2, r2, [("v1", "w1")])
-    assert kappa(glued).value == 8
+    assert kappa(glued) == 8
 
     lf, rf, _ = load_fixture("glue_forest_l2.json")
     glued, rr = glue(l1, r1, lf, rf, [("v1", "w2")])
-    assert forest_count_det(glued, list(rr.depths)).value == 18
+    assert forest_count_det(glued, list(rr.depths)) == 18
 
     t1, rt1, _ = load_fixture("glue_two_l1.json")
     t2, rt2, _ = load_fixture("glue_two_l2.json")
     glued, rr = glue(t1, rt1, t2, rt2, [("v1", "w1"), ("v2", "w2")])
-    assert forest_count_det(glued, list(rr.depths)).value == 27
+    assert forest_count_det(glued, list(rr.depths)) == 27
 
     rng = random.Random(606)
     done = 0
@@ -136,8 +135,8 @@ def test_criterion_06_gluing():
             RamificationData.totally_ramified(m2),
             list(zip(m1[:gl], m2[:gl])),
         )
-        lhs = forest_count_det(glued, list(rr.depths)).value
-        rhs = forest_count_det(g1, m1).value * forest_count_det(g2, m2).value
+        lhs = forest_count_det(glued, list(rr.depths))
+        rhs = forest_count_det(g1, m1) * forest_count_det(g2, m2)
         assert lhs == rhs
         done += 1
 
@@ -184,8 +183,8 @@ def test_criterion_08_admissible_set_sum():
             c = build_cover(g2, r, {}, p, n)
             for i, s in enumerate(d.segments):
                 sub = s.subgraph(g2)
-                f_base = forest_count_det(sub, list(s.ramified)).value
-                k_base = kappa(sub).value
+                f_base = forest_count_det(sub, list(s.ramified))
+                k_base = kappa(sub)
                 assert vg.detail["segment_forests"][i] == f_base ** (p**n)
                 if s.t == 2:
                     assert vg.detail["segment_kappas"][i] == p**n * k_base * f_base ** (p**n - 1)
@@ -228,9 +227,9 @@ def test_criterion_11_family_sweep():
 
     def check(g, r, expected, cap=14):
         marked = list(r.depths)
-        assert forest_count_det(g, marked).value == expected
+        assert forest_count_det(g, marked) == expected
         if len(g.edges) <= cap:
-            assert forest_count_bruteforce(g, marked).value == expected
+            assert forest_count_bruteforce(g, marked) == expected
 
     # line graphs: multiplicity tuples of length <= 4 with product <= 64
     def tuples(maxlen, maxprod):
@@ -290,7 +289,7 @@ def test_criterion_12_property_suite():
             edges.append((anchor, f"t{j}", f"te{j}"))
         gt = build_graph(vertices, edges)
         r = RamificationData.totally_ramified([g.vertices[0]])
-        assert kappa(prune_tails(gt, r)).value == kappa(gt).value
+        assert kappa(prune_tails(gt, r)) == kappa(gt)
 
     # every spanning tree restricts to a spanning tree of exactly l-1 of the
     # 2-segments (graphs with <= 12 edges)
@@ -318,8 +317,8 @@ def test_criterion_12_property_suite():
             for i, s in enumerate(d.segments):
                 sub = s.subgraph(g)
                 if i in I:
-                    term *= kappa(sub).value
+                    term *= kappa(sub)
                 else:
-                    term *= forest_count_det(sub, list(s.ramified)).value
+                    term *= forest_count_det(sub, list(s.ramified))
             total += term
-        assert total == kappa(g).value, name
+        assert total == kappa(g), name

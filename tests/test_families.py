@@ -26,14 +26,14 @@ class TestLine:
     def test_multiplicities(self):
         assert line_f2([2, 3]) == 5
         g, r = line_graph([2, 3])
-        assert forest_count_det(g, list(r.depths)).value == 5
+        assert forest_count_det(g, list(r.depths)) == 5
 
     def test_single_block(self):
         # one block of 4 parallel edges between the marked endpoints: only
         # the empty forest separates them
         assert line_f2([4]) == 1
         g, r = line_graph([4])
-        assert forest_count_bruteforce(g, list(r.depths)).value == 1
+        assert forest_count_bruteforce(g, list(r.depths)) == 1
 
     def test_invalid(self):
         with pytest.raises(FamilyError):
@@ -46,7 +46,7 @@ class TestModifiedLine:
     def test_example(self):
         g, r = modified_line_graph(6, 2, 4)
         assert len(g.edges) == 6
-        assert modified_line_f2(6, 2, 4) == forest_count_det(g, list(r.depths)).value
+        assert modified_line_f2(6, 2, 4) == forest_count_det(g, list(r.depths))
 
     def test_chord_to_endpoint(self):
         assert modified_line_f2(6, 2, 6) == (6 - 6 + 2) * (6 - 2 + 1) - 1
@@ -84,8 +84,8 @@ class TestComplete:
 
     def test_k4(self):
         g, r = complete_graph(4)
-        assert kappa(g).value == 16
-        assert complete_f2(4) == forest_count_det(g, list(r.depths)).value
+        assert kappa(g) == 16
+        assert complete_f2(4) == forest_count_det(g, list(r.depths))
 
     def test_invalid(self):
         with pytest.raises(FamilyError):
@@ -110,16 +110,16 @@ class TestConsistency:
             g, r = line_graph(mult)
             marked = list(r.depths)
             f = line_f2(mult)
-            assert forest_count_det(g, marked).value == f
-            assert forest_count_bruteforce(g, marked).value == f
+            assert forest_count_det(g, marked) == f
+            assert forest_count_bruteforce(g, marked) == f
 
     def test_chorded_spot_checks(self):
         for spec in [(5, 3, 2, 4), (6, 3, 2, 6), (7, 4, 2, 7), (8, 4, 3, 6), (9, 5, 6, 7)]:
             g, r = chorded_cycle_graph(*spec)
             marked = list(r.depths)
             f = chorded_cycle_f2(*spec)
-            assert forest_count_det(g, marked).value == f, spec
-            assert forest_count_bruteforce(g, marked).value == f, spec
+            assert forest_count_det(g, marked) == f, spec
+            assert forest_count_bruteforce(g, marked) == f, spec
 
     def test_lemma_matches_degenerate_proposition(self):
         # setting j = i + 1 in the two-endpoint-side formula recovers the

@@ -28,7 +28,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import IntPoly, LaurentPoly, det_laurent, mu_lambda
+from segtower.linalg import LaurentPoly, det_laurent, mu_lambda
 
 
 class TestBuildMatrices:
@@ -75,17 +75,17 @@ class TestCharElement:
         g, r, _ = load_fixture("cycle5_ram45.json")
         ce = char_element(g, r, {}, 2)
         assert ce.t_power == 2
-        assert ce.body == IntPoly([4])
+        assert ce.body == (4,)
         g, r, _ = load_fixture("cycle5_ram25.json")
         ce = char_element(g, r, {}, 3)
         assert ce.t_power == 2
-        assert ce.body == IntPoly([6])
+        assert ce.body == (6,)
 
     def test_glued_voltage_triangles(self):
         g, r, volt = load_fixture("glued_voltage_triangles.json")
         ce = char_element(g, r, volt, 3)
         assert ce.t_power == 2
-        assert ce.body == IntPoly([9])
+        assert ce.body == (9,)
 
     def test_body_at_origin_matches_forest_product(self):
         # with trivial voltage, body(0) is the product of the segment counts
@@ -98,19 +98,19 @@ class TestCharElement:
             d = decompose(g, r)
             prod = 1
             for s in d.segments:
-                prod *= forest_count_det(s.subgraph(g), list(s.ramified)).value
+                prod *= forest_count_det(s.subgraph(g), list(s.ramified))
             assert ce.body[0] == prod, name
 
 
 class TestSymbolicInvariants:
     def test_examples(self):
-        assert symbolic_invariants(CharElement(2, IntPoly([4]), LaurentPoly.const(4), 2)) == InvariantTriple(2, 1)
-        assert symbolic_invariants(CharElement(2, IntPoly([9]), LaurentPoly.const(9), 3)) == InvariantTriple(2, 1)
-        assert symbolic_invariants(CharElement(4, IntPoly([1]), LaurentPoly.one(), 5)) == InvariantTriple(0, 3)
+        assert symbolic_invariants(CharElement(2, (4,), LaurentPoly.const(4), 2)) == InvariantTriple(2, 1)
+        assert symbolic_invariants(CharElement(2, (9,), LaurentPoly.const(9), 3)) == InvariantTriple(2, 1)
+        assert symbolic_invariants(CharElement(4, (1,), LaurentPoly.one(), 5)) == InvariantTriple(0, 3)
 
     def test_zero_body_rejected(self):
         with pytest.raises(TowerError):
-            symbolic_invariants(CharElement(1, IntPoly(), LaurentPoly.zero(), 2))
+            symbolic_invariants(CharElement(1, (), LaurentPoly.zero(), 2))
 
 
 class TestEmpiricalInvariants:
@@ -419,17 +419,17 @@ class TestCharElementOracle:
         assume(len(r.depths) < len(g.vertices))
         ce = char_element(g, r, voltage, p)
         if ce.det_gamma.is_zero:
-            assert ce.body.is_zero
+            assert ce.body == ()
             return
         q_at_gamma, s = taylor_shift_oracle(ce.det_gamma)
         # the body is f(1+T) to its first deg Q + 1 terms: times (1+T)^s it is Q(1+T)
-        body = list(ce.body.coeffs)
+        body = list(ce.body)
         assert len(body) <= len(q_at_gamma)
         body += [0] * (len(q_at_gamma) - len(body))
         for _ in range(s):
             body = [c + (body[i - 1] if i else 0) for i, c in enumerate(body)]
         assert body == q_at_gamma
-        mu, lam = mu_lambda(IntPoly(q_at_gamma), p)
+        mu, lam = mu_lambda(q_at_gamma, p)
         assert symbolic_invariants(ce) == InvariantTriple(mu, ce.t_power - 1 + lam)
 
 
