@@ -12,6 +12,7 @@ check that failed inside the library ("internal_error").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import json
 import sys
@@ -19,12 +20,12 @@ import sys
 from . import families, iwasawa
 from .cover import build_cover, check_prime
 from .forests import forest_count_bruteforce, forest_count_det, kappa
-from .graph import GraphError, graph_from_json, graph_to_json, load_graph, prune_tails
+from .graph import GraphError, graph_from_json, graph_to_json, prune_tails
 from .linalg import LinalgError
 from .seal import DecompositionError, admissible_sets, decompose
 
 
-class CliError(ValueError):
+class CliError(GraphError):
     pass
 
 
@@ -52,11 +53,11 @@ def _num(x):
 
 def _read_graph(args):
     try:
-        if args.input:
-            return load_graph(args.input)
-        return graph_from_json(json.load(sys.stdin))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise CliError(f"cannot read graph: {exc}") from None
+    return graph_from_json(obj)
 
 
 def _emit(obj):
@@ -67,7 +68,7 @@ def _emit(obj):
 def cmd_seal(args):
     g, r, _ = _read_graph(args)
     g = prune_tails(g, r)
-    d = decompose(g, r.restrict(g.vertices))
+    d = decompose(g, r)
     _emit(
         {
             "segments": [
@@ -91,16 +92,15 @@ def cmd_seal(args):
 
 def cmd_kappa(args):
     g, _, _ = _read_graph(args)
-    if not g.connected():
-        _emit({"kappa": "0", "method": "determinant", "diagnostic": "graph is disconnected"})
-        return 0
-    _emit({"kappa": _num(kappa(g)), "method": "determinant"})
+    count = kappa(g)  # 0 exactly when g is disconnected
+    _emit({"kappa": _num(count), "method": "determinant", **({} if count else {"diagnostic": "graph is disconnected"})})
     return 0
 
 
 def cmd_forests(args):
     g, _, _ = _read_graph(args)
-    marked = [m for m in args.marked.split(",") if m]
+    ids = {str(v): v for v in g.vertices}  # distinct: graph_from_json checks
+    marked = [ids.get(m, m) for m in args.marked.split(",") if m]
     if args.method == "brute":
         count, method = forest_count_bruteforce(g, marked), "enumeration"
     else:
@@ -122,7 +122,7 @@ def cmd_cover(args):
             "edges": [{"id": e.id, "from": vid(e.u), "to": vid(e.v)} for e in c.graph.edges],
             "ramified": [{"vertex": vid(v), "depth": k} for v, k in c.ram.depths.items()],
             "projection": {
-                "vertices": {vid(v): str(b) for v, b in c.vertex_projection.items()},
+                "vertices": {vid(v): str(v[0]) for v in c.graph.vertices},
                 "edges": dict(c.edge_projection),
             },
             "connected": c.graph.connected(),
@@ -179,15 +179,12 @@ def cmd_family(args):
         if "=" not in kv:
             raise CliError(f"bad --params entry {kv!r}, expected key=value")
         k, val = kv.split("=", 1)
-        if k == "multiplicities":
-            params[k] = [int(x) for x in val.split("+")]
-        else:
-            params[k] = int(val)
-    try:
-        g, r = families.make_family(args.variant, **params)
-        f2 = families.f2_closed_form(args.variant, **params)
-    except (families.FamilyError, TypeError) as exc:
-        raise CliError(str(exc)) from None
+        try:
+            params[k] = [int(x) for x in val.split("+")] if k == "multiplicities" else int(val)
+        except ValueError:
+            raise CliError(f"bad --params entry {kv!r}, expected integer values") from None
+    g, r = families.make_family(args.variant, **params)
+    f2 = families.f2_closed_form(args.variant, **params)
     out = graph_to_json(g, r)
     out["f2_closed_form"] = _num(f2)
     _emit(out)
@@ -258,7 +255,7 @@ def run(argv=None):
     except iwasawa.TowerError as exc:
         _emit({"error": "hypothesis_violation", "reason": str(exc)})
         return 2
-    except (GraphError, CliError, families.FamilyError) as exc:
+    except GraphError as exc:
         _emit({"error": "bad_input", "reason": str(exc)})
         return 1
     except LinalgError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, GraphError, Multigraph, RamificationData
+from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size
 from .linalg import PRIME_TEST_LIMIT, _is_prime
 
 
@@ -22,10 +22,8 @@ from .linalg import PRIME_TEST_LIMIT, _is_prime
 class CoverGraph:
     graph: Multigraph
     base: Multigraph
-    ram: RamificationData  # residual ramification of the cover's vertices
-    vertex_projection: dict  # cover vertex -> base vertex
+    ram: RamificationData  # residual ramification of the cover's vertices (v, i), each over v
     edge_projection: dict  # cover edge id -> base edge id
-    p: int
     n: int
 
 
@@ -38,10 +36,9 @@ def check_prime(p, name="p"):
         raise GraphError(f"{name} must be a prime, got {p}")
 
 
-def _modulus(r: RamificationData, p: int, n: int, v) -> int:
-    if r.is_ramified(v):
-        return p ** min(n, r.depths[v])
-    return p ** n
+def fibre_size(r: RamificationData, p: int, n: int, v) -> int:
+    """p^min(n, k_v): the number of vertices over v at level n."""
+    return p ** min(n, r.depths.get(v, n))
 
 
 def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> CoverGraph:
@@ -54,17 +51,21 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     if n < 0:
         raise GraphError("cover level must be non-negative")
     check_prime(p)
+    check_marks(g, r)
+    # from level m on, a fibre that still grows or one over an edge is past
+    # SIZE_LIMIT: a cover within it has the fibres of level m, p^n unformed
+    m = min(n, SIZE_LIMIT.bit_length())
+    mods = {v: fibre_size(r, p, m, v) for v in g.vertices}
+    pm = p**m
+    check_size(sum(mods.values()), len(g.edges) * pm, f"the level-{n} cover")
     voltage = voltage or {}
-    pn = p ** n
-    mods = {v: _modulus(r, p, n, v) for v in g.vertices}
 
     vertices = [(v, i) for v in g.vertices for i in range(mods[v])]
-    vproj = {cv: cv[0] for cv in vertices}
     edges = []
     eproj = {}
     for e in g.edges:
         a = voltage.get(e.id, 0)
-        for t in range(pn):
+        for t in range(pm):
             cu = (e.u, t % mods[e.u])
             cv = (e.v, (t + a) % mods[e.v])
             eid = f"{e.id}@{t}"
@@ -75,7 +76,7 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     residual = RamificationData(
         {(v, i): max(k - n, 0) for v, k in r.depths.items() for i in range(mods[v])}
     )
-    return CoverGraph(graph, g, residual, vproj, eproj, p, n)
+    return CoverGraph(graph, g, residual, eproj, n)
 
 
 def segment_preimage(c: CoverGraph, segment):
@@ -98,5 +99,5 @@ def segment_preimage(c: CoverGraph, segment):
                 seen.add(w)
                 vset.append(w)
     sub = Multigraph(vset, edges)
-    marked = {v: k for v, k in c.ram.depths.items() if v in seen and c.vertex_projection[v] in segment.ramified}
+    marked = {v: k for v, k in c.ram.depths.items() if v in seen and v[0] in segment.ramified}
     return sub, RamificationData(marked)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 
-from .graph import GraphError, Multigraph, RamificationData, build_graph
+from .graph import GraphError, RamificationData, build_graph, check_size
 
 
-class FamilyError(ValueError):
+class FamilyError(GraphError):
     pass
 
 
@@ -29,6 +29,7 @@ def line_graph(multiplicities):
     if not ns or any(x < 1 for x in ns):
         raise FamilyError("line multiplicities must be positive integers")
     k = len(ns) + 1
+    check_size(k, sum(ns), "the line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
     edges = []
     for i, n in enumerate(ns, start=1):
@@ -50,6 +51,7 @@ def modified_line_graph(k, n, m):
     k, n, m = int(k), int(n), int(m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
         raise FamilyError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
+    check_size(k, k, "the modified line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
     edges = [(f"v{i}", f"v{i+1}", f"e{i}") for i in range(1, k)]
     edges.append((f"v{n}", f"v{m}", "chord"))
@@ -67,6 +69,7 @@ def modified_line_f2(k, n, m):
 def chorded_cycle_graph(n, t, i, j):
     n, t, i, j = int(n), int(t), int(i), int(j)
     _validate_chorded(n, t, i, j)
+    check_size(n, n + 1, "the chorded cycle")
     vertices = [f"v{x}" for x in range(1, n + 1)]
     edges = [(f"v{x}", f"v{x % n + 1}", f"c{x}") for x in range(1, n + 1)]
     edges.append((f"v{i}", f"v{j}", "chord"))
@@ -129,6 +132,7 @@ def complete_graph(n):
     n = int(n)
     if n < 2:
         raise FamilyError("complete graph needs n >= 2")
+    check_size(n, n * (n - 1) // 2, "the complete graph")
     vertices = [f"v{x}" for x in range(1, n + 1)]
     edges = [(f"v{a}", f"v{b}", f"e{a}_{b}") for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     g = build_graph(vertices, edges)
@@ -157,17 +161,18 @@ _VARIANTS = {
 }
 
 
-def make_family(variant, **params):
+def _call(variant, which, params):
+    if variant not in _VARIANTS:
+        raise FamilyError(f"unknown family variant {variant!r}")
     try:
-        make, _ = _VARIANTS[variant]
-    except KeyError:
-        raise FamilyError(f"unknown family variant {variant!r}") from None
-    return make(**params)
+        return _VARIANTS[variant][which](**params)
+    except TypeError as exc:  # a wrong parameter name
+        raise FamilyError(str(exc)) from None
+
+
+def make_family(variant, **params):
+    return _call(variant, 0, params)
 
 
 def f2_closed_form(variant, **params):
-    try:
-        _, closed = _VARIANTS[variant]
-    except KeyError:
-        raise FamilyError(f"unknown family variant {variant!r}") from None
-    return closed(**params)
+    return _call(variant, 1, params)

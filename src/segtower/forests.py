@@ -20,6 +20,9 @@ class CapExceeded(GraphError):
     pass
 
 
+ENUMERATION_CAP = 20  # most edges whose subsets forest_count_bruteforce enumerates
+
+
 def _laplacian_minor(g: Multigraph, deleted) -> int:
     """det of the Laplacian of g without the rows and columns in deleted."""
     lap = laplacian(g)
@@ -71,15 +74,15 @@ def _forest_subsets(g: Multigraph, size):
             yield combo, uf
 
 
-def forest_count_bruteforce(g: Multigraph, marked, cap=20) -> int:
+def forest_count_bruteforce(g: Multigraph, marked) -> int:
     """Exhaustive F_t count (oracle for forest_count_det).
 
     Counts spanning forests with exactly t = len(marked) tree components,
     each containing exactly one marked vertex.
     """
     marked = _check_marked(g, marked)
-    if len(g.edges) > cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
+    if len(g.edges) > ENUMERATION_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {ENUMERATION_CAP}")
     t = len(marked)
     # acyclic with |V| - t edges means exactly t components; they each
     # contain exactly one marked vertex iff the marked roots are distinct

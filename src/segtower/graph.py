@@ -8,7 +8,6 @@ its vertex.  Vertex and edge identifiers are stable, so derived objects
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -16,6 +15,16 @@ from dataclasses import dataclass
 
 class GraphError(ValueError):
     pass
+
+
+WORK_LIMIT = 2**31  # bit operations a tower may take, estimated as in iwasawa.tower_kappas
+SIZE_LIMIT = 2**11  # vertices + edges of a graph built explicitly (covers, families)
+
+
+def check_size(vertices, edges, what):
+    """Refuse, before building it, a graph past SIZE_LIMIT."""
+    if vertices + edges > SIZE_LIMIT:
+        raise GraphError(f"{what} would have at least {vertices} vertices and {edges} edges, past 2^{SIZE_LIMIT.bit_length() - 1} in all")
 
 
 @dataclass(frozen=True)
@@ -139,10 +148,6 @@ class RamificationData:
     def is_ramified(self, v):
         return v in self.depths
 
-    def restrict(self, vertices):
-        vs = set(vertices)
-        return RamificationData({v: k for v, k in self.depths.items() if v in vs})
-
     def __eq__(self, other):
         if not isinstance(other, RamificationData):
             return NotImplemented
@@ -150,6 +155,13 @@ class RamificationData:
 
     def __repr__(self):
         return f"RamificationData({self.depths})"
+
+
+def check_marks(g: Multigraph, r: RamificationData):
+    """Raise GraphError unless every mark of r is a vertex of g."""
+    for v in r.depths:
+        if not g.has_vertex(v):
+            raise GraphError(f"ramified vertex {v!r} is not a vertex of the graph")
 
 
 def build_graph(vertex_ids, edges) -> Multigraph:
@@ -199,7 +211,9 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
 
     A heap of candidate positions always deletes the first deletable vertex
     in vertex order, which decides which end of an isolated edge survives.
+    Only unmarked vertices go, so r holds for the result unchanged.
     """
+    check_marks(g, r)
     position = {v: i for i, v in enumerate(g.vertices)}
     degree = {v: g.degree(v) for v in g.vertices}  # a loop counts 2, so degree 1 is never a loop
     gone_vertices, gone_edges = set(), set()
@@ -284,8 +298,9 @@ def graph_to_json(g: Multigraph, r: RamificationData, voltage=None) -> dict:
 def graph_from_json(obj):
     """Parse the shared JSON format; returns (graph, ramification, voltage).
 
-    Malformed input raises GraphError: ids must be hashable, voltages and
-    depths integers, and ramified vertices vertices of the graph."""
+    Malformed input raises GraphError: ids must be hashable and distinct as
+    strings, voltages and depths integers, and ramified vertices vertices of
+    the graph, each listed once."""
     if not isinstance(obj, dict):
         raise GraphError("graph JSON must be an object")
     try:
@@ -311,6 +326,8 @@ def graph_from_json(obj):
         if a:
             voltage[eid] = a
     g = Multigraph(vertices, edges)
+    if len({str(v) for v in g.vertices}) != len(g.vertices):  # replies print ids as strings
+        raise GraphError('vertex ids must differ as strings (1 and "1" do not)')
     depths = {}
     for m in marks:
         try:
@@ -319,14 +336,7 @@ def graph_from_json(obj):
             raise GraphError("ramified entries need a 'vertex' field") from None
         if not isinstance(v, Hashable) or not g.has_vertex(v):
             raise GraphError(f"ramified vertex {v!r} is not a vertex of the graph")
+        if v in depths:
+            raise GraphError(f"ramified vertex {v!r} is listed twice")
         depths[v] = m.get("depth", 0)
     return g, RamificationData(depths), voltage
-
-
-def load_graph(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON: {exc}") from None
-    return graph_from_json(obj)

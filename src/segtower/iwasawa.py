@@ -44,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import build_cover, check_prime, segment_preimage
+from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, prune_tails
+from .graph import WORK_LIMIT, GraphError, Multigraph, RamificationData, check_marks, prune_tails
 from .linalg import LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p, root_of_unity_products
 from .seal import admissible_sets, decompose
 
@@ -104,6 +104,7 @@ def unramified_block(g: Multigraph, r: RamificationData, voltage):
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
     check_prime(p)
+    check_marks(g, r)
     det = det_laurent(unramified_block(g, r, voltage))
     body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)
@@ -117,7 +118,7 @@ def symbolic_invariants(c: CharElement) -> InvariantTriple:
     return InvariantTriple(mu, (c.t_power - 1) + lam)
 
 
-WORK_LIMIT = 2**31  # bit operations a tower may take, estimated as in tower_kappas
+FIT_DEPTH = 4  # levels past the largest depth n0 that a default fit runs to
 
 
 def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
@@ -130,6 +131,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     operations, d the span and c the leading coefficient of det M_n; GraphError
     names the level where their sum passes WORK_LIMIT before any chain starts."""
     check_prime(p)
+    check_marks(g, r)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
@@ -160,7 +162,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
             raise LinalgError(f"level {n}: tree count not divisible by {p}^{-s}")
         if count == 0:
             raise DisconnectedCover(n)
-        vertices = sum(p ** min(n, r.depths.get(v, n)) for v in g.vertices)
+        vertices = sum(fibre_size(r, p, n, v) for v in g.vertices)
         out.append({"n": n, "vertices": vertices, "edges": len(g.edges) * p**n, "kappa": count})
     return out
 
@@ -211,7 +213,7 @@ def empirical_invariants(g, r, voltage, p, n_max=None, *, _det_m=None):
     if n_max is not None and n_max < 0:
         raise GraphError(f"tower level must be non-negative, got {n_max}")
     n0 = max(r.depths.values(), default=0)
-    n_max = n0 + 4 if n_max is None else max(n_max, n0 + 2)
+    n_max = n0 + FIT_DEPTH if n_max is None else max(n_max, n0 + 2)
     levels = tower_kappas(g, r, voltage, p, n_max, _det_m=_det_m)
     fit, stable = fit_orders([(lv["n"], ord_p(lv["kappa"], p)) for lv in levels], p)  # kappa > 0: tower_kappas raised on 0
     if fit is None:
@@ -227,11 +229,10 @@ def _explicit_kappa(c):
     return count
 
 
-def _decomposed(g, r, voltage):
-    """Prune tails, then decompose; returns (graph, ramification, decomp)."""
+def _decomposed(g, r):
+    """Prune tails, which keeps every mark, then decompose; returns (graph, decomp)."""
     g2 = prune_tails(g, r)
-    r2 = r.restrict(g2.vertices)
-    return g2, r2, decompose(g2, r2)
+    return g2, decompose(g2, r)
 
 
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
@@ -240,7 +241,7 @@ def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     if any(r.depths.values()):
         raise TowerError("the product formula requires totally ramified vertices")
     if not any((voltage or {}).values()) and (n < 0 or not r.depths):
-        _decomposed(g, r, voltage)  # a graph with no mark has no decomposition
+        _decomposed(g, r)  # a graph with no mark has no decomposition
         build_cover(g, r, voltage, p, n)  # a negative level is bad input
     return verify_partial_ramification(g, r, voltage, p, n)
 
@@ -257,14 +258,14 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     n0 = max(r.depths.values())
     if n < n0:
         raise TowerError("n must be at least n0")
-    g2, r2, d = _decomposed(g, r, voltage)
+    g2, d = _decomposed(g, r)
     counts = [forest_count_det(s.subgraph(g2), list(s.ramified)) for s in d.segments]
-    base = _explicit_kappa(build_cover(g2, r2, voltage, p, n0))
-    l_n0 = sum(p ** min(n0, k) for k in r2.depths.values())
+    base = _explicit_kappa(build_cover(g2, r, voltage, p, n0))
+    l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
         rhs *= f ** (p**n - p**n0)
-    lhs = _explicit_kappa(build_cover(g2, r2, voltage, p, n))
+    lhs = _explicit_kappa(build_cover(g2, r, voltage, p, n))
     return Verdict(
         lhs == rhs,
         lhs,
@@ -278,8 +279,8 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
     prod_{i in I} kappa(S^i_n) * prod_{i not in I} F_{t_i}(S^i_n)."""
     if any(k != 0 for k in r.depths.values()):
         raise TowerError("the admissible-set formula requires totally ramified vertices")
-    g2, r2, d = _decomposed(g, r, voltage)
-    c = build_cover(g2, r2, voltage, p, n)
+    g2, d = _decomposed(g, r)
+    c = build_cover(g2, r, voltage, p, n)
     lhs = _explicit_kappa(c)
     kappas = []
     forests = []
@@ -309,9 +310,9 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
 def verify_char_factorization(g, r, voltage, p) -> Verdict:
     """det(M) factors as the product of the segment determinants, and the
     invariants are additive: mu = sum mu_i, lambda = sum lambda_i + l - 1."""
-    g2, r2, d = _decomposed(g, r, voltage)
-    ce = char_element(g2, r2, voltage, p)
-    product = LaurentPoly.one()
+    g2, d = _decomposed(g, r)
+    ce = char_element(g2, r, voltage, p)
+    product = LaurentPoly({0: 1})
     mu_sum = 0
     lam_sum = 0
     factors = []
@@ -342,8 +343,7 @@ def segment_growth_invariants(segment_graph, seg_ram, voltage, p, n_max=None):
     """
     if len(seg_ram.depths) not in (1, 2) or any(k != 0 for k in seg_ram.depths.values()):
         raise TowerError("segment must have 1 or 2 totally ramified vertices")
-    if n_max is None:
-        n_max = 4  # n0 + 4, as every mark has depth n0 = 0
+    n_max = FIT_DEPTH if n_max is None else n_max  # every mark has depth n0 = 0
     # F_t(S_n) is the product of det M_S over all p^n-th roots of unity
     ce = char_element(segment_graph, seg_ram, voltage, p)
     at_one = ce.det_gamma.at_one()
@@ -361,7 +361,7 @@ def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):
     sym = ce = None
     if symbolic:
         g2 = prune_tails(g, r)
-        ce = char_element(g2, r.restrict(g2.vertices), voltage, p)
+        ce = char_element(g2, r, voltage, p)
         sym = symbolic_invariants(ce)
         report["char_body"] = list(ce.body)
         report["t_power"] = ce.t_power

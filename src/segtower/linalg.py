@@ -32,23 +32,6 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def gamma(cls, exponent, coeff=1):
-        """coeff * g^exponent"""
-        return cls({exponent: coeff})
-
     @property
     def is_zero(self):
         return not self.coeffs
@@ -81,7 +64,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = LaurentPoly({0: other})
         res = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -93,7 +76,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -122,7 +105,7 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if b.is_zero:
         raise LinalgError("division by zero polynomial")
     if a.is_zero:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     shift = a.min_exp() - b.min_exp()
     rem = {e - a.min_exp(): c for e, c in a.coeffs.items()}
     bb = {e - b.min_exp(): c for e, c in b.coeffs.items()}
@@ -395,19 +378,19 @@ def det_laurent(m) -> LaurentPoly:
     for i, row in enumerate(m):
         sparse = [(j, x.coeffs) for j, x in enumerate(row) if x.coeffs]
         if not sparse:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         rows.append(sparse)
         bound *= sum(abs(c) for _, cs in sparse for c in cs.values())
         mirrored = mirrored and all(m[j][i].coeffs == {-e: c for e, c in cs.items()} for j, cs in sparse)
     if len({j for row in rows for j, _ in row}) < n:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     hi = _dual_bound([[(j, max(cs)) for j, cs in row] for row in rows], n)
     lo = -_dual_bound([[(j, -min(cs)) for j, cs in row] for row in rows], n)
     if mirrored:
         hi = min(hi, -lo)
         lo = -hi
     if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
-        return LaurentPoly.zero()
+        return LaurentPoly()
     emin = min((e for row in rows for _, cs in row for e in cs), default=0)
     emax = max((e for row in rows for _, cs in row for e in cs), default=0)
     rows, joins, ends = _rcm([[(j, [(e - emin, c) for e, c in cs.items()]) for j, cs in row] for row in rows])

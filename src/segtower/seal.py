@@ -279,21 +279,9 @@ def admissible_sets(d: SegmentDecomposition):
     """All (l-1)-subsets I of 2-segment indices whose endpoint pairs form a
     spanning tree on the ramified vertices.  Indices are positions in
     d.segments (0-based)."""
-    l = d.l
-    k_prime = d.k_prime
     out = []
-    for combo in combinations(range(k_prime), l - 1):
-        uf = UnionFind()
-        for v in d.ramified:
-            uf.find(v)
-        ok = True
-        for i in combo:
-            a, b = d.segments[i].ramified
-            if not uf.union(a, b):
-                ok = False
-                break
-        if ok:
-            roots = {uf.find(v) for v in d.ramified}
-            if len(roots) == 1:
-                out.append(frozenset(combo))
+    for combo in combinations(range(d.k_prime), d.l - 1):
+        uf = UnionFind()  # l - 1 pairs without a cycle span the l vertices
+        if all(uf.union(*d.segments[i].ramified) for i in combo):
+            out.append(frozenset(combo))
     return out

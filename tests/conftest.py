@@ -87,7 +87,7 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
     out = []
     for n in range(n_max + 1):
         c = build_cover(g, r, voltage, p, n)
-        marks = [v for v in c.graph.vertices if r.is_ramified(c.vertex_projection[v])]
+        marks = [v for v in c.graph.vertices if r.is_ramified(v[0])]
         out.append(forest_count_det(c.graph, marks))
     return out
 
@@ -156,7 +156,7 @@ def bareiss_det_laurent(m):
         if len(row) != n:
             raise LinalgError("matrix is not square")
     if n == 0:
-        return LaurentPoly.one()
+        return LaurentPoly({0: 1})
     a = [list(row) for row in m]
     total_shift = 0
     for i in range(n):
@@ -166,7 +166,7 @@ def bareiss_det_laurent(m):
             a[i] = [x.shift(k) for x in a[i]]
             total_shift += k
     sign = 1
-    prev = LaurentPoly.one()
+    prev = LaurentPoly({0: 1})
     for k in range(n - 1):
         if a[k][k].is_zero:
             for i in range(k + 1, n):
@@ -175,12 +175,12 @@ def bareiss_det_laurent(m):
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero()
+                return LaurentPoly()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 a[i][j] = laurent_exact_div(num, prev)
-            a[i][k] = LaurentPoly.zero()
+            a[i][k] = LaurentPoly()
         prev = a[k][k]
     det = a[n - 1][n - 1]
     if sign < 0:
@@ -246,7 +246,7 @@ def ring_product(f, n):
 
 def laurent_pow(f, n):
     """f^n for n >= 0, by repeated squaring."""
-    res, base = LaurentPoly.one(), f
+    res, base = LaurentPoly({0: 1}), f
     while n:
         if n & 1:
             res = res * base

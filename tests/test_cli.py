@@ -103,6 +103,15 @@ class TestForests:
         assert code == 1
         assert out["error"] == "bad_input"
 
+    @pytest.mark.parametrize("method", ["det", "brute"])
+    @pytest.mark.parametrize("marked, count", [("1,3", "2"), ("3", "3"), ("a", "3")])
+    def test_marked_by_id(self, capsys, monkeypatch, method, marked, count):
+        # --marked names the graph's own ids, integers included
+        graph = {"vertices": [1, 2, 3, "a"], "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 3}, {"from": 3, "to": 1}, {"from": 3, "to": "a"}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
+        code, out = invoke(capsys, "forests", "--marked", marked, "--method", method)
+        assert code == 0 and out["forest_count"] == count
+
 
 class TestCover:
     def test_projection_block(self, capsys):
@@ -296,6 +305,8 @@ class TestOneParser:
 
 
 _PATH3 = {"vertices": ["a", "b", "c"], "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}]}
+# a listed twice, at depths 0 and 2
+_TWICE = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified": [{"vertex": "a"}, {"vertex": "a", "depth": 2}]}
 # past forest_count_bruteforce's 20-edge cap
 _CYCLE22 = {"vertices": [f"v{i}" for i in range(22)], "edges": [{"from": f"v{i}", "to": f"v{(i + 1) % 22}"} for i in range(22)]}
 
@@ -311,6 +322,14 @@ class TestErrors:
         bad.write_text("{not json")
         code, out = invoke(capsys, "kappa", "--input", str(bad))
         assert code == 1
+
+    def test_unreadable_json(self, capsys, tmp_path):
+        # bytes that are not UTF-8, and nesting past the recursion limit
+        for name, data in [("bytes.json", b"\xff\xfe{}"), ("deep.json", b"[" * 200_000)]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, out = invoke(capsys, "kappa", "--input", str(path))
+            assert code == 1 and out["error"] == "bad_input" and out["reason"].startswith("cannot read graph: ")
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -340,6 +359,27 @@ class TestErrors:
         done = subprocess.run(argv + ["--symbolic-only"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
         assert done.returncode == 0 and json.loads(done.stdout)["p"] == 1000000007
 
+    def test_refuses_a_graph_too_large_to_build(self):
+        # each request allocated past 1 GB, or ran for half a minute, before
+        # build_cover and the family builders checked the size first
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        inp = ["--input", fixture_path("cycle5_ram45.json")]
+        for argv in (
+            ["cover", "--p", "101", "--n", "3", *inp],
+            ["verify", "--theorem", "A", "--p", "101", "--n", "2", *inp],
+            ["verify", "--theorem", "A", "--p", "2", "--n", "8", *inp],
+            ["family", "--variant", "complete", "--params", "n=100000"],
+        ):
+            done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+            assert done.returncode == 1, (argv, done.stderr[-300:])
+            out = json.loads(done.stdout)
+            assert out["error"] == "bad_input" and "past 2^11" in out["reason"], argv
+
     @pytest.mark.parametrize(
         "argv, graph",
         [
@@ -364,6 +404,15 @@ class TestErrors:
             (["forests", "--marked", "zz", "--method", "brute"], _PATH3),
             (["forests", "--marked", "a,a", "--method", "brute"], _PATH3),
             (["forests", "--marked", "v0", "--method", "brute"], _CYCLE22),
+            (["forests", "--marked", "4"], {"vertices": [1, 2, 3], "edges": [{"from": 1, "to": 2}]}),
+            (["kappa"], {"vertices": [1, "1"], "edges": []}),
+            (["kappa"], {"vertices": [], "edges": []}),
+            (["invariants", "--p", "2"], _TWICE),
+            # family reads no graph: a graph on stdin keeps --input off its argv
+            (["family", "--variant", "line", "--params", "n=x"], {}),
+            (["family", "--variant", "line", "--params", "multiplicities=a"], {}),
+            (["family", "--variant", "line", "--params", "multiplicities="], {}),
+            (["family", "--variant", "complete", "--params", "m=3"], {}),
         ],
     )
     def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import load_fixture
 from segtower import linalg
-from segtower.cover import build_cover, check_prime, segment_preimage
+from segtower.cover import build_cover, check_prime, fibre_size, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -11,7 +11,7 @@ from segtower.seal import decompose
 def fiber_sizes(c):
     sizes = {}
     for v in c.graph.vertices:
-        sizes[c.vertex_projection[v]] = sizes.get(c.vertex_projection[v], 0) + 1
+        sizes[v[0]] = sizes.get(v[0], 0) + 1
     return sizes
 
 
@@ -41,6 +41,7 @@ class TestBuildCover:
             assert sizes["v4"] == 2 ** min(n, 1)
             assert sizes["v1"] == 2**n
             assert len(c.graph.edges) == 2**n * len(g.edges)
+            assert sizes == {v: fibre_size(r, 2, n, v) for v in g.vertices}
 
     def test_voltage_cover_adjacency(self):
         # level-1 cover of the doubled-edge path: 8 vertices, marked minor det 320
@@ -55,7 +56,7 @@ class TestBuildCover:
         g, r, volt = load_fixture("voltage_segment.json")
         p, n = 3, 1
         c = build_cover(g, r, volt, p, n)
-        mods = {v: sum(c.vertex_projection[cv] == v for cv in c.graph.vertices) for v in g.vertices}
+        mods = {v: sum(cv[0] == v for cv in c.graph.vertices) for v in g.vertices}
 
         def shift(cv):
             base, t = cv
@@ -87,6 +88,25 @@ class TestBuildCover:
         g, r, _ = load_fixture("cycle5_ram45.json")
         with pytest.raises(GraphError):
             build_cover(g, r, {}, 2, -1)
+
+    def test_stray_mark_rejected(self):
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        with pytest.raises(GraphError, match="'zz' is not a vertex"):
+            build_cover(g, RamificationData({**r.depths, "zz": 0}), {}, 2, 1)
+
+    def test_size_refused_before_building(self):
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        # level 7 has 386 vertices and 640 edges; level 8 has 770 and 1280
+        assert len(build_cover(g, r, {}, 2, 7).graph.vertices) == 386
+        with pytest.raises(GraphError, match="level-8 cover would have at least 770 vertices and 1280 edges, past 2"):
+            build_cover(g, r, {}, 2, 8)
+        # a level whose p^n alone could not be formed is refused as quickly
+        with pytest.raises(GraphError, match="level-1000000000 cover"):
+            build_cover(g, r, {}, 101, 10**9)
+        # with no edge and every vertex marked the size stops growing
+        one = build_graph(["a"], [])
+        c = build_cover(one, RamificationData({"a": 2}), {}, 3, 10**9)
+        assert c.graph.vertices == (("a", 0), ("a", 1), ("a", 2), ("a", 3), ("a", 4), ("a", 5), ("a", 6), ("a", 7), ("a", 8))
 
 
 class TestCheckPrime:

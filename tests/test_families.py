@@ -14,6 +14,7 @@ from segtower.families import (
     modified_line_graph,
 )
 from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
+from segtower.graph import GraphError
 
 
 class TestLine:
@@ -102,6 +103,23 @@ class TestDispatch:
     def test_unknown_variant(self):
         with pytest.raises(FamilyError):
             make_family("moebius", n=5)
+
+    def test_wrong_parameter_name(self):
+        with pytest.raises(FamilyError, match="unexpected keyword argument 'm'"):
+            make_family("complete", m=5)
+        with pytest.raises(FamilyError, match="missing"):
+            f2_closed_form("chorded_cycle", n=5)
+
+    def test_errors_are_graph_errors(self):
+        assert issubclass(FamilyError, GraphError)
+
+    def test_size_refused_before_building(self):
+        # K(64) has 64 + 2016 vertices and edges, past 2^11; K(63) has 2016
+        assert len(complete_graph(63)[0].edges) == 1953
+        for build, args in [(complete_graph, (64,)), (complete_graph, (100_000,)), (line_graph, ([10**9],)),
+                            (modified_line_graph, (10**9, 2, 4)), (chorded_cycle_graph, (10**9, 2, 1, 2))]:
+            with pytest.raises(GraphError, match="past 2"):
+                build(*args)
 
 
 class TestConsistency:

@@ -14,6 +14,7 @@ from segtower.graph import (
     Multigraph,
     RamificationData,
     build_graph,
+    check_marks,
     glue,
     graph_from_json,
     graph_to_json,
@@ -229,3 +230,25 @@ class TestJson:
             graph_from_json({"vertices": ["a"], "edges": [{"from": "a"}]})
         with pytest.raises(GraphError):
             graph_from_json([1, 2, 3])
+
+    def test_each_mark_listed_once(self):
+        edge = [{"from": "a", "to": "b"}]
+        with pytest.raises(GraphError, match="ramified vertex 'a' is listed twice"):
+            graph_from_json({"vertices": ["a", "b"], "edges": edge, "ramified": [{"vertex": "a"}, {"vertex": "a", "depth": 2}]})
+
+    def test_ids_distinct_as_strings(self):
+        # every reply prints vertex ids as strings, so 1 and "1" would be ambiguous
+        with pytest.raises(GraphError, match="must differ as strings"):
+            graph_from_json({"vertices": [1, "1"], "edges": []})
+        g, _, _ = graph_from_json({"vertices": [1, 2], "edges": [{"from": 1, "to": 2}]})
+        assert g.vertices == (1, 2)
+
+
+def test_marks_must_be_vertices():
+    g, r, _ = load_fixture("cycle5_ram45.json")
+    check_marks(g, r)
+    stray = RamificationData({**r.depths, "zz": 0})
+    with pytest.raises(GraphError, match="ramified vertex 'zz' is not a vertex of the graph"):
+        check_marks(g, stray)
+    with pytest.raises(GraphError, match="'zz'"):
+        prune_tails(g, stray)

@@ -37,13 +37,15 @@ class TestBuildMatrices:
     def test_glued_triangles_display(self):
         # the two triangles meet only in ramified vertices, so M is diagonal
         g, r, volt = load_fixture("glued_voltage_triangles.json")
-        c, zero = LaurentPoly.const, LaurentPoly.zero()
-        assert unramified_block(g, r, volt) == [[c(3), zero], [zero, c(3)]]
+        assert unramified_block(g, r, volt) == [[LaurentPoly({0: 3}), LaurentPoly()], [LaurentPoly(), LaurentPoly({0: 3})]]
 
     def test_unramified_block_is_m(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
-        c = LaurentPoly.const
-        assert unramified_block(g, r, {}) == [[c(2), c(-1), c(0)], [c(-1), c(2), c(-1)], [c(0), c(-1), c(2)]]
+        assert unramified_block(g, r, {}) == [
+            [LaurentPoly({0: 2}), LaurentPoly({0: -1}), LaurentPoly({0: 0})],
+            [LaurentPoly({0: -1}), LaurentPoly({0: 2}), LaurentPoly({0: -1})],
+            [LaurentPoly({0: 0}), LaurentPoly({0: -1}), LaurentPoly({0: 2})],
+        ]
 
     def test_voltage_entries(self):
         # voltage a on a dart u -> w puts -g^a at [w][u]; a loop of voltage a
@@ -51,15 +53,15 @@ class TestBuildMatrices:
         g = build_graph(["u", "w", "b"], [("u", "w", "e"), ("w", "u", "f"), ("u", "u", "l"), ("w", "b", "h")])
         r = RamificationData.totally_ramified(["b"])
         M = unramified_block(g, r, {"e": 2, "l": 1, "h": 5})
-        gamma, one = LaurentPoly.gamma, LaurentPoly.one()
-        assert M[0][0] == LaurentPoly.const(4) - gamma(1) - gamma(-1)
-        assert M[1][0] == LaurentPoly.zero() - gamma(2) - one
-        assert M[0][1] == LaurentPoly.zero() - gamma(-2) - one
-        assert M[1][1] == LaurentPoly.const(3)
+        one = LaurentPoly({0: 1})
+        assert M[0][0] == LaurentPoly({0: 4}) - LaurentPoly({1: 1}) - LaurentPoly({-1: 1})
+        assert M[1][0] == LaurentPoly() - LaurentPoly({2: 1}) - one
+        assert M[0][1] == LaurentPoly() - LaurentPoly({-2: 1}) - one
+        assert M[1][1] == LaurentPoly({0: 3})
 
     def test_single_unramified_vertex(self):
         g, r, volt = load_fixture("voltage_triangle_a.json")
-        assert unramified_block(g, r, volt) == [[LaurentPoly.const(3)]]
+        assert unramified_block(g, r, volt) == [[LaurentPoly({0: 3})]]
 
     def test_no_unramified_vertex_gives_empty_block(self):
         # every vertex ramified: M is empty and det M = 1, so the symbolic
@@ -67,7 +69,7 @@ class TestBuildMatrices:
         g = build_graph(["a", "b"], [("a", "b")])
         r = RamificationData.totally_ramified(["a", "b"])
         assert unramified_block(g, r, {}) == []
-        assert char_element(g, r, {}, 2).det_gamma == LaurentPoly.one()
+        assert char_element(g, r, {}, 2).det_gamma == LaurentPoly({0: 1})
 
 
 class TestCharElement:
@@ -104,13 +106,13 @@ class TestCharElement:
 
 class TestSymbolicInvariants:
     def test_examples(self):
-        assert symbolic_invariants(CharElement(2, (4,), LaurentPoly.const(4), 2)) == InvariantTriple(2, 1)
-        assert symbolic_invariants(CharElement(2, (9,), LaurentPoly.const(9), 3)) == InvariantTriple(2, 1)
-        assert symbolic_invariants(CharElement(4, (1,), LaurentPoly.one(), 5)) == InvariantTriple(0, 3)
+        assert symbolic_invariants(CharElement(2, (4,), LaurentPoly({0: 4}), 2)) == InvariantTriple(2, 1)
+        assert symbolic_invariants(CharElement(2, (9,), LaurentPoly({0: 9}), 3)) == InvariantTriple(2, 1)
+        assert symbolic_invariants(CharElement(4, (1,), LaurentPoly({0: 1}), 5)) == InvariantTriple(0, 3)
 
     def test_zero_body_rejected(self):
         with pytest.raises(TowerError):
-            symbolic_invariants(CharElement(1, (), LaurentPoly.zero(), 2))
+            symbolic_invariants(CharElement(1, (), LaurentPoly(), 2))
 
 
 class TestEmpiricalInvariants:
@@ -278,6 +280,16 @@ class TestTowerKappas:
         g, r, _ = load_fixture("glue_kappa_l1.json")
         with pytest.raises(GraphError, match="level 2 "):
             tower_kappas(g, r, {}, 1000000007, 2)
+
+    def test_stray_mark_rejected(self):
+        # a mark off the graph once entered s_n: 5, 80, 5120, 5242880 at p = 2
+        # instead of the 5, 40, 1280, 655360 of the graph's own marks
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        assert [lv["kappa"] for lv in tower_kappas(g, r, {}, 2, 3)] == [5, 40, 1280, 655360]
+        stray = RamificationData({**r.depths, "zz": 0})
+        for call in (lambda: tower_kappas(g, stray, {}, 2, 3), lambda: char_element(g, stray, {}, 2)):
+            with pytest.raises(GraphError, match="'zz' is not a vertex"):
+                call()
 
 
 class TestDefaultLevels:

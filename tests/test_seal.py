@@ -128,7 +128,7 @@ class TestDecompose:
             g2 = prune_tails(g, r)
             if len(g2.edges) == 0:
                 continue
-            d = decompose(g2, r.restrict(g2.vertices))
+            d = decompose(g2, r)
             assert d.l == 1 and len(d.two_segments) == 0
             assert all(s.t == 1 for s in d.segments)
             done += 1
@@ -186,7 +186,7 @@ def marked_multigraphs(draw):
     g = build_graph(vs, draw(st.permutations(edges + extra)))  # edge order steers the DFS
     r = RamificationData.totally_ramified(ram)
     g2 = prune_tails(g, r)
-    return g2, r.restrict(g2.vertices)
+    return g2, r
 
 
 class TestAgainstPaths:
@@ -216,7 +216,6 @@ class TestAgainstPaths:
         for name in all_fixture_names():
             g, r, _ = load_fixture(name)
             g = prune_tails(g, r)
-            r = r.restrict(g.vertices)
             try:
                 want = path_decompose(g, r)
             except DecompositionError as exc:
