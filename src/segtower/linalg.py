@@ -1,8 +1,8 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-One elimination kernel, modulo a product of primes below 2^62 in a reverse
-Cuthill-McKee order, serves every determinant: det_int directly, and
-det_laurent at interpolation nodes (see their docstrings).  Products of a
+One elimination kernel, on sparse rows in a minimum-degree order modulo a
+product of primes below 2^62, serves every determinant: det_int directly,
+and det_laurent at interpolation nodes (see their docstrings).  Products of a
 Laurent polynomial over the p^a-th roots of unity come from one root-power
 (Graeffe) chain over Z, with no matrix and no prime.  Laurent polynomials in
 the deck-group generator g expand at g = 1 + T to tuples of integer
@@ -12,6 +12,7 @@ valuations yield the mu/lambda invariants.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -204,97 +205,87 @@ def _crt(residues, bound, size):
     return [x - m if 2 * x > m else x for x in xs]
 
 
-def _rcm(rows):
-    """Renumber a square matrix of sparse rows [(column, entry)] by the
-    reverse Cuthill-McKee order of its symmetrised pattern: breadth-first
-    from a vertex of least degree in each component, neighbours by
-    increasing degree, then reversed.  A symmetric permutation keeps the
-    determinant, and the band it leaves bounds the fill of elimination.
-
-    Returns the renumbered rows, the rows listed at their first column
-    (index n for an empty row) and one past each row's last column.
+def _order(rows):
+    """A greedy minimum-degree order of the symmetrised nonzero pattern of a
+    square matrix whose rows list their columns: take a vertex of least
+    degree in the elimination graph, join its neighbours into a clique (the
+    fill its elimination makes) and repeat.  A heap holds (degree, vertex)
+    entries; one whose degree has changed since it was pushed is skipped, and
+    ties go to the lower index.  A cover Laplacian's sheets go first and the
+    marks, which touch every sheet, last.
     """
-    n = len(rows)
-    adj = [{j for j, _ in row} for row in rows]
+    adj = [set(row) for row in rows]
     for i, row in enumerate(rows):
-        for j, _ in row:
+        for j in row:
             adj[j].add(i)
-    degree = [len(s) for s in adj]
-    by_degree = sorted(range(n), key=degree.__getitem__)
-    nbrs = [[] for _ in range(n)]  # each vertex's neighbours, by increasing degree
-    for v in by_degree:
-        for w in adj[v]:
-            nbrs[w].append(v)
-    seen = [False] * n
+    for i, nbrs in enumerate(adj):
+        nbrs.discard(i)
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
     order = []
-    for start in by_degree:
-        if seen[start]:
+    while heap:
+        d, v = heapq.heappop(heap)
+        nbrs = adj[v]
+        if nbrs is None or d != len(nbrs):
             continue
-        seen[start] = True
-        level = [start]
-        for v in level:  # the list grows while it is walked: a queue
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    level.append(w)
-        order += level
-    order.reverse()
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    out, joins, ends = [], [[] for _ in range(n + 1)], []
-    for i, v in enumerate(order):
-        row, first, end = [], n, 0
-        for j, x in rows[v]:
-            j = pos[j]
-            row.append((j, x))
-            if j < first:
-                first = j
-            if j >= end:
-                end = j + 1
-        out.append(row)
-        joins[first].append(i)
-        ends.append(end)
-    return out, joins, ends
+        adj[v] = None
+        order.append(v)
+        for w in nbrs:
+            s = adj[w]
+            s |= nbrs
+            s.discard(v)
+            s.discard(w)
+            heapq.heappush(heap, (len(s), w))
+    return order
 
 
-def _det_mod(a, joins, ends, q):
-    """det mod q of the dense residue matrix a, which it overwrites.  q is
-    a prime or a product of primes; _NonUnitPivot is raised when a pivot it
-    must invert is not a unit modulo q.
+def _det_mod(a, order, q):
+    """det mod q of the square matrix of sparse rows a, [{column: residue}]
+    without zero residues, which it overwrites.  q is a prime or a product of
+    primes; _NonUnitPivot is raised when a pivot it must invert is not a unit
+    modulo q.
 
-    joins and ends come from _rcm.  Column k updates only the rows with a
-    nonzero entry there, and only up to the last column the pivot row can
-    reach; rows join at their first column.  The pivot is row k when it
-    qualifies, so a band stays a band.
+    Columns are eliminated in the given order (see _order).  A set per column
+    holds the active rows with a nonzero entry there, so a step touches only
+    those rows and only the pivot row's columns.  The pivot is the diagonal
+    entry when it is nonzero, else the lowest such row; the sign is that of
+    the map from each column to its pivot row.
     """
-    n = len(a)
-    hi = list(ends)
-    active, pivots, det = [], [], 1
-    for k in range(n):
-        active += joins[k]
-        hits = [i for i in active if a[i][k]]
+    cols = [set() for _ in a]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    pivots, det = list(range(len(a))), 1
+    for k in order:
+        hits = cols[k]
         if not hits:
             return 0
-        p = k if k in hits else hits[0]
-        active.remove(p)
-        pivots.append(p)
-        rp, h = a[p], hi[p]
-        det = det * rp[k] % q
-        if h <= k + 1 or len(hits) == 1:
+        p = k if k in hits else min(hits)
+        pivots[k] = p
+        rp = a[p]
+        x = rp.pop(k)
+        det = det * x % q
+        for j in rp:
+            cols[j].discard(p)
+        hits.discard(p)
+        if not hits:
             continue
         try:
-            inv = pow(rp[k], -1, q)
+            inv = pow(x, -1, q)
         except ValueError:  # q is a product of primes and one divides the pivot
             raise _NonUnitPivot from None
-        tail = rp[k + 1 : h]
         for i in hits:
-            if i != p:
-                f, ri = a[i][k] * inv % q, a[i]
-                ri[k + 1 : h] = [(x - f * y) % q for x, y in zip(ri[k + 1 : h], tail)]
-                if hi[i] < h:
-                    hi[i] = h
-    for k in range(n):  # the sign of the permutation k -> pivots[k], by transpositions
+            ri = a[i]
+            f = ri.pop(k) * inv % q
+            for j, y in rp.items():
+                v = (ri.get(j, 0) - f * y) % q
+                if v:
+                    ri[j] = v
+                    cols[j].add(i)
+                elif j in ri:
+                    del ri[j]
+                    cols[j].discard(i)
+    for k in range(len(a)):  # the sign of the permutation k -> pivots[k], by transpositions
         while pivots[k] != k:
             t = pivots[k]
             pivots[k], pivots[t] = pivots[t], t
@@ -305,34 +296,21 @@ def _det_mod(a, joins, ends, q):
 def det_int(m) -> int:
     """Exact determinant of a square integer matrix.
 
-    One elimination in a reverse Cuthill-McKee order modulo the product of
-    the primes that passes twice Hadamard's bound |det|^2 <= prod_i
-    sum_j a_ij^2, or one per prime, combined by CRT, when a pivot is
-    divisible by one of them (see _crt).
+    One elimination on sparse rows in a minimum-degree order (see _order and
+    _det_mod) modulo the product of the primes that passes twice Hadamard's
+    bound |det|^2 <= prod_i sum_j a_ij^2, or one per prime, combined by CRT,
+    when a pivot is divisible by one of them (see _crt).
     """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise LinalgError("matrix is not square")
-    rows, bound = [], 1
-    for row in m:
-        sparse, norm = [], 0
-        for j, x in enumerate(row):
-            if x:
-                sparse.append((j, x))
-                norm += x * x
-        rows.append(sparse)
-        bound *= norm
-    rows, joins, ends = _rcm(rows)
+    rows = [{j: row[j] for j in itertools.compress(range(n), row)} for row in m]
+    bound = math.prod(sum(x * x for x in row.values()) for row in rows)
+    order = _order(rows)
 
     def residue(q):
-        a = []
-        for row in rows:
-            dense = [0] * n
-            for j, x in row:
-                dense[j] = x % q
-            a.append(dense)
-        return [_det_mod(a, joins, ends, q)]
+        return [_det_mod([{j: r for j, x in row.items() if (r := x % q)} for row in rows], order, q)]
 
     return _crt(residue, math.isqrt(bound), 1)[0]
 
@@ -363,10 +341,10 @@ def det_laurent(m) -> LaurentPoly:
     M(1/g) is the transpose of M(g), det is palindromic and lo = -hi with
     hi = min(hi, -lo); then one elimination at the node x gives Q at x and at
     1/x.  Modulo the product of the primes that passes twice the bound (see
-    _crt), Q is evaluated by the det_int kernel in one reverse Cuthill-McKee
-    order at the nodes 1, 2, ... (and their inverses, which differ from them
-    and from each other because x * y < q for every prime q, so every
-    difference is a unit) and recovered by Newton interpolation.  Every
+    _crt), Q is evaluated by the det_int kernel, in one minimum-degree order
+    of M's pattern, at the nodes 1, 2, ... (and their inverses, which differ
+    from them and from each other because x * y < q for every prime q, so
+    every difference is a unit) and recovered by Newton interpolation.  Every
     coefficient of Q is at most prod_i sum_j ||M_ij||_1 in absolute value,
     the bound for the lift.
     """
@@ -376,24 +354,25 @@ def det_laurent(m) -> LaurentPoly:
             raise LinalgError("matrix is not square")
     rows, bound, mirrored = [], 1, True
     for i, row in enumerate(m):
-        sparse = [(j, x.coeffs) for j, x in enumerate(row) if x.coeffs]
+        sparse = {j: x.coeffs for j, x in enumerate(row) if x.coeffs}
         if not sparse:
             return LaurentPoly()
         rows.append(sparse)
-        bound *= sum(abs(c) for _, cs in sparse for c in cs.values())
-        mirrored = mirrored and all(m[j][i].coeffs == {-e: c for e, c in cs.items()} for j, cs in sparse)
-    if len({j for row in rows for j, _ in row}) < n:
+        bound *= sum(abs(c) for cs in sparse.values() for c in cs.values())
+        mirrored = mirrored and all(m[j][i].coeffs == {-e: c for e, c in cs.items()} for j, cs in sparse.items())
+    if len({j for row in rows for j in row}) < n:
         return LaurentPoly()
-    hi = _dual_bound([[(j, max(cs)) for j, cs in row] for row in rows], n)
-    lo = -_dual_bound([[(j, -min(cs)) for j, cs in row] for row in rows], n)
+    hi = _dual_bound([[(j, max(cs)) for j, cs in row.items()] for row in rows], n)
+    lo = -_dual_bound([[(j, -min(cs)) for j, cs in row.items()] for row in rows], n)
     if mirrored:
         hi = min(hi, -lo)
         lo = -hi
     if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
         return LaurentPoly()
-    emin = min((e for row in rows for _, cs in row for e in cs), default=0)
-    emax = max((e for row in rows for _, cs in row for e in cs), default=0)
-    rows, joins, ends = _rcm([[(j, [(e - emin, c) for e, c in cs.items()]) for j, cs in row] for row in rows])
+    emin = min((e for row in rows for cs in row.values() for e in cs), default=0)
+    emax = max((e for row in rows for cs in row.values() for e in cs), default=0)
+    order = _order(rows)
+    rows = [[(j, [(e - emin, c) for e, c in cs.items()]) for j, cs in row.items()] for row in rows]
     size = hi - lo + 1
 
     def residues(q):
@@ -404,14 +383,16 @@ def det_laurent(m) -> LaurentPoly:
                 xp.append(xp[-1] * x % q)
             a = []
             for row in rows:
-                dense = [0] * n
+                r = {}
                 for j, terms in row:
                     v = 0
                     for e, c in terms:
                         v += c * xp[e]
-                    dense[j] = v % q
-                a.append(dense)
-            d = _det_mod(a, joins, ends, q)  # det M(x); Q(x) = x^-lo * d
+                    v %= q
+                    if v:
+                        r[j] = v
+                a.append(r)
+            d = _det_mod(a, order, q)  # det M(x); Q(x) = x^-lo * d
             xs.append(x)
             values.append(d * pow(x, -lo, q) % q)
             if mirrored and x > 1:  # det M(1/x) = d, so Q(1/x) = x^lo * d

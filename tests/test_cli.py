@@ -218,6 +218,20 @@ class TestVerify:
         assert out["ok"] is True
         assert out["lhs"] == out["rhs"] == "240"
 
+    @pytest.mark.parametrize("theorem, p, n", [("A", 3, 5), ("general", 2, 7)])
+    def test_large_cover_within_budget(self, capsys, theorem, p, n):
+        # explicit covers of 731 and 386 vertices, whose Laplacian minors are
+        # arrowheads: each mark touches every sheet.  Measured on a 2-core
+        # x86 host: 0.13 s and 0.08 s in a minimum-degree order, 24.6 s and
+        # 10.7 s in a reverse Cuthill-McKee band
+        name = "cycle5_ram45.json"
+        t0 = time.process_time()
+        code, out = invoke(capsys, "verify", "--theorem", theorem, "--p", str(p), "--n", str(n), "--input", fixture_path(name))
+        assert time.process_time() - t0 < 3.0
+        assert code == 0 and out["ok"] is True
+        # the block route builds no cover
+        assert parse_decimal(out["lhs"]) == tower_kappas(*load_fixture(name), p, n)[n]["kappa"]
+
     def test_hypothesis_violation_exit_2(self, capsys):
         code, out = invoke(
             capsys, "verify", "--theorem", "A", "--p", "3", "--n", "1",

@@ -26,7 +26,7 @@ from conftest import (
 )
 from segtower import linalg
 from segtower.cover import build_cover
-from segtower.graph import RamificationData, laplacian
+from segtower.graph import Multigraph, RamificationData, laplacian
 from segtower.iwasawa import unramified_block
 from segtower.linalg import (
     LaurentPoly,
@@ -250,9 +250,9 @@ def count_eliminations(monkeypatch):
     """Wrap linalg._det_mod; the returned list holds the modulus of each call."""
     moduli, det_mod = [], linalg._det_mod
 
-    def counting(a, joins, ends, q):
-        moduli.append(q)
-        return det_mod(a, joins, ends, q)
+    def counting(*args):
+        moduli.append(args[-1])
+        return det_mod(*args)
 
     monkeypatch.setattr(linalg, "_det_mod", counting)
     return moduli
@@ -351,7 +351,98 @@ class TestDetIntOracle:
         assert det_int(minor) == bareiss_det_int(minor)
 
 
-laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
+@st.composite
+def arrowhead_matrices(draw):
+    """1-3 hub rows and columns with an entry in every one of 1-6 diagonal
+    blocks of size 1-5, as a totally ramified mark of a cover touches every
+    sheet; then one symmetric renumbering, so the hubs sit anywhere."""
+    blocks, size, hubs = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = blocks * size + hubs
+    entry = st.integers(-9, 9)
+    m = [[0] * n for _ in range(n)]
+    for b in range(blocks):
+        for i in range(b * size, (b + 1) * size):
+            for j in range(b * size, (b + 1) * size):
+                m[i][j] = draw(entry)
+    for h in range(blocks * size, n):
+        for b in range(blocks):
+            i = b * size + draw(st.integers(0, size - 1))
+            m[h][i], m[i][h] = draw(entry.filter(bool)), draw(entry.filter(bool))
+        for j in range(blocks * size, n):
+            m[h][j] = draw(entry)
+    perm = draw(st.permutations(range(n)))
+    return [[m[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def zero_diagonal_matrices(draw):
+    """Dimension 1-10, a zero diagonal, the entries of one random
+    permutation nonzero and the rest sparse and not symmetric: every pivot
+    in any order is off the diagonal."""
+    n = draw(st.integers(1, 10))
+    m = [[draw(st.one_of(st.just(0), st.integers(-9, 9))) for _ in range(n)] for _ in range(n)]
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        m[i][j] = draw(st.integers(-9, 9).filter(bool))
+    for i in range(n):
+        m[i][i] = 0
+    return m
+
+
+class TestSparseKernel:
+    """The minimum-degree order and the sparse elimination against Bareiss."""
+
+    @given(arrowhead_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_arrowhead_matrices(self, m):
+        assert det_int(m) == bareiss_det_int(m)
+
+    @given(zero_diagonal_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_zero_diagonal(self, m):
+        assert det_int(m) == bareiss_det_int(m)
+
+    @given(st.integers(0, 2**32), st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_trivial_voltage_cover_laplacians(self, seed, level):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=6, max_edges=10)
+        r = RamificationData.totally_ramified([rng.choice(g.vertices)])
+        lap = laplacian(build_cover(g, r, {}, *level).graph)
+        drop = rng.randrange(len(lap))
+        minor = [[x for j, x in enumerate(row) if j != drop] for i, row in enumerate(lap) if i != drop]
+        assert det_int(minor) == bareiss_det_int(minor)
+
+    def test_marks_are_eliminated_last(self):
+        # the cycle v4 v5 v1 v2 v3 with its marks listed first: at p = 3,
+        # n = 2 each mark touches all nine sheets, and the order leaves
+        # them to the last three of 28 (ties at the end go to the index)
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        g = Multigraph(["v4", "v5", "v1", "v2", "v3"], g.edges)
+        c = build_cover(g, r, {}, 3, 2)
+        assert c.graph.vertices[:2] == (("v4", 0), ("v5", 0))
+        minor = [row[:-1] for row in laplacian(c.graph)[:-1]]
+        order = linalg._order([[j for j, x in enumerate(row) if x] for row in minor])
+        assert len(order) == 28 and {0, 1} <= set(order[-3:])
+        assert det_int(minor) == bareiss_det_int(minor)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[]], [[]] * 5, [list(range(6))] * 6, [[1], [2], [0]], [[4], [], [0, 1, 2, 3, 4], [], [3]]],
+    )
+    def test_order_is_a_permutation(self, rows):
+        order = linalg._order(rows)
+        assert sorted(order) == list(range(len(rows)))
+
+    def test_order_breaks_ties_by_index(self):
+        assert linalg._order([[]] * 4) == [0, 1, 2, 3]
+        assert linalg._order([list(range(5))] * 5) == [0, 1, 2, 3, 4]
+        # a star with its centre at the last index: the leaves first
+        assert linalg._order([[3], [3], [3], []]) == [0, 1, 2, 3]
+        # with its centre at index 0 it ties with the last leaf, and goes first
+        assert linalg._order([[1, 2, 3], [], [], []]) == [1, 2, 0, 3]
+
+
+laurent_terms =st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
 constant_terms = st.dictionaries(st.just(0), st.integers(-5, 5), max_size=1)
 
 
