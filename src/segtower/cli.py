@@ -61,8 +61,11 @@ def _read_graph(args):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:  # the whole reply or none of it
+        text = json.dumps(obj, indent=2)
+    except ValueError:  # a JSON number past Python 3.11's digit limit, such as a level's edge count
+        raise CliError("the reply holds a number past Python's int-to-str digit limit") from None
+    sys.stdout.write(text + "\n")
 
 
 def cmd_seal(args):

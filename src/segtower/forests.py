@@ -23,18 +23,11 @@ class CapExceeded(GraphError):
 ENUMERATION_CAP = 20  # most edges whose subsets forest_count_bruteforce enumerates
 
 
-def _laplacian_minor(g: Multigraph, deleted) -> int:
-    """det of the Laplacian of g without the rows and columns in deleted."""
-    lap = laplacian(g)
-    keep = [i for i in range(len(lap)) if i not in deleted]
-    return det_int([[lap[i][j] for j in keep] for i in keep])
-
-
 def kappa(g: Multigraph) -> int:
     """Number of spanning trees by matrix-tree.  A disconnected graph gives 0."""
     if not g.vertices:
         raise GraphError("kappa of the empty graph")
-    return _laplacian_minor(g, {0})
+    return det_int(laplacian(g, g.vertices[:1]))
 
 
 def _check_marked(g: Multigraph, marked) -> list:
@@ -56,8 +49,7 @@ def forest_count_det(g: Multigraph, marked) -> int:
     The empty minor has determinant 1, so a graph whose vertices are all
     marked (e.g. a single edge between two marked vertices) yields 1.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return _laplacian_minor(g, {index[v] for v in _check_marked(g, marked)})
+    return det_int(laplacian(g, _check_marked(g, marked)))
 
 
 def _forest_subsets(g: Multigraph, size):

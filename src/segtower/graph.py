@@ -188,20 +188,22 @@ def build_graph(vertex_ids, edges) -> Multigraph:
     return Multigraph(vertex_ids, out)
 
 
-def laplacian(g: Multigraph):
-    """Laplacian Val - A as a list of integer rows, in vertex order.
+def laplacian(g: Multigraph, deleted=()):
+    """Integer rows of the Laplacian Val - A without the rows and columns of
+    the vertices in deleted, in vertex order, from one pass over the edges.
 
     Loops add 2 to both the degree and the adjacency diagonal, so they cancel.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(index)
-    m = [[0] * n for _ in range(n)]
+    deleted = set(deleted)
+    index = {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
+    m = [[0] * len(index) for _ in index]
     for v, i in index.items():
         m[i][i] = g.degree(v)
     for e in g.edges:
-        i, j = index[e.u], index[e.v]
-        m[i][j] -= 1
-        m[j][i] -= 1
+        if e.u in index and e.v in index:
+            i, j = index[e.u], index[e.v]
+            m[i][j] -= 1
+            m[j][i] -= 1
     return m
 
 

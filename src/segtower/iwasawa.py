@@ -261,11 +261,12 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     g2, d = _decomposed(g, r)
     counts = [forest_count_det(s.subgraph(g2), list(s.ramified)) for s in d.segments]
     base = _explicit_kappa(build_cover(g2, r, voltage, p, n0))
+    # build_cover refuses a level past SIZE_LIMIT before the powers by p^n below
+    lhs = _explicit_kappa(build_cover(g2, r, voltage, p, n))
     l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
         rhs *= f ** (p**n - p**n0)
-    lhs = _explicit_kappa(build_cover(g2, r, voltage, p, n))
     return Verdict(
         lhs == rhs,
         lhs,

@@ -172,6 +172,18 @@ class TestInvariants:
         assert parse_decimal(out["levels"][8]["kappa"]) == tower_kappas(g, r, volt, 3, 8)[8]["kappa"]
         assert out["empirical"] == {"mu": 1, "lambda": 1, "nu": 2}
 
+    def test_edge_count_past_the_digit_limit(self, capsys, monkeypatch):
+        # one edge with both ends marked: det M = 1, so the chain is free, and
+        # level n has p^n edges, a JSON number of 4321 digits at n = 480.
+        # Python 3.11 refuses to print it: the reply was cut off by a traceback
+        edge = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified": [{"vertex": "a"}, {"vertex": "b"}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(edge)))
+        code, out = invoke(capsys, "invariants", "--p", "1000000007", "--nmax", "480")
+        if code == 0:  # no digit limit (Python 3.10)
+            assert out["levels"][480]["edges"] == 1000000007**480
+        else:
+            assert code == 1 and out["error"] == "bad_input" and "digit limit" in out["reason"]
+
 
 def test_num_any_size():
     for x in [0, 7, -12345, 10**4299, 10**4300 - 1, 3**20000, -(7**9001), 10**9000, 2**60000 + 1]:
@@ -231,6 +243,26 @@ class TestVerify:
         assert code == 0 and out["ok"] is True
         # the block route builds no cover
         assert parse_decimal(out["lhs"]) == tower_kappas(*load_fixture(name), p, n)[n]["kappa"]
+
+    @pytest.mark.parametrize(
+        "theorem, p, n, name",
+        [("A", 2, 40, "cycle5_ram45.json"), ("A", 5, 20, "cycle5_ram45.json"), ("partial", 2, 40, "cycle5_partial.json")],
+    )
+    def test_refuses_a_level_past_the_size_limit_at_once(self, theorem, p, n, name):
+        # the right side, a power with exponent p^n, was computed before the
+        # level-n cover was built: these ran until killed at 20-60 s.  In a
+        # child process with a CPU budget, so that a hang fails the test
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = ["verify", "--theorem", theorem, "--p", str(p), "--n", str(n), "--input", fixture_path(name)]
+        done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit)
+        assert done.returncode == 1, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["error"] == "bad_input" and "past 2^11" in out["reason"]
 
     def test_hypothesis_violation_exit_2(self, capsys):
         code, out = invoke(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture, prune_tails_quadratic, random_connected_graph
-from segtower.forests import kappa
+from segtower.forests import forest_count_det, kappa
 from segtower.graph import (
     Edge,
     GraphError,
@@ -78,6 +78,50 @@ class TestLaplacian:
                 assert sum(row) == 0
                 for j in range(len(row)):
                     assert m[i][j] == m[j][i]
+
+
+def laplacian_minor_by_copy(g, deleted):
+    """The full Laplacian from per-pair edge counts, copied element by element
+    into the minor without the deleted vertices: oracle for laplacian(g, deleted)."""
+    vs = g.vertices
+    between = {}
+    for e in g.edges:
+        for pair in {(e.u, e.v), (e.v, e.u)}:
+            between[pair] = between.get(pair, 0) + 1
+    full = [[(g.degree(u) - 2 * between.get((u, u), 0) if u == v else -between.get((u, v), 0)) for v in vs] for u in vs]
+    keep = [i for i, v in enumerate(vs) if v not in deleted]
+    return [[full[i][j] for j in keep] for i in keep]
+
+
+@st.composite
+def multigraphs_with_deleted(draw):
+    """A multigraph with loops and parallel edges, and 0-3 distinct vertices in any order."""
+    vertices = draw(st.lists(st.integers(0, 9) | st.sampled_from("abc"), min_size=1, max_size=6, unique_by=str))
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    deleted = draw(st.lists(ends, max_size=min(3, len(vertices)), unique=True))
+    return build_graph(vertices, edges), deleted
+
+
+class TestLaplacianMinor:
+    @given(multigraphs_with_deleted())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_copied_minor(self, case):
+        g, deleted = case
+        assert laplacian(g, deleted) == laplacian_minor_by_copy(g, set(deleted))
+
+    @given(multigraphs_with_deleted())
+    @settings(max_examples=100, deadline=None)
+    def test_every_vertex_deleted(self, case):
+        g, _ = case
+        assert laplacian(g, g.vertices) == []
+
+    @given(multigraphs_with_deleted())
+    @settings(max_examples=100, deadline=None)
+    def test_forest_count_ignores_the_order_of_marks(self, case):
+        g, _ = case
+        for a, b in zip(g.vertices, g.vertices[1:]):
+            assert forest_count_det(g, [b, a]) == forest_count_det(g, [a, b])
 
 
 class TestPruneTails:
