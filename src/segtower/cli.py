@@ -251,6 +251,9 @@ def run(argv=None):
         args = _PARSER.parse_args(argv)
         if "p" in vars(args):
             check_prime(args.p, "--p")
+        for flag in ("n", "nmax"):  # subcommands with a tower level have one of them
+            if (vars(args).get(flag) or 0) < 0:
+                raise CliError(f"--{flag} must be a non-negative tower level, got {vars(args)[flag]}")
         return args.fn(args)
     except DecompositionError as exc:
         _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})

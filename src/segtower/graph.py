@@ -189,22 +189,24 @@ def build_graph(vertex_ids, edges) -> Multigraph:
 
 
 def laplacian(g: Multigraph, deleted=()):
-    """Integer rows of the Laplacian Val - A without the rows and columns of
-    the vertices in deleted, in vertex order, from one pass over the edges.
+    """Sparse rows [{column: entry}] of the nonzero entries of the Laplacian
+    Val - A without the rows and columns of the vertices in deleted, in
+    vertex order, from one pass over the edges.
 
     Loops add 2 to both the degree and the adjacency diagonal, so they cancel.
     """
     deleted = set(deleted)
     index = {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
-    m = [[0] * len(index) for _ in index]
-    for v, i in index.items():
-        m[i][i] = g.degree(v)
+    rows = [{i: g.degree(v)} for v, i in index.items()]
     for e in g.edges:
         if e.u in index and e.v in index:
             i, j = index[e.u], index[e.v]
-            m[i][j] -= 1
-            m[j][i] -= 1
-    return m
+            rows[i][j] = rows[i].get(j, 0) - 1
+            rows[j][i] = rows[j].get(i, 0) - 1
+    for i, row in enumerate(rows):  # a vertex with no edge but loops
+        if not row[i]:
+            del row[i]
+    return rows
 
 
 def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
 from .graph import WORK_LIMIT, GraphError, Multigraph, RamificationData, check_marks, prune_tails
-from .linalg import LaurentPoly, LinalgError, det_laurent, expand_at_gamma, mu_lambda, ord_p, root_of_unity_products
+from .linalg import LaurentPoly, LinalgError, det_laurent, expand_at_gamma, laurent_det_bounds, mu_lambda, ord_p, root_of_unity_products
 from .seal import admissible_sets, decompose
 
 
@@ -86,26 +86,41 @@ class Verdict:
 
 def unramified_block(g: Multigraph, r: RamificationData, voltage):
     """M, the block of the voltage Laplacian D - A on the unramified vertices
-    (in vertex order): degrees on the diagonal, and -g^a at [w][u] for each
-    dart u -> w of voltage a between unramified vertices.  With every vertex
+    (in vertex order), as sparse rows [{column: LaurentPoly}] of its nonzero
+    entries: degrees on the diagonal, and -g^a at [w][u] for each dart
+    u -> w of voltage a between unramified vertices.  With every vertex
     ramified M is empty, and its determinant is 1."""
     voltage = voltage or {}
-    unram = [v for v in g.vertices if not r.is_ramified(v)]
-    index = {v: i for i, v in enumerate(unram)}
-    M = [[{0: g.degree(v)} if i == j else {} for j in range(len(unram))] for i, v in enumerate(unram)]
+    index = {v: i for i, v in enumerate(v for v in g.vertices if not r.is_ramified(v))}
+    rows = [{i: {0: g.degree(v)}} for v, i in index.items()]
     for e in g.edges:
         if e.u in index and e.v in index:
             i, j = index[e.u], index[e.v]
             a = voltage.get(e.id, 0)
-            M[j][i][a] = M[j][i].get(a, 0) - 1
-            M[i][j][-a] = M[i][j].get(-a, 0) - 1
-    return [[LaurentPoly(x) for x in row] for row in M]
+            for row, col, b in ((j, i, a), (i, j, -a)):
+                cs = rows[row].setdefault(col, {})
+                cs[b] = cs.get(b, 0) - 1
+    return [{j: x for j, cs in row.items() if (x := LaurentPoly(cs)).coeffs} for row in rows]
+
+
+def _block_det(g, r, voltage, stage):
+    """det M of unramified_block(g, r, voltage).  Interpolating it and its
+    Taylor shift to g = 1 + T take about (d + 1)^2 * (b + d) bit operations,
+    d and 2^b the degree and coefficient bounds of linalg.laurent_det_bounds;
+    past WORK_LIMIT, GraphError names the stage and d before any evaluation."""
+    m = unramified_block(g, r, voltage)
+    lo, hi, bound, _ = laurent_det_bounds(m)
+    d = max(hi - lo, 0)
+    if (work := (d + 1) ** 2 * (bound.bit_length() + d)) > WORK_LIMIT:
+        raise GraphError(f"{stage}: det M has degree up to {d}; interpolating and expanding it would take "
+                         f"about 2^{work.bit_length() - 1} bit operations, past 2^31")
+    return det_laurent(m)
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
     check_prime(p)
     check_marks(g, r)
-    det = det_laurent(unramified_block(g, r, voltage))
+    det = _block_det(g, r, voltage, "characteristic element")
     body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)
 
@@ -137,7 +152,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         m = tuple(v for v, k in r.depths.items() if k < n)
         if m not in dets:
             full = _det_m is not None and len(m) == len(r.depths)
-            dets[m] = _det_m if full else det_laurent(unramified_block(g, RamificationData.totally_ramified(m), voltage))
+            dets[m] = _det_m if full else _block_det(g, RamificationData.totally_ramified(m), voltage, f"level {n}")
         marks.append(m)
         shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
         cs = dets[m].coeffs
@@ -240,9 +255,8 @@ def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     partial-ramification formula at n0 = 0, where every mark has depth 0."""
     if any(r.depths.values()):
         raise TowerError("the product formula requires totally ramified vertices")
-    if not any((voltage or {}).values()) and (n < 0 or not r.depths):
+    if not any((voltage or {}).values()) and not r.depths:
         _decomposed(g, r)  # a graph with no mark has no decomposition
-        build_cover(g, r, voltage, p, n)  # a negative level is bad input
     return verify_partial_ramification(g, r, voltage, p, n)
 
 
@@ -251,6 +265,8 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
     depth 0 keeps every cover connected; _explicit_kappa still checks."""
+    if n < 0:
+        raise GraphError(f"tower level must be non-negative, got {n}")
     if any(a for a in (voltage or {}).values()):
         raise TowerError("the partial-ramification formula requires trivial voltage")
     if 0 not in r.depths.values():

@@ -1,8 +1,10 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-One elimination kernel, on sparse rows in a minimum-degree order modulo a
-product of primes below 2^62, serves every determinant: det_int directly,
-and det_laurent at interpolation nodes (see their docstrings).  Products of a
+A matrix is a list of sparse rows [{column: entry}] of its nonzero entries,
+as graph.laplacian and iwasawa.unramified_block build them from the edges.
+One elimination kernel, in a minimum-degree order modulo a product of
+primes below 2^62, serves every determinant: det_int directly, and
+det_laurent at interpolation nodes (see their docstrings).  Products of a
 Laurent polynomial over the p^a-th roots of unity come from one root-power
 (Graeffe) chain over Z, with no matrix and no prime.  Laurent polynomials in
 the deck-group generator g expand at g = 1 + T to tuples of integer
@@ -293,24 +295,28 @@ def _det_mod(a, order, q):
     return det % q
 
 
-def det_int(m) -> int:
-    """Exact determinant of a square integer matrix.
+def _check_rows(m):
+    """Raise LinalgError unless m holds the sparse rows of a square matrix:
+    one dict {column: entry} per row, every column in range(len(m))."""
+    if not all(isinstance(row, dict) for row in m) or not set().union(*m) <= set(range(len(m))):
+        raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
 
-    One elimination on sparse rows in a minimum-degree order (see _order and
+
+def det_int(m) -> int:
+    """Exact determinant of a square integer matrix given by its sparse rows,
+    [{column: entry}] (zero entries may be left out).
+
+    One elimination on the rows in a minimum-degree order (see _order and
     _det_mod) modulo the product of the primes that passes twice Hadamard's
     bound |det|^2 <= prod_i sum_j a_ij^2, or one per prime, combined by CRT,
     when a pivot is divisible by one of them (see _crt).
     """
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise LinalgError("matrix is not square")
-    rows = [{j: row[j] for j in itertools.compress(range(n), row)} for row in m]
-    bound = math.prod(sum(x * x for x in row.values()) for row in rows)
-    order = _order(rows)
+    _check_rows(m)
+    bound = math.prod(sum(x * x for x in row.values()) for row in m)
+    order = _order(m)
 
     def residue(q):
-        return [_det_mod([{j: r for j, x in row.items() if (r := x % q)} for row in rows], order, q)]
+        return [_det_mod([{j: r for j, x in row.items() if (r := x % q)} for row in m], order, q)]
 
     return _crt(residue, math.isqrt(bound), 1)[0]
 
@@ -331,56 +337,55 @@ def _dual_bound(rows, n):
     return sum(max(w - v[j] for j, w in row) for row in rows) + sum(v)
 
 
-def det_laurent(m) -> LaurentPoly:
-    """Exact determinant of a square matrix of LaurentPoly entries.
-
-    Every Leibniz term has exponents in [lo, hi], the dual bounds (see
-    _dual_bound) on the entries' max exponents and negated min exponents, so
-    Q = g^-lo * det is a polynomial of degree at most hi - lo.  When
-    M_ji(g) = M_ij(1/g) for every entry, as for every voltage Laplacian,
-    M(1/g) is the transpose of M(g), det is palindromic and lo = -hi with
-    hi = min(hi, -lo); then one elimination at the node x gives Q at x and at
-    1/x.  Modulo the product of the primes that passes twice the bound (see
-    _crt), Q is evaluated by the det_int kernel, in one minimum-degree order
-    of M's pattern, at the nodes 1, 2, ... (and their inverses, which differ
-    from them and from each other because x * y < q for every prime q, so
-    every difference is a unit) and recovered by Newton interpolation.  Every
-    coefficient of Q is at most prod_i sum_j ||M_ij||_1 in absolute value,
-    the bound for the lift.
-    """
+def laurent_det_bounds(m):
+    """(lo, hi, bound, mirrored) of the square matrix of sparse rows m,
+    [{column: LaurentPoly}] of nonzero entries: g^-lo * det m is a polynomial
+    of degree at most hi - lo with coefficients at most prod_i sum_j
+    ||M_ij||_1 = bound in absolute value.  hi and -lo are the dual bounds (see
+    _dual_bound) on the entries' max and negated min exponents.  If
+    M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
+    Laplacian, det m is palindromic and lo = -hi with hi = min(hi, -lo).  An
+    empty row or column, which makes det m = 0, gives hi < lo."""
+    _check_rows(m)
     n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise LinalgError("matrix is not square")
-    rows, bound, mirrored = [], 1, True
-    for i, row in enumerate(m):
-        sparse = {j: x.coeffs for j, x in enumerate(row) if x.coeffs}
-        if not sparse:
-            return LaurentPoly()
-        rows.append(sparse)
-        bound *= sum(abs(c) for cs in sparse.values() for c in cs.values())
-        mirrored = mirrored and all(m[j][i].coeffs == {-e: c for e, c in cs.items()} for j, cs in sparse.items())
-    if len({j for row in rows for j in row}) < n:
-        return LaurentPoly()
-    hi = _dual_bound([[(j, max(cs)) for j, cs in row.items()] for row in rows], n)
-    lo = -_dual_bound([[(j, -min(cs)) for j, cs in row.items()] for row in rows], n)
+    if not all(m) or len(set().union(*m)) < n:
+        return 0, -1, 0, False
+    bound = math.prod(sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m)
+    mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
+                   for i, row in enumerate(m) for j, x in row.items())
+    hi = _dual_bound([[(j, x.max_exp()) for j, x in row.items()] for row in m], n)
+    lo = -_dual_bound([[(j, -x.min_exp()) for j, x in row.items()] for row in m], n)
     if mirrored:
         hi = min(hi, -lo)
         lo = -hi
+    return lo, hi, bound, mirrored
+
+
+def det_laurent(m) -> LaurentPoly:
+    """Exact determinant of a square matrix of Laurent polynomials given by
+    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
+
+    Modulo the product of the primes that passes twice the coefficient bound
+    of laurent_det_bounds (see _crt), Q = g^-lo * det is evaluated by the
+    det_int kernel, in one minimum-degree order of M's pattern, at the nodes
+    1, 2, ... and recovered by Newton interpolation.  If M is mirrored, one
+    elimination at x gives Q at x and at 1/x (the inverses differ from the
+    nodes and from each other because x * y < q for every prime q, so every
+    difference is a unit).  A node is raised to each exponent that occurs by
+    one pow, so an exponent E costs O(log E) multiplications, not E.
+    """
+    lo, hi, bound, mirrored = laurent_det_bounds(m)
     if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
         return LaurentPoly()
-    emin = min((e for row in rows for cs in row.values() for e in cs), default=0)
-    emax = max((e for row in rows for cs in row.values() for e in cs), default=0)
-    order = _order(rows)
-    rows = [[(j, [(e - emin, c) for e, c in cs.items()]) for j, cs in row.items()] for row in rows]
+    order = _order(m)
+    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
+    exps = {e for row in m for x in row.values() for e in x.coeffs}
     size = hi - lo + 1
 
     def residues(q):
         xs, values = [], []
         for x in range(1, (hi + 1 if mirrored else size) + 1):
-            xp = [pow(x, emin, q)]  # x^e for e = emin..emax
-            for _ in range(emax - emin):
-                xp.append(xp[-1] * x % q)
+            xp = {e: pow(x, e, q) for e in exps}
             a = []
             for row in rows:
                 r = {}

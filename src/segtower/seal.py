@@ -109,53 +109,24 @@ def admissible_paths(g: Multigraph, r: RamificationData, v, v2, cap=10000):
     at v are not reported (they are handled as 1-segments downstream)."""
     if not r.is_ramified(v) or not r.is_ramified(v2):
         raise GraphError("admissible paths are only defined between ramified vertices")
-    closed = v == v2
-    results = []
-    seen_edge_sets = set()
+    results, seen = [], set()
 
-    def record(edge_key, vs, eids):
-        if edge_key in seen_edge_sets:
-            return
-        seen_edge_sets.add(edge_key)
-        results.append((vs, eids))
-        if len(results) > cap:
-            raise PathCapExceeded((v, v2), len(results), cap)
-
-    def extend(current, used_edges, interior):
-        for e in g.incident_edges(current):
-            if e.id in used_edges or e.is_loop:
+    def extend(x, vs, eids):  # eids: the path's edges so far, in order
+        for e in g.incident_edges(x):
+            if e.is_loop or e.id in eids:
                 continue
-            w = e.other(current)
-            if w == v2 and (not closed or used_edges):
-                if closed and len(used_edges) == 0:
-                    continue
-                record(frozenset(used_edges | {e.id}),
-                       interior + (w,), tuple(list(path_order) + [e.id]))
-                continue
-            if r.is_ramified(w) or w in set(interior):
-                continue
-            path_order.append(e.id)
-            extend(w, used_edges | {e.id}, interior + (w,))
-            path_order.pop()
-
-    path_order = []
-    # note: single-edge v-v2 paths for v != v2 are produced by the first branch
-    def run():
-        for e in g.incident_edges(v):
-            if e.is_loop:
-                continue
-            w = e.other(v)
+            w = e.other(x)
             if w == v2:
-                record(frozenset({e.id}), (v, w), (e.id,))
-                continue
-            if r.is_ramified(w):
-                continue
-            path_order.append(e.id)
-            extend(w, {e.id}, (v, w))
-            path_order.pop()
+                if (key := frozenset(eids + (e.id,))) not in seen:
+                    seen.add(key)
+                    results.append(AdmissiblePath(vs + (w,), eids + (e.id,)))
+                    if len(results) > cap:
+                        raise PathCapExceeded((v, v2), len(results), cap)
+            elif not r.is_ramified(w) and w not in vs:
+                extend(w, vs + (w,), eids + (e.id,))
 
-    run()
-    return [AdmissiblePath(vs, eids) for vs, eids in results]
+    extend(v, (v,), ())
+    return results
 
 
 def _closure_groups(g, r, edge_ids):

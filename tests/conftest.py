@@ -55,6 +55,16 @@ def random_connected_graph(rng, max_vertices=8, max_edges=14):
             return g
 
 
+def parallel_voltage_json(a):
+    """Graph JSON: two parallel edges b-c, one of voltage a, and a pendant
+    mark a.  Its det M = 4 - g^a - g^-a has degree bound 2a."""
+    return {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"from": "b", "to": "c", "voltage": a}, {"from": "b", "to": "c"}, {"from": "a", "to": "b"}],
+        "ramified": [{"vertex": "a"}],
+    }
+
+
 def grid_graph(rows, cols):
     """rows x cols grid with its two opposite corners ramified: one 2-segment."""
     name = lambda i, j: f"g{i}_{j}"
@@ -109,6 +119,31 @@ def taylor_shift_oracle(f):
     s = max(0, -f.min_exp())
     d = f.max_exp() + s
     return [sum(c * math.comb(e + s, i) for e, c in f.coeffs.items()) for i in range(d + 1)], s
+
+
+def sparse_rows(m):
+    """The sparse rows [{column: entry}] of a dense matrix, zero entries left
+    out: the one way a dense test matrix reaches det_int and det_laurent."""
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+
+
+def dense(rows, zero=0):
+    """The dense matrix of sparse rows, for the dense oracles."""
+    return [[row.get(j, zero) for j in range(len(rows))] for row in rows]
+
+
+def laplacian_minor_by_copy(g, deleted):
+    """The full Laplacian from per-pair edge counts, copied element by element
+    into the dense minor without the deleted vertices: oracle for
+    graph.laplacian(g, deleted)."""
+    vs = g.vertices
+    between = {}
+    for e in g.edges:
+        for pair in {(e.u, e.v), (e.v, e.u)}:
+            between[pair] = between.get(pair, 0) + 1
+    full = [[(g.degree(u) - 2 * between.get((u, u), 0) if u == v else -between.get((u, v), 0)) for v in vs] for u in vs]
+    keep = [i for i, v in enumerate(vs) if v not in deleted]
+    return [[full[i][j] for j in keep] for i in keep]
 
 
 def bareiss_det_int(m):
@@ -186,6 +221,37 @@ def bareiss_det_laurent(m):
     if sign < 0:
         det = -det
     return det.shift(-total_shift)
+
+
+def interpolated_det_laurent(m):
+    """Oracle for linalg.det_laurent on a dense matrix: evaluation at integer
+    nodes by bareiss_det_int and exact interpolation over Z.
+
+    Row i times g^-a_i, a_i its least exponent, has polynomial entries, so
+    its determinant P has degree at most D = sum_i (b_i - a_i), b_i the
+    row's largest exponent.  P is evaluated at x = 0..D; its forward
+    differences at 0 are k! times its coefficients in the falling factorials
+    x(x-1)...(x-k+1), which are multiplied out; det = g^(sum a_i) * P.
+    """
+    spans = [(min(es), max(es)) if (es := [e for x in row for e in x.coeffs]) else (0, 0) for row in m]
+    terms = [[[(e - a, c) for e, c in y.coeffs.items()] for y in row] for row, (a, _) in zip(m, spans)]
+    size = sum(b - a for a, b in spans) + 1
+    values = []
+    for x in range(size):
+        powers = [x**k for k in range(max((b - a for a, b in spans), default=0) + 1)]
+        values.append(bareiss_det_int([[sum(c * powers[k] for k, c in t) for t in row] for row in terms]))
+    for k in range(1, size):  # values[k] becomes the k-th forward difference at 0
+        for i in range(size - 1, k - 1, -1):
+            values[i] -= values[i - 1]
+    coeffs, falling = [0] * size, [1]  # falling: x(x-1)...(x-k+1), lowest first
+    for k, v in enumerate(values):
+        q, r = divmod(v, math.factorial(k))
+        if r:
+            raise LinalgError("a forward difference is not divisible by k!")
+        for i, c in enumerate(falling):
+            coeffs[i] += q * c
+        falling = [(falling[i - 1] if i else 0) - k * (falling[i] if i < len(falling) else 0) for i in range(len(falling) + 1)]
+    return LaurentPoly({i + sum(a for a, _ in spans): c for i, c in enumerate(coeffs)})
 
 
 def _matmul(a, b):

@@ -274,7 +274,7 @@ def test_criterion_12_property_suite():
     # Laplacian row sums vanish
     for _ in range(25):
         g = random_connected_graph(rng)
-        assert all(sum(row) == 0 for row in laplacian(g))
+        assert all(sum(row.values()) == 0 for row in laplacian(g))
 
     # tail pruning preserves the spanning-tree count
     from segtower.graph import build_graph, prune_tails

@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture
+from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture, parallel_voltage_json
 from segtower import linalg
 from segtower.cli import _num, run
 from segtower.graph import RamificationData, graph_to_json
@@ -244,6 +245,19 @@ class TestVerify:
         # the block route builds no cover
         assert parse_decimal(out["lhs"]) == tower_kappas(*load_fixture(name), p, n)[n]["kappa"]
 
+    def test_large_cover_memory(self, capsys):
+        # the 731-vertex cover's Laplacian minor goes to det_int as sparse
+        # rows: 1.40 MiB at the peak, where a dense N x N minor took 5.56 MiB
+        argv = ["verify", "--theorem", "A", "--p", "3", "--n", "5", "--input", fixture_path("cycle5_ram45.json")]
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(capsys.readouterr().out)["ok"] is True
+        assert peak < 3 * 2**20
+
     @pytest.mark.parametrize(
         "theorem, p, n, name",
         [("A", 2, 40, "cycle5_ram45.json"), ("A", 5, 20, "cycle5_ram45.json"), ("partial", 2, 40, "cycle5_partial.json")],
@@ -354,6 +368,8 @@ _PATH3 = {"vertices": ["a", "b", "c"], "edges": [{"from": "a", "to": "b"}, {"fro
 # a listed twice, at depths 0 and 2
 _TWICE = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified": [{"vertex": "a"}, {"vertex": "a", "depth": 2}]}
 # past forest_count_bruteforce's 20-edge cap
+
+
 _CYCLE22 = {"vertices": [f"v{i}" for i in range(22)], "edges": [{"from": f"v{i}", "to": f"v{(i + 1) % 22}"} for i in range(22)]}
 
 
@@ -425,6 +441,61 @@ class TestErrors:
             assert done.returncode == 1, (argv, done.stderr[-300:])
             out = json.loads(done.stdout)
             assert out["error"] == "bad_input" and "past 2^11" in out["reason"], argv
+
+    @pytest.mark.parametrize(
+        "argv, graph, reason",
+        [
+            # det M = 4 - g^A - g^-A: its degree bound 2A passes WORK_LIMIT.
+            # Interpolated without the estimate, A = 1000 took 9.7 s on a
+            # 2-core x86 host, and A = 10^6 did not end within a minute
+            (["invariants", "--p", "2", "--symbolic-only"], parallel_voltage_json(10**6), "characteristic element: det M has degree up to 2000000;"),
+            (["invariants", "--p", "2", "--symbolic-only"], parallel_voltage_json(10**30), f"characteristic element: det M has degree up to {2 * 10**30};"),
+            (["invariants", "--p", "2", "--empirical-only", "--nmax", "1"], parallel_voltage_json(10**30), "level 1: det M has degree up to"),
+            # a negative level is bad input for every subcommand that takes one
+            (["invariants", "--p", "2", "--symbolic-only", "--nmax", "-1"], _PATH3, "--nmax must be a non-negative tower level, got -1"),
+            (["verify", "--theorem", "partial", "--p", "2", "--n", "-1"], "cycle5_ram45.json", "--n must be a non-negative tower level, got -1"),
+            (["verify", "--theorem", "A", "--p", "2", "--n", "-1"], "cycle5_ram45.json", "--n must be a non-negative tower level, got -1"),
+            (["cover", "--p", "2", "--n", "-2"], "cycle5_ram45.json", "--n must be a non-negative tower level, got -2"),
+        ],
+    )
+    def test_refused_before_any_work(self, argv, graph, reason):
+        # in a child process with a CPU budget, so that a hang fails the test
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        stdin = Path(fixture_path(graph)).read_text() if isinstance(graph, str) else json.dumps(graph)
+        done = subprocess.run(
+            [sys.executable, "-m", "segtower.cli", *argv], input=stdin, env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit
+        )
+        assert done.returncode == 1, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["error"] == "bad_input" and out["reason"].startswith(reason), out
+
+    def test_large_voltage_of_small_degree_answered(self):
+        # a triangle through the mark with one voltage of 10^30: det M = 3.
+        # Each node listed the powers x^e for every e in [-10^30, 10^30]
+        # and ran out of memory; now it raises x only to the exponents used
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+        graph = {
+            "vertices": ["a", "b", "c"],
+            "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c", "voltage": 10**30}, {"from": "c", "to": "a"}],
+            "ramified": [{"vertex": "a"}],
+        }
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "segtower.cli", "invariants", "--p", "2", "--nmax", "3"]
+        done = subprocess.run(argv, input=json.dumps(graph), env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit)
+        assert done.returncode == 0, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["char_body"] == [3] and out["symbolic"] == {"mu": 0, "lambda": 0}
+        # 2^30 divides the voltage, so X_n is 2^n triangles through a
+        assert [lv["kappa"] for lv in out["levels"]] == ["3", "9", "81", "6561"]
 
     @pytest.mark.parametrize(
         "argv, graph",

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_forest_counts, explicit_tower_kappas, grid_graph, load_fixture, taylor_shift_oracle
+from conftest import explicit_forest_counts, explicit_tower_kappas, grid_graph, load_fixture, parallel_voltage_json, taylor_shift_oracle
 from segtower import iwasawa
 from segtower.cover import build_cover
-from segtower.graph import GraphError, RamificationData, build_graph
+from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import (
     CharElement,
     DisconnectedCover,
@@ -37,14 +37,15 @@ class TestBuildMatrices:
     def test_glued_triangles_display(self):
         # the two triangles meet only in ramified vertices, so M is diagonal
         g, r, volt = load_fixture("glued_voltage_triangles.json")
-        assert unramified_block(g, r, volt) == [[LaurentPoly({0: 3}), LaurentPoly()], [LaurentPoly(), LaurentPoly({0: 3})]]
+        assert unramified_block(g, r, volt) == [{0: LaurentPoly({0: 3})}, {1: LaurentPoly({0: 3})}]
 
     def test_unramified_block_is_m(self):
+        # sparse rows: the zero entries at [0][2] and [2][0] are left out
         g, r, _ = load_fixture("cycle5_ram45.json")
         assert unramified_block(g, r, {}) == [
-            [LaurentPoly({0: 2}), LaurentPoly({0: -1}), LaurentPoly({0: 0})],
-            [LaurentPoly({0: -1}), LaurentPoly({0: 2}), LaurentPoly({0: -1})],
-            [LaurentPoly({0: 0}), LaurentPoly({0: -1}), LaurentPoly({0: 2})],
+            {0: LaurentPoly({0: 2}), 1: LaurentPoly({0: -1})},
+            {0: LaurentPoly({0: -1}), 1: LaurentPoly({0: 2}), 2: LaurentPoly({0: -1})},
+            {1: LaurentPoly({0: -1}), 2: LaurentPoly({0: 2})},
         ]
 
     def test_voltage_entries(self):
@@ -52,16 +53,20 @@ class TestBuildMatrices:
         # takes g^a + g^-a off its diagonal entry, which counts it twice
         g = build_graph(["u", "w", "b"], [("u", "w", "e"), ("w", "u", "f"), ("u", "u", "l"), ("w", "b", "h")])
         r = RamificationData.totally_ramified(["b"])
-        M = unramified_block(g, r, {"e": 2, "l": 1, "h": 5})
-        one = LaurentPoly({0: 1})
-        assert M[0][0] == LaurentPoly({0: 4}) - LaurentPoly({1: 1}) - LaurentPoly({-1: 1})
-        assert M[1][0] == LaurentPoly() - LaurentPoly({2: 1}) - one
-        assert M[0][1] == LaurentPoly() - LaurentPoly({-2: 1}) - one
-        assert M[1][1] == LaurentPoly({0: 3})
+        assert unramified_block(g, r, {"e": 2, "l": 1, "h": 5}) == [
+            {0: LaurentPoly({0: 4, 1: -1, -1: -1}), 1: LaurentPoly({-2: -1, 0: -1})},
+            {0: LaurentPoly({2: -1, 0: -1}), 1: LaurentPoly({0: 3})},
+        ]
+
+    def test_zero_diagonal_left_out(self):
+        # a vertex whose only edge is a loop of voltage 0 has a zero row
+        g = build_graph(["u", "b"], [("u", "u", "l"), ("b", "b", "k")])
+        assert unramified_block(g, RamificationData.totally_ramified(["b"]), {}) == [{}]
+        assert unramified_block(g, RamificationData.totally_ramified(["b"]), {"l": 3}) == [{0: LaurentPoly({0: 2, 3: -1, -3: -1})}]
 
     def test_single_unramified_vertex(self):
         g, r, volt = load_fixture("voltage_triangle_a.json")
-        assert unramified_block(g, r, volt) == [[LaurentPoly({0: 3})]]
+        assert unramified_block(g, r, volt) == [{0: LaurentPoly({0: 3})}]
 
     def test_no_unramified_vertex_gives_empty_block(self):
         # every vertex ramified: M is empty and det M = 1, so the symbolic
@@ -333,6 +338,16 @@ class TestVerdicts:
         v = verify_partial_ramification(g, r, {}, 3, 2)
         assert v.ok
 
+    @pytest.mark.parametrize("name", ["cycle5_ram45.json", "cycle5_partial.json"])
+    def test_negative_level_is_bad_input(self, name):
+        # refused before the n < n0 check, which answered a hypothesis violation
+        g, r, _ = load_fixture(name)
+        for harness in (verify_theorem_A, verify_partial_ramification):
+            if harness is verify_theorem_A and any(r.depths.values()):
+                continue
+            with pytest.raises(GraphError, match="non-negative, got -1"):
+                harness(g, r, {}, 2, -1)
+
     def test_partial_reduces_to_A_at_depth_zero(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
         va = verify_theorem_A(g, r, {}, 2, 2)
@@ -443,6 +458,30 @@ class TestCharElementOracle:
         assert body == q_at_gamma
         mu, lam = mu_lambda(q_at_gamma, p)
         assert symbolic_invariants(ce) == InvariantTriple(mu, ce.t_power - 1 + lam)
+
+
+class TestInterpolationWork:
+    """One estimate, in front of every det M, refuses a degree bound whose
+    interpolation and Taylor shift pass WORK_LIMIT."""
+
+    def test_estimate_admits_a_degree_of_1000(self, monkeypatch):
+        # 4 - g^500 - g^-500: interpolated in about 2.5 s, still answered
+        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: LaurentPoly({0: 1}))
+        assert char_element(*graph_from_json(parallel_voltage_json(500)), 2).det_gamma == LaurentPoly({0: 1})
+
+    @pytest.mark.parametrize(
+        "call, stage",
+        [
+            (lambda g, r, v: char_element(g, r, v, 2), "characteristic element"),
+            (lambda g, r, v: tower_kappas(g, r, v, 2, 2), "level 1"),
+            (lambda g, r, v: tower_report(g, r, v, 2, n_max=2, empirical=False), "characteristic element"),
+            (lambda g, r, v: verify_char_factorization(g, r, v, 2), "characteristic element"),
+        ],
+    )
+    def test_refused_before_any_node(self, monkeypatch, call, stage):
+        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: pytest.fail("det_laurent ran"))
+        with pytest.raises(GraphError, match=f"^{stage}: det M has degree up to 2000000; .* past 2\\^31"):
+            call(*graph_from_json(parallel_voltage_json(10**6)))
 
 
 class TestPrimeCheck:
