@@ -17,7 +17,6 @@ class GraphError(ValueError):
     pass
 
 
-WORK_LIMIT = 2**31  # bit operations a tower may take, estimated as in iwasawa.tower_kappas
 SIZE_LIMIT = 2**11  # vertices + edges of a graph built explicitly (covers, families)
 
 

@@ -46,8 +46,9 @@ from fractions import Fraction
 
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import WORK_LIMIT, GraphError, Multigraph, RamificationData, check_marks, prune_tails
-from .linalg import LaurentPoly, LinalgError, det_laurent, expand_at_gamma, laurent_det_bounds, mu_lambda, ord_p, root_of_unity_products
+from .graph import GraphError, Multigraph, RamificationData, check_marks, prune_tails
+from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p,
+                     root_of_unity_products)
 from .seal import admissible_sets, decompose
 
 
@@ -104,17 +105,12 @@ def unramified_block(g: Multigraph, r: RamificationData, voltage):
 
 
 def _block_det(g, r, voltage, stage):
-    """det M of unramified_block(g, r, voltage).  Interpolating it and its
-    Taylor shift to g = 1 + T take about (d + 1)^2 * (b + d) bit operations,
-    d and 2^b the degree and coefficient bounds of linalg.laurent_det_bounds;
-    past WORK_LIMIT, GraphError names the stage and d before any evaluation."""
-    m = unramified_block(g, r, voltage)
-    lo, hi, bound, _ = laurent_det_bounds(m)
-    d = max(hi - lo, 0)
-    if (work := (d + 1) ** 2 * (bound.bit_length() + d)) > WORK_LIMIT:
-        raise GraphError(f"{stage}: det M has degree up to {d}; interpolating and expanding it would take "
-                         f"about 2^{work.bit_length() - 1} bit operations, past 2^31")
-    return det_laurent(m)
+    """det M of unramified_block(g, r, voltage); a det M that det_laurent
+    refuses as past its work limit is a GraphError naming the stage."""
+    try:
+        return det_laurent(unramified_block(g, r, voltage))
+    except WorkLimitExceeded as exc:
+        raise GraphError(f"{stage}: {exc}") from exc
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
@@ -160,7 +156,8 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         size = sum(map(abs, cs.values())) * abs(cs.get(max(cs, default=0), 0)) ** d
         work += (p * d * d + 1) * (p**n * max(size - 1, 0).bit_length() + (max(shifts[n], 0) + n) * p.bit_length())
         if work > WORK_LIMIT:
-            raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, past 2^31")
+            raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, "
+                             f"past 2^{WORK_LIMIT.bit_length() - 1}")
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
 
     base, primitive, start, out = kappa(g), [1], 0, []  # primitive[n]: prod over a <= n of order p^a
@@ -350,26 +347,6 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
         {"mu": mu_sum, "lambda": lam_sum + d.l - 1},
         {"factorization_exact": factor_ok, "factors": factors, "l": d.l},
     )
-
-
-def segment_growth_invariants(segment_graph, seg_ram, voltage, p, n_max=None):
-    """Fit (mu, lambda, nu) for the forest counts of one segment's tower and
-    compare with the symbolic values from det(M) of the segment.
-
-    Returns (fit, symbolic, levels, stable).
-    """
-    if len(seg_ram.depths) not in (1, 2) or any(k != 0 for k in seg_ram.depths.values()):
-        raise TowerError("segment must have 1 or 2 totally ramified vertices")
-    n_max = FIT_DEPTH if n_max is None else n_max  # every mark has depth n0 = 0
-    # F_t(S_n) is the product of det M_S over all p^n-th roots of unity
-    ce = char_element(segment_graph, seg_ram, voltage, p)
-    at_one = ce.det_gamma.at_one()
-    levels = [{"n": n, "forest_count": at_one * x} for n, x in enumerate(root_of_unity_products(ce.det_gamma, p, n_max))]
-    points = [(lv["n"], ord_p(lv["forest_count"], p)) for lv in levels]
-    if any(y is None for _, y in points):
-        raise TowerError("forest count vanished at some level")
-    fit, stable = fit_orders(points, p)
-    return fit, InvariantTriple(*mu_lambda(ce.body, p)), levels, stable
 
 
 def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):

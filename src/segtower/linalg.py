@@ -23,6 +23,13 @@ class LinalgError(ValueError):
     pass
 
 
+class WorkLimitExceeded(LinalgError):
+    """An estimate passes WORK_LIMIT before the work it estimates starts."""
+
+
+WORK_LIMIT = 2**31  # bit operations that det_laurent, or a tower in iwasawa.tower_kappas, may take
+
+
 class LaurentPoly:
     """Laurent polynomial sum c_e * g^e with integer coefficients.
 
@@ -86,10 +93,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def at_one(self):
-        """Evaluate at g = 1."""
-        return sum(self.coeffs.values())
 
     def __repr__(self):
         if self.is_zero:
@@ -296,10 +299,12 @@ def _det_mod(a, order, q):
 
 
 def _check_rows(m):
-    """Raise LinalgError unless m holds the sparse rows of a square matrix:
-    one dict {column: entry} per row, every column in range(len(m))."""
-    if not all(isinstance(row, dict) for row in m) or not set().union(*m) <= set(range(len(m))):
+    """The set of columns that hold an entry; LinalgError unless m holds the
+    sparse rows of a square matrix: one dict {column: entry} per row, every
+    column in range(len(m))."""
+    if not all(isinstance(row, dict) for row in m) or not (cols := set().union(*m)) <= set(range(len(m))):
         raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
+    return cols
 
 
 def det_int(m) -> int:
@@ -337,19 +342,32 @@ def _dual_bound(rows, n):
     return sum(max(w - v[j] for j, w in row) for row in rows) + sum(v)
 
 
-def laurent_det_bounds(m):
-    """(lo, hi, bound, mirrored) of the square matrix of sparse rows m,
-    [{column: LaurentPoly}] of nonzero entries: g^-lo * det m is a polynomial
-    of degree at most hi - lo with coefficients at most prod_i sum_j
-    ||M_ij||_1 = bound in absolute value.  hi and -lo are the dual bounds (see
-    _dual_bound) on the entries' max and negated min exponents.  If
-    M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
-    Laplacian, det m is palindromic and lo = -hi with hi = min(hi, -lo).  An
-    empty row or column, which makes det m = 0, gives hi < lo."""
-    _check_rows(m)
+def det_laurent(m) -> LaurentPoly:
+    """Exact determinant of a square matrix of Laurent polynomials given by
+    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
+
+    One pass over the entries bounds det M before any evaluation: g^-lo * det
+    is a polynomial Q of degree at most d = hi - lo with coefficients at most
+    prod_i sum_j ||M_ij||_1 = 2^b in absolute value, for hi and -lo the dual
+    bounds (see _dual_bound) on the entries' max and negated min exponents.
+    If M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
+    Laplacian, det M is palindromic and lo = -hi with hi = min(hi, -lo).  An
+    empty row or column gives det M = 0.  Interpolating Q and Taylor-shifting
+    it to g = 1 + T take about (d + 1)^2 * (b + d) bit operations; past
+    WORK_LIMIT, WorkLimitExceeded names d before M is ordered.
+
+    Modulo the product of the primes that passes twice the coefficient bound
+    (see _crt), Q is evaluated by the det_int kernel, in one minimum-degree
+    order of M's pattern, at the nodes 1, 2, ... and recovered by Newton
+    interpolation.  If M is mirrored, one elimination at x gives Q at x and
+    at 1/x (the inverses differ from the nodes and from each other because
+    x * y < q for every prime q, so every difference is a unit).  A node is
+    raised to each exponent that occurs by one pow, so an exponent E costs
+    O(log E) multiplications, not E.
+    """
     n = len(m)
-    if not all(m) or len(set().union(*m)) < n:
-        return 0, -1, 0, False
+    if len(_check_rows(m)) < n or not all(m):  # a nonzero Leibniz term needs every row and column
+        return LaurentPoly()
     bound = math.prod(sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m)
     mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
                    for i, row in enumerate(m) for j, x in row.items())
@@ -358,29 +376,15 @@ def laurent_det_bounds(m):
     if mirrored:
         hi = min(hi, -lo)
         lo = -hi
-    return lo, hi, bound, mirrored
-
-
-def det_laurent(m) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials given by
-    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
-
-    Modulo the product of the primes that passes twice the coefficient bound
-    of laurent_det_bounds (see _crt), Q = g^-lo * det is evaluated by the
-    det_int kernel, in one minimum-degree order of M's pattern, at the nodes
-    1, 2, ... and recovered by Newton interpolation.  If M is mirrored, one
-    elimination at x gives Q at x and at 1/x (the inverses differ from the
-    nodes and from each other because x * y < q for every prime q, so every
-    difference is a unit).  A node is raised to each exponent that occurs by
-    one pow, so an exponent E costs O(log E) multiplications, not E.
-    """
-    lo, hi, bound, mirrored = laurent_det_bounds(m)
     if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
         return LaurentPoly()
+    size = hi - lo + 1  # d + 1
+    if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
+        raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
+                                f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     order = _order(m)
     rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
     exps = {e for row in m for x in row.values() for e in x.coeffs}
-    size = hi - lo + 1
 
     def residues(q):
         xs, values = [], []

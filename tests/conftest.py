@@ -10,7 +10,7 @@ from segtower.cover import build_cover
 from segtower.forests import CapExceeded, _forest_subsets, forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
-from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div
+from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import (
     DecompositionError,
     SegmentDecomposition,
@@ -100,6 +100,14 @@ def explicit_forest_counts(g, r, voltage, p, n_max):
         marks = [v for v in c.graph.vertices if r.is_ramified(v[0])]
         out.append(forest_count_det(c.graph, marks))
     return out
+
+
+def segment_forest_counts(ce, n_max):
+    """F_t(S_n) for n = 0..n_max from a segment's characteristic element
+    alone: det M(1) times the product of det M over the p^n-th roots of unity
+    other than 1."""
+    det = ce.det_gamma
+    return [sum(det.coeffs.values()) * x for x in root_of_unity_products(det, ce.p, n_max)]
 
 
 def ord_p_oracle(x, p):

@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph
+from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts
 from segtower.cover import build_cover, segment_preimage
 from segtower.families import (
     chorded_cycle_f2,
@@ -20,13 +20,14 @@ from segtower.graph import RamificationData, glue, laplacian
 from segtower.iwasawa import (
     char_element,
     empirical_invariants,
-    segment_growth_invariants,
+    fit_orders,
     symbolic_invariants,
     verify_char_factorization,
     verify_general_case,
     verify_partial_ramification,
     verify_theorem_A,
 )
+from segtower.linalg import mu_lambda, ord_p
 from segtower.seal import DecompositionError, admissible_sets, decompose
 
 import pytest
@@ -211,8 +212,10 @@ def test_criterion_10_invariants():
 
     for name in ["voltage_triangle_a.json", "voltage_triangle_b.json"]:
         gt, rt, vt = load_fixture(name)
-        fitg, symg, _, _ = segment_growth_invariants(gt, rt, vt, 3, 2)
-        assert (symg.mu, symg.lam) == (1, 0), name
+        ce = char_element(gt, rt, vt, 3)
+        counts = segment_forest_counts(ce, 2)
+        fitg, _ = fit_orders([(n, ord_p(x, 3)) for n, x in enumerate(counts)], 3)
+        assert mu_lambda(ce.body, 3) == (1, 0), name
         assert (fitg.mu, fitg.lam) == (1, 0), name
 
     for name in DECOMPOSABLE_FIXTURES:

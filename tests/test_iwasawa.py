@@ -6,8 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_forest_counts, explicit_tower_kappas, grid_graph, load_fixture, parallel_voltage_json, taylor_shift_oracle
-from segtower import iwasawa
+from conftest import (
+    explicit_forest_counts,
+    explicit_tower_kappas,
+    grid_graph,
+    load_fixture,
+    parallel_voltage_json,
+    segment_forest_counts,
+    taylor_shift_oracle,
+)
+from segtower import iwasawa, linalg
 from segtower.cover import build_cover
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import (
@@ -18,7 +26,6 @@ from segtower.iwasawa import (
     char_element,
     empirical_invariants,
     fit_orders,
-    segment_growth_invariants,
     symbolic_invariants,
     tower_kappas,
     tower_report,
@@ -28,7 +35,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import LaurentPoly, det_laurent, mu_lambda
+from segtower.linalg import LaurentPoly, WorkLimitExceeded, det_laurent, mu_lambda, ord_p
 
 
 class TestBuildMatrices:
@@ -313,9 +320,14 @@ class TestDefaultLevels:
         assert len(levels) == max(r.depths.values()) + 3
 
     def test_segment_default_spans_five_levels(self):
+        # every mark of a segment has depth 0, so its default fit window is
+        # levels 0..FIT_DEPTH, where the fit is stable and symbolic
         g, r, volt = load_fixture("voltage_segment.json")
-        _, _, levels, _ = segment_growth_invariants(g, r, volt, 3)
-        assert [lv["n"] for lv in levels] == [0, 1, 2, 3, 4]
+        ce = char_element(g, r, volt, 3)
+        counts = segment_forest_counts(ce, iwasawa.FIT_DEPTH)
+        assert len(counts) == 5
+        fit, stable = segment_fit(counts, 3)
+        assert stable and (fit.mu, fit.lam) == mu_lambda(ce.body, 3)
 
 
 class TestVerdicts:
@@ -387,30 +399,43 @@ class TestVerdicts:
         assert v.ok and v.detail["factorization_exact"]
 
 
+def segment_fit(counts, p):
+    """(fit, stable) of fit_orders over the orders of segment forest counts."""
+    return fit_orders([(n, ord_p(x, p)) for n, x in enumerate(counts)], p)
+
+
 class TestSegmentGrowth:
+    """F_t(S_n) from the segment's det M and root-of-unity products, against
+    explicit covers, and its order fit against the symbolic (mu, lambda)."""
+
     def test_trivial_voltage_exact(self):
         # lambda = 0 and mu = ord_p(F_t) for trivial voltage, at every level
         g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("b", "c"), ("c", "d")])
         r = RamificationData.totally_ramified(["a", "d"])
-        fit, sym, levels, stable = segment_growth_invariants(g, r, {}, 3, 2)
-        assert sym.lam == 0
-        assert fit.lam == 0 and fit.mu == sym.mu
-        base = levels[0]["forest_count"]
-        for lv in levels:
-            assert lv["forest_count"] == base ** (3 ** lv["n"])
+        ce = char_element(g, r, {}, 3)
+        counts = segment_forest_counts(ce, 2)
+        fit, _ = segment_fit(counts, 3)
+        mu, lam = mu_lambda(ce.body, 3)
+        assert lam == 0
+        assert fit.lam == 0 and fit.mu == mu
+        for n, x in enumerate(counts):
+            assert x == counts[0] ** (3**n)
 
     def test_voltage_segment_growth(self):
         g, r, volt = load_fixture("voltage_segment.json")
-        fit, sym, levels, stable = segment_growth_invariants(g, r, volt, 3, 2)
-        assert [lv["forest_count"] for lv in levels][:2] == [5, 320]
-        assert (fit.mu, fit.lam) == (sym.mu, sym.lam) == (0, 0)
+        ce = char_element(g, r, volt, 3)
+        counts = segment_forest_counts(ce, 2)
+        fit, stable = segment_fit(counts, 3)
+        assert counts[:2] == [5, 320]
+        assert (fit.mu, fit.lam) == mu_lambda(ce.body, 3) == (0, 0)
         assert stable
 
     def test_voltage_triangles(self):
         for name in ["voltage_triangle_a.json", "voltage_triangle_b.json"]:
             g, r, volt = load_fixture(name)
-            fit, sym, _, _ = segment_growth_invariants(g, r, volt, 3, 2)
-            assert (sym.mu, sym.lam) == (1, 0), name
+            ce = char_element(g, r, volt, 3)
+            fit, _ = segment_fit(segment_forest_counts(ce, 2), 3)
+            assert mu_lambda(ce.body, 3) == (1, 0), name
             assert (fit.mu, fit.lam) == (1, 0), name
 
     def test_fixtures_match_explicit_preimages(self):
@@ -418,22 +443,19 @@ class TestSegmentGrowth:
             g, r, volt = load_fixture(name)
             for p in (2, 3, 5):
                 n_max = 3 if p < 5 else 2
-                _, _, levels, _ = segment_growth_invariants(g, r, volt, p, n_max)
-                assert [lv["forest_count"] for lv in levels] == explicit_forest_counts(g, r, volt, p, n_max), name
+                counts = segment_forest_counts(char_element(g, r, volt, p), n_max)
+                assert counts == explicit_forest_counts(g, r, volt, p, n_max), name
 
     @given(voltage_towers(depths=(0,), marks=(1, 2)))
     @settings(max_examples=80, deadline=None)
     def test_matches_explicit_preimages(self, tower):
+        # a count of 0 (a det M that vanishes at a root of unity) included
         g, r, voltage, p, n_max = tower
         if len(r.depths) == len(g.vertices):
             return  # no unramified block, so no characteristic element
-        want = explicit_forest_counts(g, r, voltage, p, max(n_max, 2))
-        if 0 in want:
-            with pytest.raises(TowerError):
-                segment_growth_invariants(g, r, voltage, p, max(n_max, 2))
-            return
-        _, _, levels, _ = segment_growth_invariants(g, r, voltage, p, max(n_max, 2))
-        assert [lv["forest_count"] for lv in levels] == want
+        n_max = max(n_max, 2)
+        counts = segment_forest_counts(char_element(g, r, voltage, p), n_max)
+        assert counts == explicit_forest_counts(g, r, voltage, p, n_max)
 
 
 class TestCharElementOracle:
@@ -461,13 +483,22 @@ class TestCharElementOracle:
 
 
 class TestInterpolationWork:
-    """One estimate, in front of every det M, refuses a degree bound whose
-    interpolation and Taylor shift pass WORK_LIMIT."""
+    """det_laurent bounds det M once and refuses, before ordering M, a degree
+    bound whose interpolation and Taylor shift pass WORK_LIMIT; iwasawa names
+    the stage."""
 
     def test_estimate_admits_a_degree_of_1000(self, monkeypatch):
-        # 4 - g^500 - g^-500: interpolated in about 2.5 s, still answered
-        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: LaurentPoly({0: 1}))
-        assert char_element(*graph_from_json(parallel_voltage_json(500)), 2).det_gamma == LaurentPoly({0: 1})
+        # 4 - g^500 - g^-500: interpolated in about 2.5 s, still answered.
+        # The first node's elimination ends the call, so none is paid for
+        class Sentinel(Exception):
+            pass
+
+        def first_node(*args):
+            raise Sentinel
+
+        monkeypatch.setattr(linalg, "_det_mod", first_node)
+        with pytest.raises(Sentinel):
+            char_element(*graph_from_json(parallel_voltage_json(500)), 2)
 
     @pytest.mark.parametrize(
         "call, stage",
@@ -479,9 +510,31 @@ class TestInterpolationWork:
         ],
     )
     def test_refused_before_any_node(self, monkeypatch, call, stage):
-        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: pytest.fail("det_laurent ran"))
+        monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_order", lambda *args: pytest.fail("_order ran"))
         with pytest.raises(GraphError, match=f"^{stage}: det M has degree up to 2000000; .* past 2\\^31"):
             call(*graph_from_json(parallel_voltage_json(10**6)))
+
+    def test_det_laurent_refuses_before_ordering(self, monkeypatch):
+        # the estimate belongs to det_laurent itself, not to its callers
+        monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_order", lambda *args: pytest.fail("_order ran"))
+        m = unramified_block(*graph_from_json(parallel_voltage_json(10**6)))
+        with pytest.raises(WorkLimitExceeded, match="^det M has degree up to 2000000; .* past 2\\^31$"):
+            det_laurent(m)
+
+    def test_one_bounds_pass_per_det_m(self, monkeypatch):
+        # the degree bound is two dual bounds (max and min exponents), once
+        calls, dual_bound = [], linalg._dual_bound
+
+        def counted(rows, n):
+            calls.append(n)
+            return dual_bound(rows, n)
+
+        monkeypatch.setattr(linalg, "_dual_bound", counted)
+        g, r, volt = load_fixture("voltage_segment.json")
+        char_element(g, r, volt, 3)
+        assert len(calls) == 2
 
 
 class TestPrimeCheck:

@@ -81,7 +81,6 @@ class TestLaurentPoly:
         f = LaurentPoly({-2: 1, 3: 5})
         assert f.min_exp() == -2 and f.max_exp() == 3
         assert f.shift(2).min_exp() == 0
-        assert f.at_one() == 6
 
     def test_exact_division(self):
         a = LaurentPoly({0: 1, 1: 2, 2: 1})  # (1+g)^2
