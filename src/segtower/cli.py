@@ -20,13 +20,9 @@ import sys
 from . import families, iwasawa
 from .cover import build_cover, check_prime
 from .forests import forest_count_bruteforce, forest_count_det, kappa
-from .graph import GraphError, graph_from_json, graph_to_json, prune_tails
+from .graph import GraphError, graph_from_json, graph_to_json
 from .linalg import LinalgError
 from .seal import DecompositionError, admissible_sets, decompose
-
-
-class CliError(GraphError):
-    pass
 
 
 def _num(x):
@@ -56,7 +52,7 @@ def _read_graph(args):
         with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as fh:
             obj = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
-        raise CliError(f"cannot read graph: {exc}") from None
+        raise GraphError(f"cannot read graph: {exc}") from None
     return graph_from_json(obj)
 
 
@@ -64,13 +60,12 @@ def _emit(obj):
     try:  # the whole reply or none of it
         text = json.dumps(obj, indent=2)
     except ValueError:  # a JSON number past Python 3.11's digit limit, such as a level's edge count
-        raise CliError("the reply holds a number past Python's int-to-str digit limit") from None
+        raise GraphError("the reply holds a number past Python's int-to-str digit limit") from None
     sys.stdout.write(text + "\n")
 
 
 def cmd_seal(args):
     g, r, _ = _read_graph(args)
-    g = prune_tails(g, r)
     d = decompose(g, r)
     _emit(
         {
@@ -180,12 +175,12 @@ def cmd_family(args):
         if not kv:
             continue
         if "=" not in kv:
-            raise CliError(f"bad --params entry {kv!r}, expected key=value")
+            raise GraphError(f"bad --params entry {kv!r}, expected key=value")
         k, val = kv.split("=", 1)
         try:
             params[k] = [int(x) for x in val.split("+")] if k == "multiplicities" else int(val)
         except ValueError:
-            raise CliError(f"bad --params entry {kv!r}, expected integer values") from None
+            raise GraphError(f"bad --params entry {kv!r}, expected integer values") from None
     g, r = families.make_family(args.variant, **params)
     f2 = families.f2_closed_form(args.variant, **params)
     out = graph_to_json(g, r)
@@ -196,7 +191,7 @@ def cmd_family(args):
 
 class _Parser(argparse.ArgumentParser):  # the subparsers share the class
     def error(self, message):  # argument errors get a JSON bad_input reply
-        raise CliError(message)
+        raise GraphError(message)
 
 
 def build_parser():
@@ -253,7 +248,7 @@ def run(argv=None):
             check_prime(args.p, "--p")
         for flag in ("n", "nmax"):  # subcommands with a tower level have one of them
             if (vars(args).get(flag) or 0) < 0:
-                raise CliError(f"--{flag} must be a non-negative tower level, got {vars(args)[flag]}")
+                raise GraphError(f"--{flag} must be a non-negative tower level, got {vars(args)[flag]}")
         return args.fn(args)
     except DecompositionError as exc:
         _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})

@@ -20,14 +20,10 @@ import math
 from .graph import GraphError, RamificationData, build_graph, check_size
 
 
-class FamilyError(GraphError):
-    pass
-
-
 def line_graph(multiplicities):
     ns = [int(x) for x in multiplicities]
     if not ns or any(x < 1 for x in ns):
-        raise FamilyError("line multiplicities must be positive integers")
+        raise GraphError("line multiplicities must be positive integers")
     k = len(ns) + 1
     check_size(k, sum(ns), "the line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
@@ -42,7 +38,7 @@ def line_graph(multiplicities):
 def line_f2(multiplicities):
     ns = [int(x) for x in multiplicities]
     if not ns or any(x < 1 for x in ns):
-        raise FamilyError("line multiplicities must be positive integers")
+        raise GraphError("line multiplicities must be positive integers")
     prod = math.prod(ns)
     return sum(prod // n for n in ns)  # prod * sum(1/n), exact: n divides prod
 
@@ -50,7 +46,7 @@ def line_f2(multiplicities):
 def modified_line_graph(k, n, m):
     k, n, m = int(k), int(n), int(m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
-        raise FamilyError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
+        raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
     check_size(k, k, "the modified line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
     edges = [(f"v{i}", f"v{i+1}", f"e{i}") for i in range(1, k)]
@@ -62,7 +58,7 @@ def modified_line_graph(k, n, m):
 def modified_line_f2(k, n, m):
     k, n, m = int(k), int(n), int(m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
-        raise FamilyError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
+        raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
     return (k - m + n) * (m - n + 1) - 1
 
 
@@ -79,11 +75,11 @@ def chorded_cycle_graph(n, t, i, j):
 
 def _validate_chorded(n, t, i, j):
     if n < 3:
-        raise FamilyError("chorded cycle needs n >= 3")
+        raise GraphError("chorded cycle needs n >= 3")
     if not (2 <= t <= -(-n // 2)):
-        raise FamilyError("chorded cycle needs 2 <= t <= ceil(n/2)")
+        raise GraphError("chorded cycle needs 2 <= t <= ceil(n/2)")
     if not (1 <= i < j <= n):
-        raise FamilyError("chord endpoints need 1 <= i < j <= n")
+        raise GraphError("chord endpoints need 1 <= i < j <= n")
 
 
 def _chorded_presentations(n, t, i, j):
@@ -125,13 +121,13 @@ def chorded_cycle_f2(n, t, i, j):
             return (n - jj + 1) * ((ii - 1) * (jj - ii + 1) + (tt - ii)) + (jj - tt) * (
                 (tt - ii) * (n - jj + ii + 1) + (ii - 1)
             )
-    raise FamilyError(f"no case applies to chorded cycle ({n}, {t}, {i}, {j})")
+    raise GraphError(f"no case applies to chorded cycle ({n}, {t}, {i}, {j})")
 
 
 def complete_graph(n):
     n = int(n)
     if n < 2:
-        raise FamilyError("complete graph needs n >= 2")
+        raise GraphError("complete graph needs n >= 2")
     check_size(n, n * (n - 1) // 2, "the complete graph")
     vertices = [f"v{x}" for x in range(1, n + 1)]
     edges = [(f"v{a}", f"v{b}", f"e{a}_{b}") for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -146,7 +142,7 @@ def _kappa_complete(i):
 def complete_f2(n):
     n = int(n)
     if n < 2:
-        raise FamilyError("complete graph needs n >= 2")
+        raise GraphError("complete graph needs n >= 2")
     return sum(
         math.comb(n - 2, i - 1) * _kappa_complete(i) * _kappa_complete(n - i)
         for i in range(1, n)
@@ -163,11 +159,11 @@ _VARIANTS = {
 
 def _call(variant, which, params):
     if variant not in _VARIANTS:
-        raise FamilyError(f"unknown family variant {variant!r}")
+        raise GraphError(f"unknown family variant {variant!r}")
     try:
         return _VARIANTS[variant][which](**params)
     except TypeError as exc:  # a wrong parameter name
-        raise FamilyError(str(exc)) from None
+        raise GraphError(str(exc)) from None
 
 
 def make_family(variant, **params):

@@ -16,10 +16,6 @@ from .graph import GraphError, Multigraph, UnionFind, laplacian
 from .linalg import det_int
 
 
-class CapExceeded(GraphError):
-    pass
-
-
 ENUMERATION_CAP = 20  # most edges whose subsets forest_count_bruteforce enumerates
 
 
@@ -74,7 +70,7 @@ def forest_count_bruteforce(g: Multigraph, marked) -> int:
     """
     marked = _check_marked(g, marked)
     if len(g.edges) > ENUMERATION_CAP:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {ENUMERATION_CAP}")
+        raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {ENUMERATION_CAP}")
     t = len(marked)
     # acyclic with |V| - t edges means exactly t components; they each
     # contain exactly one marked vertex iff the marked roots are distinct

@@ -34,7 +34,8 @@ class LaurentPoly:
     """Laurent polynomial sum c_e * g^e with integer coefficients.
 
     Stored as a dict mapping exponent -> coefficient; zero coefficients are
-    never stored, so the zero polynomial is the empty dict.
+    never stored, so the zero polynomial is the empty dict.  Unhashable:
+    it compares equal to ints, whose hashes it would have to match.
     """
 
     __slots__ = ("coeffs",)
@@ -90,9 +91,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if self.is_zero:

@@ -1,10 +1,12 @@
-"""Segment decomposition of a tail-free multigraph.
+"""Segment decomposition of a multigraph with its tails pruned.
 
-A 2-segment collects the edges lying on admissible paths (simple paths with
-unramified interior) between one fixed pair of adjacent ramified vertices;
-a 1-segment is a block of leftover edges hanging off a single ramified
-vertex.  Decomposition fails when some edge lies on admissible paths between
-two different ramified pairs.
+Tails change neither kappa nor F_t, so decompose first deletes unmarked
+pendant vertices until none is left (graph.prune_tails).  A 2-segment
+collects the edges lying on admissible paths (simple paths with unramified
+interior) between one fixed pair of adjacent ramified vertices; a 1-segment
+is a block of leftover edges hanging off a single ramified vertex.
+Decomposition fails when some edge lies on admissible paths between two
+different ramified pairs.
 
 No path is listed.  The closure classes of "shares an unramified vertex"
 over all edges are the direct edges and loops at ramified vertices, and the
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import GraphError, Multigraph, RamificationData, UnionFind
+from .graph import GraphError, Multigraph, RamificationData, UnionFind, prune_tails
 
 
 class PathCapExceeded(RuntimeError):
@@ -55,10 +57,6 @@ class AdmissiblePath:
     vertices: tuple  # v_0 .. v_m, endpoints ramified (possibly equal)
     edge_ids: tuple  # m edge ids in path order
 
-    @property
-    def endpoints(self):
-        return (self.vertices[0], self.vertices[-1])
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -77,6 +75,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentDecomposition:
+    graph: Multigraph  # X with its tails pruned: the segments partition its edges
     segments: tuple  # 2-segments first, then 1-segments
     ramified: tuple
 
@@ -194,11 +193,13 @@ def _block_with(g, edge_ids, v, v2):
 
 
 def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
-    """Segment decomposition, or DecompositionError with a witness.
+    """Segment decomposition of g with its tails pruned, or
+    DecompositionError with a witness.
 
-    The graph must be connected, tail-free and have at least one ramified
-    vertex; tails should be removed by prune_tails beforehand.
+    The graph must be connected and have at least one ramified vertex; a
+    mark that is not a vertex of g is a GraphError (prune_tails checks).
     """
+    g = prune_tails(g, r)
     if not g.connected():
         raise DecompositionError("graph is disconnected")
     ram = [v for v in g.vertices if r.is_ramified(v)]
@@ -243,7 +244,7 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
         segments.append(_segment_from_edges(g, color, 2, sorted((v, v2), key=str), piece))
     for color, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments)):
         segments.append(_segment_from_edges(g, color, 1, (v,), piece, is_loop))
-    return SegmentDecomposition(tuple(segments), tuple(ram))
+    return SegmentDecomposition(g, tuple(segments), tuple(ram))
 
 
 def admissible_sets(d: SegmentDecomposition):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from segtower.cover import build_cover
-from segtower.forests import CapExceeded, _forest_subsets, forest_count_det, kappa
+from segtower.forests import _forest_subsets, forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
@@ -354,7 +354,7 @@ def poly_mul(a, b):
 def kappa_enumerate(g, cap=20):
     """Oracle for forests.kappa: count spanning trees exhaustively."""
     if len(g.edges) > cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
+        raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
     size = len(g.vertices) - 1
     if size < 0:
         raise GraphError("kappa of the empty graph")
@@ -364,7 +364,7 @@ def kappa_enumerate(g, cap=20):
 def enumerate_spanning_trees(g, cap=20):
     """All spanning trees as frozensets of edge ids."""
     if len(g.edges) > cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
+        raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
     return [frozenset(e.id for e in combo) for combo, _ in _forest_subsets(g, len(g.vertices) - 1)]
 
 
@@ -440,7 +440,7 @@ def path_decompose(g, r):
         _segment_from_edges(g, c, 1, (v,), piece, is_loop)
         for c, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments))
     ]
-    return SegmentDecomposition(tuple(segments), tuple(ram))
+    return SegmentDecomposition(g, tuple(segments), tuple(ram))
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import enumerate_spanning_trees, grid_graph, kappa_enumerate, load_fixture, random_connected_graph
-from segtower.forests import CapExceeded, forest_count_bruteforce, forest_count_det, kappa
+from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, glue
 
 
@@ -141,9 +141,9 @@ class TestEnumeration:
         from segtower.families import complete_graph
 
         g, _ = complete_graph(7)  # 21 edges
-        with pytest.raises(CapExceeded):
+        with pytest.raises(GraphError, match="21 edges exceeds enumeration cap 20"):
             kappa_enumerate(g)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(GraphError, match="21 edges exceeds enumeration cap 20"):
             forest_count_bruteforce(g, ["v1", "v2"])
 
 

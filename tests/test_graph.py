@@ -21,6 +21,7 @@ from segtower.graph import (
     laplacian,
     prune_tails,
 )
+from segtower.seal import decompose
 
 
 class TestBuildGraph:
@@ -283,3 +284,5 @@ def test_marks_must_be_vertices():
         check_marks(g, stray)
     with pytest.raises(GraphError, match="'zz'"):
         prune_tails(g, stray)
+    with pytest.raises(GraphError, match="'zz'"):
+        decompose(g, stray)

@@ -77,6 +77,13 @@ class TestLaurentPoly:
         assert (g - g).is_zero
         assert 2 * g == LaurentPoly({1: 2})
 
+    def test_equal_to_int_and_unhashable(self):
+        # equal objects must hash alike: a polynomial equal to 5 but hashed
+        # apart from it would be missed as a dict key, so it has no hash
+        assert LaurentPoly({0: 5}) == 5 and LaurentPoly() == 0
+        with pytest.raises(TypeError):
+            hash(LaurentPoly({0: 5}))
+
     def test_shift_and_exponents(self):
         f = LaurentPoly({-2: 1, 3: 5})
         assert f.min_exp() == -2 and f.max_exp() == 3

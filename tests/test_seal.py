@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +15,9 @@ from conftest import (
     path_decompose,
     random_connected_graph,
 )
+from segtower.cli import run
 from segtower.forests import kappa
-from segtower.graph import RamificationData, build_graph, prune_tails
+from segtower.graph import RamificationData, build_graph, graph_to_json, prune_tails
 from segtower.seal import (
     DecompositionError,
     PathCapExceeded,
@@ -172,6 +178,56 @@ class TestDecompose:
         g = build_graph(["a", "b"], [])
         with pytest.raises(DecompositionError):
             decompose(g, RamificationData.totally_ramified(["a"]))
+
+    @pytest.mark.parametrize("anchor", ["m", "a"])
+    def test_tails_pruned(self, anchor):
+        # the path a-m-b marked at a and b, with a pendant vertex at m (an
+        # uncoloured edge if kept) or at a (a 1-segment if kept)
+        g = build_graph(["a", "m", "b", "t"], [("a", "m"), ("m", "b"), (anchor, "t")])
+        r = RamificationData.totally_ramified(["a", "b"])
+        d = decompose(g, r)
+        assert [(s.t, s.edge_ids) for s in d.segments] == [(2, {"e0", "e1"})]
+        pruned = prune_tails(g, r)
+        assert d.segments == decompose(pruned, r).segments
+        assert (d.graph.vertices, d.graph.edges) == (pruned.vertices, pruned.edges)
+
+
+def seal_reply(g, r):
+    """Exit code and JSON reply of `segtower seal` on (g, r) through stdin."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(graph_to_json(g, r)))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(["seal"])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(out.getvalue())
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_library_and_cli_agree_with_tails(rnd, marks, tails):
+    """decompose and `segtower seal` give the same segments, or the same
+    reason for having none, on random graphs with pendant paths."""
+    g = random_connected_graph(rnd, max_vertices=7, max_edges=10)
+    vertices, edges = list(g.vertices), [(e.u, e.v, e.id) for e in g.edges]
+    for i in range(tails):
+        anchor = rnd.choice(vertices)
+        for j in range(rnd.randint(1, 2)):
+            vertices.append(f"t{i}_{j}")
+            edges.append((anchor, vertices[-1], f"te{i}_{j}"))
+            anchor = vertices[-1]
+    g = build_graph(vertices, edges)
+    r = RamificationData.totally_ramified(rnd.sample(list(g.vertices), min(marks, len(g.vertices))))
+    code, reply = seal_reply(g, r)
+    try:
+        d = decompose(g, r)
+    except DecompositionError as exc:
+        assert code == 2 and reply["reason"] == exc.reason
+        return
+    assert code == 0
+    got = [(s["t"], s["endpoints"], s["edges"]) for s in reply["segments"]]
+    assert got == [(s.t, [str(v) for v in s.ramified], sorted(s.edge_ids)) for s in d.segments]
 
 
 @st.composite
