@@ -11,11 +11,11 @@ check that failed inside the library ("internal_error").
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import decimal
 import json
 import sys
+from types import SimpleNamespace
 
 from . import families, iwasawa
 from .cover import build_cover, check_prime
@@ -171,9 +171,7 @@ def cmd_verify(args):
 
 def cmd_family(args):
     params = {}
-    for kv in (args.params or "").split(","):
-        if not kv:
-            continue
+    for kv in filter(None, args.params.split(",")):
         if "=" not in kv:
             raise GraphError(f"bad --params entry {kv!r}, expected key=value")
         k, val = kv.split("=", 1)
@@ -189,67 +187,78 @@ def cmd_family(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):  # the subparsers share the class
-    def error(self, message):  # argument errors get a JSON bad_input reply
-        raise GraphError(message)
-
-
 def build_parser():
-    ap = _Parser(prog="segtower", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--input", help="graph JSON file (default: standard input)")
-        return sp
-
-    add("seal", cmd_seal, help="segment decomposition")
-
-    add("kappa", cmd_kappa, help="spanning tree count")
-
-    sp = add("forests", cmd_forests, help="segmental spanning forest count")
-    sp.add_argument("--marked", required=True, help="comma-separated marked vertices (1 or 2)")
-    sp.add_argument("--method", choices=["det", "brute"], default="det")
-
-    sp = add("cover", cmd_cover, help="build the level-n derived cover")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = add("invariants", cmd_invariants, help="tower report with mu/lambda/nu")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--nmax", type=int)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--symbolic-only", action="store_true")
-    group.add_argument("--empirical-only", action="store_true")
-
-    sp = add("verify", cmd_verify, help="check a counting identity on a built cover")
-    sp.add_argument("--theorem", choices=["A", "partial", "general", "factorization"], required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=1)
-
-    sp = sub.add_parser("family", help="generate an example family graph")
-    sp.set_defaults(fn=cmd_family)
-    sp.add_argument("--variant", choices=["line", "modified_line", "chorded_cycle", "complete"], required=True)
-    sp.add_argument("--params", help="key=value pairs, comma separated; multiplicities joined with +")
-
-    return ap
+    """The argv table {subcommand: (handler, {option: (kind, default, required)})},
+    where kind is int, str, a tuple of choices or bool (a flag)."""
+    graph, p, flag = {"--input": (str, None, False)}, {"--p": (int, None, True)}, (bool, False, False)  # graph JSON, else stdin
+    return {
+        "seal": (cmd_seal, graph),
+        "kappa": (cmd_kappa, graph),
+        "forests": (cmd_forests, {**graph, "--marked": (str, None, True), "--method": (("det", "brute"), "det", False)}),
+        "cover": (cmd_cover, {**graph, **p, "--n": (int, None, True)}),
+        "invariants": (cmd_invariants, {**graph, **p, "--nmax": (int, None, False),
+                                        "--symbolic-only": flag, "--empirical-only": flag}),
+        "verify": (cmd_verify, {**graph, "--theorem": (("A", "partial", "general", "factorization"), None, True), **p,
+                                "--n": (int, 1, False)}),
+        "family": (cmd_family, {"--variant": (("line", "modified_line", "chorded_cycle", "complete"), None, True),
+                                "--params": (str, "", False)}),  # key=value pairs; multiplicities joined with +
+    }
 
 
-# argparse keeps no state between parse_args calls, so one parser serves
-# every request; building it costs about as much as a small request
-_PARSER = build_parser()
+_COMMANDS = build_parser()  # built once: it holds no per-request state
+
+
+def _usage(command):
+    """Usage lines, optional options bracketed: command's alone, or after the module docstring every one."""
+    def shown(o, kind, required):
+        o += "" if kind is bool else " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else " " + o[2:].upper()
+        return o if required else f"[{o}]"
+    return ("" if command else __doc__ + "\n") + "".join(
+        f"usage: segtower {name} {' '.join(shown(o, kind, required) for o, (kind, _, required) in options.items())}\n"
+        for name, (_, options) in _COMMANDS.items() if command in (None, name))
+
+
+def _parse(argv):
+    """(handler, args) for argv by the table of build_parser: argv[0] is the
+    subcommand, then options --name value, --name=value or a flag --name; a
+    repeated option keeps its last value.  Every bad argument is a GraphError."""
+    fn, options = _COMMANDS.get(argv[0] if argv else None, (None, None))
+    if fn is None:
+        raise GraphError(f"expected a subcommand, one of {', '.join(_COMMANDS)}")
+    values, rest = {}, iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        kind = options.get(name, (None,))[0]
+        if kind is None or kind is bool and eq:  # an abbreviation and a stray positional too
+            raise GraphError(f"unrecognized argument {arg!r}")
+        if kind is not bool and not eq and (value := next(rest, "--")).startswith("--"):  # the end, or the next option
+            raise GraphError(f"{name} expects a value")
+        try:
+            values[name] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            raise GraphError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise GraphError(f"{name} must be one of {', '.join(kind)}; got {value!r}")
+    if missing := [o for o, (_, _, required) in options.items() if required and o not in values]:
+        raise GraphError(f"missing required option {', '.join(missing)}")
+    if "--symbolic-only" in values and "--empirical-only" in values:
+        raise GraphError("--symbolic-only and --empirical-only exclude each other")
+    return fn, SimpleNamespace(**{o[2:].replace("-", "_"): values.get(o, default) for o, (_, default, _) in options.items()})
 
 
 def run(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        if "-h" in argv or "--help" in argv:
+            sys.stdout.write(_usage(argv[0] if argv[0] in _COMMANDS else None))
+            return 0
+        fn, args = _parse(argv)
         if "p" in vars(args):
             check_prime(args.p, "--p")
         for flag in ("n", "nmax"):  # subcommands with a tower level have one of them
             if (vars(args).get(flag) or 0) < 0:
                 raise GraphError(f"--{flag} must be a non-negative tower level, got {vars(args)[flag]}")
-        return args.fn(args)
+        return fn(args)
     except DecompositionError as exc:
         _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})
         return 2
@@ -262,8 +271,6 @@ def run(argv=None):
     except LinalgError as exc:
         _emit({"error": "internal_error", "reason": str(exc)})
         return 1
-    except SystemExit:  # --help, after printing it
-        return 0
 
 
 def main():

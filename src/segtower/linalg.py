@@ -3,13 +3,13 @@
 A matrix is a list of sparse rows [{column: entry}] of its nonzero entries,
 as graph.laplacian and iwasawa.unramified_block build them from the edges.
 One elimination kernel, in a minimum-degree order modulo a product of
-primes below 2^62, serves every determinant: det_int directly, and
-det_laurent at interpolation nodes (see their docstrings).  Products of a
-Laurent polynomial over the p^a-th roots of unity come from one root-power
-(Graeffe) chain over Z, with no matrix and no prime.  Laurent polynomials in
-the deck-group generator g expand at g = 1 + T to tuples of integer
-coefficients (series prefixes when g has negative powers) whose p-adic
-valuations yield the mu/lambda invariants.
+primes below 2^30 (one CPython digit each), serves every determinant:
+det_int directly, and det_laurent at interpolation nodes (see their
+docstrings).  Products of a Laurent polynomial over the p^a-th roots of
+unity come from one root-power (Graeffe) chain over Z, with no matrix and
+no prime.  Laurent polynomials in the deck-group generator g expand at
+g = 1 + T to tuples of integer coefficients (series prefixes when g has
+negative powers) whose p-adic valuations yield the mu/lambda invariants.
 """
 
 from __future__ import annotations
@@ -162,17 +162,17 @@ def _is_prime(n):
     return True
 
 
-# the largest primes below 2^62, descending, as far as any call has needed;
-# every caller sees the same sequence, so one cache serves the process
+# the largest primes below 2^30 (a residue fits one CPython digit, not three as below 2^62), descending,
+# as far as any call has needed; every caller sees the same sequence, so one cache serves the process
 _PRIMES = []
 
 
 def _primes():
-    """Yield the primes below 2^62 in descending order.  Each is found on
-    first use and kept for later calls."""
+    """Yield the primes below 2^30 (one CPython digit each) in descending
+    order.  Each is found on first use and kept for later calls."""
     for i in itertools.count():
         if i == len(_PRIMES):
-            q = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
+            q = (_PRIMES[-1] if _PRIMES else 2**30 + 1) - 2
             while not _is_prime(q):
                 q -= 2
             _PRIMES.append(q)
@@ -342,7 +342,11 @@ def _dual_bound(rows, n):
 
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials given by
-    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
+    its sparse rows, [{column: LaurentPoly}] of nonzero entries.  First a
+    gauge: D M D^-1, D = diag(g^phi), has the entries g^(phi_i - phi_j) M_ij,
+    the same det M, and is mirrored when M is (below).  phi zeroes the lowest
+    exponent of each entry M_ij on a breadth-first spanning forest of M's
+    pattern, so a forest-shaped M becomes constant; all below reads D M D^-1.
 
     One pass over the entries bounds det M before any evaluation: g^-lo * det
     is a polynomial Q of degree at most d = hi - lo with coefficients at most
@@ -369,8 +373,16 @@ def det_laurent(m) -> LaurentPoly:
     bound = math.prod(sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m)
     mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
                    for i, row in enumerate(m) for j, x in row.items())
-    hi = _dual_bound([[(j, x.max_exp()) for j, x in row.items()] for row in m], n)
-    lo = -_dual_bound([[(j, -x.min_exp()) for j, x in row.items()] for row in m], n)
+    phi = [None] * n  # the gauge; max_exp and min_exp below raise LinalgError on a zero entry
+    for root in (i for i in range(n) if phi[i] is None):  # lazily: each root's tree fills phi first
+        phi[root], todo = 0, [root]
+        for i in todo:  # breadth first: todo grows while it is read
+            for j, x in m[i].items():
+                if phi[j] is None:
+                    phi[j] = phi[i] + x.min_exp()
+                    todo.append(j)
+    hi = _dual_bound([[(j, x.max_exp() + phi[i] - phi[j]) for j, x in row.items()] for i, row in enumerate(m)], n)
+    lo = -_dual_bound([[(j, phi[j] - phi[i] - x.min_exp()) for j, x in row.items()] for i, row in enumerate(m)], n)
     if mirrored:
         hi = min(hi, -lo)
         lo = -hi
@@ -381,8 +393,8 @@ def det_laurent(m) -> LaurentPoly:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
                                 f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     order = _order(m)
-    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
-    exps = {e for row in m for x in row.values() for e in x.coeffs}
+    rows = [[(j, [(e + phi[i] - phi[j], c) for e, c in x.coeffs.items()]) for j, x in row.items()] for i, row in enumerate(m)]
+    exps = {e for row in rows for _, terms in row for e, _ in terms}
 
     def residues(q):
         xs, values = [], []

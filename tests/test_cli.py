@@ -344,7 +344,7 @@ class TestFamily:
 
 class TestOneParser:
     def test_replies_match_fresh_processes(self, capsys):
-        # one process reuses its parser: argparse errors in between and a
+        # one process reuses its argv table: argument errors in between and a
         # flag set by an earlier request must not change any later reply
         inp = fixture_path("cycle5_ram245.json")
         symbolic = ["invariants", "--input", inp, "--p", "3", "--nmax", "3", "--symbolic-only"]
@@ -362,6 +362,43 @@ class TestOneParser:
         for argv, reply in zip(sequence, replies):
             done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True)
             assert reply == (done.returncode, done.stdout), argv
+
+
+class TestArgv:
+    # argv behaviour the argparse parser had, kept by the table-driven one
+    INPUT = ["--input", fixture_path("cycle5_ram245.json")]
+
+    def test_equals_form(self, capsys):
+        spaced = invoke(capsys, "invariants", *self.INPUT, "--p", "3", "--nmax", "2")
+        assert spaced[0] == 0
+        assert invoke(capsys, "invariants", "=".join(self.INPUT), "--p=3", "--nmax=2") == spaced
+
+    def test_repeated_option_keeps_last(self, capsys):
+        last = invoke(capsys, "invariants", *self.INPUT, "--p", "3", "--nmax", "2")
+        assert invoke(capsys, "invariants", *self.INPUT, "--p", "2", "--nmax", "4", "--p", "3", "--nmax", "2") == last
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "--p", "3", "--sym"],  # argparse took prefixes of --symbolic-only
+            ["invariants", "--p", "3", "--nmax"],
+            ["cover", "--p", "2.5", "--n", "1"],
+            ["forests", "--marked", "v2", "--method", "fast"],
+            ["kappa", "stray"],
+            ["invariants", "--p", "3", "--symbolic-only", "--empirical-only"],
+        ],
+    )
+    def test_bad_arguments(self, capsys, argv):
+        code, out = invoke(capsys, argv[0], *self.INPUT, *argv[1:])
+        assert code == 1 and out["error"] == "bad_input"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["invariants", "--help"]])
+    def test_help(self, capsys, argv):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "usage" in out and "invariants" in out
+        with pytest.raises(ValueError):
+            json.loads(out)
 
 
 _PATH3 = {"vertices": ["a", "b", "c"], "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}]}

@@ -24,6 +24,17 @@ from segtower.graph import (
 from segtower.seal import decompose
 
 
+def test_edge_is_an_immutable_value():
+    e = Edge("e0", "a", "b")
+    assert e == Edge("e0", "a", "b") and hash(e) == hash(Edge("e0", "a", "b"))
+    assert e != Edge("e0", "b", "a") and len({e, Edge("e0", "a", "b"), Edge("e1", "a", "b")}) == 2
+    with pytest.raises(AttributeError):
+        e.u = "c"
+    assert (e.other("a"), e.other("b"), e.is_loop, Edge("e1", "a", "a").is_loop) == ("b", "a", False, True)
+    with pytest.raises(GraphError, match="'c' is not an endpoint of edge 'e0'"):
+        e.other("c")
+
+
 class TestBuildGraph:
     def test_cycle(self):
         g = build_graph(["v1", "v2", "v3", "v4", "v5"], [(f"v{i}", f"v{i % 5 + 1}") for i in range(1, 6)])

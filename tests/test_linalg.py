@@ -166,7 +166,7 @@ class TestDetInt:
         assert det_laurent([{0: LaurentPoly({3: 1 - q})}]) == LaurentPoly({3: 1 - q})
 
     def test_short_prime_supply_raises(self, monkeypatch):
-        # |det| = 2^70 needs two primes: one prime must not be lifted
+        # |det| = 2^70 needs three primes below 2^30: one must not be lifted
         one_prime = [next(linalg._primes())]
         monkeypatch.setattr(linalg, "_primes", lambda: iter(one_prime))
         with pytest.raises(LinalgError, match="primes ran out"):
@@ -255,7 +255,7 @@ class TestDetLaurent:
             det_laurent([{0: LaurentPoly()}])
 
     def test_short_prime_supply_raises(self, monkeypatch):
-        # the coefficient 2^70 needs two primes: one prime must not be lifted
+        # the coefficient 2^70 needs three primes below 2^30: one must not be lifted
         one_prime = [next(linalg._primes())]
         monkeypatch.setattr(linalg, "_primes", lambda: iter(one_prime))
         with pytest.raises(LinalgError, match="primes ran out"):
@@ -557,31 +557,55 @@ class TestDetLaurentOracle:
         assert linalg._dual_bound(rows, n) >= max(terms, default=-math.inf)
 
     def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
-        # one elimination per node x serves x and 1/x, and hi is the dual
-        # bound; a row-span bound D = sum_i (row max - min(0, row min))
+        # one elimination, modulo the product of the primes, per node x
+        # serves x and 1/x: hi + 1 of them for hi the smaller of the two
+        # dual bounds; a row-span bound D = sum_i (row max - min(0, row min))
         # needs D + 1 nodes
         g, r = grid_graph(5, 5)
         rng = random.Random(0)
         m = unramified_block(g, r, {e.id: rng.choice((-1, 1)) for e in g.edges})
-        rows = [list(row.items()) for row in m]
-        hi = linalg._dual_bound([[(j, x.max_exp()) for j, x in row] for row in rows], len(m))
-        spans = sum(max(x.max_exp() for _, x in row) - min(0, min(x.min_exp() for _, x in row)) for row in rows)
+        spans = sum(max(x.max_exp() for x in row.values()) - min(0, min(x.min_exp() for x in row.values())) for row in m)
+        bounds, dual_bound = [], linalg._dual_bound
+        monkeypatch.setattr(linalg, "_dual_bound", lambda rows, n: bounds.append(dual_bound(rows, n)) or bounds[-1])
         calls = count_eliminations(monkeypatch)
-        drawn = count_primes(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-        assert len(calls) <= (hi + 1) * len(drawn)
-        assert 2 * len(calls) < (spans + 1) * len(drawn)
+        assert len(bounds) == 2 and len(calls) == min(bounds) + 1
+        assert 2 * len(calls) < spans + 1
 
     @given(laurent_matrices())
     @settings(max_examples=300, deadline=None)
     def test_random_matrices(self, m):
         assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
 
+    @given(laurent_matrices(), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_gauge_invariance(self, m, phi):
+        # D M D^-1 with D = diag(g^phi) has entries g^(phi_i - phi_j) M_ij
+        # and the same determinant, whatever gauge det_laurent picks itself
+        gauged = [[x.shift(phi[i] - phi[j]) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert det_laurent(sparse_rows(gauged)) == det_laurent(sparse_rows(m))
+
+    def test_forest_block_takes_one_node(self, monkeypatch):
+        # a tower block whose pattern is the path 1-0-3-2: the gauge makes
+        # every entry constant, so one node and one elimination per prime;
+        # the ungauged dual bound hi = 2 took three
+        g, gi = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
+        m = [
+            {0: LaurentPoly({0: 3}), 1: -g, 3: -gi},
+            {1: LaurentPoly({0: 2}), 0: -gi},
+            {2: LaurentPoly({0: 2}), 3: -g},
+            {3: LaurentPoly({0: 3}), 0: -g, 2: -gi},
+        ]
+        calls = count_eliminations(monkeypatch)
+        drawn = count_primes(monkeypatch)
+        assert det_laurent(m) == 21
+        assert len(calls) == len(drawn) == 1
+
     @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.lists(big_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=100, deadline=None)
     def test_large_coefficients(self, m):
         # every row holds a coefficient of at least 2^63, so the bound is at
-        # least 2^126 and two primes below 2^62 cannot reach twice it
+        # least 2^126 and four primes below 2^30 cannot reach twice it
         assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
 
     def test_large_coefficients_use_three_primes(self, monkeypatch):
