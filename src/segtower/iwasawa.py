@@ -153,7 +153,8 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         cs = dets[m].coeffs
         d = max(cs, default=0) - min(cs, default=0)
         size = sum(map(abs, cs.values())) * abs(cs.get(max(cs, default=0), 0)) ** d
-        work += (p * d * d + 1) * (p**n * max(size - 1, 0).bit_length() + (max(shifts[n], 0) + n) * p.bit_length())
+        bits = max(size - 1, 0).bit_length()  # 0 when det M = ±1: then p**n, huge at a high level, is never built
+        work += (p * d * d + 1) * ((bits and p**n * bits) + (max(shifts[n], 0) + n) * p.bit_length())
         if work > WORK_LIMIT:
             raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, "
                              f"past 2^{WORK_LIMIT.bit_length() - 1}")

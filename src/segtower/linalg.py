@@ -297,12 +297,10 @@ def _det_mod(a, order, q):
 
 
 def _check_rows(m):
-    """The set of columns that hold an entry; LinalgError unless m holds the
-    sparse rows of a square matrix: one dict {column: entry} per row, every
-    column in range(len(m))."""
-    if not all(isinstance(row, dict) for row in m) or not (cols := set().union(*m)) <= set(range(len(m))):
+    """LinalgError unless m holds the sparse rows of a square matrix: one
+    dict {column: entry} per row, every column in range(len(m))."""
+    if not all(isinstance(row, dict) for row in m) or not set().union(*m) <= set(range(len(m))):
         raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
-    return cols
 
 
 def det_int(m) -> int:
@@ -324,39 +322,59 @@ def det_int(m) -> int:
     return _crt(residue, math.isqrt(bound), 1)[0]
 
 
-def _dual_bound(rows, n):
-    """sum u + sum v for potentials with w_ij <= u_i + v_j on every entry of
-    the sparse weight rows [(column, w_ij)], which leave no row or column
-    empty.  By weak LP duality it bounds sum_i w_i,s(i) for every
-    permutation s through the entries.  u_i is the row maximum, v_j the
-    column maximum of w_ij - u_i, and u_i is then lowered against v: O(nnz).
+def _max_assignment(w):
+    """The maximum of sum_i w_i,s(i) over the permutations s through the
+    entries of the sparse weight rows w = [{column: w_ij}], or None when no
+    permutation runs through them.  Shortest augmenting paths: potentials
+    u_i + v_j >= w_ij start at the row maxima and v = 0; each row in turn
+    runs Dijkstra on the reduced weights u_i + v_j - w_ij >= 0 to the nearest
+    free column, the potentials shift so that the path becomes tight, and the
+    path flips.  Matched entries stay tight, so the maximum is sum u + sum v.
     """
-    v = [None] * n
-    for row in rows:
-        u = max(w for _, w in row)
-        for j, w in row:
-            if v[j] is None or w - u > v[j]:
-                v[j] = w - u
-    return sum(max(w - v[j] for j, w in row) for row in rows) + sum(v)
+    u, v = [max(row.values(), default=0) for row in w], [0] * len(w)
+    row_of, col_of = [None] * len(w), [None] * len(w)  # the matching, from each side
+    for start in range(len(w)):
+        heap = [(u[start] + v[j] - x, j, start) for j, x in w[start].items()]
+        heapq.heapify(heap)
+        dist, came = {}, {}  # of each column reached: its distance, the row it was reached from
+        while heap:
+            d, j, i = heapq.heappop(heap)
+            if j in dist:
+                continue
+            dist[j], came[j] = d, i
+            if (k := row_of[j]) is None:
+                break
+            for t, x in w[k].items():  # k is reached at distance d
+                if t not in dist:
+                    heapq.heappush(heap, (d + u[k] + v[t] - x, t, k))
+        else:
+            return None
+        u[start] -= d
+        for t, dt in dist.items():
+            v[t] += d - dt
+            if row_of[t] is not None:
+                u[row_of[t]] -= d - dt
+        while j is not None:
+            i = came[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return sum(u) + sum(v)
 
 
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials given by
-    its sparse rows, [{column: LaurentPoly}] of nonzero entries.  First a
-    gauge: D M D^-1, D = diag(g^phi), has the entries g^(phi_i - phi_j) M_ij,
-    the same det M, and is mirrored when M is (below).  phi zeroes the lowest
-    exponent of each entry M_ij on a breadth-first spanning forest of M's
-    pattern, so a forest-shaped M becomes constant; all below reads D M D^-1.
+    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
 
-    One pass over the entries bounds det M before any evaluation: g^-lo * det
-    is a polynomial Q of degree at most d = hi - lo with coefficients at most
-    prod_i sum_j ||M_ij||_1 = 2^b in absolute value, for hi and -lo the dual
-    bounds (see _dual_bound) on the entries' max and negated min exponents.
-    If M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
-    Laplacian, det M is palindromic and lo = -hi with hi = min(hi, -lo).  An
-    empty row or column gives det M = 0.  Interpolating Q and Taylor-shifting
-    it to g = 1 + T take about (d + 1)^2 * (b + d) bit operations; past
-    WORK_LIMIT, WorkLimitExceeded names d before M is ordered.
+    det M is bounded before any evaluation: g^-lo * det M is a polynomial
+    Q of degree at most d = hi - lo with coefficients at most
+    prod_i sum_j ||M_ij||_1 = 2^b in absolute value, for hi and -lo the exact
+    maxima over the permutations through M's entries of the sum of their max,
+    and of their negated min, exponents (see _max_assignment); with no such
+    permutation det M = 0.  If M_ji(g) = M_ij(1/g) for every entry
+    (mirrored), as for every voltage Laplacian, the second weights are the
+    transpose of the first, so lo = -hi, and det M is palindromic.
+    Interpolating Q and Taylor-shifting it to g = 1 + T take about
+    (d + 1)^2 * (b + d) bit operations; past WORK_LIMIT, WorkLimitExceeded
+    names d before M is ordered.
 
     Modulo the product of the primes that passes twice the coefficient bound
     (see _crt), Q is evaluated by the det_int kernel, in one minimum-degree
@@ -367,34 +385,21 @@ def det_laurent(m) -> LaurentPoly:
     raised to each exponent that occurs by one pow, so an exponent E costs
     O(log E) multiplications, not E.
     """
-    n = len(m)
-    if len(_check_rows(m)) < n or not all(m):  # a nonzero Leibniz term needs every row and column
-        return LaurentPoly()
+    _check_rows(m)
     bound = math.prod(sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m)
     mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
                    for i, row in enumerate(m) for j, x in row.items())
-    phi = [None] * n  # the gauge; max_exp and min_exp below raise LinalgError on a zero entry
-    for root in (i for i in range(n) if phi[i] is None):  # lazily: each root's tree fills phi first
-        phi[root], todo = 0, [root]
-        for i in todo:  # breadth first: todo grows while it is read
-            for j, x in m[i].items():
-                if phi[j] is None:
-                    phi[j] = phi[i] + x.min_exp()
-                    todo.append(j)
-    hi = _dual_bound([[(j, x.max_exp() + phi[i] - phi[j]) for j, x in row.items()] for i, row in enumerate(m)], n)
-    lo = -_dual_bound([[(j, phi[j] - phi[i] - x.min_exp()) for j, x in row.items()] for i, row in enumerate(m)], n)
-    if mirrored:
-        hi = min(hi, -lo)
-        lo = -hi
-    if hi < lo:  # a nonzero Leibniz term would have its exponents in [lo, hi]
+    # max_exp and min_exp raise LinalgError on a zero entry
+    if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
+    lo = -hi if mirrored else -_max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in m])
     size = hi - lo + 1  # d + 1
     if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
                                 f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     order = _order(m)
-    rows = [[(j, [(e + phi[i] - phi[j], c) for e, c in x.coeffs.items()]) for j, x in row.items()] for i, row in enumerate(m)]
-    exps = {e for row in rows for _, terms in row for e, _ in terms}
+    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
+    exps = {e for row in m for x in row.values() for e in x.coeffs}
 
     def residues(q):
         xs, values = [], []

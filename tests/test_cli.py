@@ -458,6 +458,17 @@ class TestErrors:
         done = subprocess.run(argv + ["--symbolic-only"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
         assert done.returncode == 0 and json.loads(done.stdout)["p"] == 1000000007
 
+    def test_unit_det_tower_refused_quickly(self, capsys, monkeypatch):
+        # det M = 1, so each level's chain works on 0-bit numbers; building
+        # p^n at each level only to multiply that 0 took 23 s of CPU before
+        # this refusal (Python 3.11, 2-core x86 host)
+        edge = {"vertices": ["u", "v"], "edges": [{"from": "u", "to": "v"}], "ramified": [{"vertex": "v"}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(edge)))
+        t0 = time.process_time()
+        code, out = invoke(capsys, "invariants", "--empirical-only", "--nmax", "1000000000", "--p", "101")
+        assert time.process_time() - t0 < 2.0
+        assert code == 1 and out["error"] == "bad_input" and out["reason"].startswith("level 24770 of the tower ")
+
     def test_refuses_a_graph_too_large_to_build(self):
         # each request allocated past 1 GB, or ran for half a minute, before
         # build_cover and the family builders checked the size first

@@ -524,16 +524,20 @@ class TestInterpolationWork:
             det_laurent(m)
 
     def test_one_bounds_pass_per_det_m(self, monkeypatch):
-        # the degree bound is two dual bounds (max and min exponents), once
-        calls, dual_bound = [], linalg._dual_bound
+        # the degree bound is one assignment for a mirrored det M, as every
+        # voltage Laplacian block is, and two (max and min exponents) otherwise
+        calls, assignment = [], linalg._max_assignment
 
-        def counted(rows, n):
-            calls.append(n)
-            return dual_bound(rows, n)
+        def counted(w):
+            calls.append(len(w))
+            return assignment(w)
 
-        monkeypatch.setattr(linalg, "_dual_bound", counted)
+        monkeypatch.setattr(linalg, "_max_assignment", counted)
         g, r, volt = load_fixture("voltage_segment.json")
         char_element(g, r, volt, 3)
+        assert len(calls) == 1
+        calls.clear()
+        assert det_laurent([{0: LaurentPoly({1: 1}), 1: LaurentPoly({0: 2})}, {1: LaurentPoly({1: 1})}]) == LaurentPoly({2: 1})
         assert len(calls) == 2
 
 

@@ -8,7 +8,7 @@ from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -544,33 +544,46 @@ class TestDetLaurentOracle:
 
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(sparse_weights, min_size=n, max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=300, deadline=None)
-    def test_dual_bound_covers_every_permutation(self, w):
-        # w[i][j] is the weight of entry (i, j), None where the entry is 0
+    def test_assignment_is_the_permutation_maximum(self, w):
+        # w[i][j] is the weight of entry (i, j), None where the entry is 0;
+        # None also when no permutation runs through the entries
         n = len(w)
-        rows = [[(j, x) for j, x in enumerate(row) if x is not None] for row in w]
-        assume(all(rows) and all(any(row[j] is not None for row in w) for j in range(n)))
         terms = [
             sum(w[i][s[i]] for i in range(n))
             for s in permutations(range(n))
             if None not in (w[i][s[i]] for i in range(n))
         ]
-        assert linalg._dual_bound(rows, n) >= max(terms, default=-math.inf)
+        rows = [{j: x for j, x in enumerate(row) if x is not None} for row in w]
+        assert linalg._max_assignment(rows) == max(terms, default=None)
+
+    @given(st.one_of(hermitian_matrices(), laurent_matrices()))
+    @settings(max_examples=200, deadline=None)
+    def test_assignment_brackets_the_determinant(self, m):
+        # hi is at least the top exponent of det M, lo at most its bottom one
+        rows = sparse_rows(m)
+        det = det_laurent(rows)
+        hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in rows])
+        lo = linalg._max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in rows])
+        assert (hi is None) == (lo is None)
+        if not det.is_zero:
+            assert hi >= det.max_exp() and -lo <= det.min_exp()
 
     def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
         # one elimination, modulo the product of the primes, per node x
-        # serves x and 1/x: hi + 1 of them for hi the smaller of the two
-        # dual bounds; a row-span bound D = sum_i (row max - min(0, row min))
-        # needs D + 1 nodes
-        g, r = grid_graph(5, 5)
-        rng = random.Random(0)
-        m = unramified_block(g, r, {e.id: rng.choice((-1, 1)) for e in g.edges})
-        spans = sum(max(x.max_exp() for x in row.values()) - min(0, min(x.min_exp() for x in row.values())) for row in m)
-        bounds, dual_bound = [], linalg._dual_bound
-        monkeypatch.setattr(linalg, "_dual_bound", lambda rows, n: bounds.append(dual_bound(rows, n)) or bounds[-1])
-        calls = count_eliminations(monkeypatch)
-        assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-        assert len(bounds) == 2 and len(calls) == min(bounds) + 1
-        assert 2 * len(calls) < spans + 1
+        # serves x and 1/x: hi + 1 of them for hi the one assignment's value;
+        # a row-span bound D = sum_i (row max - min(0, row min)) needs D + 1
+        for k, seed, nodes in (5, 0, 17), (8, 0, 41), (8, 1, 37), (8, 2, 31):
+            g, r = grid_graph(k, k)
+            rng = random.Random(seed)
+            m = unramified_block(g, r, {e.id: rng.choice((-1, 1)) for e in g.edges})
+            spans = sum(max(x.max_exp() for x in row.values()) - min(0, min(x.min_exp() for x in row.values())) for row in m)
+            with monkeypatch.context() as mp:
+                bounds, assignment = [], linalg._max_assignment
+                mp.setattr(linalg, "_max_assignment", lambda w: bounds.append(assignment(w)) or bounds[-1])
+                calls = count_eliminations(mp)
+                assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
+            assert len(bounds) == 1 and len(calls) == bounds[0] + 1 == nodes
+            assert 2 * len(calls) < spans + 1
 
     @given(laurent_matrices())
     @settings(max_examples=300, deadline=None)
@@ -581,14 +594,14 @@ class TestDetLaurentOracle:
     @settings(max_examples=200, deadline=None)
     def test_gauge_invariance(self, m, phi):
         # D M D^-1 with D = diag(g^phi) has entries g^(phi_i - phi_j) M_ij
-        # and the same determinant, whatever gauge det_laurent picks itself
+        # and the same determinant
         gauged = [[x.shift(phi[i] - phi[j]) for j, x in enumerate(row)] for i, row in enumerate(m)]
         assert det_laurent(sparse_rows(gauged)) == det_laurent(sparse_rows(m))
 
     def test_forest_block_takes_one_node(self, monkeypatch):
-        # a tower block whose pattern is the path 1-0-3-2: the gauge makes
-        # every entry constant, so one node and one elimination per prime;
-        # the ungauged dual bound hi = 2 took three
+        # a tower block whose pattern is the path 1-0-3-2: its permutations
+        # are the diagonal and transpositions of mirrored pairs, whose
+        # exponents sum to 0, so hi = 0: one node and one elimination per prime
         g, gi = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
         m = [
             {0: LaurentPoly({0: 3}), 1: -g, 3: -gi},
@@ -617,7 +630,7 @@ class TestDetLaurentOracle:
         moduli = count_eliminations(monkeypatch)
         assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
         assert len(drawn) >= 3
-        # the dual bounds give exponents -3..2: one elimination at each of
+        # the assignments give exponents -3..2: one elimination at each of
         # six nodes, all modulo the product of the primes
         assert moduli == [math.prod(drawn)] * 6
 
