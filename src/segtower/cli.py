@@ -49,7 +49,7 @@ def _num(x):
 
 def _read_graph(args):
     try:
-        with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as fh:
+        with open(args.input) if args.input is not None else contextlib.nullcontext(sys.stdin) as fh:
             obj = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise GraphError(f"cannot read graph: {exc}") from None

@@ -365,13 +365,20 @@ def det_laurent(m) -> LaurentPoly:
     its sparse rows, [{column: LaurentPoly}] of nonzero entries.
 
     det M is bounded before any evaluation: g^-lo * det M is a polynomial
-    Q of degree at most d = hi - lo with coefficients at most
-    prod_i sum_j ||M_ij||_1 = 2^b in absolute value, for hi and -lo the exact
-    maxima over the permutations through M's entries of the sum of their max,
-    and of their negated min, exponents (see _max_assignment); with no such
-    permutation det M = 0.  If M_ji(g) = M_ij(1/g) for every entry
-    (mirrored), as for every voltage Laplacian, the second weights are the
-    transpose of the first, so lo = -hi, and det M is palindromic.
+    Q of degree at most d = hi - lo with coefficients at most 2^b in absolute
+    value, for hi and -lo the exact maxima over the permutations through M's
+    entries of the sum of their max, and of their negated min, exponents (see
+    _max_assignment); with no such permutation det M = 0.  If
+    M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
+    Laplacian, the second weights are the transpose of the first, so
+    lo = -hi, and det M is palindromic.  2^b is prod_i n_i, for the row norms
+    n_i = sum_j ||M_ij||_1, unless M is mirrored and every row has
+    2 c_0(M_ii) >= n_i (c_0 the constant coefficient), as every unramified
+    block does; then 2^b is prod_i ||M_ii||_1.  On |g| = 1 such an M is
+    Hermitian and diagonally dominant with a nonnegative diagonal, so it is
+    positive semidefinite, and Hadamard's inequality gives
+    0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1; by Parseval no
+    coefficient of Q exceeds the maximum of |Q| = |det M| on the circle.
     Interpolating Q and Taylor-shifting it to g = 1 + T take about
     (d + 1)^2 * (b + d) bit operations; past WORK_LIMIT, WorkLimitExceeded
     names d before M is ordered.
@@ -386,13 +393,16 @@ def det_laurent(m) -> LaurentPoly:
     O(log E) multiplications, not E.
     """
     _check_rows(m)
-    bound = math.prod(sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m)
+    norms = [sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m]
     mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
                    for i, row in enumerate(m) for j, x in row.items())
     # max_exp and min_exp raise LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
     lo = -hi if mirrored else -_max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in m])
+    if mirrored and all(i in row and 2 * row[i].coeffs.get(0, 0) >= n for i, (row, n) in enumerate(zip(m, norms))):
+        norms = [sum(map(abs, row[i].coeffs.values())) for i, row in enumerate(m)]
+    bound = math.prod(norms)
     size = hi - lo + 1  # d + 1
     if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "

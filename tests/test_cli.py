@@ -430,6 +430,15 @@ class TestErrors:
             code, out = invoke(capsys, "kappa", "--input", str(path))
             assert code == 1 and out["error"] == "bad_input" and out["reason"].startswith("cannot read graph: ")
 
+    @pytest.mark.parametrize("argv", [["--input", ""], ["--input="]])
+    def test_empty_input_path_is_no_stdin(self, capsys, monkeypatch, argv):
+        # an empty --input, as from an unset shell variable, names no file: it
+        # must not fall back to the graph on stdin
+        with open(fixture_path("cycle5_ram45.json")) as fh:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+        code, out = invoke(capsys, "kappa", *argv)
+        assert code == 1 and out["error"] == "bad_input" and out["reason"].startswith("cannot read graph: ")
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 

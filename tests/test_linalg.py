@@ -517,6 +517,38 @@ def hermitian_matrices(draw, min_dim=0):
     return m
 
 
+@st.composite
+def dominant_hermitian_matrices(draw):
+    """Mirrored matrices of dimension 0-6 with off-diagonal entries of 0-3
+    terms and loops c * (g^a + g^-a) on the diagonal, whose constant
+    coefficient is the sum of the row's other |coefficients| plus 0-2: on
+    |g| = 1 they are positive semidefinite."""
+    n = draw(st.integers(0, 6))
+    m = [[LaurentPoly()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = LaurentPoly(draw(laurent_terms))
+            m[j][i] = mirror(m[i][j])
+    for i in range(n):
+        diag = {}
+        for a, c in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)), max_size=2)):
+            diag[a] = diag.get(a, 0) + c
+            diag[-a] = diag.get(-a, 0) + c
+        rest = sum(abs(c) for j, x in enumerate(m[i]) if j != i for c in x.coeffs.values())
+        diag[0] = rest + sum(abs(c) for c in diag.values()) + draw(st.integers(0, 2))
+        m[i][i] = LaurentPoly(diag)
+    return m
+
+
+def primes_past(bound):
+    """The number of primes _crt draws for a coefficient bound."""
+    k, m = 0, 1
+    for q in linalg._primes():
+        if m > 2 * bound:
+            return k
+        k, m = k + 1, m * q
+
+
 class TestDetLaurentOracle:
     """Modular evaluation and interpolation against evaluation at integer
     nodes by Bareiss over Z and exact interpolation over Z."""
@@ -571,8 +603,10 @@ class TestDetLaurentOracle:
     def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
         # one elimination, modulo the product of the primes, per node x
         # serves x and 1/x: hi + 1 of them for hi the one assignment's value;
-        # a row-span bound D = sum_i (row max - min(0, row min)) needs D + 1
-        for k, seed, nodes in (5, 0, 17), (8, 0, 41), (8, 1, 37), (8, 2, 31):
+        # a row-span bound D = sum_i (row max - min(0, row min)) needs D + 1;
+        # the diagonal coefficient bound takes 2 primes at 5x5 and 4 at 8x8,
+        # where the row norms take 3 and 6
+        for k, seed, nodes, primes in (5, 0, 17, 2), (8, 0, 41, 4), (8, 1, 37, 4), (8, 2, 31, 4):
             g, r = grid_graph(k, k)
             rng = random.Random(seed)
             m = unramified_block(g, r, {e.id: rng.choice((-1, 1)) for e in g.edges})
@@ -581,9 +615,44 @@ class TestDetLaurentOracle:
                 bounds, assignment = [], linalg._max_assignment
                 mp.setattr(linalg, "_max_assignment", lambda w: bounds.append(assignment(w)) or bounds[-1])
                 calls = count_eliminations(mp)
+                drawn = count_primes(mp)
                 assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
             assert len(bounds) == 1 and len(calls) == bounds[0] + 1 == nodes
+            assert len(drawn) == primes
             assert 2 * len(calls) < spans + 1
+
+    @given(dominant_hermitian_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_dominant_hermitian_matrices(self, m):
+        # every coefficient of g^hi * det M is at most prod_i ||M_ii||_1, and
+        # det_laurent draws just the primes that pass twice that bound
+        bound = math.prod(sum(map(abs, m[i][i].coeffs.values())) for i in range(len(m)))
+        with pytest.MonkeyPatch.context() as mp:
+            drawn = count_primes(mp)
+            det = det_laurent(sparse_rows(m))
+        assert det == interpolated_det_laurent(m)
+        assert all(abs(c) <= bound for c in det.coeffs.values())
+        assert len(drawn) == (primes_past(bound) if bound else 0)  # a zero row: det M = 0, no prime drawn
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_diagonal_bound_is_nearly_tight(self, n):
+        # diag(2 + g + 1/g): g^n det M = (1 + g)^(2n), whose central
+        # coefficient C(2n, n) is close to the bound 4^n
+        x = LaurentPoly({-1: 1, 0: 2, 1: 1})
+        det = det_laurent([{i: x} for i in range(n)])
+        assert det == LaurentPoly({e - n: math.comb(2 * n, e) for e in range(2 * n + 1)})
+        assert max(det.coeffs.values()) == math.comb(2 * n, n) <= 4**n
+
+    @pytest.mark.parametrize("c", [1, 7, 2**40, Q0, Q0 * Q1])
+    def test_constant_meets_the_diagonal_bound(self, c):
+        assert det_laurent([{0: LaurentPoly({0: c})}]) == c
+
+    def test_mirrored_but_not_dominant_keeps_the_row_bound(self, monkeypatch):
+        # the diagonal bound 1 would lift 1 - 2^80 modulo one prime
+        m = [{0: LaurentPoly({0: 1}), 1: LaurentPoly({1: 2**40})}, {0: LaurentPoly({-1: 2**40}), 1: LaurentPoly({0: 1})}]
+        drawn = count_primes(monkeypatch)
+        assert det_laurent(m) == 1 - 2**80
+        assert len(drawn) == 3
 
     @given(laurent_matrices())
     @settings(max_examples=300, deadline=None)
