@@ -49,25 +49,27 @@ class Multigraph:
     def __init__(self, vertices, edges):
         vs = tuple(vertices)
         es = tuple(edges)
-        try:
-            vset = set(vs)
-            unknown = [e.id for e in es if e.u not in vset or e.v not in vset]
+        unknown = None  # the id of the first edge with an unknown end
+        try:  # one incidence pass validates the ends; an unknown u hides v
+            incident = {v: [] for v in vs}
+            for e in es:
+                _, u, v = e
+                if (at_u := incident.get(u)) is None or (at_v := incident.get(v)) is None:
+                    unknown = e.id if unknown is None else unknown
+                    continue
+                at_u.append(e)
+                at_v.append(e)  # loops listed twice: degree contribution 2
         except TypeError:
             raise GraphError("vertex ids and edge endpoints must be hashable") from None
-        if len(vset) != len(vs):
+        if len(incident) != len(vs):
             raise GraphError("duplicate vertex id")
-        ids = [e.id for e in es]
-        if len(set(ids)) != len(ids):
+        self._edge_by_id = {e.id: e for e in es}
+        if len(self._edge_by_id) != len(es):
             raise GraphError("duplicate edge id")
-        if unknown:
-            raise GraphError(f"edge {unknown[0]!r} has unknown endpoint")
+        if unknown is not None:
+            raise GraphError(f"edge {unknown!r} has unknown endpoint")
         self.vertices = vs
         self.edges = es
-        self._edge_by_id = {e.id: e for e in es}
-        incident = {v: [] for v in vs}
-        for e in es:
-            incident[e.u].append(e)
-            incident[e.v].append(e)  # loops listed twice: degree contribution 2
         self._incident = incident
 
     def edge(self, edge_id) -> Edge:
@@ -213,18 +215,22 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
 
     A heap of candidate positions always deletes the first deletable vertex
     in vertex order, which decides which end of an isolated edge survives.
-    Only unmarked vertices go, so r holds for the result unchanged.
+    Only unmarked vertices go, so r holds for the result unchanged.  A g
+    with no tail (no unmarked vertex of degree 1) is returned itself.
     """
     check_marks(g, r)
+    incident = g._incident
+    todo = [i for i, v in enumerate(g.vertices) if len(incident[v]) == 1 and not r.is_ramified(v)]  # sorted: a heap
+    if not todo:
+        return g
     position = {v: i for i, v in enumerate(g.vertices)}
-    degree = {v: g.degree(v) for v in g.vertices}  # a loop counts 2, so degree 1 is never a loop
+    degree = {v: len(es) for v, es in incident.items()}  # a loop counts 2, so degree 1 is never a loop
     gone_vertices, gone_edges = set(), set()
-    todo = [position[v] for v in g.vertices if degree[v] == 1 and not r.is_ramified(v)]  # sorted: a heap
     while todo:
         v = g.vertices[heapq.heappop(todo)]
         if degree[v] != 1:  # its neighbour went first and left it isolated
             continue
-        e = next(e for e in g.incident_edges(v) if e.id not in gone_edges)
+        e = next(e for e in incident[v] if e.id not in gone_edges)
         w = e.other(v)
         gone_vertices.add(v)
         gone_edges.add(e.id)

@@ -10,9 +10,11 @@ different ramified pairs.
 
 No path is listed.  The closure classes of "shares an unramified vertex"
 over all edges are the direct edges and loops at ramified vertices, and the
-components of X minus its ramified vertices with their attaching edges.  An
-admissible path runs inside one class, so each class is judged by the
-ramified vertices it touches:
+components of X minus its ramified vertices with their attaching edges:
+one pass over the Edge tuples labels the components, a second groups the
+edges by label, each class in the order of its first edge.  An admissible
+path runs inside one class, so each class is judged by the ramified
+vertices it touches:
 
   1. three or more, a, b, c first in vertex order: fail; the witness is the
      first edge from a into the component, on admissible a-b and a-c paths;
@@ -128,40 +130,41 @@ def admissible_paths(g: Multigraph, r: RamificationData, v, v2, cap=10000):
     return results
 
 
-def _closure_groups(g, r, edge_ids):
-    """Group edges by the transitive closure of sharing an unramified vertex."""
-    uf = UnionFind()
-    by_vertex = {}
-    for eid in edge_ids:
-        uf.find(eid)
-        e = g.edge(eid)
-        for w in {e.u, e.v}:
-            if not r.is_ramified(w):
-                by_vertex.setdefault(w, []).append(eid)
-    for eids in by_vertex.values():
-        for other in eids[1:]:
-            uf.union(eids[0], other)
+def _closure_groups(edges, r):
+    """The closure classes of "shares an unramified vertex" over edges (Edge
+    tuples), in the order of their first edges and each in edge order: one
+    pass labels the components of the edges' unramified vertices, a second
+    groups the edges by label.  An edge with no unramified end is alone."""
+    marks, comp = r.depths, {}  # unramified vertex -> its component's vertex list
+    for _, u, v in edges:
+        if u in marks:
+            u, v = v, u
+        if u in marks:
+            continue
+        cu = comp.setdefault(u, [u])
+        cv = cu if v in marks else comp.get(v)
+        if cv is None:
+            cu.append(v)
+            comp[v] = cu
+        elif cv is not cu:  # the smaller component joins the larger
+            if len(cu) < len(cv):
+                cu, cv = cv, cu
+            cu += cv
+            comp.update(dict.fromkeys(cv, cu))
     groups = {}
-    for eid in edge_ids:
-        groups.setdefault(uf.find(eid), []).append(eid)
+    for e in edges:
+        c = comp.get(e.u) or comp.get(e.v)
+        groups.setdefault(id(c) if c else e, []).append(e)  # a component by its list's identity
     return list(groups.values())
 
 
-def _segment_from_edges(g, color, t, ram, edge_ids, is_loop=False):
-    vs = set()
-    for eid in edge_ids:
-        e = g.edge(eid)
-        vs.update((e.u, e.v))
-    return Segment(color, t, tuple(ram), frozenset(edge_ids), frozenset(vs), is_loop)
-
-
-def _block_with(g, edge_ids, v, v2):
-    """The edges of edge_ids that share a biconnected block with a virtual
-    edge v-v2 (those on some simple v-v2 path), by one iterative lowpoint DFS
-    from v whose first tree edge is the virtual one: its block stays last."""
-    ends = [(v, v2)] + [(g.edge(eid).u, g.edge(eid).v) for eid in edge_ids]  # index 0: virtual
-    adj = {}
-    for i, (a, b) in enumerate(ends):
+def _block_with(edges, v, v2):
+    """The ids of the edges (Edge tuples) that share a biconnected block with
+    a virtual edge v-v2 (those on some simple v-v2 path), by one iterative
+    lowpoint DFS from v whose first tree edge is the virtual one: its block
+    stays last."""
+    adj = {v: [(v2, 0)], v2: [(v, 0)]}  # index 0: virtual
+    for i, (_, a, b) in enumerate(edges, 1):
         if a != b:
             adj.setdefault(a, []).append((b, i))
             adj.setdefault(b, []).append((a, i))
@@ -189,7 +192,7 @@ def _block_with(g, edge_ids, v, v2):
                 if low[x] >= disc[parent]:  # x's subtree closes a block without the virtual edge
                     while stack.pop() != via:
                         pass
-    return {edge_ids[i - 1] for i in stack if i}
+    return {edges[i - 1].id for i in stack if i}
 
 
 def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
@@ -202,7 +205,8 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     g = prune_tails(g, r)
     if not g.connected():
         raise DecompositionError("graph is disconnected")
-    ram = [v for v in g.vertices if r.is_ramified(v)]
+    marks = r.depths
+    ram = [v for v in g.vertices if v in marks]
     if not ram:
         raise DecompositionError("no ramified vertex")
     rank = {v: i for i, v in enumerate(ram)}
@@ -210,40 +214,35 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     two_segments = []
     one_segments = []
     uncoloured = set()
-    for piece in _closure_groups(g, r, [e.id for e in g.edges]):
-        touched = sorted({w for eid in piece for w in (g.edge(eid).u, g.edge(eid).v) if r.is_ramified(w)}, key=rank.get)
+    for piece in _closure_groups(g.edges, r):
+        touched = sorted({w for e in piece for w in e[1:] if w in marks}, key=rank.get)
         if len(touched) > 2:
             a, b, c = touched[:3]
-            eid = next(eid for eid in piece if a in (g.edge(eid).u, g.edge(eid).v))
+            eid = next(e.id for e in piece if a in e[1:])
             raise DecompositionError(
                 "edge lies on admissible paths between two ramified pairs",
                 {"edge": eid, "pairs": [[a, b], [a, c]]},
             )
         if len(touched) == 2:
-            kept = _block_with(g, piece, *touched)
+            kept = _block_with(piece, *touched)
             if len(kept) == len(piece):
-                two_segments.append((tuple(touched), piece))
+                two_segments.append((tuple(sorted(touched, key=str)), piece, False))
             else:  # kept holds every edge at the two ramified vertices
-                uncoloured.update(eid for eid in piece if eid not in kept)
+                uncoloured.update(e.id for e in piece if e.id not in kept)
         else:  # a connected graph has no class without a ramified vertex
-            is_loop = len(piece) == 1 and g.edge(piece[0]).is_loop
-            one_segments.append((touched[0], piece, is_loop))
+            one_segments.append(((touched[0],), piece, len(piece) == 1 and piece[0].is_loop))
     if uncoloured:
-        piece = _closure_groups(g, r, [e.id for e in g.edges if e.id in uncoloured])[0]
+        piece = _closure_groups([e for e in g.edges if e.id in uncoloured], r)[0]
         raise DecompositionError(
-            "uncoloured edge group touches 0 ramified vertices", {"edges": sorted(piece), "ramified": []}
+            "uncoloured edge group touches 0 ramified vertices", {"edges": sorted(e.id for e in piece), "ramified": []}
         )
 
-    # deterministic ordering: 2-segments by endpoint pair then edge ids,
-    # 1-segments by attachment vertex then edge ids
-    two_segments.sort(key=lambda sp: (str(min(map(str, sp[0]))), str(max(map(str, sp[0]))), sorted(sp[1])))
-    one_segments.sort(key=lambda sp: (str(sp[0]), sorted(sp[1])))
-
-    segments = []
-    for color, ((v, v2), piece) in enumerate(two_segments):
-        segments.append(_segment_from_edges(g, color, 2, sorted((v, v2), key=str), piece))
-    for color, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments)):
-        segments.append(_segment_from_edges(g, color, 1, (v,), piece, is_loop))
+    for found in (two_segments, one_segments):  # deterministic: by endpoints as strings, then edge ids
+        found.sort(key=lambda sp: ([str(w) for w in sp[0]], sorted(e.id for e in sp[1])))
+    segments = [
+        Segment(color, len(ends), ends, frozenset(e.id for e in piece), frozenset(w for e in piece for w in e[1:]), is_loop)
+        for color, (ends, piece, is_loop) in enumerate(two_segments + one_segments)  # 2-segments first
+    ]
     return SegmentDecomposition(g, tuple(segments), tuple(ram))
 
 

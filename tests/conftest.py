@@ -7,17 +7,11 @@ from pathlib import Path
 import pytest
 
 from segtower.cover import build_cover
-from segtower.forests import _forest_subsets, forest_count_det, kappa
-from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
+from segtower.forests import forest_count_det, kappa
+from segtower.graph import GraphError, Multigraph, RamificationData, UnionFind, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
-from segtower.seal import (
-    DecompositionError,
-    SegmentDecomposition,
-    _closure_groups,
-    _segment_from_edges,
-    admissible_paths,
-)
+from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -351,6 +345,15 @@ def poly_mul(a, b):
     return _strip(res)
 
 
+def forest_subsets(g, size):
+    """Yield (combo, uf): each acyclic edge subset of the given size as a
+    tuple of Edge, with the union-find of its components."""
+    for combo in combinations(g.edges, size):
+        uf = UnionFind()
+        if all(not e.is_loop and uf.union(e.u, e.v) for e in combo):
+            yield combo, uf
+
+
 def kappa_enumerate(g, cap=20):
     """Oracle for forests.kappa: count spanning trees exhaustively."""
     if len(g.edges) > cap:
@@ -358,14 +361,14 @@ def kappa_enumerate(g, cap=20):
     size = len(g.vertices) - 1
     if size < 0:
         raise GraphError("kappa of the empty graph")
-    return sum(1 for _ in _forest_subsets(g, size))
+    return sum(1 for _ in forest_subsets(g, size))
 
 
 def enumerate_spanning_trees(g, cap=20):
     """All spanning trees as frozensets of edge ids."""
     if len(g.edges) > cap:
         raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
-    return [frozenset(e.id for e in combo) for combo, _ in _forest_subsets(g, len(g.vertices) - 1)]
+    return [frozenset(e.id for e in combo) for combo, _ in forest_subsets(g, len(g.vertices) - 1)]
 
 
 def prune_tails_quadratic(g, r):
@@ -391,6 +394,36 @@ def prune_tails_quadratic(g, r):
         vertices.remove(victim)
         edges.remove(incident[victim][0])
     return Multigraph(vertices, edges)
+
+
+def closure_groups_by_edge_ids(g, r, edge_ids):
+    """Oracle for seal._closure_groups: a union-find over edge ids joins the
+    edges at each unramified vertex; groups in the order of their first
+    edges, each in the order of edge_ids."""
+    uf = UnionFind()
+    by_vertex = {}
+    for eid in edge_ids:
+        uf.find(eid)
+        e = g.edge(eid)
+        for w in {e.u, e.v}:
+            if not r.is_ramified(w):
+                by_vertex.setdefault(w, []).append(eid)
+    for eids in by_vertex.values():
+        for other in eids[1:]:
+            uf.union(eids[0], other)
+    groups = {}
+    for eid in edge_ids:
+        groups.setdefault(uf.find(eid), []).append(eid)
+    return list(groups.values())
+
+
+def segment_by_edge_ids(g, color, t, ram, edge_ids, is_loop=False):
+    """The Segment of the given edge ids, their ends looked up in g."""
+    vs = set()
+    for eid in edge_ids:
+        e = g.edge(eid)
+        vs.update((e.u, e.v))
+    return Segment(color, t, tuple(ram), frozenset(edge_ids), frozenset(vs), is_loop)
 
 
 def path_decompose(g, r):
@@ -423,9 +456,9 @@ def path_decompose(g, r):
             owner[eid] = (v, v2)
         direct = [eid for eid in eids if {g.edge(eid).u, g.edge(eid).v} == {v, v2}]
         rest = [eid for eid in eids if eid not in direct]
-        two_segments += [((v, v2), piece) for piece in [[eid] for eid in direct] + _closure_groups(g, r, rest)]
+        two_segments += [((v, v2), piece) for piece in [[eid] for eid in direct] + closure_groups_by_edge_ids(g, r, rest)]
     one_segments = []
-    for piece in _closure_groups(g, r, [e.id for e in g.edges if e.id not in owner]):
+    for piece in closure_groups_by_edge_ids(g, r, [e.id for e in g.edges if e.id not in owner]):
         touched = {w for eid in piece for w in (g.edge(eid).u, g.edge(eid).v) if r.is_ramified(w)}
         if len(touched) != 1:
             raise DecompositionError(
@@ -435,9 +468,9 @@ def path_decompose(g, r):
         one_segments.append((touched.pop(), piece, len(piece) == 1 and g.edge(piece[0]).is_loop))
     two_segments.sort(key=lambda sp: (str(min(map(str, sp[0]))), str(max(map(str, sp[0]))), sorted(sp[1])))
     one_segments.sort(key=lambda sp: (str(sp[0]), sorted(sp[1])))
-    segments = [_segment_from_edges(g, c, 2, sorted(ends, key=str), piece) for c, (ends, piece) in enumerate(two_segments)]
+    segments = [segment_by_edge_ids(g, c, 2, sorted(ends, key=str), piece) for c, (ends, piece) in enumerate(two_segments)]
     segments += [
-        _segment_from_edges(g, c, 1, (v,), piece, is_loop)
+        segment_by_edge_ids(g, c, 1, (v,), piece, is_loop)
         for c, (v, piece, is_loop) in enumerate(one_segments, start=len(two_segments))
     ]
     return SegmentDecomposition(g, tuple(segments), tuple(ram))

@@ -56,12 +56,42 @@ class TestBuildGraph:
         assert {e.other("a") for e in g.incident_edges("a")} == {"a"}
 
     def test_errors(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^duplicate vertex id$"):
             build_graph(["a", "a"], [])
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^edge 'e0' has unknown endpoint$"):
             build_graph(["a"], [("a", "b")])
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^duplicate edge id 'e'$"):
             build_graph(["a", "b"], [("a", "b", "e"), ("a", "b", "e")])
+        with pytest.raises(GraphError, match="^duplicate edge id$"):
+            Multigraph(["a", "b"], [Edge("e", "a", "b"), Edge("e", "b", "a")])
+        hashable = "^vertex ids and edge endpoints must be hashable$"
+        with pytest.raises(GraphError, match=hashable):
+            Multigraph([["a"]], [])
+        with pytest.raises(GraphError, match=hashable):
+            Multigraph(["a"], [Edge("e0", "a", ["a"])])
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            # every end is hashed before the duplicate vertex is reported
+            (["a", "a"], [Edge("e0", "a", ["a"])], "vertex ids and edge endpoints must be hashable"),
+            (["a", "a"], [Edge("e0", "a", "z")], "duplicate vertex id"),
+            (["a", "a"], [Edge("e", "a", "a"), Edge("e", "a", "a")], "duplicate vertex id"),
+            (["a"], [Edge("e", "a", "z"), Edge("e", "a", "a")], "duplicate edge id"),
+            # an unknown u hides v, even an unhashable one; later edges are still hashed
+            (["a"], [Edge("e0", "z", ["a"])], "edge 'e0' has unknown endpoint"),
+            (["a"], [Edge("e0", "z", "a"), Edge("e1", "a", ["a"])], "vertex ids and edge endpoints must be hashable"),
+            (["a"], [Edge("e0", "a", "a"), Edge("e1", "a", "y"), Edge("e2", "z", "a")], "edge 'e1' has unknown endpoint"),
+        ],
+    )
+    def test_which_error_wins(self, vertices, edges, message):
+        with pytest.raises(GraphError) as exc:
+            Multigraph(vertices, edges)
+        assert str(exc.value) == message
+
+    def test_json_unknown_from_hides_an_unhashable_to(self):
+        with pytest.raises(GraphError, match="^edge 'e0' has unknown endpoint$"):
+            graph_from_json({"vertices": ["a"], "edges": [{"from": "z", "to": ["a"]}]})
 
 
 class TestLaplacian:
@@ -135,6 +165,12 @@ class TestPruneTails:
         g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
         pruned = prune_tails(g, RamificationData())
         assert pruned.vertices == g.vertices and pruned.edges == g.edges
+
+    def test_no_tail_returns_the_graph_itself(self):
+        g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "d")])
+        assert prune_tails(g, RamificationData()) is g
+        g = build_graph(["a", "d"], [("a", "d")])
+        assert prune_tails(g, RamificationData.totally_ramified(["a", "d"])) is g
 
     def test_ramified_endpoint_kept(self):
         g = build_graph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3")])

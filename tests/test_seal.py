@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_fixture_names,
+    closure_groups_by_edge_ids,
     enumerate_spanning_trees,
     grid_graph,
     load_fixture,
@@ -21,6 +22,7 @@ from segtower.graph import RamificationData, build_graph, graph_to_json, prune_t
 from segtower.seal import (
     DecompositionError,
     PathCapExceeded,
+    _closure_groups,
     admissible_paths,
     admissible_sets,
     decompose,
@@ -174,6 +176,30 @@ class TestDecompose:
                 decompose(g, r)
             assert exc.value.witness == {"edges": ["e2", "e3", "e4"], "ramified": []}
 
+    def test_uncoloured_triangle_at_a_two_class(self):
+        # a-x-b carries the a-b paths; the triangle x-y-z hangs off x
+        g = build_graph(["a", "x", "b", "y", "z"], [("a", "x"), ("x", "b"), ("x", "y"), ("y", "z"), ("z", "x"), ("a", "b")])
+        r = RamificationData.totally_ramified(["a", "b"])
+        with pytest.raises(DecompositionError) as exc:
+            decompose(g, r)
+        assert exc.value.reason == "uncoloured edge group touches 0 ramified vertices"
+        assert exc.value.witness == {"edges": ["e2", "e3", "e4"], "ramified": []}
+        code, reply = seal_reply(g, r)
+        assert code == 2 and reply["witness"] == exc.value.witness
+
+    @pytest.mark.parametrize("first", ["p", "q"])
+    def test_first_uncoloured_group_is_the_witness(self, first):
+        # triangles at p and at q on the v-p-q-w path, sharing no vertex: the
+        # triangle that owns the first uncoloured edge is the witness
+        path = [("v", "p", "vp"), ("p", "q", "pq"), ("q", "w", "qw")]
+        tri = {x: [(x, f"{x}1", f"{x}a"), (f"{x}1", f"{x}2", f"{x}b"), (f"{x}2", x, f"{x}c")] for x in "pq"}
+        other = "q" if first == "p" else "p"
+        edges = [tri[first][0], tri[other][0]] + path + tri[other][1:] + tri[first][1:]
+        g = build_graph(["v", "p", "q", "w", "p1", "p2", "q1", "q2"], edges)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(g, RamificationData.totally_ramified(["v", "w"]))
+        assert exc.value.witness == {"edges": [f"{first}a", f"{first}b", f"{first}c"], "ramified": []}
+
     def test_disconnected_rejected(self):
         g = build_graph(["a", "b"], [])
         with pytest.raises(DecompositionError):
@@ -243,6 +269,29 @@ def marked_multigraphs(draw):
     r = RamificationData.totally_ramified(ram)
     g2 = prune_tails(g, r)
     return g2, r
+
+
+@st.composite
+def marked_edge_subsets(draw):
+    """A multigraph on 1-8 vertices with loops and parallel edges, 0-5 marks
+    and a random subset of its edges in edge order.  Vertices may be named
+    like edges (e0, e1, ...)."""
+    prefix = draw(st.sampled_from("ve"))
+    vs = [f"{prefix}{i}" for i in range(draw(st.integers(1, 8)))]
+    g = build_graph(vs, draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=14)))
+    r = RamificationData.totally_ramified(draw(st.lists(st.sampled_from(vs), max_size=5, unique=True)))
+    keep = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+    return g, r, [e for e, k in zip(g.edges, keep) if k]
+
+
+@given(marked_edge_subsets())
+@settings(max_examples=400, deadline=None)
+def test_closure_groups_match_the_union_find(case):
+    """seal's labelling gives the union-find's groups, in the same order,
+    each in edge order."""
+    g, r, edges = case
+    got = [[e.id for e in group] for group in _closure_groups(edges, r)]
+    assert got == closure_groups_by_edge_ids(g, r, [e.id for e in edges])
 
 
 class TestAgainstPaths:
