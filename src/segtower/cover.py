@@ -80,24 +80,12 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
 
 
 def segment_preimage(c: CoverGraph, segment):
-    """Induced subgraph of the cover over a base segment.
-
-    Returns (graph, ramification) where the ramification marks all cover
-    vertices lying over the segment's ramified endpoints.
-    """
-    edge_ids = set(segment.edge_ids)
-    base_ids = {e.id for e in c.base.edges}
-    for eid in edge_ids:
-        if eid not in base_ids:
-            raise GraphError(f"segment edge {eid!r} is not an edge of the cover's base")
-    edges = [e for e in c.graph.edges if c.edge_projection[e.id] in edge_ids]
-    vset = []
-    seen = set()
-    for e in edges:
-        for w in (e.u, e.v):
-            if w not in seen:
-                seen.add(w)
-                vset.append(w)
-    sub = Multigraph(vset, edges)
-    marked = {v: k for v, k in c.ram.depths.items() if v in seen and v[0] in segment.ramified}
-    return sub, RamificationData(marked)
+    """(graph, ramification) over a base segment: cut as Segment.subgraph cuts
+    the base, the fibres over its vertices in cover order and the edges over
+    its edges; the ramification marks the fibres over its ramified ends."""
+    if foreign := segment.edge_ids - {e.id for e in c.base.edges}:
+        raise GraphError(f"segment edge {min(foreign, key=str)!r} is not an edge of the cover's base")
+    vertices = [w for w in c.graph.vertices if w[0] in segment.vertices]
+    edges = [e for e in c.graph.edges if c.edge_projection[e.id] in segment.edge_ids]
+    marked = {v: k for v, k in c.ram.depths.items() if v[0] in segment.ramified}
+    return Multigraph(vertices, edges), RamificationData(marked)

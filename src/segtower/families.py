@@ -20,10 +20,21 @@ import math
 from .graph import GraphError, RamificationData, build_graph, check_size
 
 
-def line_graph(multiplicities):
-    ns = [int(x) for x in multiplicities]
-    if not ns or any(x < 1 for x in ns):
+def _check_ints(**params):
+    """Raise GraphError naming the first parameter that is no int (a bool is none)."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise GraphError(f"{name} must be an integer, got {x!r}")
+
+
+def _multiplicities(ns):  # a list (or tuple) of positive ints
+    if type(ns) not in (list, tuple) or not ns or any(type(x) is not int or x < 1 for x in ns):
         raise GraphError("line multiplicities must be positive integers")
+    return ns
+
+
+def line_graph(multiplicities):
+    ns = _multiplicities(multiplicities)
     k = len(ns) + 1
     check_size(k, sum(ns), "the line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
@@ -36,15 +47,13 @@ def line_graph(multiplicities):
 
 
 def line_f2(multiplicities):
-    ns = [int(x) for x in multiplicities]
-    if not ns or any(x < 1 for x in ns):
-        raise GraphError("line multiplicities must be positive integers")
+    ns = _multiplicities(multiplicities)
     prod = math.prod(ns)
     return sum(prod // n for n in ns)  # prod * sum(1/n), exact: n divides prod
 
 
 def modified_line_graph(k, n, m):
-    k, n, m = int(k), int(n), int(m)
+    _check_ints(k=k, n=n, m=m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
         raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
     check_size(k, k, "the modified line graph")
@@ -56,14 +65,13 @@ def modified_line_graph(k, n, m):
 
 
 def modified_line_f2(k, n, m):
-    k, n, m = int(k), int(n), int(m)
+    _check_ints(k=k, n=n, m=m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
         raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
     return (k - m + n) * (m - n + 1) - 1
 
 
 def chorded_cycle_graph(n, t, i, j):
-    n, t, i, j = int(n), int(t), int(i), int(j)
     _validate_chorded(n, t, i, j)
     check_size(n, n + 1, "the chorded cycle")
     vertices = [f"v{x}" for x in range(1, n + 1)]
@@ -74,6 +82,7 @@ def chorded_cycle_graph(n, t, i, j):
 
 
 def _validate_chorded(n, t, i, j):
+    _check_ints(n=n, t=t, i=i, j=j)
     if n < 3:
         raise GraphError("chorded cycle needs n >= 3")
     if not (2 <= t <= -(-n // 2)):
@@ -101,7 +110,6 @@ def _chorded_presentations(n, t, i, j):
 
 
 def chorded_cycle_f2(n, t, i, j):
-    n, t, i, j = int(n), int(t), int(i), int(j)
     _validate_chorded(n, t, i, j)
     for tt, ii, jj in _chorded_presentations(n, t, i, j):
         if jj == ii + 1 and 1 <= ii < tt and jj <= tt:
@@ -125,7 +133,7 @@ def chorded_cycle_f2(n, t, i, j):
 
 
 def complete_graph(n):
-    n = int(n)
+    _check_ints(n=n)
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
     check_size(n, n * (n - 1) // 2, "the complete graph")
@@ -140,7 +148,7 @@ def _kappa_complete(i):
 
 
 def complete_f2(n):
-    n = int(n)
+    _check_ints(n=n)
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
     return sum(

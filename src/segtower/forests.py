@@ -3,16 +3,14 @@
 kappa counts spanning trees by the matrix-tree theorem (determinant of a
 Laplacian minor); forest_count_det counts spanning forests with t components,
 each containing exactly one marked vertex, by deleting the t marked
-rows/columns.  forest_count_bruteforce counts F_t by exhaustive enumeration
+rows/columns.  forest_count_bruteforce counts F_t over graph.acyclic_subsets
 under an edge cap (the CLI's `forests --method brute`).  All three return
 ints; a bad mark (not 1 or 2 distinct vertices of g) and the cap raise GraphError.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .graph import GraphError, Multigraph, UnionFind, laplacian
+from .graph import GraphError, Multigraph, acyclic_subsets, laplacian
 from .linalg import det_int
 
 
@@ -48,20 +46,6 @@ def forest_count_det(g: Multigraph, marked) -> int:
     return det_int(laplacian(g, _check_marked(g, marked)))
 
 
-def _forest_subsets(g: Multigraph, size):
-    """Yield acyclic edge subsets of the given size (as tuples of Edge)."""
-    edges = g.edges
-    for combo in combinations(edges, size):
-        uf = UnionFind()
-        ok = True
-        for e in combo:
-            if e.is_loop or not uf.union(e.u, e.v):
-                ok = False
-                break
-        if ok:
-            yield combo, uf
-
-
 def forest_count_bruteforce(g: Multigraph, marked) -> int:
     """Exhaustive F_t count (oracle for forest_count_det).
 
@@ -74,4 +58,5 @@ def forest_count_bruteforce(g: Multigraph, marked) -> int:
     t = len(marked)
     # acyclic with |V| - t edges means exactly t components; they each
     # contain exactly one marked vertex iff the marked roots are distinct
-    return sum(len({uf.find(v) for v in marked}) == t for _, uf in _forest_subsets(g, len(g.vertices) - t))
+    forests = acyclic_subsets([(e.u, e.v) for e in g.edges], len(g.vertices) - t)
+    return sum(len({uf.find(v) for v in marked}) == t for _, uf in forests)

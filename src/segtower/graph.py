@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Hashable
+from itertools import combinations
 from typing import NamedTuple
 
 
@@ -63,20 +64,13 @@ class Multigraph:
             raise GraphError("vertex ids and edge endpoints must be hashable") from None
         if len(incident) != len(vs):
             raise GraphError("duplicate vertex id")
-        self._edge_by_id = {e.id: e for e in es}
-        if len(self._edge_by_id) != len(es):
+        if len({e.id for e in es}) != len(es):
             raise GraphError("duplicate edge id")
         if unknown is not None:
             raise GraphError(f"edge {unknown!r} has unknown endpoint")
         self.vertices = vs
         self.edges = es
         self._incident = incident
-
-    def edge(self, edge_id) -> Edge:
-        try:
-            return self._edge_by_id[edge_id]
-        except KeyError:
-            raise GraphError(f"unknown edge id {edge_id!r}") from None
 
     def has_vertex(self, v):
         return v in self._incident
@@ -95,8 +89,8 @@ class Multigraph:
         todo = deque(seen)
         while todo:
             w = todo.popleft()
-            for e in self._incident[w]:
-                x = e.other(w)
+            for _, u, v in self._incident[w]:
+                x = v if u == w else u
                 if x not in seen:
                     seen.add(x)
                     todo.append(x)
@@ -126,6 +120,16 @@ class UnionFind:
             self.parent[ra] = rb
             return True
         return False
+
+
+def acyclic_subsets(pairs, size):
+    """Yield (combo, uf) for each size-subset of the (u, v) pairs that forms
+    a forest: combo holds the pairs' indices in increasing order, uf joins
+    each tree's vertices.  A loop (u, u) fails its own union."""
+    for combo in combinations(range(len(pairs)), size):
+        uf = UnionFind()
+        if all(uf.union(*pairs[i]) for i in combo):
+            yield combo, uf
 
 
 class RamificationData:
@@ -262,7 +266,8 @@ def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationD
     if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
         raise GraphError("identification pairs must be distinct on both sides")
 
-    taken = set(g1.vertices)
+    vertices = list(g1.vertices)
+    taken = set(vertices)
     vmap = {b: a for a, b in pairs}
     for v in g2.vertices:
         if v in vmap:
@@ -272,6 +277,7 @@ def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationD
             name = f"{name}'"
         vmap[v] = name
         taken.add(name)
+        vertices.append(name)
 
     edge_ids = {e.id for e in g1.edges}
     edges = list(g1.edges)
@@ -282,7 +288,6 @@ def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationD
         edge_ids.add(eid)
         edges.append(Edge(eid, vmap[e.u], vmap[e.v]))
 
-    vertices = list(g1.vertices) + [vmap[v] for v in g2.vertices if vmap[v] not in set(g1.vertices)]
     depths = dict(r1.depths)
     for v, k in r2.depths.items():
         depths.setdefault(vmap[v], k)

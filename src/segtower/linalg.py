@@ -61,29 +61,13 @@ class LaurentPoly:
         """Multiply by g^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
-    def __add__(self, other):
-        res = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            res[e] = res.get(e, 0) + c
-        return LaurentPoly(res)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         res = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 res[e] = res.get(e, 0) + c1 * c2
         return LaurentPoly(res)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):

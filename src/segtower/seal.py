@@ -30,9 +30,8 @@ Conflicts are reported before uncoloured groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graph import GraphError, Multigraph, RamificationData, UnionFind, prune_tails
+from .graph import GraphError, Multigraph, RamificationData, acyclic_subsets, prune_tails
 
 
 class PathCapExceeded(RuntimeError):
@@ -247,12 +246,7 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
 
 
 def admissible_sets(d: SegmentDecomposition):
-    """All (l-1)-subsets I of 2-segment indices whose endpoint pairs form a
-    spanning tree on the ramified vertices.  Indices are positions in
-    d.segments (0-based)."""
-    out = []
-    for combo in combinations(range(d.k_prime), d.l - 1):
-        uf = UnionFind()  # l - 1 pairs without a cycle span the l vertices
-        if all(uf.union(*d.segments[i].ramified) for i in combo):
-            out.append(frozenset(combo))
-    return out
+    """The spanning trees of the multigraph on the ramified vertices whose
+    edges are the 2-segments, by graph.acyclic_subsets: the (l-1)-subsets I of
+    2-segment indices (positions in d.segments) whose endpoint pairs have no cycle."""
+    return [frozenset(combo) for combo, _ in acyclic_subsets([s.ramified for s in d.two_segments], d.l - 1)]

@@ -181,6 +181,11 @@ def bareiss_det_int(m):
     return sign * a[n - 1][n - 1]
 
 
+def laurent_sub(a, b):
+    """a - b: LaurentPoly itself offers only * and ==."""
+    return LaurentPoly({e: a.coeffs.get(e, 0) - b.coeffs.get(e, 0) for e in a.coeffs.keys() | b.coeffs.keys()})
+
+
 def bareiss_det_laurent(m):
     """Oracle for linalg.det_laurent: Bareiss fraction-free elimination over
     Z[g] with polynomial products and exact long division.
@@ -215,13 +220,13 @@ def bareiss_det_laurent(m):
                 return LaurentPoly()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                num = laurent_sub(a[i][j] * a[k][k], a[i][k] * a[k][j])
                 a[i][j] = laurent_exact_div(num, prev)
             a[i][k] = LaurentPoly()
         prev = a[k][k]
     det = a[n - 1][n - 1]
     if sign < 0:
-        det = -det
+        det = laurent_sub(LaurentPoly(), det)
     return det.shift(-total_shift)
 
 
@@ -402,9 +407,10 @@ def closure_groups_by_edge_ids(g, r, edge_ids):
     edges, each in the order of edge_ids."""
     uf = UnionFind()
     by_vertex = {}
+    edge = {e.id: e for e in g.edges}
     for eid in edge_ids:
         uf.find(eid)
-        e = g.edge(eid)
+        e = edge[eid]
         for w in {e.u, e.v}:
             if not r.is_ramified(w):
                 by_vertex.setdefault(w, []).append(eid)
@@ -420,8 +426,9 @@ def closure_groups_by_edge_ids(g, r, edge_ids):
 def segment_by_edge_ids(g, color, t, ram, edge_ids, is_loop=False):
     """The Segment of the given edge ids, their ends looked up in g."""
     vs = set()
+    edge = {e.id: e for e in g.edges}
     for eid in edge_ids:
-        e = g.edge(eid)
+        e = edge[eid]
         vs.update((e.u, e.v))
     return Segment(color, t, tuple(ram), frozenset(edge_ids), frozenset(vs), is_loop)
 
@@ -443,6 +450,7 @@ def path_decompose(g, r):
     ram = [v for v in g.vertices if r.is_ramified(v)]
     if not ram:
         raise DecompositionError("no ramified vertex")
+    edge = {e.id: e for e in g.edges}
     owner = {}
     two_segments = []
     for v, v2 in combinations(ram, 2):
@@ -454,18 +462,18 @@ def path_decompose(g, r):
                     {"edge": eid, "pairs": [list(owner[eid]), [v, v2]]},
                 )
             owner[eid] = (v, v2)
-        direct = [eid for eid in eids if {g.edge(eid).u, g.edge(eid).v} == {v, v2}]
+        direct = [eid for eid in eids if {edge[eid].u, edge[eid].v} == {v, v2}]
         rest = [eid for eid in eids if eid not in direct]
         two_segments += [((v, v2), piece) for piece in [[eid] for eid in direct] + closure_groups_by_edge_ids(g, r, rest)]
     one_segments = []
     for piece in closure_groups_by_edge_ids(g, r, [e.id for e in g.edges if e.id not in owner]):
-        touched = {w for eid in piece for w in (g.edge(eid).u, g.edge(eid).v) if r.is_ramified(w)}
+        touched = {w for eid in piece for w in (edge[eid].u, edge[eid].v) if r.is_ramified(w)}
         if len(touched) != 1:
             raise DecompositionError(
                 "uncoloured edge group touches %d ramified vertices" % len(touched),
                 {"edges": sorted(piece), "ramified": sorted(map(str, touched))},
             )
-        one_segments.append((touched.pop(), piece, len(piece) == 1 and g.edge(piece[0]).is_loop))
+        one_segments.append((touched.pop(), piece, len(piece) == 1 and edge[piece[0]].is_loop))
     two_segments.sort(key=lambda sp: (str(min(map(str, sp[0]))), str(max(map(str, sp[0]))), sorted(sp[1])))
     one_segments.sort(key=lambda sp: (str(sp[0]), sorted(sp[1])))
     segments = [segment_by_edge_ids(g, c, 2, sorted(ends, key=str), piece) for c, (ends, piece) in enumerate(two_segments)]

@@ -109,6 +109,28 @@ class TestDispatch:
         with pytest.raises(GraphError, match="missing"):
             f2_closed_form("chorded_cycle", n=5)
 
+    @pytest.mark.parametrize(
+        "variant, params, name",
+        [
+            ("complete", {"n": 3.7}, "n"),
+            ("complete", {"n": True}, "n"),
+            ("modified_line", {"k": 6, "n": 2, "m": "4"}, "m"),
+            ("chorded_cycle", {"n": 5, "t": 2, "i": 1, "j": 2.0}, "j"),
+        ],
+    )
+    def test_parameters_are_not_coerced(self, variant, params, name):
+        # int(3.7) would build K(3) and answer its count
+        for call in (make_family, f2_closed_form):
+            with pytest.raises(GraphError, match=f"^{name} must be an integer"):
+                call(variant, **params)
+
+    @pytest.mark.parametrize("ns", ["12", (1, 2.0), [True, 2], 3])
+    def test_multiplicities_are_not_coerced(self, ns):
+        # "12" would be read as [1, 2]
+        for call in (make_family, f2_closed_form):
+            with pytest.raises(GraphError, match="line multiplicities must be positive integers"):
+                call("line", multiplicities=ns)
+
     def test_size_refused_before_building(self):
         # K(64) has 64 + 2016 vertices and edges, past 2^11; K(63) has 2016
         assert len(complete_graph(63)[0].edges) == 1953
