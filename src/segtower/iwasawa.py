@@ -115,6 +115,8 @@ def _block_det(g, r, voltage, stage):
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
     check_prime(p)
     check_marks(g, r)
+    if not g.vertices:
+        raise GraphError("kappa of the empty graph")  # as forests.kappa refuses it
     det = _block_det(g, r, voltage, "characteristic element")
     body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)

@@ -97,10 +97,6 @@ class SegmentDecomposition:
     def two_segments(self):
         return self.segments[: self.k_prime]
 
-    @property
-    def one_segments(self):
-        return self.segments[self.k_prime :]
-
 
 def admissible_paths(g: Multigraph, r: RamificationData, v, v2, cap=10000):
     """All simple admissible paths between ramified v and v2, once per

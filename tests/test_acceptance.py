@@ -153,8 +153,8 @@ def test_criterion_07_seal():
     g, r, _ = load_fixture("doubled_cycle_pendant_triangle.json")
     d = decompose(g, r)
     assert d.k_prime == 3
-    assert len(d.one_segments) == 1
-    assert d.one_segments[0].ramified == ("v5",)
+    assert len(d.segments[d.k_prime :]) == 1
+    assert d.segments[d.k_prime].ramified == ("v5",)
 
     g, r, _ = load_fixture("k5_ram245.json")
     with pytest.raises(DecompositionError) as exc:

@@ -587,6 +587,7 @@ class TestErrors:
             (["family", "--variant", "line", "--params", "multiplicities=a"], {}),
             (["family", "--variant", "line", "--params", "multiplicities="], {}),
             (["family", "--variant", "complete", "--params", "m=3"], {}),
+            (["invariants", "--p", "3", "--symbolic-only"], {"vertices": [], "edges": []}),
         ],
     )
     def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):

@@ -303,6 +303,11 @@ class TestTowerKappas:
             with pytest.raises(GraphError, match="'zz' is not a vertex"):
                 call()
 
+    def test_empty_graph_rejected(self):
+        # T^0 times the empty block's det 1 would give the symbolic lambda -1
+        with pytest.raises(GraphError, match="empty graph"):
+            char_element(build_graph([], []), RamificationData({}), {}, 3)
+
 
 class TestDefaultLevels:
     def test_empirical_default_spans_five_levels(self):

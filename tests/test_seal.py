@@ -84,8 +84,8 @@ class TestDecompose:
         g, r, _ = load_fixture("doubled_cycle_pendant_triangle.json")
         d = decompose(g, r)
         assert d.k_prime == 3
-        assert len(d.one_segments) == 1
-        one = d.one_segments[0]
+        assert len(d.segments[d.k_prime :]) == 1
+        one = d.segments[d.k_prime]
         assert one.ramified == ("v5",)
         assert one.edge_ids == frozenset({"e56", "e67", "e57"})
 
@@ -94,7 +94,7 @@ class TestDecompose:
         g, r, _ = load_fixture("chorded_cycle_pendant_triangle.json")
         d = decompose(g, r)
         assert d.k_prime == 4
-        assert len(d.one_segments) == 1
+        assert len(d.segments[d.k_prime :]) == 1
         singletons = [s for s in d.two_segments if s.edge_ids == frozenset({"e24"})]
         assert len(singletons) == 1
 
@@ -109,7 +109,7 @@ class TestDecompose:
         g = build_graph(["a", "b"], [("a", "b", "e"), ("a", "a", "loop")])
         r = RamificationData.totally_ramified(["a", "b"])
         d = decompose(g, r)
-        loops = [s for s in d.one_segments if s.is_loop]
+        loops = [s for s in d.segments[d.k_prime :] if s.is_loop]
         assert len(loops) == 1
         assert loops[0].edge_ids == frozenset({"loop"})
 
