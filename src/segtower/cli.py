@@ -25,11 +25,16 @@ from .linalg import LinalgError
 from .seal import DecompositionError, admissible_sets, decompose
 
 
+# Below this many bits str(x) is safe and fast: 10 000 bits is about 3011
+# digits, under Python 3.11's 4300-digit int-to-str limit.
+_STR_BITS = 10_000
+
+
 def _num(x):
     """Decimal string of any int, past Python 3.11's int-to-str digit limit
     and in subquadratic time: x split at 2^h into binary halves, converted
     to Decimal and joined with decimal's fast multiplication."""
-    if x.bit_length() <= 10_000:
+    if x.bit_length() <= _STR_BITS:
         return str(x)
     if x < 0:
         return "-" + _num(-x)
@@ -37,7 +42,7 @@ def _num(x):
     powers = {}  # h -> 2^h as a Decimal
 
     def convert(y, bits):  # y < 2^bits
-        if bits <= 10_000:
+        if bits <= _STR_BITS:
             return decimal.Decimal(y)
         h = bits // 2
         if h not in powers:
@@ -64,73 +69,61 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def cmd_seal(args):
-    g, r, _ = _read_graph(args)
+# A handler returns its reply; one that takes --input gets the graph, marks and voltages too.
+def cmd_seal(args, g, r, _):
     d = decompose(g, r)
-    _emit(
-        {
-            "segments": [
-                {
-                    "color": s.color,
-                    "t": s.t,
-                    "endpoints": [str(v) for v in s.ramified],
-                    "edges": sorted(s.edge_ids),
-                    **({"loop": True} if s.is_loop else {}),
-                }
-                for s in d.segments
-            ],
-            "l": d.l,
-            "k": d.k,
-            "k_prime": d.k_prime,
-            "admissible_sets": [sorted(I) for I in admissible_sets(d)],
-        }
-    )
-    return 0
+    return {
+        "segments": [
+            {
+                "color": s.color,
+                "t": s.t,
+                "endpoints": [str(v) for v in s.ramified],
+                "edges": sorted(s.edge_ids),
+                **({"loop": True} if s.is_loop else {}),
+            }
+            for s in d.segments
+        ],
+        "l": d.l,
+        "k": d.k,
+        "k_prime": d.k_prime,
+        "admissible_sets": [sorted(I) for I in admissible_sets(d)],
+    }
 
 
-def cmd_kappa(args):
-    g, _, _ = _read_graph(args)
+def cmd_kappa(args, g, *_):
     count = kappa(g)  # 0 exactly when g is disconnected
-    _emit({"kappa": _num(count), "method": "determinant", **({} if count else {"diagnostic": "graph is disconnected"})})
-    return 0
+    return {"kappa": _num(count), "method": "determinant", **({} if count else {"diagnostic": "graph is disconnected"})}
 
 
-def cmd_forests(args):
-    g, _, _ = _read_graph(args)
+def cmd_forests(args, g, *_):
     ids = {str(v): v for v in g.vertices}  # distinct: graph_from_json checks
     marked = [ids.get(m, m) for m in args.marked.split(",") if m]
     if args.method == "brute":
         count, method = forest_count_bruteforce(g, marked), "enumeration"
     else:
         count, method = forest_count_det(g, marked), "determinant"
-    _emit({"forest_count": _num(count), "t": len(marked), "method": method})
-    return 0
+    return {"forest_count": _num(count), "t": len(marked), "method": method}
 
 
-def cmd_cover(args):
-    g, r, voltage = _read_graph(args)
+def cmd_cover(args, g, r, voltage):
     c = build_cover(g, r, voltage, args.p, args.n)
 
     def vid(v):
         return f"{v[0]}@{v[1]}"
 
-    _emit(
-        {
-            "vertices": [vid(v) for v in c.graph.vertices],
-            "edges": [{"id": e.id, "from": vid(e.u), "to": vid(e.v)} for e in c.graph.edges],
-            "ramified": [{"vertex": vid(v), "depth": k} for v, k in c.ram.depths.items()],
-            "projection": {
-                "vertices": {vid(v): str(v[0]) for v in c.graph.vertices},
-                "edges": dict(c.edge_projection),
-            },
-            "connected": c.graph.connected(),
-        }
-    )
-    return 0
+    return {
+        "vertices": [vid(v) for v in c.graph.vertices],
+        "edges": [{"id": e.id, "from": vid(e.u), "to": vid(e.v)} for e in c.graph.edges],
+        "ramified": [{"vertex": vid(v), "depth": k} for v, k in c.ram.depths.items()],
+        "projection": {
+            "vertices": {vid(v): str(v[0]) for v in c.graph.vertices},
+            "edges": dict(c.edge_projection),
+        },
+        "connected": c.graph.connected(),
+    }
 
 
-def cmd_invariants(args):
-    g, r, voltage = _read_graph(args)
+def cmd_invariants(args, g, r, voltage):
     report = iwasawa.tower_report(
         g,
         r,
@@ -143,18 +136,14 @@ def cmd_invariants(args):
     if "levels" in report:
         for lv in report["levels"]:
             lv["kappa"] = _num(lv["kappa"])
-    _emit(report)
-    return 0
+    return report
 
 
-def cmd_verify(args):
-    g, r, voltage = _read_graph(args)
-    if args.theorem == "factorization":
-        v = iwasawa.verify_char_factorization(g, r, voltage, args.p)
-    else:
-        harness = {"A": iwasawa.verify_theorem_A, "partial": iwasawa.verify_partial_ramification,
-                   "general": iwasawa.verify_general_case}[args.theorem]
-        v = harness(g, r, voltage, args.p, args.n)
+def cmd_verify(args, g, r, voltage):
+    harness = {"A": iwasawa.verify_theorem_A, "partial": iwasawa.verify_partial_ramification,
+               "general": iwasawa.verify_general_case,
+               "factorization": lambda g, r, voltage, p, n: iwasawa.verify_char_factorization(g, r, voltage, p)}
+    v = harness[args.theorem](g, r, voltage, args.p, args.n)
 
     def conv(x):
         if isinstance(x, dict):
@@ -165,8 +154,7 @@ def cmd_verify(args):
             return _num(x)
         return x
 
-    _emit({"theorem": args.theorem, "ok": v.ok, "lhs": conv(v.lhs), "rhs": conv(v.rhs), "detail": conv(v.detail)})
-    return 0 if v.ok else 2
+    return {"theorem": args.theorem, "ok": v.ok, "lhs": conv(v.lhs), "rhs": conv(v.rhs), "detail": conv(v.detail)}
 
 
 def cmd_family(args):
@@ -181,10 +169,7 @@ def cmd_family(args):
             raise GraphError(f"bad --params entry {kv!r}, expected integer values") from None
     g, r = families.make_family(args.variant, **params)
     f2 = families.f2_closed_form(args.variant, **params)
-    out = graph_to_json(g, r)
-    out["f2_closed_form"] = _num(f2)
-    _emit(out)
-    return 0
+    return {**graph_to_json(g, r), "f2_closed_form": _num(f2)}
 
 
 def build_parser():
@@ -247,6 +232,7 @@ def _parse(argv):
 
 
 def run(argv=None):
+    """Answer one request: read the graph (not for family), write one reply, return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         if "-h" in argv or "--help" in argv:
@@ -258,19 +244,19 @@ def run(argv=None):
         for flag in ("n", "nmax"):  # subcommands with a tower level have one of them
             if (vars(args).get(flag) or 0) < 0:
                 raise GraphError(f"--{flag} must be a non-negative tower level, got {vars(args)[flag]}")
-        return fn(args)
+        reply = fn(args, *_read_graph(args)) if "input" in vars(args) else fn(args)
+        _emit(reply)
+        return 2 if fn is cmd_verify and not reply["ok"] else 0
     except DecompositionError as exc:
-        _emit({"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness})
-        return 2
+        reply, code = {"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness}, 2
     except iwasawa.TowerError as exc:
-        _emit({"error": "hypothesis_violation", "reason": str(exc)})
-        return 2
+        reply, code = {"error": "hypothesis_violation", "reason": str(exc)}, 2
     except GraphError as exc:
-        _emit({"error": "bad_input", "reason": str(exc)})
-        return 1
+        reply, code = {"error": "bad_input", "reason": str(exc)}, 1
     except LinalgError as exc:
-        _emit({"error": "internal_error", "reason": str(exc)})
-        return 1
+        reply, code = {"error": "internal_error", "reason": str(exc)}, 1
+    _emit(reply)
+    return code
 
 
 def main():

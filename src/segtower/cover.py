@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size
-from .linalg import PRIME_TEST_LIMIT, _is_prime
+from .linalg import PRIME_TEST_LIMIT, is_prime
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,10 @@ class CoverGraph:
 
 def check_prime(p, name="p"):
     """Raise GraphError unless p is a prime, by deterministic Miller-Rabin
-    (linalg._is_prime), which is exact only below 3 * 10^23."""
+    (linalg.is_prime), which is exact only below 3 * 10^23."""
     if p >= PRIME_TEST_LIMIT:
         raise GraphError(f"{name} must be below 3 * 10^23, the limit of the primality test, got {p}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GraphError(f"{name} must be a prime, got {p}")
 
 

@@ -52,10 +52,14 @@ def line_f2(multiplicities):
     return sum(prod // n for n in ns)  # prod * sum(1/n), exact: n divides prod
 
 
-def modified_line_graph(k, n, m):
+def _validate_modified_line(k, n, m):
     _check_ints(k=k, n=n, m=m)
     if not (2 <= n <= k - 2 and n + 2 <= m <= k):
         raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
+
+
+def modified_line_graph(k, n, m):
+    _validate_modified_line(k, n, m)
     check_size(k, k, "the modified line graph")
     vertices = [f"v{i}" for i in range(1, k + 1)]
     edges = [(f"v{i}", f"v{i+1}", f"e{i}") for i in range(1, k)]
@@ -65,9 +69,7 @@ def modified_line_graph(k, n, m):
 
 
 def modified_line_f2(k, n, m):
-    _check_ints(k=k, n=n, m=m)
-    if not (2 <= n <= k - 2 and n + 2 <= m <= k):
-        raise GraphError("modified line needs 2 <= n <= k-2 and n+2 <= m <= k")
+    _validate_modified_line(k, n, m)
     return (k - m + n) * (m - n + 1) - 1
 
 
@@ -132,10 +134,14 @@ def chorded_cycle_f2(n, t, i, j):
     raise GraphError(f"no case applies to chorded cycle ({n}, {t}, {i}, {j})")
 
 
-def complete_graph(n):
+def _validate_complete(n):
     _check_ints(n=n)
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
+
+
+def complete_graph(n):
+    _validate_complete(n)
     check_size(n, n * (n - 1) // 2, "the complete graph")
     vertices = [f"v{x}" for x in range(1, n + 1)]
     edges = [(f"v{a}", f"v{b}", f"e{a}_{b}") for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -148,9 +154,7 @@ def _kappa_complete(i):
 
 
 def complete_f2(n):
-    _check_ints(n=n)
-    if n < 2:
-        raise GraphError("complete graph needs n >= 2")
+    _validate_complete(n)
     return sum(
         math.comb(n - 2, i - 1) * _kappa_complete(i) * _kappa_complete(n - i)
         for i in range(1, n)

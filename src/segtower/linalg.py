@@ -123,7 +123,7 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_TEST_LIMIT = 3 * 10**23  # Miller-Rabin with these bases is exact below it
 
 
-def _is_prime(n):
+def is_prime(n):
     """Trial division by the bases, then Miller-Rabin with them: exact for
     n < PRIME_TEST_LIMIT."""
     if n < 2:
@@ -157,7 +157,7 @@ def _primes():
     for i in itertools.count():
         if i == len(_PRIMES):
             q = (_PRIMES[-1] if _PRIMES else 2**30 + 1) - 2
-            while not _is_prime(q):
+            while not is_prime(q):
                 q -= 2
             _PRIMES.append(q)
         yield _PRIMES[i]

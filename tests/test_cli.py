@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture, parallel_voltage_json
-from segtower import linalg
+from segtower import iwasawa, linalg
 from segtower.cli import _num, run
 from segtower.graph import RamificationData, graph_to_json
 from segtower.iwasawa import tower_kappas
@@ -299,6 +299,27 @@ class TestVerify:
             "--input", fixture_path("glued_voltage_triangles.json"),
         )
         assert code == 0 and out["ok"] is True
+
+    @pytest.mark.parametrize("theorem, harness", [
+        ("A", "verify_theorem_A"), ("partial", "verify_partial_ramification"),
+        ("general", "verify_general_case"), ("factorization", "verify_char_factorization"),
+    ])
+    def test_failed_identity_exit_2(self, capsys, monkeypatch, theorem, harness):
+        """A verdict that is not ok is the whole reply, ints as decimal strings, with exit 2."""
+        calls = []
+
+        def refute(g, r, voltage, p, *n):
+            calls.append((len(g.vertices), p, n))
+            return iwasawa.Verdict(False, 10**5000, [7, -1], {"level": 2, "primes": {"p": 3}, "exact": True})
+
+        monkeypatch.setattr(iwasawa, harness, refute)
+        code, out = invoke(capsys, "verify", "--theorem", theorem, "--p", "3", "--n", "2",
+                           "--input", fixture_path("voltage_segment.json"))
+        assert code == 2
+        assert out == {"theorem": theorem, "ok": False, "lhs": "1" + "0" * 5000, "rhs": ["7", "-1"],
+                       "detail": {"level": "2", "primes": {"p": "3"}, "exact": True}}
+        level = () if theorem == "factorization" else (2,)  # factorization takes no level
+        assert calls == [(len(load_fixture("voltage_segment.json")[0].vertices), 3, level)]
 
     def test_A_is_partial_at_depth_zero(self, capsys, monkeypatch):
         checked = 0

@@ -786,7 +786,7 @@ def test_is_prime_below_two():
     # in a child process with a timeout, so that a loop that never ends
     # fails the test instead of hanging the suite
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "from segtower.linalg import _is_prime; print([_is_prime(n) for n in (-7, -1, 0, 1, 2, 3)])"
+    code = "from segtower.linalg import is_prime; print([is_prime(n) for n in (-7, -1, 0, 1, 2, 3)])"
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
     )

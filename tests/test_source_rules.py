@@ -90,6 +90,20 @@ def test_every_definition_is_used(src):
     assert not bad, "\n".join(bad)
 
 
+def test_no_private_import_in_src(src):
+    """A module of src/ imports only the public names of another: a name
+    that two modules share is part of the API and is named so."""
+    bad = [
+        f"{path.name}:{node.lineno}: {alias.name} is private to {node.module or '.'}"
+        for path, nodes in src.nodes.items()
+        for node in nodes
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not bad, "\n".join(bad)
+
+
 def test_conftest_imports_no_private_name():
     """An oracle must not share code with what it checks."""
     bad = [
