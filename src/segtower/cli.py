@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import json
+import math
 import sys
 from types import SimpleNamespace
 
@@ -52,18 +53,49 @@ def _num(x):
     return str(convert(x, x.bit_length()))
 
 
+def _finite(text):
+    """A JSON float, refused when it is NaN or infinite: a NaN id never
+    equals itself, so a union-find over it never ends, and no reply can
+    print either as standard JSON."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def _read_graph(args):
     try:
         with open(args.input) if args.input is not None else contextlib.nullcontext(sys.stdin) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise GraphError(f"cannot read graph: {exc}") from None
     return graph_from_json(obj)
 
 
+_escape = json.encoder.encode_basestring_ascii  # json's own, in C
+
+
+def _dumps(x, indent="\n"):
+    """json.dumps(x, indent=2) for a reply, one join per dict and list: a str
+    by json's C escaper, an int by int.__repr__ (ValueError past the digit
+    limit, as in json), any other scalar by json.dumps.  Keys must be str."""
+    if isinstance(x, str):
+        return _escape(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [_dumps(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(x)
+
+
 def _emit(obj):
     try:  # the whole reply or none of it
-        text = json.dumps(obj, indent=2)
+        text = _dumps(obj)
     except ValueError:  # a JSON number past Python 3.11's digit limit, such as a level's edge count
         raise GraphError("the reply holds a number past Python's int-to-str digit limit") from None
     sys.stdout.write(text + "\n")

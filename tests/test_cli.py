@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture, parallel_voltage_json
 from segtower import iwasawa, linalg
-from segtower.cli import _num, run
+from segtower.cli import _dumps, _num, run
 from segtower.graph import RamificationData, graph_to_json
 from segtower.iwasawa import tower_kappas
 
@@ -431,6 +432,26 @@ _TWICE = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], "ramified
 _CYCLE22 = {"vertices": [f"v{i}" for i in range(22)], "edges": [{"from": f"v{i}", "to": f"v{(i + 1) % 22}"} for i in range(22)]}
 
 
+def _triangle(x):
+    """A triangle on the ids x, "b" and "c", with x and "b" marked."""
+    edges = [{"from": x, "to": "b"}, {"from": "b", "to": "c"}, {"from": "c", "to": x}]
+    return {"vertices": [x, "b", "c"], "edges": edges, "ramified": [{"vertex": x}, {"vertex": "b"}]}
+
+
+def _renamed(x, old, new):
+    """x with every value old, at any depth, replaced by new."""
+    if isinstance(x, dict):
+        return {k: _renamed(v, old, new) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_renamed(v, old, new) for v in x]
+    return new if x == old else x
+
+
+# k5_ram245 has no decomposition: its witness printed the mark v2, renamed
+# to Infinity, as the bare word Infinity, which is not JSON
+_K5_INFINITE_MARK = _renamed(json.loads(Path(fixture_path("k5_ram245.json")).read_text()), "v2", math.inf)
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, out = invoke(capsys, "kappa", "--input", "/nonexistent.json")
@@ -552,6 +573,23 @@ class TestErrors:
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and out["reason"].startswith(reason), out
 
+    def test_nan_id_refused(self):
+        # NaN != NaN, so a union-find never found the root of a NaN id: this
+        # seal request ran on until killed.  In a child process with a CPU
+        # budget, so that a hang fails the test instead of the suite
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "segtower.cli", "seal"], input=json.dumps(_triangle(math.nan)), env=env,
+            capture_output=True, text=True, timeout=20, preexec_fn=limit,
+        )
+        assert done.returncode == 1, done.stderr[-300:]
+        assert json.loads(done.stdout) == {"error": "bad_input", "reason": "cannot read graph: NaN is not a finite number"}
+
     def test_large_voltage_of_small_degree_answered(self):
         # a triangle through the mark with one voltage of 10^30: det M = 3.
         # Each node listed the powers x^e for every e in [-10^30, 10^30]
@@ -609,19 +647,28 @@ class TestErrors:
             (["family", "--variant", "line", "--params", "multiplicities="], {}),
             (["family", "--variant", "complete", "--params", "m=3"], {}),
             (["invariants", "--p", "3", "--symbolic-only"], {"vertices": [], "edges": []}),
+            # a number that is not finite: json.dumps writes NaN and
+            # Infinity, and the text 1e400 reads as inf
+            (["kappa"], _triangle(math.nan)),
+            (["seal"], _K5_INFINITE_MARK),
+            (["forests", "--marked", "b", "--method", "brute"], _triangle(-math.inf)),
+            pytest.param(["kappa"], '{"vertices": [1e400], "edges": []}', id="kappa-1e400-text"),
         ],
     )
     def test_bad_input_exits_1(self, capsys, monkeypatch, argv, graph):
         if graph is None:
             argv = argv + ["--input", fixture_path("cycle5_ram45.json")]
-        else:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
+        else:  # a str is the text on stdin as it is
+            monkeypatch.setattr(sys, "stdin", io.StringIO(graph if isinstance(graph, str) else json.dumps(graph)))
         code, out = invoke(capsys, *argv)
         assert code == 1
         assert out["error"] == "bad_input"
 
 
-_scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(["a", "b", ""])
+_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.sampled_from(["a", "b", ""])
+)
 _json = st.recursive(
     _scalars,
     lambda c: st.lists(c, max_size=3) | st.dictionaries(st.sampled_from(["vertex", "depth", "from", "to", "voltage"]), c, max_size=3),
@@ -657,4 +704,55 @@ def test_any_json_gets_a_json_reply(obj, argv):
     finally:
         sys.stdin, sys.stdout = stdin, stdout
     assert code in (0, 1, 2)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    assert isinstance(json.loads(out.getvalue(), parse_constant=_not_json), dict)
+
+
+def _not_json(word):
+    raise ValueError(f"{word} is not standard JSON")
+
+
+_REPLY_ARGVS = [["seal"], ["kappa"], ["cover", "--p", "2", "--n", "1"], ["invariants", "--p", "2"]] + [
+    ["verify", "--theorem", t, "--p", "2", "--n", "1"] for t in ("A", "partial", "general", "factorization")
+]
+
+
+@pytest.mark.parametrize("name", all_fixture_names())
+def test_reply_bytes(capsys, name):
+    # every reply, an error reply too, is its JSON at indent 2 and one newline
+    for argv in _REPLY_ARGVS:
+        run(argv + ["--input", fixture_path(name)])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+_text = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", 'a"\\\n\té\U0001f600'])
+_leaves = (
+    st.none() | st.booleans() | st.integers() | st.integers(0, 4300).map(lambda d: 10**d - 1)  # up to 4300 digits
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300]) | _text
+)
+_trees = st.recursive(
+    _leaves, lambda c: st.lists(c, max_size=4) | st.lists(c, max_size=4).map(tuple) | st.dictionaries(_text, c, max_size=4), max_leaves=24
+)
+
+
+@given(_trees, st.none() | st.integers(4301, 4400) | st.sampled_from([{1}, b"x", 1j]))
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_json_at_indent_2(tree, refused):
+    # json.dumps is the oracle, its error too: ValueError for an int past the
+    # 4300-digit limit (drawn as its number of digits, so that no repr of it
+    # is ever made), TypeError for a set, bytes or a complex number
+    if isinstance(refused, int):
+        refused = 10 ** (refused - 1)
+    x = tree if refused is None else [tree, {"refused": refused}]
+    try:
+        expected = json.dumps(x, indent=2)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _dumps(x)
+    else:
+        assert _dumps(x) == expected
+
+
+def test_dumps_takes_str_keys_only():
+    with pytest.raises(TypeError):
+        _dumps({"a": {1: "b"}})
