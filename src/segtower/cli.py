@@ -279,8 +279,9 @@ def run(argv=None):
         reply = fn(args, *_read_graph(args)) if "input" in vars(args) else fn(args)
         _emit(reply)
         return 2 if fn is cmd_verify and not reply["ok"] else 0
-    except DecompositionError as exc:
-        reply, code = {"error": "no_decomposition", "reason": exc.reason, "witness": exc.witness}, 2
+    except DecompositionError as exc:  # vertex ids print as strings, as in every other reply
+        witness = {k: [[str(v) for v in pair] for pair in x] if k == "pairs" else x for k, x in exc.witness.items()}
+        reply, code = {"error": "no_decomposition", "reason": exc.reason, "witness": witness}, 2
     except iwasawa.TowerError as exc:
         reply, code = {"error": "hypothesis_violation", "reason": str(exc)}, 2
     except GraphError as exc:

@@ -2,12 +2,13 @@
 
 A matrix is a list of sparse rows [{column: entry}] of its nonzero entries,
 as graph.laplacian and iwasawa.unramified_block build them from the edges.
-One elimination kernel, in a minimum-degree order modulo a product of
-primes below 2^30 (one CPython digit each), serves every determinant:
-det_int directly, and det_laurent at interpolation nodes (see their
-docstrings).  Products of a Laurent polynomial over the p^a-th roots of
-unity come from one root-power (Graeffe) chain over Z, with no matrix and
-no prime.  Laurent polynomials in the deck-group generator g expand at
+One elimination kernel serves every determinant: det_int directly, and
+det_laurent at interpolation nodes (see their docstrings).  It works modulo
+a product of primes below 2^30 (one CPython digit each) on a symmetric
+pattern, pivots on the diagonal, and reads a minimum-degree order from the
+row lengths as it goes.  Products of a Laurent polynomial over the p^a-th
+roots of unity come from one root-power (Graeffe) chain over Z, with no
+matrix and no prime.  Laurent polynomials in the deck-group generator g expand at
 g = 1 + T to tuples of integer coefficients (series prefixes when g has
 negative powers) whose p-adic valuations yield the mu/lambda invariants.
 """
@@ -192,92 +193,83 @@ def _crt(residues, bound, size):
     return [x - m if 2 * x > m else x for x in xs]
 
 
-def _order(rows):
-    """A greedy minimum-degree order of the symmetrised nonzero pattern of a
-    square matrix whose rows list their columns: take a vertex of least
-    degree in the elimination graph, join its neighbours into a clique (the
-    fill its elimination makes) and repeat.  A heap holds (degree, vertex)
-    entries; one whose degree has changed since it was pushed is skipped, and
-    ties go to the lower index.  A cover Laplacian's sheets go first and the
-    marks, which touch every sheet, last.
+def _least_length_first(a):
+    """Yield the rows of a to eliminate, each a row of least length among
+    those left, ties to the lower index, as _det_mod eliminates them: a lazy
+    heap of (length, row) whose stale entries are skipped.  A step changes
+    only the lengths of the rows it updates, the taken row's neighbours;
+    each of them whose length changed is pushed again.  In a symmetric
+    pattern a row's length is its degree plus one, so this is the greedy
+    minimum-degree order (George & Liu, SIAM Review 1989).
     """
-    adj = [set(row) for row in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            adj[j].add(i)
-    for i, nbrs in enumerate(adj):
-        nbrs.discard(i)
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    lens = [len(row) for row in a]  # the length each row was last pushed with
+    heap = list(zip(lens, range(len(a))))
     heapq.heapify(heap)
-    order = []
     while heap:
-        d, v = heapq.heappop(heap)
-        nbrs = adj[v]
-        if nbrs is None or d != len(nbrs):
-            continue
-        adj[v] = None
-        order.append(v)
-        for w in nbrs:
-            s = adj[w]
-            s |= nbrs
-            s.discard(v)
-            s.discard(w)
-            heapq.heappush(heap, (len(s), w))
-    return order
+        d, k = heapq.heappop(heap)
+        if (row := a[k]) is not None and d == len(row):
+            yield k
+            for i in row:
+                if (n := len(a[i])) != lens[i]:
+                    lens[i] = n
+                    heapq.heappush(heap, (n, i))
 
 
 def _det_mod(a, order, q):
-    """det mod q of the square matrix of sparse rows a, [{column: residue}]
-    without zero residues, which it overwrites.  q is a prime or a product of
-    primes; _NonUnitPivot is raised when a pivot it must invert is not a unit
-    modulo q.
+    """(det mod q, the order of the eliminated columns) of the square matrix
+    of sparse rows a, [{column: residue}], which it overwrites; the order is
+    None when a zero column ends the elimination early.  q is a prime or a
+    product of primes; _NonUnitPivot is raised when a pivot it must invert
+    is not a unit modulo q.
 
-    Columns are eliminated in the given order (see _order).  A set per column
-    holds the active rows with a nonzero entry there, so a step touches only
-    those rows and only the pivot row's columns.  The pivot is the diagonal
-    entry when it is nonzero, else the lowest such row; the sign is that of
-    the map from each column to its pivot row.
+    The pattern of a must be symmetric (j in a[i] exactly when i in a[j])
+    and hold every diagonal entry; zero residues stay.  Each step pivots on
+    the diagonal of the next column k in order, or, with order None, of a
+    row of least length (see _least_length_first).  It updates the rows of
+    the pivot row's columns, every one by all of its columns, even for a
+    factor of 0, so the pattern stays symmetric and no zero is deleted.  A
+    zero diagonal first borrows a row: the first row i of the pivot row's
+    columns with a[i][k] nonzero is added to row k, which leaves det
+    unchanged, and each column that row k gains gets a zero mirror.  With no
+    such row column k is zero, and so is det.
     """
-    cols = [set() for _ in a]
-    for i, row in enumerate(a):
-        for j in row:
-            cols[j].add(i)
-    pivots, det = list(range(len(a))), 1
-    for k in order:
-        hits = cols[k]
-        if not hits:
-            return 0
-        p = k if k in hits else min(hits)
-        pivots[k] = p
-        rp = a[p]
+    used, det = [], 1
+    for k in order or _least_length_first(a):
+        rp = a[k]
+        if not rp[k]:
+            i = next((i for i in rp if a[i][k]), None)
+            if i is None:
+                return 0, None
+            for j, y in a[i].items():
+                a[j].setdefault(k, 0)
+                rp[j] = (rp.get(j, 0) + y) % q
         x = rp.pop(k)
+        a[k] = None
+        used.append(k)
         det = det * x % q
-        for j in rp:
-            cols[j].discard(p)
-        hits.discard(p)
-        if not hits:
+        if not rp:
             continue
         try:
             inv = pow(x, -1, q)
         except ValueError:  # q is a product of primes and one divides the pivot
             raise _NonUnitPivot from None
-        for i in hits:
+        for i in rp:
             ri = a[i]
             f = ri.pop(k) * inv % q
             for j, y in rp.items():
-                v = (ri.get(j, 0) - f * y) % q
-                if v:
-                    ri[j] = v
-                    cols[j].add(i)
-                elif j in ri:
-                    del ri[j]
-                    cols[j].discard(i)
-    for k in range(len(a)):  # the sign of the permutation k -> pivots[k], by transpositions
-        while pivots[k] != k:
-            t = pivots[k]
-            pivots[k], pivots[t] = pivots[t], t
-            det = -det
-    return det % q
+                ri[j] = (ri.get(j, 0) - f * y) % q
+    return det, used
+
+
+def _symmetric(rows, zero):
+    """rows with zero added at (j, i) for every entry (i, j) without its
+    mirror, and at (i, i) for every row without its diagonal: the pattern
+    that _det_mod needs."""
+    for i, row in enumerate(rows):
+        row.setdefault(i, zero)
+        for j in row:
+            rows[j].setdefault(i, zero)
+    return rows
 
 
 def _check_rows(m):
@@ -291,17 +283,17 @@ def det_int(m) -> int:
     """Exact determinant of a square integer matrix given by its sparse rows,
     [{column: entry}] (zero entries may be left out).
 
-    One elimination on the rows in a minimum-degree order (see _order and
-    _det_mod) modulo the product of the primes that passes twice Hadamard's
-    bound |det|^2 <= prod_i sum_j a_ij^2, or one per prime, combined by CRT,
-    when a pivot is divisible by one of them (see _crt).
+    One elimination of the rows, with their pattern made symmetric, in the
+    minimum-degree order that the kernel reads from it (see _det_mod),
+    modulo the product of the primes that passes twice Hadamard's bound
+    |det|^2 <= prod_i sum_j a_ij^2, or one per prime, combined by CRT, when
+    a pivot is divisible by one of them (see _crt).
     """
     _check_rows(m)
     bound = math.prod(sum(x * x for x in row.values()) for row in m)
-    order = _order(m)
 
     def residue(q):
-        return [_det_mod([{j: r for j, x in row.items() if (r := x % q)} for row in m], order, q)]
+        return [_det_mod(_symmetric([{j: x % q for j, x in row.items()} for row in m], 0), None, q)[0]]
 
     return _crt(residue, math.isqrt(bound), 1)[0]
 
@@ -365,14 +357,16 @@ def det_laurent(m) -> LaurentPoly:
     coefficient of Q exceeds the maximum of |Q| = |det M| on the circle.
     Interpolating Q and Taylor-shifting it to g = 1 + T take about
     (d + 1)^2 * (b + d) bit operations; past WORK_LIMIT, WorkLimitExceeded
-    names d before M is ordered.
+    names d before any node is evaluated.
 
     Modulo the product of the primes that passes twice the coefficient bound
-    (see _crt), Q is evaluated by the det_int kernel, in one minimum-degree
-    order of M's pattern, at the nodes 1, 2, ... and recovered by Newton
-    interpolation.  If M is mirrored, one elimination at x gives Q at x and
-    at 1/x (the inverses differ from the nodes and from each other because
-    x * y < q for every prime q, so every difference is a unit).  A node is
+    (see _crt), Q is evaluated by the det_int kernel at the nodes 1, 2, ...
+    and recovered by Newton interpolation.  The kernel gets M's pattern made
+    symmetric; the first node whose elimination runs to the end chooses the
+    minimum-degree order (see _det_mod), and every later node replays it.
+    If M is mirrored, one elimination at x gives Q at x and at 1/x (the
+    inverses differ from the nodes and from each other because x * y < q
+    for every prime q, so every difference is a unit).  A node is
     raised to each exponent that occurs by one pow, so an exponent E costs
     O(log E) multiplications, not E.
     """
@@ -391,12 +385,12 @@ def det_laurent(m) -> LaurentPoly:
     if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
                                 f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
-    order = _order(m)
-    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
+    pattern = _symmetric([dict(row) for row in m], LaurentPoly())
+    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in pattern]
     exps = {e for row in m for x in row.values() for e in x.coeffs}
 
     def residues(q):
-        xs, values = [], []
+        xs, values, order = [], [], None
         for x in range(1, (hi + 1 if mirrored else size) + 1):
             xp = {e: pow(x, e, q) for e in exps}
             a = []
@@ -406,11 +400,10 @@ def det_laurent(m) -> LaurentPoly:
                     v = 0
                     for e, c in terms:
                         v += c * xp[e]
-                    v %= q
-                    if v:
-                        r[j] = v
+                    r[j] = v % q
                 a.append(r)
-            d = _det_mod(a, order, q)  # det M(x); Q(x) = x^-lo * d
+            d, used = _det_mod(a, order, q)  # det M(x); Q(x) = x^-lo * d
+            order = order or used
             xs.append(x)
             values.append(d * pow(x, -lo, q) % q)
             if mirrored and x > 1:  # det M(1/x) = d, so Q(1/x) = x^lo * d

