@@ -3,9 +3,11 @@
 kappa counts spanning trees by the matrix-tree theorem (determinant of a
 Laplacian minor); forest_count_det counts spanning forests with t components,
 each containing exactly one marked vertex, by deleting the t marked
-rows/columns.  forest_count_bruteforce counts F_t over graph.acyclic_subsets
-under an edge cap (the CLI's `forests --method brute`).  All three return
-ints; a bad mark (not 1 or 2 distinct vertices of g) and the cap raise GraphError.
+rows/columns.  forest_count_bruteforce counts the same forests as the
+spanning trees of g with its marks merged into one vertex, by
+graph.acyclic_subsets under an edge cap (the CLI's `forests --method brute`).
+All three return ints; a bad mark (not 1 or 2 distinct vertices of g) and
+the cap raise GraphError.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ def forest_count_det(g: Multigraph, marked) -> int:
 def forest_count_bruteforce(g: Multigraph, marked) -> int:
     """Exhaustive F_t count (oracle for forest_count_det).
 
-    Counts spanning forests with exactly t = len(marked) tree components,
-    each containing exactly one marked vertex.
+    A forest of t = len(marked) trees, one mark in each, is a spanning tree
+    of g with every mark mapped to the first: the (|V| - t)-subsets of the
+    mapped edges with no cycle.  An edge between two marks becomes a loop.
     """
     marked = _check_marked(g, marked)
     if len(g.edges) > ENUMERATION_CAP:
         raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {ENUMERATION_CAP}")
-    t = len(marked)
-    # acyclic with |V| - t edges means exactly t components; they each
-    # contain exactly one marked vertex iff the marked roots are distinct
-    forests = acyclic_subsets([(e.u, e.v) for e in g.edges], len(g.vertices) - t)
-    return sum(len({uf.find(v) for v in marked}) == t for _, uf in forests)
+    m = marked[0]
+    pairs = [(m if u in marked else u, m if v in marked else v) for _, u, v in g.edges]
+    return sum(1 for _ in acyclic_subsets(pairs, len(g.vertices) - len(marked)))

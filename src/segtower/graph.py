@@ -2,7 +2,8 @@
 
 Loops and parallel edges are allowed; a loop contributes 2 to the degree of
 its vertex.  Vertex and edge identifiers are stable, so derived objects
-(segments, cover fibers) can refer back to base objects.
+(segments, cover fibers) can refer back to base objects.  acyclic_subsets,
+the one enumerator, counts spanning trees for forests and seal.
 """
 
 from __future__ import annotations
@@ -100,36 +101,28 @@ class Multigraph:
         return f"Multigraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-class UnionFind:
-    """Disjoint sets over hashable items, created on first use."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            return True
-        return False
-
-
 def acyclic_subsets(pairs, size):
-    """Yield (combo, uf) for each size-subset of the (u, v) pairs that forms
-    a forest: combo holds the pairs' indices in increasing order, uf joins
-    each tree's vertices.  A loop (u, u) fails its own union."""
+    """Yield the index tuple, increasing, of each size-subset of the (u, v)
+    pairs that forms a forest.  Each subset keeps its trees as vertex lists,
+    the smaller merged into the larger; a loop (u, u) closes a cycle at once."""
     for combo in combinations(range(len(pairs)), size):
-        uf = UnionFind()
-        if all(uf.union(*pairs[i]) for i in combo):
-            yield combo, uf
+        tree = {}  # vertex -> its tree's vertex list
+        for i in combo:
+            u, v = pairs[i]
+            tu = tree.setdefault(u, [u])
+            tv = tree.get(v)
+            if tv is None:
+                tu.append(v)
+                tree[v] = tu
+            elif tv is tu:
+                break
+            else:
+                if len(tu) < len(tv):
+                    tu, tv = tv, tu
+                tu += tv
+                tree.update(dict.fromkeys(tv, tu))
+        else:
+            yield combo
 
 
 class RamificationData:

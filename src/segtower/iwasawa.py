@@ -272,7 +272,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     counts = [forest_count_det(s.subgraph(d.graph), list(s.ramified)) for s in d.segments]
     base = _explicit_kappa(build_cover(d.graph, r, voltage, p, n0))
     # build_cover refuses a level past SIZE_LIMIT before the powers by p^n below
-    lhs = _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
+    lhs = base if n == n0 else _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
     l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:

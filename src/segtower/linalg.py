@@ -496,7 +496,10 @@ def expand_at_gamma(f: LaurentPoly) -> tuple:
 
 def ord_p(x: int, p: int):
     """p-adic valuation; None stands in for +infinity at x = 0.  Each step
-    divides by the largest p^(2^k) dividing x: O(log^2 v) divisions, not v."""
+    divides by the largest p^(2^k) dividing x: O(log^2 v) divisions, not v.
+    A p below 2 divides x forever or not at all: LinalgError."""
+    if p < 2:
+        raise LinalgError(f"ord_p needs a base p >= 2, got {p}")
     if x == 0:
         return None
     v = 0

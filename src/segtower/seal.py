@@ -24,7 +24,8 @@ vertices it touches:
      class, the class is a 2-segment; else the rest, which avoids v and v2,
      fails as uncoloured (its first closure group is the witness).
 
-Conflicts are reported before uncoloured groups.
+Conflicts are reported before uncoloured groups.  admissible_sets lists the
+spanning trees of G_R, the marks joined by the 2-segments.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
 
 
 def admissible_sets(d: SegmentDecomposition):
-    """The spanning trees of the multigraph on the ramified vertices whose
-    edges are the 2-segments, by graph.acyclic_subsets: the (l-1)-subsets I of
-    2-segment indices (positions in d.segments) whose endpoint pairs have no cycle."""
-    return [frozenset(combo) for combo, _ in acyclic_subsets([s.ramified for s in d.two_segments], d.l - 1)]
+    """The spanning trees of G_R, the multigraph on the ramified vertices
+    whose edges are the 2-segments, by graph.acyclic_subsets: the (l-1)-subsets
+    I of 2-segment indices (positions in d.segments) with no cycle."""
+    return [frozenset(combo) for combo in acyclic_subsets([s.ramified for s in d.two_segments], d.l - 1)]

@@ -1,7 +1,11 @@
 import heapq
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -9,12 +13,13 @@ import pytest
 
 from segtower.cover import build_cover
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import GraphError, Multigraph, RamificationData, UnionFind, build_graph, graph_from_json
+from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
 from segtower.iwasawa import DisconnectedCover
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def load_fixture(name):
@@ -29,6 +34,24 @@ def fixture_path(name):
 
 def all_fixture_names():
     return sorted(p.name for p in FIXTURES.glob("*.json"))
+
+
+def run_limited(argv, timeout, cpu=None, address_space=None, stdin=None):
+    """Run `python argv...` on the repo's sources in a child process with a
+    CPU limit in seconds or an address-space limit in bytes, so that a hang
+    or a runaway allocation fails the calling test instead of the suite.
+    Returns the CompletedProcess, its output as text."""
+
+    def limit():
+        if cpu is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *argv], input=stdin, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=limit
+    )
 
 
 def random_connected_graph(rng, max_vertices=8, max_edges=14):
@@ -386,6 +409,28 @@ def poly_mul(a, b):
     return _strip(res)
 
 
+class UnionFind:
+    """Disjoint sets over hashable items, created on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            return True
+        return False
+
+
 def forest_subsets(g, size):
     """Yield (combo, uf): each acyclic edge subset of the given size as a
     tuple of Edge, with the union-find of its components."""
@@ -410,6 +455,22 @@ def enumerate_spanning_trees(g, cap=20):
     if len(g.edges) > cap:
         raise GraphError(f"{len(g.edges)} edges exceeds enumeration cap {cap}")
     return [frozenset(e.id for e in combo) for combo, _ in forest_subsets(g, len(g.vertices) - 1)]
+
+
+def forest_count_by_roots(g, marked):
+    """Oracle for forests.forest_count_bruteforce: the (|V| - t)-edge forests
+    of g itself, t = len(marked), kept when the marks have distinct roots
+    (t trees, one mark in each)."""
+    t = len(marked)
+    return sum(len({uf.find(v) for v in marked}) == t for _, uf in forest_subsets(g, len(g.vertices) - t))
+
+
+def admissible_sets_by_trees(d):
+    """Oracle for seal.admissible_sets: the spanning trees of G_R, built as a
+    Multigraph on the marks with one edge per 2-segment (parallel ones
+    included), as sets of 2-segment indices."""
+    ends = [(*s.ramified, i) for i, s in enumerate(d.two_segments)]
+    return {frozenset(combo) for combo in enumerate_spanning_trees(build_graph(d.ramified, ends))}
 
 
 def prune_tails_quadratic(g, r):

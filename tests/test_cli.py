@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture, parallel_voltage_json
+from conftest import all_fixture_names, fixture_path, grid_graph, load_fixture, parallel_voltage_json, run_limited
 from segtower import iwasawa, linalg
 from segtower.cli import _dumps, _num, run
 from segtower.graph import RamificationData, graph_to_json
@@ -278,14 +278,8 @@ class TestVerify:
         # the right side, a power with exponent p^n, was computed before the
         # level-n cover was built: these ran until killed at 20-60 s.  In a
         # child process with a CPU budget, so that a hang fails the test
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         argv = ["verify", "--theorem", theorem, "--p", str(p), "--n", str(n), "--input", fixture_path(name)]
-        done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit)
+        done = run_limited(["-m", "segtower.cli", *argv], timeout=20, cpu=5)
         assert done.returncode == 1, done.stderr[-300:]
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and "past 2^11" in out["reason"]
@@ -505,19 +499,13 @@ class TestErrors:
     def test_refuses_a_tower_that_cannot_finish(self):
         # in a child process with a time and an address-space limit, so that
         # a request that runs on fails the test instead of the suite
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        argv = [sys.executable, "-m", "segtower.cli", "invariants", "--input", fixture_path("voltage_segment.json")]
+        argv = ["-m", "segtower.cli", "invariants", "--input", fixture_path("voltage_segment.json")]
         argv += ["--p", "1000000007"]
-        done = subprocess.run(argv + ["--nmax", "2"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+        done = run_limited(argv + ["--nmax", "2"], timeout=10, address_space=2**31)
         assert done.returncode == 1
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and "level 1 " in out["reason"]
-        done = subprocess.run(argv + ["--symbolic-only"], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+        done = run_limited(argv + ["--symbolic-only"], timeout=10, address_space=2**31)
         assert done.returncode == 0 and json.loads(done.stdout)["p"] == 1000000007
 
     def test_unit_det_tower_refused_quickly(self, capsys, monkeypatch):
@@ -534,12 +522,6 @@ class TestErrors:
     def test_refuses_a_graph_too_large_to_build(self):
         # each request allocated past 1 GB, or ran for half a minute, before
         # build_cover and the family builders checked the size first
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         inp = ["--input", fixture_path("cycle5_ram45.json")]
         for argv in (
             ["cover", "--p", "101", "--n", "3", *inp],
@@ -547,7 +529,7 @@ class TestErrors:
             ["verify", "--theorem", "A", "--p", "2", "--n", "8", *inp],
             ["family", "--variant", "complete", "--params", "n=100000"],
         ):
-            done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True, timeout=10, preexec_fn=limit)
+            done = run_limited(["-m", "segtower.cli", *argv], timeout=10, address_space=2**30)
             assert done.returncode == 1, (argv, done.stderr[-300:])
             out = json.loads(done.stdout)
             assert out["error"] == "bad_input" and "past 2^11" in out["reason"], argv
@@ -570,16 +552,8 @@ class TestErrors:
     )
     def test_refused_before_any_work(self, argv, graph, reason):
         # in a child process with a CPU budget, so that a hang fails the test
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         stdin = Path(fixture_path(graph)).read_text() if isinstance(graph, str) else json.dumps(graph)
-        done = subprocess.run(
-            [sys.executable, "-m", "segtower.cli", *argv], input=stdin, env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit
-        )
+        done = run_limited(["-m", "segtower.cli", *argv], timeout=20, cpu=5, stdin=stdin)
         assert done.returncode == 1, done.stderr[-300:]
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and out["reason"].startswith(reason), out
@@ -588,16 +562,7 @@ class TestErrors:
         # NaN != NaN, so a union-find never found the root of a NaN id: this
         # seal request ran on until killed.  In a child process with a CPU
         # budget, so that a hang fails the test instead of the suite
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        done = subprocess.run(
-            [sys.executable, "-m", "segtower.cli", "seal"], input=json.dumps(_triangle(math.nan)), env=env,
-            capture_output=True, text=True, timeout=20, preexec_fn=limit,
-        )
+        done = run_limited(["-m", "segtower.cli", "seal"], timeout=20, cpu=5, stdin=json.dumps(_triangle(math.nan)))
         assert done.returncode == 1, done.stderr[-300:]
         assert json.loads(done.stdout) == {"error": "bad_input", "reason": "cannot read graph: NaN is not a finite number"}
 
@@ -605,19 +570,13 @@ class TestErrors:
         # a triangle through the mark with one voltage of 10^30: det M = 3.
         # Each node listed the powers x^e for every e in [-10^30, 10^30]
         # and ran out of memory; now it raises x only to the exponents used
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-
         graph = {
             "vertices": ["a", "b", "c"],
             "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c", "voltage": 10**30}, {"from": "c", "to": "a"}],
             "ramified": [{"vertex": "a"}],
         }
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        argv = [sys.executable, "-m", "segtower.cli", "invariants", "--p", "2", "--nmax", "3"]
-        done = subprocess.run(argv, input=json.dumps(graph), env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit)
+        argv = ["-m", "segtower.cli", "invariants", "--p", "2", "--nmax", "3"]
+        done = run_limited(argv, timeout=20, cpu=5, stdin=json.dumps(graph))
         assert done.returncode == 0, done.stderr[-300:]
         out = json.loads(done.stdout)
         assert out["char_body"] == [3] and out["symbolic"] == {"mu": 0, "lambda": 0}

@@ -3,8 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import enumerate_spanning_trees, grid_graph, kappa_enumerate, load_fixture, random_connected_graph
+from conftest import enumerate_spanning_trees, forest_count_by_roots, grid_graph, kappa_enumerate, load_fixture, random_connected_graph
 from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, glue
 
@@ -116,6 +118,25 @@ class TestForestCounts:
                 count(g, ["nope"])
             with pytest.raises(GraphError):
                 count(g, ["a", "b", "c"])
+
+
+@st.composite
+def marked_small_multigraphs(draw):
+    """A multigraph on 1-6 vertices with at most 10 edges, loops and parallel
+    edges allowed, and t = 1 or 2 distinct marks."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    g = build_graph(vs, draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=10)))
+    t = draw(st.integers(1, min(2, len(vs))))
+    return g, draw(st.lists(st.sampled_from(vs), min_size=t, max_size=t, unique=True))
+
+
+@given(marked_small_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_bruteforce_matches_det_and_root_filter(case):
+    """Spanning trees with the marks merged count the forests that the root
+    filter keeps, and the determinant agrees."""
+    g, marked = case
+    assert forest_count_bruteforce(g, marked) == forest_count_det(g, marked) == forest_count_by_roots(g, marked)
 
 
 class TestEnumeration:

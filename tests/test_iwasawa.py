@@ -355,6 +355,29 @@ class TestVerdicts:
         v = verify_partial_ramification(g, r, {}, 3, 2)
         assert v.ok
 
+    @pytest.mark.parametrize(
+        "harness, name, n, levels",
+        [
+            (verify_partial_ramification, "cycle5_partial.json", 1, [1]),
+            (verify_partial_ramification, "cycle5_partial.json", 2, [1, 2]),
+            (verify_theorem_A, "cycle5_ram45.json", 0, [0]),
+            (verify_theorem_A, "cycle5_ram45.json", 2, [0, 2]),
+        ],
+    )
+    def test_builds_each_level_once(self, monkeypatch, harness, name, n, levels):
+        # at n = n0 the level-n0 cover was built and counted twice
+        g, r, _ = load_fixture(name)
+        want = harness(g, r, {}, 2, n)
+        built = []
+
+        def counted(g, r, voltage, p, n):
+            built.append(n)
+            return build_cover(g, r, voltage, p, n)
+
+        monkeypatch.setattr(iwasawa, "build_cover", counted)
+        assert harness(g, r, {}, 2, n) == want and want.ok
+        assert built == levels
+
     @pytest.mark.parametrize("name", ["cycle5_ram45.json", "cycle5_partial.json"])
     def test_negative_level_is_bad_input(self, name):
         # refused before the n < n0 check, which answered a hypothesis violation

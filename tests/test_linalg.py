@@ -28,6 +28,7 @@ from conftest import (
     poly_mul,
     random_connected_graph,
     ring_product,
+    run_limited,
     sparse_rows,
 )
 from segtower import linalg
@@ -887,6 +888,19 @@ def test_is_prime_below_two():
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
     )
     assert done.stdout.strip() == "[False, False, False, False, True, True]"
+
+
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_ord_p_refuses_a_base_below_two(p):
+    # x % 1 == 0 always holds, so p = +-1 divided forever: mu_lambda((3, 6), 1)
+    # never returned.  In a child process with a CPU budget, so that a hang
+    # fails the test instead of the suite
+    code = f"from segtower.linalg import mu_lambda; mu_lambda((3, 6), {p})"
+    done = run_limited(["-c", code], timeout=20, cpu=5)
+    assert done.returncode == 1, done.stderr[-300:]
+    assert done.stderr.strip().splitlines()[-1] == f"segtower.linalg.LinalgError: ord_p needs a base p >= 2, got {p}"
+    with pytest.raises(LinalgError, match=f"got {p}$"):
+        ord_p(0, p)
 
 
 def test_ord_p():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    admissible_sets_by_trees,
     all_fixture_names,
     closure_groups_by_edge_ids,
     enumerate_spanning_trees,
@@ -367,6 +368,36 @@ class TestLemmaCount:
                     if frozenset(tree & s.edge_ids) in trees:
                         hits += 1
                 assert hits == d.l - 1, name
+
+
+@st.composite
+def segment_graphs(draw):
+    """A decomposable graph on 2-5 marks whose 2-segments follow a random
+    multigraph G_R on the marks, parallel segments included: each is a
+    direct edge, a path through one unramified vertex, or two parallel
+    edges from such a vertex.  Some marks carry a 2-cycle as a 1-segment."""
+    marks = [f"m{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = [(draw(st.sampled_from(marks[:i])), m) for i, m in enumerate(marks) if i]  # G_R connected
+    pairs += draw(st.lists(st.lists(st.sampled_from(marks), min_size=2, max_size=2, unique=True), max_size=6))
+    vs, edges = list(marks), []
+    for i, ((a, b), shape) in enumerate(zip(pairs, draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs))))):
+        if shape == 0:
+            edges.append((a, b))
+        else:
+            vs.append(f"x{i}")
+            edges += [(a, f"x{i}"), (f"x{i}", b)] + [(f"x{i}", b)] * (shape == 2)
+    for m in draw(st.lists(st.sampled_from(marks), unique=True)):
+        vs.append(f"y{m}")
+        edges += [(m, f"y{m}"), (f"y{m}", m)]
+    return build_graph(vs, draw(st.permutations(edges))), RamificationData.totally_ramified(marks)
+
+
+@given(segment_graphs())
+@settings(max_examples=200, deadline=None)
+def test_admissible_sets_are_the_spanning_trees_of_g_r(case):
+    d = decompose(*case)
+    got = admissible_sets(d)
+    assert len(set(got)) == len(got) and set(got) == admissible_sets_by_trees(d)
 
 
 class TestAdmissibleSets:
