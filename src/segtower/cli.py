@@ -54,9 +54,8 @@ def _num(x):
 
 
 def _finite(text):
-    """A JSON float, refused when it is NaN or infinite: a NaN id never
-    equals itself, so a union-find over it never ends, and no reply can
-    print either as standard JSON."""
+    """A JSON float, refused when it is NaN or infinite: no reply can print
+    either as standard JSON."""
     x = float(text)
     if not math.isfinite(x):
         raise ValueError(f"{text} is not a finite number")

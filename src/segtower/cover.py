@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size
+from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage
 from .linalg import PRIME_TEST_LIMIT, is_prime
 
 
@@ -52,6 +52,7 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
         raise GraphError("cover level must be non-negative")
     check_prime(p)
     check_marks(g, r)
+    check_voltage(voltage)
     # from level m on, a fibre that still grows or one over an edge is past
     # SIZE_LIMIT: a cover within it has the fibres of level m, p^n unformed
     m = min(n, SIZE_LIMIT.bit_length())

@@ -161,6 +161,14 @@ def check_marks(g: Multigraph, r: RamificationData):
             raise GraphError(f"ramified vertex {v!r} is not a vertex of the graph")
 
 
+def check_voltage(voltage):
+    """Raise GraphError unless every value of voltage, {edge id: exponent}
+    or None, is an int: bool and float are not voltages."""
+    for eid, a in (voltage or {}).items():
+        if type(a) is not int:
+            raise GraphError(f"voltage of edge {eid!r} must be an integer, got {a!r}")
+
+
 def build_graph(vertex_ids, edges) -> Multigraph:
     """Build a multigraph from (u, v) or (u, v, edge_id) tuples.
 
@@ -327,8 +335,7 @@ def graph_from_json(obj):
         eid = str(e.get("id", f"e{i}"))
         edges.append(Edge(eid, u, v))
         a = e.get("voltage", 0)
-        if type(a) is not int:  # bool and float are not voltages
-            raise GraphError(f"voltage of edge {eid!r} must be an integer, got {a!r}")
+        check_voltage({eid: a})
         if a:
             voltage[eid] = a
     g = Multigraph(vertices, edges)

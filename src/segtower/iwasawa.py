@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, check_marks, prune_tails
+from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p,
                      root_of_unity_products)
 from .seal import admissible_sets, decompose
@@ -115,6 +115,7 @@ def _block_det(g, r, voltage, stage):
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
     check_prime(p)
     check_marks(g, r)
+    check_voltage(voltage)
     if not g.vertices:
         raise GraphError("kappa of the empty graph")  # as forests.kappa refuses it
     det = _block_det(g, r, voltage, "characteristic element")
@@ -144,6 +145,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     names the level where their sum passes WORK_LIMIT before any chain starts."""
     check_prime(p)
     check_marks(g, r)
+    check_voltage(voltage)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)

@@ -261,14 +261,14 @@ def _det_mod(a, order, q):
     return det, used
 
 
-def _symmetric(rows, zero):
-    """rows with zero added at (j, i) for every entry (i, j) without its
+def _symmetric(rows):
+    """rows with 0 added at (j, i) for every entry (i, j) without its
     mirror, and at (i, i) for every row without its diagonal: the pattern
-    that _det_mod needs."""
+    that _det_mod needs, for det_int's rows of residues."""
     for i, row in enumerate(rows):
-        row.setdefault(i, zero)
+        row.setdefault(i, 0)
         for j in row:
-            rows[j].setdefault(i, zero)
+            rows[j].setdefault(i, 0)
     return rows
 
 
@@ -293,7 +293,7 @@ def det_int(m) -> int:
     bound = math.prod(sum(x * x for x in row.values()) for row in m)
 
     def residue(q):
-        return [_det_mod(_symmetric([{j: x % q for j, x in row.items()} for row in m], 0), None, q)[0]]
+        return [_det_mod(_symmetric([{j: x % q for j, x in row.items()} for row in m]), None, q)[0]]
 
     return _crt(residue, math.isqrt(bound), 1)[0]
 
@@ -337,61 +337,56 @@ def _max_assignment(w):
 
 
 def det_laurent(m) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials given by
-    its sparse rows, [{column: LaurentPoly}] of nonzero entries.
+    """Exact determinant of an unramified block M, given by its sparse rows
+    [{column: LaurentPoly}] of nonzero entries.
 
-    det M is bounded before any evaluation: g^-lo * det M is a polynomial
-    Q of degree at most d = hi - lo with coefficients at most 2^b in absolute
-    value, for hi and -lo the exact maxima over the permutations through M's
-    entries of the sum of their max, and of their negated min, exponents (see
-    _max_assignment); with no such permutation det M = 0.  If
-    M_ji(g) = M_ij(1/g) for every entry (mirrored), as for every voltage
-    Laplacian, the second weights are the transpose of the first, so
-    lo = -hi, and det M is palindromic.  2^b is prod_i n_i, for the row norms
-    n_i = sum_j ||M_ij||_1, unless M is mirrored and every row has
-    2 c_0(M_ii) >= n_i (c_0 the constant coefficient), as every unramified
-    block does; then 2^b is prod_i ||M_ii||_1.  On |g| = 1 such an M is
-    Hermitian and diagonally dominant with a nonnegative diagonal, so it is
-    positive semidefinite, and Hadamard's inequality gives
-    0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1; by Parseval no
-    coefficient of Q exceeds the maximum of |Q| = |det M| on the circle.
-    Interpolating Q and Taylor-shifting it to g = 1 + T take about
-    (d + 1)^2 * (b + d) bit operations; past WORK_LIMIT, WorkLimitExceeded
-    names d before any node is evaluated.
+    M must be mirrored, M_ji(g) = M_ij(1/g), and diagonally dominant,
+    2 c_0(M_ii) >= sum_j ||M_ij||_1 (c_0 the constant coefficient; an empty
+    row qualifies), as every iwasawa.unramified_block is: the difference
+    counts the row's edges to marks.  Any other M is a LinalgError before
+    any bound or node.  hi, the exact maximum over the permutations through
+    M's entries of the sum of their top exponents (see _max_assignment),
+    bounds det M at both ends, since M(1/g) is M(g) transposed: det M is
+    palindromic, and Q = g^hi * det M has degree at most d = 2 hi.  With no
+    such permutation (an empty row) det M = 0.  On |g| = 1, M is Hermitian
+    and diagonally dominant with a nonnegative diagonal, so positive
+    semidefinite, and Hadamard's inequality gives
+    0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1 = 2^b, which by
+    Parseval bounds every coefficient of Q.  Interpolating Q and
+    Taylor-shifting it to g = 1 + T take about (d + 1)^2 * (b + d) bit
+    operations; past WORK_LIMIT, WorkLimitExceeded names d before any node
+    is evaluated.
 
-    Modulo the product of the primes that passes twice the coefficient bound
-    (see _crt), Q is evaluated by the det_int kernel at the nodes 1, 2, ...
-    and recovered by Newton interpolation.  The kernel gets M's pattern made
-    symmetric; the first node whose elimination runs to the end chooses the
-    minimum-degree order (see _det_mod), and every later node replays it.
-    If M is mirrored, one elimination at x gives Q at x and at 1/x (the
-    inverses differ from the nodes and from each other because x * y < q
-    for every prime q, so every difference is a unit).  A node is
-    raised to each exponent that occurs by one pow, so an exponent E costs
-    O(log E) multiplications, not E.
+    Modulo the product of the primes that passes 2^(b + 1) (see _crt), the
+    det_int kernel eliminates M at the nodes x = 1..hi + 1: M's pattern is
+    symmetric and a non-empty row holds its diagonal, as the kernel needs.
+    det M(1/x) = det M(x) gives Q at x and at 1/x (x * y < q for every prime
+    q, so the nodes and their differences are units), and Newton
+    interpolation recovers Q.  The first node whose elimination runs to the
+    end chooses the minimum-degree order (see _det_mod), and every later
+    node replays it.  A node is raised to each exponent that occurs by one
+    pow, so an exponent E costs O(log E) multiplications, not E.
     """
     _check_rows(m)
-    norms = [sum(abs(c) for x in row.values() for c in x.coeffs.values()) for row in m]
-    mirrored = all(i in m[j] and m[j][i].coeffs == {-e: c for e, c in x.coeffs.items()}
-                   for i, row in enumerate(m) for j, x in row.items())
-    # max_exp and min_exp raise LinalgError on a zero entry
+    for i, row in enumerate(m):
+        c0 = row[i].coeffs.get(0, 0) if i in row else 0
+        if (2 * c0 < sum(abs(c) for x in row.values() for c in x.coeffs.values())
+                or any(i not in m[j] or m[j][i].coeffs != {-e: c for e, c in x.coeffs.items()} for j, x in row.items())):
+            raise LinalgError(f"det_laurent takes only mirrored, diagonally dominant blocks; row {i} is not one")
+    # max_exp raises LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
-    lo = -hi if mirrored else -_max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in m])
-    if mirrored and all(i in row and 2 * row[i].coeffs.get(0, 0) >= n for i, (row, n) in enumerate(zip(m, norms))):
-        norms = [sum(map(abs, row[i].coeffs.values())) for i, row in enumerate(m)]
-    bound = math.prod(norms)
-    size = hi - lo + 1  # d + 1
+    bound = math.prod(sum(map(abs, row[i].coeffs.values())) for i, row in enumerate(m))
+    size = 2 * hi + 1  # d + 1
     if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
                                 f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
-    pattern = _symmetric([dict(row) for row in m], LaurentPoly())
-    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in pattern]
+    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
     exps = {e for row in m for x in row.values() for e in x.coeffs}
 
     def residues(q):
         xs, values, order = [], [], None
-        for x in range(1, (hi + 1 if mirrored else size) + 1):
+        for x in range(1, hi + 2):
             xp = {e: pow(x, e, q) for e in exps}
             a = []
             for row in rows:
@@ -402,13 +397,13 @@ def det_laurent(m) -> LaurentPoly:
                         v += c * xp[e]
                     r[j] = v % q
                 a.append(r)
-            d, used = _det_mod(a, order, q)  # det M(x); Q(x) = x^-lo * d
+            d, used = _det_mod(a, order, q)  # det M(x) = det M(1/x)
             order = order or used
             xs.append(x)
-            values.append(d * pow(x, -lo, q) % q)
-            if mirrored and x > 1:  # det M(1/x) = d, so Q(1/x) = x^lo * d
+            values.append(d * pow(x, hi, q) % q)  # Q(x) = x^hi * d
+            if x > 1:  # Q(1/x) = x^-hi * d
                 xs.append(pow(x, -1, q))
-                values.append(d * pow(x, lo, q) % q)
+                values.append(d * pow(x, -hi, q) % q)
         for j in range(1, size):  # values[i] becomes Q[x_i-j, ..., x_i]
             for i in range(size - 1, j - 1, -1):
                 values[i] = (values[i] - values[i - 1]) * pow(xs[i] - xs[i - j], -1, q) % q
@@ -417,7 +412,7 @@ def det_laurent(m) -> LaurentPoly:
                 values[i] = (values[i] - xs[j] * values[i + 1]) % q
         return values
 
-    return LaurentPoly({e + lo: c for e, c in enumerate(_crt(residues, bound, size))})
+    return LaurentPoly({e - hi: c for e, c in enumerate(_crt(residues, bound, size))})
 
 
 def root_of_unity_products(f: LaurentPoly, p: int, n: int) -> list:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -35,7 +36,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import LaurentPoly, WorkLimitExceeded, det_laurent, mu_lambda, ord_p
+from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, mu_lambda, ord_p
 
 
 class TestBuildMatrices:
@@ -82,6 +83,39 @@ class TestBuildMatrices:
         r = RamificationData.totally_ramified(["a", "b"])
         assert unramified_block(g, r, {}) == []
         assert char_element(g, r, {}, 2).det_gamma == LaurentPoly({0: 1})
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_block_is_one_det_laurent_takes(data):
+    # multigraphs with loops, parallel edges and isolated vertices, any marks
+    # of depth 0-2 and voltages -6..6: the block of every mark set that
+    # char_element or a tower level uses is mirrored, its rows' 2 c_0 less
+    # their norm counts their edges to marks, and det_laurent takes it as far
+    # as its one assignment
+    vs = [f"v{i}" for i in range(data.draw(st.integers(1, 7)))]
+    ends = st.sampled_from(vs)
+    g = build_graph(vs, data.draw(st.lists(st.tuples(ends, ends), max_size=12)))
+    depths = data.draw(st.dictionaries(ends, st.integers(0, 2)))
+    voltage = dict(zip([e.id for e in g.edges], data.draw(st.lists(st.integers(-6, 6), min_size=len(g.edges), max_size=len(g.edges)))))
+
+    class Accepted(Exception):
+        pass
+
+    def accepted(w):
+        raise Accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_max_assignment", accepted)
+        for marks in {tuple(v for v, k in depths.items() if k < a) for a in range(4)}:
+            m = unramified_block(g, RamificationData.totally_ramified(marks), voltage)
+            for i, (v, row) in enumerate(zip([v for v in vs if v not in marks], m)):
+                to_marks = sum((e.u == v and e.v in marks) + (e.v == v and e.u in marks) for e in g.edges)
+                c0 = row[i].coeffs.get(0, 0) if i in row else 0
+                assert 2 * c0 - sum(abs(c) for x in row.values() for c in x.coeffs.values()) == to_marks
+                assert all(i in m[j] and m[j][i] == LaurentPoly({-e: c for e, c in x.coeffs.items()}) for j, x in row.items())
+            with pytest.raises(Accepted):
+                det_laurent(m)
 
 
 class TestCharElement:
@@ -550,8 +584,8 @@ class TestInterpolationWork:
             det_laurent(m)
 
     def test_one_bounds_pass_per_det_m(self, monkeypatch):
-        # the degree bound is one assignment for a mirrored det M, as every
-        # voltage Laplacian block is, and two (max and min exponents) otherwise
+        # the degree bound is one assignment per det M; a matrix that is no
+        # mirrored, dominant block is refused before any
         calls, assignment = [], linalg._max_assignment
 
         def counted(w):
@@ -563,8 +597,9 @@ class TestInterpolationWork:
         char_element(g, r, volt, 3)
         assert len(calls) == 1
         calls.clear()
-        assert det_laurent([{0: LaurentPoly({1: 1}), 1: LaurentPoly({0: 2})}, {1: LaurentPoly({1: 1})}]) == LaurentPoly({2: 1})
-        assert len(calls) == 2
+        with pytest.raises(LinalgError, match="row 0 is not one"):
+            det_laurent([{0: LaurentPoly({1: 1}), 1: LaurentPoly({0: 2})}, {1: LaurentPoly({1: 1})}])
+        assert not calls
 
 
 class TestPrimeCheck:
@@ -582,6 +617,29 @@ class TestPrimeCheck:
         g, r, _ = load_fixture("cycle5_ram45.json")
         with pytest.raises(GraphError, match="p must be a prime, got 4"):
             call(g, r)
+
+
+class TestVoltageCheck:
+    # a triangle a-b-c with b-c doubled, a marked: a voltage of 1.5 on e2 was
+    # taken as 1 by tower_kappas, True acted as 1, and "1" or None raised a
+    # bare TypeError; build_cover blamed an unknown endpoint
+    @pytest.mark.parametrize("a", [1.5, True, "1", None], ids=["float", "bool", "str", "None"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, r, v: build_cover(g, r, v, 3, 1),
+            lambda g, r, v: tower_kappas(g, r, v, 3, 2),
+            lambda g, r, v: char_element(g, r, v, 3),
+            lambda g, r, v: tower_report(g, r, v, 3, n_max=2),
+        ],
+        ids=["build_cover", "tower_kappas", "char_element", "tower_report"],
+    )
+    def test_non_integer_voltage_rejected(self, call, a):
+        g = build_graph(["a", "b", "c"], [("a", "b", "e1"), ("b", "c", "e2"), ("b", "c", "e3"), ("c", "a", "e4")])
+        r = RamificationData({"a": 0})
+        assert [lv["kappa"] for lv in tower_kappas(g, r, {"e2": 1}, 3, 2)] == [5, 320, 33385280]
+        with pytest.raises(GraphError, match=f"^voltage of edge 'e2' must be an integer, got {re.escape(repr(a))}$"):
+            call(g, r, {"e2": a})
 
 
 class TestTowerReport:

@@ -163,7 +163,8 @@ class TestDetInt:
         q = next(linalg._primes())
         for m in ([[q - 1]], [[-(q - 1)]], [[1 - q, 0], [0, 1]], [[0, q - 1], [1, 0]]):
             assert det_int(sparse_rows(m)) == bareiss_det_int(m)
-        assert det_laurent([{0: LaurentPoly({3: 1 - q})}]) == LaurentPoly({3: 1 - q})
+        # and on a block: det M = q - 1 meets the coefficient bound prod_i ||M_ii||_1
+        assert det_laurent([{0: LaurentPoly({0: q - 1})}]) == q - 1
 
     def test_short_prime_supply_raises(self, monkeypatch):
         # |det| = 2^70 needs three primes below 2^30: one must not be lifted
@@ -173,12 +174,65 @@ class TestDetInt:
             det_int([{0: 2**70}])
 
 
+def mirror(x):
+    """x(1/g)"""
+    return LaurentPoly({-e: c for e, c in x.coeffs.items()})
+
+
+@st.composite
+def blocks(draw, max_dim=6, coefficients=st.integers(-3, 3), prime=False):
+    """Mirrored, diagonally dominant blocks, the matrices det_laurent takes,
+    as sparse rows: dimension 0-max_dim; up to 3n off-diagonal terms g^e,
+    e in [-6, 6], each with its mirror; up to n loops c * (g^a + g^-a) on
+    the diagonal; and on each diagonal a constant coefficient, the sum of
+    the row's other |coefficients| and of one more |coefficient|, at least
+    1.  With prime, the constant may instead be the prime Q0 or Q1 of the
+    CRT, when that is no smaller.  Sometimes a row and its column are empty,
+    as for an isolated unmarked vertex."""
+    n = draw(st.integers(0, max_dim))
+    if not n:
+        return []
+    index = st.integers(0, n - 1)
+    upper = [{} for _ in range(n)]  # {column: {exponent: coefficient}} for the columns right of the diagonal
+    for i, j, e, c in draw(st.lists(st.tuples(index, index, st.integers(-6, 6), coefficients), max_size=3 * n)):
+        if i != j:
+            i, j, e = (i, j, e) if i < j else (j, i, -e)
+            terms = upper[i].setdefault(j, {})
+            terms[e] = terms.get(e, 0) + c
+    loops = [{} for _ in range(n)]
+    for i, a, c in draw(st.lists(st.tuples(index, st.integers(1, 6), coefficients), max_size=n)):
+        for e in (a, -a):
+            loops[i][e] = loops[i].get(e, 0) + c
+    empty = draw(index) if draw(st.integers(0, 4)) == 4 else None
+    m = [{} for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, terms in row.items():
+            if (x := LaurentPoly(terms)).coeffs and empty not in (i, j):
+                m[i][j], m[j][i] = x, mirror(x)
+    for i, (row, diag) in enumerate(zip(m, loops)):
+        c0 = max(1, sum(abs(c) for x in [*row.values(), LaurentPoly(diag)] for c in x.coeffs.values()) + abs(draw(coefficients)))
+        if prime and c0 <= Q1:
+            c0 = draw(st.sampled_from([c0, Q0, Q1]))
+        if i != empty and (x := LaurentPoly({**diag, 0: c0})).coeffs:
+            row[i] = x
+    return m
+
+
+def block(diagonal, off=()):
+    """The sparse rows of the mirrored matrix with the given diagonal entries
+    and M_ij = x, M_ji = x(1/g) for each (i, j, x) in off, every entry given
+    as {exponent: coefficient}."""
+    m = [{i: LaurentPoly(d)} for i, d in enumerate(diagonal)]
+    for i, j, x in off:
+        m[i][j] = LaurentPoly(x)
+        m[j][i] = mirror(m[i][j])
+    return m
+
+
 class TestDetLaurent:
     def test_unit_cancellation(self):
-        g = LaurentPoly({1: 1})
-        gi = LaurentPoly({-1: 1})
-        z = LaurentPoly()
-        assert det_laurent(sparse_rows([[g, z], [z, gi]])) == LaurentPoly({0: 1})
+        # (-g) * (-g^-1) = 1: det M = 2 * 1 - 1
+        assert det_laurent(block([{0: 2}, {0: 1}], [(0, 1, {1: -1})])) == LaurentPoly({0: 1})
 
     def test_voltage_triangle_determinants(self):
         # both placements of the voltage on a doubled triangle give constant 3
@@ -192,48 +246,80 @@ class TestDetLaurent:
         assert det_laurent(sparse_rows(m)) == LaurentPoly({0: 7, 1: -1, -1: -1})
 
     def test_against_2x2_oracle(self):
+        # [[a, b], [b(1/g), d]] with ||a||_1 <= 6, ||b||_1 <= 2 and d >= 2: dominant
         rng = random.Random(3)
         pool = [LaurentPoly({-1: 1}), LaurentPoly({0: 1}), LaurentPoly({1: 1}), LaurentPoly({1: 2})]
         for _ in range(40):
-            a, b, c, d = (rng.choice(pool) for _ in range(4))
-            assert det_laurent(sparse_rows([[a, b], [c, d]])) == laurent_sub(a * d, b * c)
+            s = rng.randint(-1, 1)
+            a, b, d = LaurentPoly({0: 4, 1: s, -1: s}), rng.choice(pool), LaurentPoly({0: rng.randint(2, 5)})
+            assert det_laurent(sparse_rows([[a, b], [mirror(b), d]])) == laurent_sub(a * d, b * mirror(b))
 
-    def test_zero_column(self):
-        z = LaurentPoly()
-        one = LaurentPoly({0: 1})
-        assert det_laurent(sparse_rows([[z, one], [z, one]])).is_zero
+    def test_zero_column(self, monkeypatch):
+        # one edge of voltage 1 between two unmarked vertices: det M = 0, and
+        # at the one node column 1 cancels with no row left to borrow
+        calls = record_eliminations(monkeypatch)
+        assert det_laurent(block([{0: 1}, {0: 1}], [(0, 1, {1: -1})])).is_zero
+        assert [result for _, _, result in calls] == [(0, None)]
 
-    def test_pivot_swap(self):
-        z = LaurentPoly()
-        one = LaurentPoly({0: 1})
-        assert det_laurent(sparse_rows([[z, one], [one, z]])) == LaurentPoly({0: -1})
+    def test_pivot_swap(self, monkeypatch):
+        # M(1) is singular, so the node 2 chooses the order; its first pivot
+        # 5 - 4 - 1 = 0 borrows row 1, which brings column 2 into row 0 and
+        # so needs a zero in row 2 at column 0
+        m = block([{0: 5, 1: -2, -1: -2}, {0: 2}, {0: 1}], [(0, 1, {0: -1}), (1, 2, {0: -1})])
+        calls = record_eliminations(monkeypatch)
+        assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == LaurentPoly({0: 4, 1: -2, -1: -2})
+        assert calls[0][2] == (0, None)
+        (_, rows, (_, order)), = calls[1:]
+        assert rows[0][0] == 0 and 0 not in rows[2] and order[0] == 0
 
-    def test_commutes_with_expansion(self):
-        # det then expand equals expand entrywise then det over Z[T],
-        # for non-negative exponents
-        rng = random.Random(5)
-        for _ in range(25):
-            m = [
-                [LaurentPoly({e: rng.randint(-3, 3) for e in range(0, 3)}) for _ in range(3)]
-                for _ in range(3)
-            ]
-            lhs = expand_at_gamma(det_laurent(sparse_rows(m)))
-            rows = [[expand_at_gamma(x) for x in row] for row in m]
-            # Leibniz over Z[T]
-            total = ()
-            for perm in permutations(range(3)):
-                inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-                prod = (1,) if inv % 2 == 0 else (-1,)
-                for i in range(3):
-                    prod = poly_mul(prod, rows[i][perm[i]])
-                total = poly_add(total, prod)
-            assert lhs == total
+    @given(blocks(max_dim=3))
+    @settings(max_examples=25, deadline=None)
+    def test_commutes_with_expansion(self, m):
+        # det then expand equals expand entrywise then det over Z[T], each row
+        # times g^s_i, s_i its least exponent negated, so that its entries
+        # are polynomials, whose expansions are exact
+        n = len(m)
+        shifts = [max(0, -min((x.min_exp() for x in row.values()), default=0)) for row in m]
+        lhs = expand_at_gamma(det_laurent(m).shift(sum(shifts)))
+        rows = [[expand_at_gamma(row.get(j, LaurentPoly()).shift(s)) for j in range(n)] for row, s in zip(m, shifts)]
+        # Leibniz over Z[T]
+        total = ()
+        for perm in permutations(range(n)):
+            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+            prod = (1,) if inv % 2 == 0 else (-1,)
+            for i in range(n):
+                prod = poly_mul(prod, rows[i][perm[i]])
+            total = poly_add(total, prod)
+        assert lhs == total
 
     def test_diagonal_power(self):
-        for f in [LaurentPoly({-2: 3, 1: -1}), LaurentPoly({0: 2, 5: 1}), LaurentPoly({-3: -2})]:
+        for f in [LaurentPoly({-2: -1, 0: 3, 2: -1}), LaurentPoly({0: 2, 5: 1, -5: 1}), LaurentPoly({0: 7})]:
             for n in range(5):
-                m = [[f if i == j else LaurentPoly() for j in range(n)] for i in range(n)]
-                assert det_laurent(sparse_rows(m)) == laurent_pow(f, n)
+                assert det_laurent([{i: f} for i in range(n)]) == laurent_pow(f, n)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [{0: LaurentPoly({1: 1})}],  # a diagonal that is not palindromic
+            [{0: LaurentPoly({0: 2}), 1: LaurentPoly({1: -1})}, {1: LaurentPoly({0: 2})}],  # an entry without a mirror
+            [{0: LaurentPoly({0: 2}), 1: LaurentPoly({1: -1})}, {0: LaurentPoly({1: -1}), 1: LaurentPoly({0: 2})}],
+            [{0: LaurentPoly({0: 1}), 1: LaurentPoly({0: -2})}, {0: LaurentPoly({0: -2}), 1: LaurentPoly({0: 4})}],
+            [{0: LaurentPoly({0: -1})}],  # a negative diagonal
+            [{1: LaurentPoly({0: 1})}, {0: LaurentPoly({0: 1})}],  # no diagonal
+            [{0: LaurentPoly({0: 2, 1: -1, -1: -1}), 1: LaurentPoly({0: -1})}, {0: LaurentPoly({0: -1}), 1: LaurentPoly({0: 1})}],
+        ],
+    )
+    def test_refuses_any_other_matrix(self, monkeypatch, m):
+        # before any bound or node
+        monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
+        monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        with pytest.raises(LinalgError, match="^det_laurent takes only mirrored, diagonally dominant blocks; row 0 is not one$"):
+            det_laurent(m)
+
+    def test_empty_row_is_accepted(self, monkeypatch):
+        # an isolated unmarked vertex: no permutation runs through M's entries
+        monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        assert det_laurent([{}, {1: LaurentPoly({0: 1})}]).is_zero
 
     def test_non_square_rejected(self):
         with pytest.raises(LinalgError, match="rows"):
@@ -256,7 +342,7 @@ class TestDetLaurent:
         one_prime = [next(linalg._primes())]
         monkeypatch.setattr(linalg, "_primes", lambda: iter(one_prime))
         with pytest.raises(LinalgError, match="primes ran out"):
-            det_laurent([{0: LaurentPoly({1: 2**70})}])
+            det_laurent([{0: LaurentPoly({0: 2**70})}])
 
 
 def count_primes(monkeypatch):
@@ -270,6 +356,20 @@ def count_primes(monkeypatch):
 
     monkeypatch.setattr(linalg, "_primes", counting)
     return drawn
+
+
+def record_eliminations(monkeypatch):
+    """Wrap linalg._det_mod; the returned list holds (order, rows, result)
+    of each call, the rows as they were passed in."""
+    calls, det_mod = [], linalg._det_mod
+
+    def recording(a, order, q):
+        rows = [dict(row) for row in a]
+        calls.append((order, rows, det_mod(a, order, q)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(linalg, "_det_mod", recording)
+    return calls
 
 
 def count_eliminations(monkeypatch):
@@ -414,7 +514,7 @@ def kernel_order(m, q=Q0):
     """The order in which the kernel eliminates the integer sparse rows m
     modulo q, their pattern made symmetric as det_int makes it; None when a
     zero column ends it early."""
-    return linalg._det_mod(linalg._symmetric([{j: x % q for j, x in row.items()} for row in m], 0), None, q)[1]
+    return linalg._det_mod(linalg._symmetric([{j: x % q for j, x in row.items()} for row in m]), None, q)[1]
 
 
 def pattern_rows(pattern):
@@ -508,8 +608,8 @@ def constants(m):
 
 
 class TestBorrowedRow:
-    """A zero diagonal pivot borrows a row of its column, against the
-    Bareiss oracles over Z and Z[g]."""
+    """A zero diagonal pivot borrows a row of its column, against Bareiss
+    over Z."""
 
     @pytest.mark.parametrize(
         "m, det",
@@ -526,44 +626,35 @@ class TestBorrowedRow:
     )
     def test_cancelling_diagonals(self, m, det):
         assert det_int(sparse_rows(m)) == bareiss_det_int(m) == det
-        assert det_laurent(sparse_rows(constants(m))) == bareiss_det_laurent(constants(m)) == det
 
     def test_borrowed_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
-        # column 0 borrows row 1, whose entry Q0 is no unit modulo Q0 * Q1;
-        # modulo Q0 the column is zero, modulo Q1 the borrow succeeds
-        m = [[0, 1], [Q0, 0]]
-        for det, rows in (det_int, sparse_rows(m)), (det_laurent, sparse_rows(constants(m))):
+        # det_int: column 0 borrows row 1, whose entry Q0 is no unit modulo
+        # Q0 * Q1; modulo Q0 the column is zero, modulo Q1 the borrow
+        # succeeds.  det_laurent: the block's first pivot Q0 is no unit modulo
+        # Q0 * Q1; modulo Q0 it is 0 and borrows row 1, whose column 2 needs
+        # a mirrored zero in row 2
+        m, b = [[0, 1], [Q0, 0]], [[Q0, -1, 0], [-1, 2, -1], [0, -1, 1]]
+        for det, rows, value in (det_int, sparse_rows(m), -Q0), (det_laurent, sparse_rows(constants(b)), Q0 - 1):
             with monkeypatch.context() as mp:
                 drawn = count_primes(mp)
                 moduli = count_eliminations(mp)
-                assert det(rows) == bareiss_det_int(m) == -Q0
+                assert det(rows) == value
             assert drawn == [Q0, Q1] and moduli == [Q0 * Q1, Q0, Q1]
+        assert bareiss_det_int(m) == -Q0 and bareiss_det_int(b) == Q0 - 1
 
     def test_first_node_ends_early(self, monkeypatch):
-        # det M = (g - 1)(g + 1) vanishes at the first node 1, where column 1
-        # cancels with no row to borrow: node 2 chooses the order, node 3
-        # replays it
-        m = [[LaurentPoly({1: 1}), LaurentPoly({0: 1}), LaurentPoly()],
-             [LaurentPoly({0: 1}), LaurentPoly({0: 1}), LaurentPoly()],
-             [LaurentPoly(), LaurentPoly(), LaurentPoly({0: 1, 1: 1})]]
-        calls, det_mod = [], linalg._det_mod
-
-        def recording(a, order, q):
-            calls.append((order, det_mod(a, order, q)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(linalg, "_det_mod", recording)
-        assert det_laurent(sparse_rows(m)) == bareiss_det_laurent(m) == LaurentPoly({0: -1, 2: 1})
-        assert [order for order, _ in calls] == [None, None, calls[1][1][1]]
-        assert calls[0][1] == (0, None) and calls[2][1][1] == calls[1][1][1]
+        # the one-vertex block 2 - g^2 - g^-2 vanishes at the first node 1,
+        # where column 0 is zero with no row to borrow: node 2 chooses the
+        # order, node 3 replays it
+        m = [{0: LaurentPoly({0: 2, 2: -1, -2: -1})}]
+        calls = record_eliminations(monkeypatch)
+        assert det_laurent(m) == m[0][0]
+        assert [order for order, _, _ in calls] == [None, None, [0]]
+        assert calls[0][2] == (0, None) and calls[1][2][1] == calls[2][2][1] == [0]
 
 
-laurent_terms =st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
+laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
 constant_terms = st.dictionaries(st.just(0), st.integers(-5, 5), max_size=1)
-
-
-big_coefficients = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
-big_entries = st.dictionaries(st.integers(-4, 4), big_coefficients, min_size=1, max_size=2).map(LaurentPoly)
 
 
 @st.composite
@@ -581,17 +672,13 @@ def laurent_matrices(draw):
 sparse_weights = st.one_of(st.none(), st.integers(-6, 6))
 
 
-def mirror(x):
-    """x(1/g)"""
-    return LaurentPoly({-e: c for e, c in x.coeffs.items()})
-
-
 @st.composite
-def hermitian_matrices(draw, min_dim=0):
-    """M_ji(g) = M_ij(1/g), as for a voltage Laplacian block: dimension
-    0-8, entries with exponents in [-6, 6], a constant plus loops
-    c * (g^a + g^-a) on the diagonal; sometimes a zero row and column."""
-    n = draw(st.integers(min_dim, 8))
+def hermitian_matrices(draw):
+    """M_ji(g) = M_ij(1/g), as for a voltage Laplacian block, but in general
+    not diagonally dominant: dimension 0-8, entries with exponents in
+    [-6, 6], a constant plus loops c * (g^a + g^-a) on the diagonal;
+    sometimes a zero row and column."""
+    n = draw(st.integers(0, 8))
     m = [[LaurentPoly()] * n for _ in range(n)]
     for i in range(n):
         diag = {0: draw(st.integers(-5, 5))}
@@ -609,29 +696,6 @@ def hermitian_matrices(draw, min_dim=0):
     return m
 
 
-@st.composite
-def dominant_hermitian_matrices(draw):
-    """Mirrored matrices of dimension 0-6 with off-diagonal entries of 0-3
-    terms and loops c * (g^a + g^-a) on the diagonal, whose constant
-    coefficient is the sum of the row's other |coefficients| plus 0-2: on
-    |g| = 1 they are positive semidefinite."""
-    n = draw(st.integers(0, 6))
-    m = [[LaurentPoly()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = LaurentPoly(draw(laurent_terms))
-            m[j][i] = mirror(m[i][j])
-    for i in range(n):
-        diag = {}
-        for a, c in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)), max_size=2)):
-            diag[a] = diag.get(a, 0) + c
-            diag[-a] = diag.get(-a, 0) + c
-        rest = sum(abs(c) for j, x in enumerate(m[i]) if j != i for c in x.coeffs.values())
-        diag[0] = rest + sum(abs(c) for c in diag.values()) + draw(st.integers(0, 2))
-        m[i][i] = LaurentPoly(diag)
-    return m
-
-
 def primes_past(bound):
     """The number of primes _crt draws for a coefficient bound."""
     k, m = 0, 1
@@ -639,6 +703,9 @@ def primes_past(bound):
         if m > 2 * bound:
             return k
         k, m = k + 1, m * q
+
+
+big_coefficients = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
 
 
 class TestDetLaurentOracle:
@@ -649,22 +716,6 @@ class TestDetLaurentOracle:
     @settings(max_examples=40, deadline=None)
     def test_oracle_matches_bareiss_over_z_g(self, m):
         assert interpolated_det_laurent(m) == bareiss_det_laurent(m)
-
-    @given(hermitian_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_hermitian_matrices(self, m):
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
-
-    @given(hermitian_matrices(min_dim=1), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_one_entry_off_hermitian(self, m, data):
-        # one added term breaks M_ji(g) = M_ij(1/g): det need not be palindromic
-        n = len(m)
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        e = data.draw(st.integers(-6, 6).filter(lambda e: i != j or e != 0))
-        m[i][j] = laurent_sub(m[i][j], LaurentPoly({e: -data.draw(st.sampled_from([-2, -1, 1, 2]))}))
-        assert any(m[b][a] != mirror(m[a][b]) for a in range(n) for b in range(n))
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
 
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(sparse_weights, min_size=n, max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=300, deadline=None)
@@ -680,17 +731,18 @@ class TestDetLaurentOracle:
         rows = [{j: x for j, x in enumerate(row) if x is not None} for row in w]
         assert linalg._max_assignment(rows) == max(terms, default=None)
 
-    @given(st.one_of(hermitian_matrices(), laurent_matrices()))
+    @given(blocks())
     @settings(max_examples=200, deadline=None)
     def test_assignment_brackets_the_determinant(self, m):
-        # hi is at least the top exponent of det M, lo at most its bottom one
-        rows = sparse_rows(m)
-        det = det_laurent(rows)
-        hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in rows])
-        lo = linalg._max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in rows])
-        assert (hi is None) == (lo is None)
+        # hi is at least the top exponent of det M; the assignment on the
+        # negated least exponents, whose weights are the transpose of the
+        # first, gives hi again, so -hi is at most the bottom one
+        det = det_laurent(m)
+        hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
+        lo = linalg._max_assignment([{j: -x.min_exp() for j, x in row.items()} for row in m])
+        assert hi == lo and (hi is None) == (not all(m))
         if not det.is_zero:
-            assert hi >= det.max_exp() and -lo <= det.min_exp()
+            assert hi >= det.max_exp() and -hi <= det.min_exp()
 
     def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
         # one elimination, modulo the product of the primes, per node x
@@ -713,18 +765,26 @@ class TestDetLaurentOracle:
             assert len(drawn) == primes
             assert 2 * len(calls) < spans + 1
 
-    @given(dominant_hermitian_matrices())
+    @given(st.one_of(blocks(), blocks(prime=True)))
     @settings(max_examples=200, deadline=None)
     def test_dominant_hermitian_matrices(self, m):
         # every coefficient of g^hi * det M is at most prod_i ||M_ii||_1, and
-        # det_laurent draws just the primes that pass twice that bound
-        bound = math.prod(sum(map(abs, m[i][i].coeffs.values())) for i in range(len(m)))
+        # det_laurent draws just the primes that pass twice that bound.  A
+        # diagonal constant Q0 or Q1 can make a pivot that is no unit modulo
+        # their product: then each prime gets its own hi + 1 eliminations
+        bound = math.prod(sum(map(abs, row[i].coeffs.values())) if i in row else 0 for i, row in enumerate(m))
+        hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
         with pytest.MonkeyPatch.context() as mp:
             drawn = count_primes(mp)
-            det = det_laurent(sparse_rows(m))
-        assert det == interpolated_det_laurent(m)
+            moduli = count_eliminations(mp)
+            det = det_laurent(m)
+        assert det == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert all(abs(c) <= bound for c in det.coeffs.values())
-        assert len(drawn) == (primes_past(bound) if bound else 0)  # a zero row: det M = 0, no prime drawn
+        assert len(drawn) == (primes_past(bound) if bound else 0)  # an empty row: det M = 0, no prime drawn
+        nodes = 0 if hi is None else hi + 1
+        first = len(moduli) - len(drawn) * nodes  # modulo the product, the last one ended by a non-unit pivot
+        assert moduli == [math.prod(drawn)] * nodes or (
+            0 < first <= nodes and moduli == [math.prod(drawn)] * first + [q for q in drawn for _ in range(nodes)])
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_diagonal_bound_is_nearly_tight(self, n):
@@ -739,25 +799,13 @@ class TestDetLaurentOracle:
     def test_constant_meets_the_diagonal_bound(self, c):
         assert det_laurent([{0: LaurentPoly({0: c})}]) == c
 
-    def test_mirrored_but_not_dominant_keeps_the_row_bound(self, monkeypatch):
-        # the diagonal bound 1 would lift 1 - 2^80 modulo one prime
-        m = [{0: LaurentPoly({0: 1}), 1: LaurentPoly({1: 2**40})}, {0: LaurentPoly({-1: 2**40}), 1: LaurentPoly({0: 1})}]
-        drawn = count_primes(monkeypatch)
-        assert det_laurent(m) == 1 - 2**80
-        assert len(drawn) == 3
-
-    @given(laurent_matrices())
-    @settings(max_examples=300, deadline=None)
-    def test_random_matrices(self, m):
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
-
-    @given(laurent_matrices(), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @given(blocks(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_gauge_invariance(self, m, phi):
-        # D M D^-1 with D = diag(g^phi) has entries g^(phi_i - phi_j) M_ij
-        # and the same determinant
-        gauged = [[x.shift(phi[i] - phi[j]) for j, x in enumerate(row)] for i, row in enumerate(m)]
-        assert det_laurent(sparse_rows(gauged)) == det_laurent(sparse_rows(m))
+        # D M D^-1 with D = diag(g^phi) has entries g^(phi_i - phi_j) M_ij:
+        # again a mirrored, dominant block, with the same determinant
+        gauged = [{j: x.shift(phi[i] - phi[j]) for j, x in row.items()} for i, row in enumerate(m)]
+        assert det_laurent(gauged) == det_laurent(m)
 
     def test_forest_block_takes_one_node(self, monkeypatch):
         # a tower block whose pattern is the path 1-0-3-2: its permutations
@@ -775,36 +823,30 @@ class TestDetLaurentOracle:
         assert det_laurent(m) == 21
         assert len(calls) == len(drawn) == 1
 
-    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.lists(big_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @given(blocks(max_dim=5, coefficients=big_coefficients))
     @settings(max_examples=100, deadline=None)
     def test_large_coefficients(self, m):
-        # every row holds a coefficient of at least 2^63, so the bound is at
-        # least 2^126 and four primes below 2^30 cannot reach twice it
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
+        # every coefficient is at least 2^63 in absolute value, and so is a
+        # row's diagonal constant: n rows need more than 2n primes below 2^30
+        assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
 
     def test_large_coefficients_use_three_primes(self, monkeypatch):
-        m = [
-            [LaurentPoly({1: 2**63, -2: 5}), LaurentPoly({0: -(2**64)})],
-            [LaurentPoly({2: 3}), LaurentPoly({-1: 2**65 + 1})],
-        ]
+        m = block([{0: 2**65 + 1}, {0: 2**64 + 5, 1: -(2**61), -1: -(2**61)}], [(0, 1, {1: 2**63, -2: 5})])
         drawn = count_primes(monkeypatch)
         moduli = count_eliminations(monkeypatch)
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
+        assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert len(drawn) >= 3
-        # the assignments give exponents -3..2: one elimination at each of
-        # six nodes, all modulo the product of the primes
-        assert moduli == [math.prod(drawn)] * 6
+        # the off-diagonal pair gives hi = 1 + 2 = 3: one elimination at each
+        # of the nodes 1..4, all modulo the product of the primes
+        assert moduli == [math.prod(drawn)] * 4
 
     def test_coefficient_equal_to_a_prime(self, monkeypatch):
-        # at the node 1 both diagonal entries are Q0, and a pivot that Q0
-        # divides sends every prime through its own eliminations
-        m = [
-            [LaurentPoly({1: Q0 - 1, 2: 1}), LaurentPoly({0: 1})],
-            [LaurentPoly({2: 1}), LaurentPoly({0: Q0 - 3, -1: 3})],
-        ]
+        # at the node 1 the first pivot is Q0, and a pivot that Q0 divides
+        # sends every prime through its own eliminations
+        m = block([{0: Q0}, {0: 3, 1: -1, -1: -1}], [(0, 1, {1: -1})])
         drawn = count_primes(monkeypatch)
         moduli = count_eliminations(monkeypatch)
-        assert det_laurent(sparse_rows(m)) == interpolated_det_laurent(m)
+        assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert len(drawn) >= 2 and moduli[0] == math.prod(drawn)
         assert sorted(set(moduli[1:])) == sorted(drawn)
 
