@@ -14,6 +14,8 @@ from collections.abc import Hashable
 from itertools import combinations
 from typing import NamedTuple
 
+from .linalg import LaurentPoly
+
 
 class GraphError(ValueError):
     pass
@@ -193,21 +195,31 @@ def build_graph(vertex_ids, edges) -> Multigraph:
     return Multigraph(vertex_ids, out)
 
 
-def laplacian(g: Multigraph, deleted=()):
+def laplacian(g: Multigraph, deleted=(), voltage=None):
     """Sparse rows [{column: entry}] of the nonzero entries of the Laplacian
     Val - A without the rows and columns of the vertices in deleted, in
-    vertex order, from one pass over the edges.
-
-    Loops add 2 to both the degree and the adjacency diagonal, so they cancel.
+    vertex order, from one pass over the edges: every block that
+    linalg.det_int takes (voltage None: int entries) and linalg.det_laurent
+    takes (a voltage map {edge id: a}: LaurentPoly entries in g, each dart
+    u -> v of voltage a adding -g^a at (v, u)).  Loops add 2 to both the
+    degree and the adjacency diagonal, so at voltage 0 they cancel.
     """
-    deleted = set(deleted)
+    deleted, ints = set(deleted), voltage is None
     index = {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
-    rows = [{i: g.degree(v)} for v, i in index.items()]
-    for e in g.edges:
-        if e.u in index and e.v in index:
-            i, j = index[e.u], index[e.v]
-            rows[i][j] = rows[i].get(j, 0) - 1
-            rows[j][i] = rows[j].get(i, 0) - 1
+    rows = [{i: g.degree(v)} if ints else {i: {0: g.degree(v)}} for v, i in index.items()]
+    for eid, u, v in g.edges:
+        if u in index and v in index:
+            i, j = index[u], index[v]
+            if ints:
+                rows[i][j] = rows[i].get(j, 0) - 1
+                rows[j][i] = rows[j].get(i, 0) - 1
+            else:
+                a = voltage.get(eid, 0)
+                for row, col, b in ((j, i, a), (i, j, -a)):
+                    cs = rows[row].setdefault(col, {})
+                    cs[b] = cs.get(b, 0) - 1
+    if not ints:
+        return [{j: x for j, cs in row.items() if (x := LaurentPoly(cs)).coeffs} for row in rows]
     for i, row in enumerate(rows):  # a vertex with no edge but loops
         if not row[i]:
             del row[i]

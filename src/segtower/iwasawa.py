@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, prune_tails
+from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, laplacian, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p,
                      root_of_unity_products)
 from .seal import admissible_sets, decompose
@@ -84,30 +84,13 @@ class Verdict:
     detail: dict
 
 
-def unramified_block(g: Multigraph, r: RamificationData, voltage):
-    """M, the block of the voltage Laplacian D - A on the unramified vertices
-    (in vertex order), as sparse rows [{column: LaurentPoly}] of its nonzero
-    entries: degrees on the diagonal, and -g^a at [w][u] for each dart
-    u -> w of voltage a between unramified vertices.  With every vertex
-    ramified M is empty, and its determinant is 1."""
-    voltage = voltage or {}
-    index = {v: i for i, v in enumerate(v for v in g.vertices if not r.is_ramified(v))}
-    rows = [{i: {0: g.degree(v)}} for v, i in index.items()]
-    for e in g.edges:
-        if e.u in index and e.v in index:
-            i, j = index[e.u], index[e.v]
-            a = voltage.get(e.id, 0)
-            for row, col, b in ((j, i, a), (i, j, -a)):
-                cs = rows[row].setdefault(col, {})
-                cs[b] = cs.get(b, 0) - 1
-    return [{j: x for j, cs in row.items() if (x := LaurentPoly(cs)).coeffs} for row in rows]
-
-
 def _block_det(g, r, voltage, stage):
-    """det M of unramified_block(g, r, voltage); a det M that det_laurent
-    refuses as past its work limit is a GraphError naming the stage."""
+    """det M, M = graph.laplacian(g, r.depths, voltage) the block of the
+    voltage Laplacian on the unramified vertices (empty, with det M = 1,
+    when every vertex is ramified); a det M that det_laurent refuses as past
+    its work limit is a GraphError naming the stage."""
     try:
-        return det_laurent(unramified_block(g, r, voltage))
+        return det_laurent(laplacian(g, r.depths, voltage or {}))
     except WorkLimitExceeded as exc:
         raise GraphError(f"{stage}: {exc}") from exc
 
@@ -156,7 +139,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
         cs = dets[m].coeffs
         d = max(cs, default=0) - min(cs, default=0)
-        size = sum(map(abs, cs.values())) * abs(cs.get(max(cs, default=0), 0)) ** d
+        size = dets[m].norm() * abs(cs.get(max(cs, default=0), 0)) ** d
         bits = max(size - 1, 0).bit_length()  # 0 when det M = ±1: then p**n, huge at a high level, is never built
         work += (p * d * d + 1) * ((bits and p**n * bits) + (max(shifts[n], 0) + n) * p.bit_length())
         if work > WORK_LIMIT:
@@ -249,6 +232,7 @@ def _explicit_kappa(c):
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X) * p^{n(l-1)} * prod F_{t_i}(S^i)^{p^n - 1}: the
     partial-ramification formula at n0 = 0, where every mark has depth 0."""
+    check_voltage(voltage)
     if any(r.depths.values()):
         raise TowerError("the product formula requires totally ramified vertices")
     if not any((voltage or {}).values()) and not r.depths:
@@ -261,6 +245,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
     depth 0 keeps every cover connected; _explicit_kappa still checks."""
+    check_voltage(voltage)
     if n < 0:
         raise GraphError(f"tower level must be non-negative, got {n}")
     if any(a for a in (voltage or {}).values()):

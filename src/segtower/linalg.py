@@ -1,16 +1,15 @@
 """Exact linear algebra over Z and over Z[g, g^-1].
 
-A matrix is a list of sparse rows [{column: entry}] of its nonzero entries,
-as graph.laplacian and iwasawa.unramified_block build them from the edges.
-One elimination kernel serves every determinant: det_int directly, and
-det_laurent at interpolation nodes (see their docstrings).  It works modulo
-a product of primes below 2^30 (one CPython digit each) on a symmetric
-pattern, pivots on the diagonal, and reads a minimum-degree order from the
-row lengths as it goes.  Products of a Laurent polynomial over the p^a-th
-roots of unity come from one root-power (Graeffe) chain over Z, with no
-matrix and no prime.  Laurent polynomials in the deck-group generator g expand at
-g = 1 + T to tuples of integer coefficients (series prefixes when g has
-negative powers) whose p-adic valuations yield the mu/lambda invariants.
+A matrix is a list of sparse rows [{column: entry}] of its nonzero entries:
+a block as graph.laplacian builds it, the one kind both determinants take
+(see _block_bound).  One elimination kernel serves det_int directly and
+det_laurent at interpolation nodes, modulo a product of primes below 2^30
+(one CPython digit each); it pivots on the diagonal of the block's symmetric
+pattern and reads a minimum-degree order from the row lengths as it goes.
+Products of a Laurent polynomial over the p^a-th roots of unity come from
+one root-power (Graeffe) chain over Z, with no matrix and no prime.  Laurent
+polynomials in the deck generator g expand at g = 1 + T to integer tuples
+(series prefixes for negative powers), whose p-adic valuations give mu, lambda.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 
 
 class LinalgError(ValueError):
@@ -61,6 +61,15 @@ class LaurentPoly:
     def shift(self, k):
         """Multiply by g^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+
+    def mirrors(self, other):  # whether other is this polynomial at 1/g
+        return isinstance(other, LaurentPoly) and other.coeffs == {-e: c for e, c in self.coeffs.items()}
+
+    def constant(self):
+        return self.coeffs.get(0, 0)
+
+    def norm(self):  # the l1 norm of the coefficients
+        return sum(map(abs, self.coeffs.values()))
 
     def __mul__(self, other):
         res = {}
@@ -217,10 +226,10 @@ def _least_length_first(a):
 
 def _det_mod(a, order, q):
     """(det mod q, the order of the eliminated columns) of the square matrix
-    of sparse rows a, [{column: residue}], which it overwrites; the order is
+    of sparse rows a, [{column: entry}], which it overwrites; the order is
     None when a zero column ends the elimination early.  q is a prime or a
     product of primes; _NonUnitPivot is raised when a pivot it must invert
-    is not a unit modulo q.
+    is not a unit modulo q.  An entry q divides must be reduced to 0.
 
     The pattern of a must be symmetric (j in a[i] exactly when i in a[j])
     and hold every diagonal entry; zero residues stay.  Each step pivots on
@@ -261,41 +270,40 @@ def _det_mod(a, order, q):
     return det, used
 
 
-def _symmetric(rows):
-    """rows with 0 added at (j, i) for every entry (i, j) without its
-    mirror, and at (i, i) for every row without its diagonal: the pattern
-    that _det_mod needs, for det_int's rows of residues."""
-    for i, row in enumerate(rows):
-        row.setdefault(i, 0)
-        for j in row:
-            rows[j].setdefault(i, 0)
-    return rows
-
-
-def _check_rows(m):
-    """LinalgError unless m holds the sparse rows of a square matrix: one
-    dict {column: entry} per row, every column in range(len(m))."""
+def _block_bound(m, what, norm, constant, mirrors, zero):
+    """prod_i norm(M_ii) of the block m: n sparse rows {column: entry}, every
+    column in range(n), with mirrors(M_ij, M_ji) for every entry and
+    2 constant(M_ii) >= sum_j norm(M_ij) (M_ii = zero if absent), so a row
+    is empty (the bound 0) or holds its diagonal.  Else a LinalgError, for a
+    row that fails at its first entry, naming what takes blocks and the row."""
     if not all(isinstance(row, dict) for row in m) or not set().union(*m) <= set(range(len(m))):
         raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
+    bound = 1
+    for i, row in enumerate(m):
+        d = row.get(i, zero)
+        dominant = 2 * constant(d) >= sum(map(norm, row.values()))
+        for j, x in row.items():
+            if not (dominant and mirrors(x, m[j].get(i))):
+                raise LinalgError(f"{what}, diagonally dominant blocks; row {i} is not one")
+        bound *= norm(d)
+    return bound
 
 
 def det_int(m) -> int:
-    """Exact determinant of a square integer matrix given by its sparse rows,
-    [{column: entry}] (zero entries may be left out).
+    """Exact determinant of a symmetric integer block M, 2 M_ii >= sum_j
+    |M_ij|, as graph.laplacian builds it with no voltage (else LinalgError
+    before any prime): 0 <= det M <= prod_i M_ii (Hadamard; M is positive
+    semidefinite), 0 when a row is empty.  One elimination (see _det_mod)
+    modulo the product of the primes that passes twice that bound, which
+    takes the rows unreduced (|M_ij| <= M_ii), or one per prime (see _crt)."""
+    if not (bound := _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)):
+        return 0
 
-    One elimination of the rows, with their pattern made symmetric, in the
-    minimum-degree order that the kernel reads from it (see _det_mod),
-    modulo the product of the primes that passes twice Hadamard's bound
-    |det|^2 <= prod_i sum_j a_ij^2, or one per prime, combined by CRT, when
-    a pivot is divisible by one of them (see _crt).
-    """
-    _check_rows(m)
-    bound = math.prod(sum(x * x for x in row.values()) for row in m)
+    def residue(q):  # one prime of the fallback may divide an entry: it takes the rows reduced
+        rows = m if q > 2 * bound else [{j: x % q for j, x in row.items()} for row in m]
+        return [_det_mod([dict(row) for row in rows], None, q)[0]]
 
-    def residue(q):
-        return [_det_mod(_symmetric([{j: x % q for j, x in row.items()} for row in m]), None, q)[0]]
-
-    return _crt(residue, math.isqrt(bound), 1)[0]
+    return _crt(residue, bound, 1)[0]
 
 
 def _max_assignment(w):
@@ -338,45 +346,36 @@ def _max_assignment(w):
 
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of an unramified block M, given by its sparse rows
-    [{column: LaurentPoly}] of nonzero entries.
+    [{column: LaurentPoly}] of nonzero entries: mirrored, M_ji(g) =
+    M_ij(1/g), and diagonally dominant, 2 c_0(M_ii) >= sum_j ||M_ij||_1 (c_0
+    the constant coefficient), as graph.laplacian builds it with a voltage;
+    any other M is a LinalgError before any node (see _block_bound).
 
-    M must be mirrored, M_ji(g) = M_ij(1/g), and diagonally dominant,
-    2 c_0(M_ii) >= sum_j ||M_ij||_1 (c_0 the constant coefficient; an empty
-    row qualifies), as every iwasawa.unramified_block is: the difference
-    counts the row's edges to marks.  Any other M is a LinalgError before
-    any bound or node.  hi, the exact maximum over the permutations through
-    M's entries of the sum of their top exponents (see _max_assignment),
-    bounds det M at both ends, since M(1/g) is M(g) transposed: det M is
-    palindromic, and Q = g^hi * det M has degree at most d = 2 hi.  With no
-    such permutation (an empty row) det M = 0.  On |g| = 1, M is Hermitian
-    and diagonally dominant with a nonnegative diagonal, so positive
-    semidefinite, and Hadamard's inequality gives
-    0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1 = 2^b, which by
-    Parseval bounds every coefficient of Q.  Interpolating Q and
-    Taylor-shifting it to g = 1 + T take about (d + 1)^2 * (b + d) bit
+    hi, the exact maximum over the permutations through M's entries of the
+    sum of their top exponents (see _max_assignment), bounds det M at both
+    ends, as M(1/g) = M(g)^T: det M is palindromic, and Q = g^hi * det M has
+    degree at most d = 2 hi.  With no such permutation (an empty row)
+    det M = 0.  On |g| = 1, M is Hermitian and diagonally dominant with a
+    nonnegative diagonal, so positive semidefinite, and Hadamard's
+    inequality gives 0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1 =
+    2^b, which by Parseval bounds every coefficient of Q.  Interpolating Q
+    and Taylor-shifting it to g = 1 + T take about (d + 1)^2 * (b + d) bit
     operations; past WORK_LIMIT, WorkLimitExceeded names d before any node
     is evaluated.
 
     Modulo the product of the primes that passes 2^(b + 1) (see _crt), the
-    det_int kernel eliminates M at the nodes x = 1..hi + 1: M's pattern is
-    symmetric and a non-empty row holds its diagonal, as the kernel needs.
-    det M(1/x) = det M(x) gives Q at x and at 1/x (x * y < q for every prime
-    q, so the nodes and their differences are units), and Newton
-    interpolation recovers Q.  The first node whose elimination runs to the
-    end chooses the minimum-degree order (see _det_mod), and every later
-    node replays it.  A node is raised to each exponent that occurs by one
-    pow, so an exponent E costs O(log E) multiplications, not E.
+    kernel eliminates M at the nodes x = 1..hi + 1.  det M(1/x) = det M(x)
+    gives Q at x and at 1/x (x * y < q for every prime q, so the nodes and
+    their differences are units), and Newton interpolation recovers Q.  The
+    first node whose elimination runs to the end chooses the minimum-degree
+    order (see _det_mod), and every later node replays it.  A node is raised
+    to each exponent that occurs by one pow, so an exponent E costs
+    O(log E) multiplications, not E.
     """
-    _check_rows(m)
-    for i, row in enumerate(m):
-        c0 = row[i].coeffs.get(0, 0) if i in row else 0
-        if (2 * c0 < sum(abs(c) for x in row.values() for c in x.coeffs.values())
-                or any(i not in m[j] or m[j][i].coeffs != {-e: c for e, c in x.coeffs.items()} for j, x in row.items())):
-            raise LinalgError(f"det_laurent takes only mirrored, diagonally dominant blocks; row {i} is not one")
+    bound = _block_bound(m, "det_laurent takes only mirrored", LaurentPoly.norm, LaurentPoly.constant, LaurentPoly.mirrors, LaurentPoly())
     # max_exp raises LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
-    bound = math.prod(sum(map(abs, row[i].coeffs.values())) for i, row in enumerate(m))
     size = 2 * hi + 1  # d + 1
     if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "

@@ -36,8 +36,8 @@ from conftest import (
 from segtower import iwasawa, linalg
 from segtower.cli import _dumps, _num, run
 from segtower.forests import forest_count_bruteforce
-from segtower.graph import RamificationData, graph_from_json, graph_to_json
-from segtower.iwasawa import DisconnectedCover, tower_kappas, unramified_block
+from segtower.graph import RamificationData, graph_from_json, graph_to_json, laplacian
+from segtower.iwasawa import DisconnectedCover, tower_kappas
 from segtower.linalg import LaurentPoly
 from segtower.seal import DecompositionError
 
@@ -895,7 +895,7 @@ def test_every_subcommand_against_the_oracles(request, data):
     nmax = data.draw(st.integers(0, 2))
     code, reply = _ask(["invariants", "--p", str(p), "--nmax", str(nmax), *filter(None, [mode])], obj)
     det = None if mode == "--empirical-only" else interpolated_det_laurent(
-        dense(unramified_block(prune_tails_quadratic(g, r), r, voltage), LaurentPoly()))
+        dense(laplacian(prune_tails_quadratic(g, r), r.depths, voltage), LaurentPoly()))
     levels = None if mode == "--symbolic-only" or det == 0 else _small_levels(
         g, r, voltage, p, max(nmax, max(r.depths.values(), default=0) + 2))
     if det == 0:

@@ -22,6 +22,7 @@ from segtower.graph import (
     laplacian,
     prune_tails,
 )
+from segtower.linalg import det_int, det_laurent
 from segtower.seal import decompose
 
 
@@ -117,8 +118,6 @@ class TestLaplacian:
         assert laplacian(g) == [{}]
 
     def test_triangle_minor(self):
-        from segtower.linalg import det_int
-
         g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
         assert laplacian(g, ["a"]) == [{0: 2, 1: -1}, {0: -1, 1: 2}]
         assert det_int(laplacian(g, ["a"])) == 3
@@ -161,6 +160,20 @@ class TestLaplacianMinor:
         g, _ = case
         for a, b in zip(g.vertices, g.vertices[1:]):
             assert forest_count_det(g, [b, a]) == forest_count_det(g, [a, b])
+
+    @given(multigraphs_with_deleted(), st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_builder_for_both_entry_kinds(self, case, a):
+        # with a voltage map the builder makes the same rows with LaurentPoly
+        # entries: at voltage 0 the integer rows, and at g = 1 of any voltage
+        # their nonzero values; both determinants take what it builds
+        g, deleted = case
+        ints = laplacian(g, deleted)
+        laurent = laplacian(g, deleted, {e.id: a for e in g.edges})
+        assert laplacian(g, deleted, {}) == ints
+        assert [{j: v for j, x in row.items() if (v := sum(x.coeffs.values()))} for row in laurent] == ints
+        assert det_laurent(laplacian(g, deleted, {})) == det_int(ints) >= 0
+        det_laurent(laurent)
 
 
 class TestPruneTails:

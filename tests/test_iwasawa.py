@@ -18,7 +18,7 @@ from conftest import (
 )
 from segtower import iwasawa, linalg
 from segtower.cover import build_cover
-from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json
+from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian
 from segtower.iwasawa import (
     CharElement,
     DisconnectedCover,
@@ -30,7 +30,6 @@ from segtower.iwasawa import (
     symbolic_invariants,
     tower_kappas,
     tower_report,
-    unramified_block,
     verify_char_factorization,
     verify_general_case,
     verify_partial_ramification,
@@ -40,17 +39,17 @@ from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_lau
 
 
 class TestBuildMatrices:
-    """unramified_block: M = D - A on the unramified vertices, in vertex order."""
+    """graph.laplacian with a voltage: M = D - A on the unramified vertices, in vertex order."""
 
     def test_glued_triangles_display(self):
         # the two triangles meet only in ramified vertices, so M is diagonal
         g, r, volt = load_fixture("glued_voltage_triangles.json")
-        assert unramified_block(g, r, volt) == [{0: LaurentPoly({0: 3})}, {1: LaurentPoly({0: 3})}]
+        assert laplacian(g, r.depths, volt) == [{0: LaurentPoly({0: 3})}, {1: LaurentPoly({0: 3})}]
 
     def test_unramified_block_is_m(self):
         # sparse rows: the zero entries at [0][2] and [2][0] are left out
         g, r, _ = load_fixture("cycle5_ram45.json")
-        assert unramified_block(g, r, {}) == [
+        assert laplacian(g, r.depths, {}) == [
             {0: LaurentPoly({0: 2}), 1: LaurentPoly({0: -1})},
             {0: LaurentPoly({0: -1}), 1: LaurentPoly({0: 2}), 2: LaurentPoly({0: -1})},
             {1: LaurentPoly({0: -1}), 2: LaurentPoly({0: 2})},
@@ -61,7 +60,7 @@ class TestBuildMatrices:
         # takes g^a + g^-a off its diagonal entry, which counts it twice
         g = build_graph(["u", "w", "b"], [("u", "w", "e"), ("w", "u", "f"), ("u", "u", "l"), ("w", "b", "h")])
         r = RamificationData.totally_ramified(["b"])
-        assert unramified_block(g, r, {"e": 2, "l": 1, "h": 5}) == [
+        assert laplacian(g, r.depths, {"e": 2, "l": 1, "h": 5}) == [
             {0: LaurentPoly({0: 4, 1: -1, -1: -1}), 1: LaurentPoly({-2: -1, 0: -1})},
             {0: LaurentPoly({2: -1, 0: -1}), 1: LaurentPoly({0: 3})},
         ]
@@ -69,19 +68,19 @@ class TestBuildMatrices:
     def test_zero_diagonal_left_out(self):
         # a vertex whose only edge is a loop of voltage 0 has a zero row
         g = build_graph(["u", "b"], [("u", "u", "l"), ("b", "b", "k")])
-        assert unramified_block(g, RamificationData.totally_ramified(["b"]), {}) == [{}]
-        assert unramified_block(g, RamificationData.totally_ramified(["b"]), {"l": 3}) == [{0: LaurentPoly({0: 2, 3: -1, -3: -1})}]
+        assert laplacian(g, ["b"], {}) == [{}]
+        assert laplacian(g, ["b"], {"l": 3}) == [{0: LaurentPoly({0: 2, 3: -1, -3: -1})}]
 
     def test_single_unramified_vertex(self):
         g, r, volt = load_fixture("voltage_triangle_a.json")
-        assert unramified_block(g, r, volt) == [{0: LaurentPoly({0: 3})}]
+        assert laplacian(g, r.depths, volt) == [{0: LaurentPoly({0: 3})}]
 
     def test_no_unramified_vertex_gives_empty_block(self):
         # every vertex ramified: M is empty and det M = 1, so the symbolic
         # half of a report is defined too
         g = build_graph(["a", "b"], [("a", "b")])
         r = RamificationData.totally_ramified(["a", "b"])
-        assert unramified_block(g, r, {}) == []
+        assert laplacian(g, r.depths, {}) == []
         assert char_element(g, r, {}, 2).det_gamma == LaurentPoly({0: 1})
 
 
@@ -108,7 +107,7 @@ def test_every_block_is_one_det_laurent_takes(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_max_assignment", accepted)
         for marks in {tuple(v for v, k in depths.items() if k < a) for a in range(4)}:
-            m = unramified_block(g, RamificationData.totally_ramified(marks), voltage)
+            m = laplacian(g, marks, voltage)
             for i, (v, row) in enumerate(zip([v for v in vs if v not in marks], m)):
                 to_marks = sum((e.u == v and e.v in marks) + (e.v == v and e.u in marks) for e in g.edges)
                 c0 = row[i].coeffs.get(0, 0) if i in row else 0
@@ -422,6 +421,16 @@ class TestVerdicts:
             with pytest.raises(GraphError, match="non-negative, got -1"):
                 harness(g, r, {}, 2, -1)
 
+    @pytest.mark.parametrize("a", [1.5, True, "1", None])
+    @pytest.mark.parametrize("name", ["cycle5_ram45.json", "cycle5_partial.json"])
+    def test_voltage_that_is_no_int_is_bad_input(self, name, a):
+        # checked before the trivial-voltage hypothesis, which answered 1.5 as
+        # a nontrivial voltage (TowerError) instead of bad input
+        g, r, _ = load_fixture(name)
+        for harness in (verify_theorem_A, verify_partial_ramification):
+            with pytest.raises(GraphError, match=f"must be an integer, got {re.escape(repr(a))}$"):
+                harness(g, r, {g.edges[0].id: a}, 2, 1)
+
     def test_partial_reduces_to_A_at_depth_zero(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
         va = verify_theorem_A(g, r, {}, 2, 2)
@@ -579,7 +588,8 @@ class TestInterpolationWork:
     def test_det_laurent_refuses_before_ordering(self, monkeypatch):
         # the estimate belongs to det_laurent itself, not to its callers
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
-        m = unramified_block(*graph_from_json(parallel_voltage_json(10**6)))
+        g, r, volt = graph_from_json(parallel_voltage_json(10**6))
+        m = laplacian(g, r.depths, volt)
         with pytest.raises(WorkLimitExceeded, match="^det M has degree up to 2000000; .* past 2\\^31$"):
             det_laurent(m)
 

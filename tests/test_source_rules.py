@@ -6,10 +6,11 @@ context), reads it as an attribute or imports it.  __init__.py imports in
 order to re-export, so a name it imports is the package's API and counts as
 used (``graph.glue`` is used only that way).  perfbench/spans.py wraps
 functions by module and name from outside, so the keys of its SPANS count as
-uses of those functions.
+uses of those functions, and each of those names must exist.
 """
 
 import ast
+import importlib
 import json
 import os
 import shlex
@@ -30,17 +31,14 @@ def src():
     """One parse of each module of src/segtower, and the index of uses."""
     nodes = {path: list(ast.walk(ast.parse(path.read_text(), str(path)))) for path in sorted((ROOT / "src" / "segtower").glob("*.py"))}
     spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body
+    tables = {t.id: node.value for node in spans if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
     return SimpleNamespace(
         nodes=nodes,
         loads={path: {n.id for n in ns if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} for path, ns in nodes.items()},
         attrs={n.attr for ns in nodes.values() for n in ns if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)},
         imported={a.name for ns in nodes.values() for n in ns if isinstance(n, ast.ImportFrom) for a in n.names},
-        spans={
-            tuple(k.value for k in key.elts)
-            for node in spans
-            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets)
-            for key in node.value.keys
-        },
+        spans={tuple(k.value for k in key.elts) for key in tables["SPANS"].keys},
+        error_counters=ast.literal_eval(tables["ERROR_COUNTERS"]),
     )
 
 
@@ -88,6 +86,17 @@ def test_every_definition_is_used(src):
             elif node.name not in used and (path.stem, node.name) not in src.spans:
                 bad.append(f"{path.name}:{node.lineno}: {node.name} is defined and never used")
     assert not bad, "\n".join(bad)
+
+
+def test_benchmark_names_resolve(src):
+    """Each (module, function) key of perfbench/spans.py's SPANS and
+    ERROR_COUNTERS, and each exception class an ERROR_COUNTERS entry counts,
+    is an attribute of its segtower module: a rename fails here, not first
+    in the benchmark's traced run."""
+    names = [*src.spans, *src.error_counters, *((mod, exc) for (mod, _), (exc, _) in src.error_counters.items())]
+    assert src.spans and src.error_counters
+    bad = [f"segtower.{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(f"segtower.{mod}"), name)]
+    assert not bad, "perfbench/spans.py names what segtower does not define: " + ", ".join(bad)
 
 
 def test_no_private_import_in_src(src):
