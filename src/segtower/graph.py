@@ -195,17 +195,24 @@ def build_graph(vertex_ids, edges) -> Multigraph:
     return Multigraph(vertex_ids, out)
 
 
+def laplacian_index(g: Multigraph, deleted=()):
+    """{vertex: row} of laplacian(g, deleted): the vertices not in deleted,
+    in vertex order."""
+    deleted = set(deleted)
+    return {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
+
+
 def laplacian(g: Multigraph, deleted=(), voltage=None):
     """Sparse rows [{column: entry}] of the nonzero entries of the Laplacian
-    Val - A without the rows and columns of the vertices in deleted, in
-    vertex order, from one pass over the edges: every block that
-    linalg.det_int takes (voltage None: int entries) and linalg.det_laurent
-    takes (a voltage map {edge id: a}: LaurentPoly entries in g, each dart
-    u -> v of voltage a adding -g^a at (v, u)).  Loops add 2 to both the
-    degree and the adjacency diagonal, so at voltage 0 they cancel.
+    Val - A without the rows and columns of the vertices in deleted, rows
+    as laplacian_index numbers them, from one pass over the edges: every
+    block that linalg.det_int takes (voltage None: int entries) and
+    linalg.det_laurent takes (a voltage map {edge id: a}: LaurentPoly
+    entries in g, each dart u -> v of voltage a adding -g^a at (v, u)).
+    Loops add 2 to both the degree and the adjacency diagonal, so at
+    voltage 0 they cancel.
     """
-    deleted, ints = set(deleted), voltage is None
-    index = {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
+    ints, index = voltage is None, laplacian_index(g, deleted)
     rows = [{i: g.degree(v)} if ints else {i: {0: g.degree(v)}} for v, i in index.items()]
     for eid, u, v in g.edges:
         if u in index and v in index:

@@ -33,10 +33,15 @@ Empirically, ord_p of the spanning-tree count at level n is mu*p^n +
 lambda*n + nu for n large (exactly for all n when the voltage is trivial);
 we fit the triple exactly over the integers from the last three levels.
 
-The harnesses check the paper's counting identities on explicit covers.
+The harnesses check the paper's identities; each checks p, the marks and
+the voltage before it decomposes X.  Three count trees on explicit covers.
 Theorem A (every mark totally ramified, trivial voltage) is the
 partial-ramification formula at n0 = 0, so verify_theorem_A checks its one
-extra hypothesis and calls verify_partial_ramification.
+extra hypothesis and calls verify_partial_ramification.  The factorization
+of the characteristic element builds M once and cuts it along the segments:
+det M is the product of the segment blocks' determinants, and
+factorization_exact checks that the segments partition the unramified
+vertices and the edges, so that no entry of M joins two segments.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from dataclasses import dataclass
 
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, laplacian, prune_tails
-from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p,
-                     root_of_unity_products)
+from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, laplacian, laplacian_index, prune_tails
+from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, check_work, det_laurent, expand_at_gamma, mu_lambda,
+                     ord_p, root_of_unity_products)
 from .seal import admissible_sets, decompose
 
 
@@ -84,24 +89,31 @@ class Verdict:
     detail: dict
 
 
-def _block_det(g, r, voltage, stage):
-    """det M, M = graph.laplacian(g, r.depths, voltage) the block of the
-    voltage Laplacian on the unramified vertices (empty, with det M = 1,
-    when every vertex is ramified); a det M that det_laurent refuses as past
-    its work limit is a GraphError naming the stage."""
+def _check_request(g, r, voltage, p):
+    """The checks every entry point runs first, so a bad p, mark or voltage
+    is a GraphError before any decomposition, cover or determinant."""
+    check_prime(p)
+    check_marks(g, r)
+    check_voltage(voltage)
+
+
+def _within_limit(stage, work, *args):
+    """work(*args), det_laurent of a graph.laplacian block or linalg.check_work;
+    a WorkLimitExceeded is a GraphError naming the stage."""
     try:
-        return det_laurent(laplacian(g, r.depths, voltage or {}))
+        return work(*args)
     except WorkLimitExceeded as exc:
         raise GraphError(f"{stage}: {exc}") from exc
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
-    check_prime(p)
-    check_marks(g, r)
-    check_voltage(voltage)
+    """T^l * det M at gamma = 1 + T, M = graph.laplacian(g, r.depths, voltage)
+    the block of the voltage Laplacian on the unramified vertices (empty, with
+    det M = 1, when every vertex is ramified)."""
+    _check_request(g, r, voltage, p)
     if not g.vertices:
         raise GraphError("kappa of the empty graph")  # as forests.kappa refuses it
-    det = _block_det(g, r, voltage, "characteristic element")
+    det = _within_limit("characteristic element", det_laurent, laplacian(g, r.depths, voltage or {}))
     body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)
 
@@ -126,15 +138,13 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     (p*d^2 + 1) * (p^n * log2(||det M_n||_1 * |c|^d) + (s_n + n) * log2 p) bit
     operations, d the span and c the leading coefficient of det M_n; GraphError
     names the level where their sum passes WORK_LIMIT before any chain starts."""
-    check_prime(p)
-    check_marks(g, r)
-    check_voltage(voltage)
+    _check_request(g, r, voltage, p)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
         if m not in dets:
             full = _det_m is not None and len(m) == len(r.depths)
-            dets[m] = _det_m if full else _block_det(g, RamificationData.totally_ramified(m), voltage, f"level {n}")
+            dets[m] = _det_m if full else _within_limit(f"level {n}", det_laurent, laplacian(g, m, voltage or {}))
         marks.append(m)
         shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
         cs = dets[m].coeffs
@@ -232,7 +242,7 @@ def _explicit_kappa(c):
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X) * p^{n(l-1)} * prod F_{t_i}(S^i)^{p^n - 1}: the
     partial-ramification formula at n0 = 0, where every mark has depth 0."""
-    check_voltage(voltage)
+    _check_request(g, r, voltage, p)
     if any(r.depths.values()):
         raise TowerError("the product formula requires totally ramified vertices")
     if not any((voltage or {}).values()) and not r.depths:
@@ -245,7 +255,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
     depth 0 keeps every cover connected; _explicit_kappa still checks."""
-    check_voltage(voltage)
+    _check_request(g, r, voltage, p)
     if n < 0:
         raise GraphError(f"tower level must be non-negative, got {n}")
     if any(a for a in (voltage or {}).values()):
@@ -275,6 +285,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
 def verify_general_case(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = sum over admissible I of
     prod_{i in I} kappa(S^i_n) * prod_{i not in I} F_{t_i}(S^i_n)."""
+    _check_request(g, r, voltage, p)
     if any(k != 0 for k in r.depths.values()):
         raise TowerError("the admissible-set formula requires totally ramified vertices")
     d = decompose(g, r)
@@ -306,24 +317,57 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
 
 
 def verify_char_factorization(g, r, voltage, p) -> Verdict:
-    """det(M) factors as the product of the segment determinants, and the
-    invariants are additive: mu = sum mu_i, lambda = sum lambda_i + l - 1."""
+    """det M = prod_S det M_S over the segments S, and the invariants add up:
+    mu = sum mu_S, lambda = sum lambda_S + l - 1.
+
+    M = graph.laplacian(d.graph, r.depths, voltage) is built once, for X with
+    its tails pruned, and cut along the segments: M_S holds the rows and
+    columns of S's unramified vertices, in vertex order.  A segment with no
+    unramified vertex (an edge between marks, a loop at a mark) has
+    det M_S = 1.  M is block-diagonal with the blocks M_S, so the product is
+    det M, exactly when every unramified vertex and every edge lies in one
+    segment and every edge at an unramified vertex is an edge of that
+    vertex's segment (then M_S is also the block of S as a graph of its
+    own, with the same degrees): factorization_exact reports that
+    hypothesis.  The reply's (mu, lambda) come from the product.
+    """
+    _check_request(g, r, voltage, p)
     d = decompose(g, r)
-    ce = char_element(d.graph, r, voltage, p)
+    m = laplacian(d.graph, r.depths, voltage or {})
+    index = laplacian_index(d.graph, r.depths)  # M's rows
+    owner = [[] for _ in m]  # the segments that hold each row's vertex
+    holders = {}  # edge id -> the segments that hold it
     product = LaurentPoly({0: 1})
     mu_sum = 0
     lam_sum = 0
     factors = []
     for s in d.segments:
-        sub = s.subgraph(d.graph)
-        sce = char_element(sub, RamificationData.totally_ramified(s.ramified), voltage, p)
-        product = product * sce.det_gamma
-        mu_i, lam_i = mu_lambda(sce.body, p)
+        rows = sorted(index[v] for v in s.vertices if v in index)
+        for i in rows:
+            owner[i].append(s)
+        for eid in s.edge_ids:
+            holders.setdefault(eid, []).append(s)
+        local = {i: k for k, i in enumerate(rows)}
+        det = LaurentPoly({0: 1})
+        if rows:
+            block = [{local[j]: x for j, x in m[i].items() if j in local} for i in rows]
+            det = _within_limit("characteristic element", det_laurent, block)
+            product = product * det
+            # the product is expanded below: each partial product has at most
+            # the degree and coefficients that det_laurent bounds the whole
+            # det M by, so a det M its estimate admits passes
+            span = product.max_exp() - product.min_exp()
+            _within_limit("characteristic element", check_work,
+                          f"the factors of segments 0..{s.color} multiply to degree {span}; expanding their product",
+                          span, max(map(abs, product.coeffs.values())).bit_length())
+        mu_i, lam_i = mu_lambda(expand_at_gamma(det), p)
         mu_sum += mu_i
         lam_sum += lam_i
         factors.append({"segment": s.color, "mu": mu_i, "lambda": lam_i})
-    inv = symbolic_invariants(ce)
-    factor_ok = product == ce.det_gamma
+    inv = symbolic_invariants(CharElement(d.l, expand_at_gamma(product), product, p))
+    factor_ok = (all(len(ss) == 1 for ss in owner)
+                 and all(len(holders.get(e.id, ())) == 1 for e in d.graph.edges)
+                 and all(holders[e.id][0] is owner[index[w]][0] for e in d.graph.edges for w in e[1:] if w in index))
     additive_ok = inv.mu == mu_sum and inv.lam == lam_sum + d.l - 1
     return Verdict(
         factor_ok and additive_ok,

@@ -28,7 +28,7 @@ class WorkLimitExceeded(LinalgError):
     """An estimate passes WORK_LIMIT before the work it estimates starts."""
 
 
-WORK_LIMIT = 2**31  # bit operations that det_laurent, or a tower in iwasawa.tower_kappas, may take
+WORK_LIMIT = 2**31  # bit operations that det_laurent, a product of its factors (check_work) or a tower may take
 
 
 class LaurentPoly:
@@ -344,6 +344,16 @@ def _max_assignment(w):
     return sum(u) + sum(v)
 
 
+def check_work(what, d, b):
+    """Raise WorkLimitExceeded, led by what, when a Laurent polynomial of
+    degree d with b-bit coefficients would take past WORK_LIMIT bit
+    operations, about (d + 1)^2 * (b + d), to interpolate and Taylor-shift;
+    a Taylor shift alone is of the same order."""
+    if (work := (d + 1) ** 2 * (b + d)) > WORK_LIMIT:
+        raise WorkLimitExceeded(f"{what} would take about 2^{work.bit_length() - 1} bit operations, "
+                                f"past 2^{WORK_LIMIT.bit_length() - 1}")
+
+
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of an unramified block M, given by its sparse rows
     [{column: LaurentPoly}] of nonzero entries: mirrored, M_ji(g) =
@@ -376,10 +386,8 @@ def det_laurent(m) -> LaurentPoly:
     # max_exp raises LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
+    check_work(f"det M has degree up to {2 * hi}; interpolating and expanding it", 2 * hi, bound.bit_length())
     size = 2 * hi + 1  # d + 1
-    if (work := size**2 * (bound.bit_length() + size - 1)) > WORK_LIMIT:
-        raise WorkLimitExceeded(f"det M has degree up to {size - 1}; interpolating and expanding it would take "
-                                f"about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
     exps = {e for row in m for x in row.values() for e in x.coeffs}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bareiss_det_laurent,
+    dense,
     explicit_forest_counts,
     explicit_tower_kappas,
     grid_graph,
@@ -36,6 +39,7 @@ from segtower.iwasawa import (
     verify_theorem_A,
 )
 from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, mu_lambda, ord_p
+from segtower.seal import DecompositionError, decompose
 
 
 class TestBuildMatrices:
@@ -137,7 +141,6 @@ class TestCharElement:
     def test_body_at_origin_matches_forest_product(self):
         # with trivial voltage, body(0) is the product of the segment counts
         from segtower.forests import forest_count_det
-        from segtower.seal import decompose
 
         for name in ["cycle5_ram45.json", "cycle5_ram245.json", "three_segment.json"]:
             g, r, _ = load_fixture(name)
@@ -468,6 +471,185 @@ class TestVerdicts:
         g, r, volt = load_fixture("voltage_segment.json")
         v = verify_char_factorization(g, r, volt, 3)
         assert v.ok and v.detail["factorization_exact"]
+
+
+@st.composite
+def glued_segments(draw):
+    """(g, r, voltage, p): X glued at marks from 1-5 segments, each a
+    2-segment (a path between two marks with chords, parallel to an earlier
+    one when both marks exist), a 1-segment (a cycle through a mark with
+    chords and loops inside), an edge between marks or a loop at a mark;
+    vertices shuffled, voltages -2..2, p in 2, 3, 5."""
+    marks, edges = ["m0"], []
+    for s in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["two", "one", "direct", "loop"]))
+        a = b = draw(st.sampled_from(marks))
+        if kind in ("two", "direct"):
+            others = [m for m in marks if m != a]
+            if others and draw(st.booleans()):
+                b = draw(st.sampled_from(others))
+            else:
+                b = f"m{len(marks)}"
+                marks.append(b)
+        if kind in ("direct", "loop"):
+            edges.append((a, b))
+            continue
+        xs = [f"s{s}x{i}" for i in range(draw(st.integers(1, 3)))]
+        path = [a, *xs, b]
+        edges += zip(path, path[1:])
+        for _ in range(draw(st.integers(0, 3))):  # a chord or parallel edge with an unramified end
+            u = draw(st.sampled_from(xs))
+            v = draw(st.sampled_from(path if kind == "two" else xs + [a]))  # a loop at u only inside a 1-segment
+            if u != v or kind == "one":
+                edges.append((u, v))
+    vertices = draw(st.permutations(sorted({w for e in edges for w in e} | {"m0"})))
+    g = build_graph(vertices, edges)
+    voltage = {e.id: draw(st.integers(-2, 2)) for e in g.edges}
+    return g, RamificationData.totally_ramified(marks), voltage, draw(st.sampled_from((2, 3, 5)))
+
+
+def spied_factorization(g, r, voltage, p):
+    """verify_char_factorization's verdict and the (block, det) of each
+    det_laurent call it made."""
+    calls = []
+
+    def spy(m):
+        calls.append((m, det := det_laurent(m)))
+        return det
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iwasawa, "det_laurent", spy)
+        return verify_char_factorization(g, r, voltage, p), calls
+
+
+class TestCharFactorization:
+    """det M from the blocks of one Laplacian cut along the segments, against
+    the uncut block and against char_element of the whole graph."""
+
+    @given(glued_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_cut_blocks_multiply_to_the_whole_block(self, x):
+        g, r, voltage, p = x
+        v, calls = spied_factorization(g, r, voltage, p)
+        assert v.ok and v.detail["factorization_exact"]
+        d = decompose(g, r)
+        whole = laplacian(d.graph, r.depths, voltage)
+        assert len(calls) == sum(1 for s in d.segments if s.vertices - r.depths.keys())  # none for a block of 0 rows
+        assert sum(len(m) for m, _ in calls) == len(whole)
+        product = LaurentPoly({0: 1})
+        for _, det in calls:
+            product = product * det
+        assert product == det_laurent(whole)
+        if len(whole) <= 5:
+            assert product == bareiss_det_laurent(dense(whole, LaurentPoly()))
+        inv = symbolic_invariants(char_element(d.graph, r, voltage, p))
+        assert v.lhs == {"mu": inv.mu, "lambda": inv.lam} == v.rhs
+        assert [f["segment"] for f in v.detail["factors"]] == list(range(d.k))
+
+    @pytest.mark.parametrize("name", ["glued_voltage_triangles.json", "doubled_cycle_pendant_triangle.json", "three_segment.json"])
+    def test_never_the_whole_block(self, name):
+        # two or more segments with unramified vertices: each det_laurent
+        # takes one segment's block, never all of M
+        g, r, volt = load_fixture(name)
+        d = decompose(g, r)
+        whole = laplacian(d.graph, r.depths, volt)
+        v, calls = spied_factorization(g, r, volt, 3)
+        assert v.ok and len(calls) >= 2
+        assert all(len(m) < len(whole) for m, _ in calls)
+
+    @pytest.mark.parametrize("a, admitted", [(250, True), (330, False)])
+    def test_product_expanded_only_within_the_whole_estimate(self, monkeypatch, a, admitted):
+        # two 1-segments m-b_i, b_i = c_i doubled with voltages a and 0: each
+        # det M_S = 4 - g^a - g^-a passes det_laurent's estimate, and their
+        # product is expanded exactly when the estimate for the whole det M
+        # (degree bound 4a) admits it
+        edges = [(f"b{i}", f"c{i}", f"v{i}") for i in range(2)] + [(f"b{i}", f"c{i}", f"z{i}") for i in range(2)]
+        g = build_graph(["m", "b0", "c0", "b1", "c1"], edges + [("m", "b0", "t0"), ("m", "b1", "t1")])
+        r, volt = RamificationData.totally_ramified(["m"]), {"v0": a, "v1": a}
+        factor = LaurentPoly({0: 4, a: -1, -a: -1})
+        assert det_laurent(laplacian(g, ["m", "b1", "c1"], volt)) == factor
+
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args):
+            raise Accepted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_det_mod", accepted)
+            with pytest.raises(Accepted if admitted else WorkLimitExceeded):
+                det_laurent(laplacian(g, r.depths, volt))
+        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: factor)  # each block's det M, without its 2a + 1 nodes
+        if admitted:
+            assert verify_char_factorization(g, r, volt, 3).ok
+        else:
+            with pytest.raises(GraphError, match=f"^characteristic element: the factors of segments 0..1 multiply to degree {4 * a}; "
+                                                 "expanding their product would take about 2\\^31 bit operations, past 2\\^31$"):
+                verify_char_factorization(g, r, volt, 3)
+
+    @pytest.mark.parametrize("case", ["edges only", "with its ends", "listed twice"])
+    def test_moved_edge_is_not_exact(self, monkeypatch, case):
+        # two parallel 2-segments a-x-b and a-y-b.  The edge x-b moved into
+        # the second segment (with or without x) leaves a cut block without
+        # its segment's degrees or a vertex in two segments; a chord x-y
+        # listed in both segments leaves M an entry between their blocks
+        g = build_graph(["a", "x", "y", "b"], [("a", "x", "e0"), ("x", "b", "e1"), ("a", "y", "e2"), ("y", "b", "e3")])
+        r = RamificationData.totally_ramified(["a", "b"])
+        d = decompose(g, r)
+        s0, s1 = d.segments
+        assert s0.edge_ids == {"e0", "e1"} and s1.edge_ids == {"e2", "e3"}
+        if case == "listed twice":
+            g = build_graph(g.vertices, [(e.u, e.v, e.id) for e in g.edges] + [("x", "y", "e4")])
+            d = dataclasses.replace(d, graph=g)
+            s0, s1 = (dataclasses.replace(s, edge_ids=s.edge_ids | {"e4"}) for s in (s0, s1))
+        else:
+            s0 = dataclasses.replace(s0, edge_ids=s0.edge_ids - {"e1"})
+            s1 = dataclasses.replace(s1, edge_ids=s1.edge_ids | {"e1"}, vertices=s1.vertices | ({"x"} if case == "with its ends" else set()))
+        monkeypatch.setattr(iwasawa, "decompose", lambda g, r: dataclasses.replace(d, segments=(s0, s1)))
+        v = verify_char_factorization(g, r, {"e0": 1}, 3)
+        assert not v.ok and v.detail["factorization_exact"] is False
+
+
+class TestHarnessChecks:
+    """Every harness checks p, its marks and the voltage before it
+    decomposes: here d touches three marks, so decompose would fail."""
+
+    @pytest.mark.parametrize(
+        "harness",
+        [
+            lambda g, r, v, p: verify_theorem_A(g, r, v, p, 1),
+            lambda g, r, v, p: verify_partial_ramification(g, r, v, p, 1),
+            lambda g, r, v, p: verify_general_case(g, r, v, p, 1),
+            verify_char_factorization,
+        ],
+        ids=["A", "partial", "general", "factorization"],
+    )
+    @pytest.mark.parametrize(
+        "marks, voltage, p, message",
+        [
+            (["a", "b", "c"], {}, 4, "p must be a prime, got 4"),
+            (["a", "b", "c"], {"e0": 1.5}, 3, "voltage of edge 'e0' must be an integer, got 1.5"),
+            (["a", "b", "c", "z"], {}, 3, "ramified vertex 'z' is not a vertex of the graph"),
+            (["a"], {}, 4, "p must be a prime, got 4"),
+        ],
+        ids=["prime", "voltage", "mark", "single vertex"],
+    )
+    def test_checked_before_decomposing(self, harness, marks, voltage, p, message):
+        if len(marks) == 1:
+            g = build_graph(["a"], [])
+        else:
+            g = build_graph(["a", "b", "c", "d"], [("a", "d", "e0"), ("b", "d", "e1"), ("c", "d", "e2"), ("a", "b", "e3")])
+            with pytest.raises(DecompositionError):
+                decompose(g, RamificationData.totally_ramified(["a", "b", "c"]))
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            harness(g, RamificationData.totally_ramified(marks), voltage, p)
+
+    def test_single_vertex_factorization(self):
+        # no segment, no unramified vertex: det M = 1 and no det_laurent call
+        v, calls = spied_factorization(build_graph(["a"], []), RamificationData.totally_ramified(["a"]), {}, 2)
+        assert v.ok and not calls
+        assert v.lhs == v.rhs == {"mu": 0, "lambda": 0}
+        assert v.detail == {"factorization_exact": True, "factors": [], "l": 1}
 
 
 def segment_fit(counts, p):
