@@ -28,7 +28,7 @@ class WorkLimitExceeded(LinalgError):
     """An estimate passes WORK_LIMIT before the work it estimates starts."""
 
 
-WORK_LIMIT = 2**31  # bit operations that det_laurent, a product of its factors (check_work) or a tower may take
+WORK_LIMIT = 2**31  # bit operations that det_laurent, a tower or the factors of a factorization may take
 
 
 class LaurentPoly:
@@ -174,32 +174,28 @@ def _primes():
 
 
 class _NonUnitPivot(ArithmeticError):
-    """A pivot shares a prime factor with a composite modulus."""
+    """A pivot shares a prime factor with the modulus; args[0] is their gcd."""
 
 
-def _crt(residues, bound, size):
-    """The size integers of absolute value at most bound whose residues
-    modulo m are residues(m), for m the product of the primes drawn until it
-    exceeds 2 * bound, by the symmetric lift.  One call modulo m serves
-    unless an elimination meets a pivot that one of the primes divides;
-    then residues(q) for each prime q, combined by Chinese remaindering."""
-    qs, m = [], 1
-    primes = _primes()
-    while m <= 2 * bound:
-        q = next(primes, None)
-        if q is None:
-            raise LinalgError("the primes ran out before their product passed the bound")
-        qs.append(q)
-        m *= q
-    try:
-        xs = residues(m)
-    except _NonUnitPivot:
-        xs, m = [0] * size, 1
-        for q in qs:
-            minv = pow(m, -1, q)
-            xs = [x + m * ((r - x) * minv % q) for x, r in zip(xs, residues(q))]
+def _symmetric_lift(residues, bound):
+    """The integers of absolute value at most bound whose residues modulo m
+    are residues(m), by the symmetric lift, for m a product of primes past
+    2 * bound, with no Chinese remaindering.  A pivot that is no unit modulo
+    m drops the primes that divide it, and the next primes are drawn until
+    the product passes again; each retry drops a prime for good, so at the
+    latest the primes running out ends the loop."""
+    qs, m, primes = [], 1, _primes()
+    while True:
+        while m <= 2 * bound:
+            if (q := next(primes, None)) is None:
+                raise LinalgError("the primes ran out before their product passed the bound")
+            qs.append(q)
             m *= q
-    return [x - m if 2 * x > m else x for x in xs]
+        try:
+            return [x - m if 2 * x > m else x for x in residues(m)]
+        except _NonUnitPivot as exc:
+            qs = [q for q in qs if exc.args[0] % q]
+            m = math.prod(qs)
 
 
 def _least_length_first(a):
@@ -227,9 +223,9 @@ def _least_length_first(a):
 def _det_mod(a, order, q):
     """(det mod q, the order of the eliminated columns) of the square matrix
     of sparse rows a, [{column: entry}], which it overwrites; the order is
-    None when a zero column ends the elimination early.  q is a prime or a
-    product of primes; _NonUnitPivot is raised when a pivot it must invert
-    is not a unit modulo q.  An entry q divides must be reduced to 0.
+    None when a zero column ends the elimination early.  q is a product of
+    primes; a pivot it must invert whose gcd with q is g > 1 raises
+    _NonUnitPivot(g).  An entry that q divides must be 0 (|entry| < q).
 
     The pattern of a must be symmetric (j in a[i] exactly when i in a[j])
     and hold every diagonal entry; zero residues stay.  Each step pivots on
@@ -260,8 +256,8 @@ def _det_mod(a, order, q):
             continue
         try:
             inv = pow(x, -1, q)
-        except ValueError:  # q is a product of primes and one divides the pivot
-            raise _NonUnitPivot from None
+        except ValueError:  # a prime of q divides the pivot
+            raise _NonUnitPivot(math.gcd(x, q)) from None
         for i in rp:
             ri = a[i]
             f = ri.pop(k) * inv % q
@@ -294,16 +290,11 @@ def det_int(m) -> int:
     |M_ij|, as graph.laplacian builds it with no voltage (else LinalgError
     before any prime): 0 <= det M <= prod_i M_ii (Hadamard; M is positive
     semidefinite), 0 when a row is empty.  One elimination (see _det_mod)
-    modulo the product of the primes that passes twice that bound, which
-    takes the rows unreduced (|M_ij| <= M_ii), or one per prime (see _crt)."""
+    modulo a product of primes that passes twice that bound (see
+    _symmetric_lift), which takes the rows unreduced: |M_ij| <= M_ii <= bound."""
     if not (bound := _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)):
         return 0
-
-    def residue(q):  # one prime of the fallback may divide an entry: it takes the rows reduced
-        rows = m if q > 2 * bound else [{j: x % q for j, x in row.items()} for row in m]
-        return [_det_mod([dict(row) for row in rows], None, q)[0]]
-
-    return _crt(residue, bound, 1)[0]
+    return _symmetric_lift(lambda q: [_det_mod([dict(row) for row in m], None, q)[0]], bound)[0]
 
 
 def _max_assignment(w):
@@ -344,16 +335,6 @@ def _max_assignment(w):
     return sum(u) + sum(v)
 
 
-def check_work(what, d, b):
-    """Raise WorkLimitExceeded, led by what, when a Laurent polynomial of
-    degree d with b-bit coefficients would take past WORK_LIMIT bit
-    operations, about (d + 1)^2 * (b + d), to interpolate and Taylor-shift;
-    a Taylor shift alone is of the same order."""
-    if (work := (d + 1) ** 2 * (b + d)) > WORK_LIMIT:
-        raise WorkLimitExceeded(f"{what} would take about 2^{work.bit_length() - 1} bit operations, "
-                                f"past 2^{WORK_LIMIT.bit_length() - 1}")
-
-
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of an unramified block M, given by its sparse rows
     [{column: LaurentPoly}] of nonzero entries: mirrored, M_ji(g) =
@@ -373,8 +354,8 @@ def det_laurent(m) -> LaurentPoly:
     operations; past WORK_LIMIT, WorkLimitExceeded names d before any node
     is evaluated.
 
-    Modulo the product of the primes that passes 2^(b + 1) (see _crt), the
-    kernel eliminates M at the nodes x = 1..hi + 1.  det M(1/x) = det M(x)
+    Modulo a product of primes that passes 2^(b + 1) (see _symmetric_lift),
+    the kernel eliminates M at the nodes x = 1..hi + 1.  det M(1/x) = det M(x)
     gives Q at x and at 1/x (x * y < q for every prime q, so the nodes and
     their differences are units), and Newton interpolation recovers Q.  The
     first node whose elimination runs to the end chooses the minimum-degree
@@ -386,8 +367,10 @@ def det_laurent(m) -> LaurentPoly:
     # max_exp raises LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
         return LaurentPoly()
-    check_work(f"det M has degree up to {2 * hi}; interpolating and expanding it", 2 * hi, bound.bit_length())
     size = 2 * hi + 1  # d + 1
+    if (work := size**2 * (bound.bit_length() + 2 * hi)) > WORK_LIMIT:
+        raise WorkLimitExceeded(f"det M has degree up to {2 * hi}; interpolating and expanding it would take about "
+                                f"2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
     exps = {e for row in m for x in row.values() for e in x.coeffs}
 
@@ -419,7 +402,7 @@ def det_laurent(m) -> LaurentPoly:
                 values[i] = (values[i] - xs[j] * values[i + 1]) % q
         return values
 
-    return LaurentPoly({e - hi: c for e, c in enumerate(_crt(residues, bound, size))})
+    return LaurentPoly({e - hi: c for e, c in enumerate(_symmetric_lift(residues, bound))})
 
 
 def root_of_unity_products(f: LaurentPoly, p: int, n: int) -> list:

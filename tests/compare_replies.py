@@ -4,8 +4,9 @@ For each workload and seed, the benchmark's request list
 (perfbench/workloads.py of the checkout this script lives in) goes through
 perfbench/client.py once per checkout, in a subprocess with PYTHONHASHSEED
 set to the seed as perfbench/run.py sets it.  The "fixtures" list sends
-every fixture to `invariants` (default, --symbolic-only, --empirical-only)
-and to `verify` (A and partial at n = 1, factorization) at p = 2, 3 and 5.
+every fixture to `kappa`, to `seal`, to `invariants` (default,
+--symbolic-only, --empirical-only) and to `verify` (A, partial and general
+at n = 1, factorization) at p = 2, 3 and 5.
 Prints, per list, how many (exit code, stdout) pairs differ.
 
   python tests/compare_replies.py OLD_CHECKOUT NEW_CHECKOUT --seeds 1 2 3 --seconds 2
@@ -34,9 +35,10 @@ cli = client.load_cli(checkout)
 cli.build_parser()
 if workload == "fixtures":
     fixtures = os.path.join(os.path.dirname(bench), "fixtures")
-    argvs = [["invariants", "--p", p, *mode] for mode in ([], ["--symbolic-only"], ["--empirical-only"]) for p in "235"]
+    argvs = [["kappa"], ["seal"]]
+    argvs += [["invariants", "--p", p, *mode] for mode in ([], ["--symbolic-only"], ["--empirical-only"]) for p in "235"]
     argvs += [["verify", "--theorem", t, "--p", p, *(["--n", "1"] if t != "factorization" else [])]
-              for t in ("A", "partial", "factorization") for p in "235"]
+              for t in ("A", "partial", "general", "factorization") for p in "235"]
     reqs = []
     for name in sorted(os.listdir(fixtures)):
         with open(os.path.join(fixtures, name)) as f:

@@ -38,7 +38,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, mu_lambda, ord_p
+from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p
 from segtower.seal import DecompositionError, decompose
 
 
@@ -522,6 +522,14 @@ def spied_factorization(g, r, voltage, p):
         return verify_char_factorization(g, r, voltage, p), calls
 
 
+def doubled_spokes(k, a):
+    """k 1-segments m-b_i at the one mark m, each b_i = c_i doubled with
+    voltages a and 0: det M_S = 4 - g^a - g^-a for every segment."""
+    edges = [(f"b{i}", f"c{i}", f"v{i}") for i in range(k)] + [(f"b{i}", f"c{i}", f"z{i}") for i in range(k)]
+    g = build_graph(["m"] + [f"{x}{i}" for i in range(k) for x in "bc"], edges + [("m", f"b{i}", f"t{i}") for i in range(k)])
+    return g, RamificationData.totally_ramified(["m"]), {f"v{i}": a for i in range(k)}
+
+
 class TestCharFactorization:
     """det M from the blocks of one Laplacian cut along the segments, against
     the uncut block and against char_element of the whole graph."""
@@ -547,45 +555,55 @@ class TestCharFactorization:
         assert [f["segment"] for f in v.detail["factors"]] == list(range(d.k))
 
     @pytest.mark.parametrize("name", ["glued_voltage_triangles.json", "doubled_cycle_pendant_triangle.json", "three_segment.json"])
-    def test_never_the_whole_block(self, name):
+    def test_never_the_whole_block(self, monkeypatch, name):
         # two or more segments with unramified vertices: each det_laurent
-        # takes one segment's block, never all of M
+        # takes one segment's block, never all of M.  The reply's (mu,
+        # lambda) are sums over the factors: no product of them is formed,
+        # and only each factor is expanded
         g, r, volt = load_fixture(name)
         d = decompose(g, r)
         whole = laplacian(d.graph, r.depths, volt)
+        expanded = []
+        monkeypatch.setattr(iwasawa, "expand_at_gamma", lambda f: expanded.append(f) or expand_at_gamma(f))
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda *args: pytest.fail("a product was formed"))
         v, calls = spied_factorization(g, r, volt, 3)
         assert v.ok and len(calls) >= 2
         assert all(len(m) < len(whole) for m, _ in calls)
+        assert expanded == [det for _, det in calls]
 
-    @pytest.mark.parametrize("a, admitted", [(250, True), (330, False)])
-    def test_product_expanded_only_within_the_whole_estimate(self, monkeypatch, a, admitted):
-        # two 1-segments m-b_i, b_i = c_i doubled with voltages a and 0: each
-        # det M_S = 4 - g^a - g^-a passes det_laurent's estimate, and their
-        # product is expanded exactly when the estimate for the whole det M
-        # (degree bound 4a) admits it
-        edges = [(f"b{i}", f"c{i}", f"v{i}") for i in range(2)] + [(f"b{i}", f"c{i}", f"z{i}") for i in range(2)]
-        g = build_graph(["m", "b0", "c0", "b1", "c1"], edges + [("m", "b0", "t0"), ("m", "b1", "t1")])
-        r, volt = RamificationData.totally_ramified(["m"]), {"v0": a, "v1": a}
+    def test_answered_past_the_whole_estimate(self, monkeypatch):
+        # two 1-segments m-b_i, b_i = c_i doubled with voltages 330 and 0:
+        # det_laurent refuses the whole det M, of degree bound 4 * 330, before
+        # any node, but each factor det M_S = 4 - g^330 - g^-330 passes its
+        # estimate, and no product of the factors is formed: the invariants
+        # are twice the factor's, plus l - 1 = 0
+        a = 330
+        g, r, volt = doubled_spokes(2, a)
         factor = LaurentPoly({0: 4, a: -1, -a: -1})
         assert det_laurent(laplacian(g, ["m", "b1", "c1"], volt)) == factor
-
-        class Accepted(Exception):
-            pass
-
-        def accepted(*args):
-            raise Accepted
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_det_mod", accepted)
-            with pytest.raises(Accepted if admitted else WorkLimitExceeded):
-                det_laurent(laplacian(g, r.depths, volt))
+        with pytest.raises(WorkLimitExceeded, match=f"^det M has degree up to {4 * a}; "):
+            det_laurent(laplacian(g, r.depths, volt))
         monkeypatch.setattr(iwasawa, "det_laurent", lambda m: factor)  # each block's det M, without its 2a + 1 nodes
-        if admitted:
-            assert verify_char_factorization(g, r, volt, 3).ok
-        else:
-            with pytest.raises(GraphError, match=f"^characteristic element: the factors of segments 0..1 multiply to degree {4 * a}; "
-                                                 "expanding their product would take about 2\\^31 bit operations, past 2\\^31$"):
-                verify_char_factorization(g, r, volt, 3)
+        v = verify_char_factorization(g, r, volt, 3)
+        mu, lam = mu_lambda(expand_at_gamma(factor), 3)
+        assert v.ok and v.lhs == v.rhs == {"mu": 2 * mu, "lambda": 2 * lam}
+        assert v.detail["factors"] == [{"segment": i, "mu": mu, "lambda": lam} for i in range(2)]
+
+    def test_refused_once_the_factors_pass_the_limit(self, monkeypatch):
+        # ten such 1-segments at a = 330: each factor takes about
+        # 661^2 * (3 + 660) < 2^29 bit operations, and the first eight pass
+        # WORK_LIMIT = 2^31 together.  The eighth factor is not expanded,
+        # and no later block reaches det_laurent
+        a = 330
+        g, r, volt = doubled_spokes(10, a)
+        factor = LaurentPoly({0: 4, a: -1, -a: -1})
+        blocks, expanded = [], []
+        monkeypatch.setattr(iwasawa, "det_laurent", lambda m: blocks.append(m) or factor)
+        monkeypatch.setattr(iwasawa, "expand_at_gamma", lambda f: expanded.append(f) or expand_at_gamma(f))
+        with pytest.raises(GraphError, match="^characteristic element: interpolating and expanding the factors of segments 0..7 "
+                                             "would take about 2\\^31 bit operations, past 2\\^31$"):
+            verify_char_factorization(g, r, volt, 3)
+        assert len(blocks) == 8 and len(expanded) == 7
 
     @pytest.mark.parametrize("case", ["edges only", "with its ends", "listed twice"])
     def test_moved_edge_is_not_exact(self, monkeypatch, case):

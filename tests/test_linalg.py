@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import islice, permutations
+from itertools import groupby, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -187,7 +187,7 @@ class TestDetInt:
         # and on a Laurent block: det M = q - 1 meets the coefficient bound prod_i ||M_ii||_1
         assert det_laurent([{0: LaurentPoly({0: q - 1})}]) == q - 1
         # a block's det is never negative; the lift's other end, by itself
-        assert linalg._crt(lambda m: [(1 - q) % m], q - 1, 1) == [1 - q]
+        assert linalg._symmetric_lift(lambda m: [(1 - q) % m], q - 1) == [1 - q]
 
     def test_short_prime_supply_raises(self, monkeypatch):
         # |det| = 2^70 needs three primes below 2^30: one must not be lifted
@@ -223,7 +223,7 @@ def blocks(draw, max_dim=6, coefficients=st.integers(-3, 3), prime=False, lauren
     the diagonal; and on each diagonal a constant coefficient, the sum of
     the row's other |coefficients| and of one more |coefficient|, at least
     1.  With prime, the constant may instead be the prime Q0 or Q1 of the
-    CRT, when that is no smaller.  Sometimes a row and its column are empty,
+    modulus, when that is no smaller.  Sometimes a row and its column are empty,
     as for an isolated unmarked vertex.  Without laurent every exponent is 0
     and there is no loop: the symmetric integer blocks that det_int takes."""
     n = draw(st.integers(0, max_dim))
@@ -409,21 +409,43 @@ def record_eliminations(monkeypatch):
     return calls
 
 
-def count_eliminations(monkeypatch):
-    """Wrap linalg._det_mod; the returned list holds the modulus of each call."""
-    moduli, det_mod = [], linalg._det_mod
+def record_pivot_gcds(monkeypatch):
+    """Wrap linalg._det_mod; the returned list holds (modulus, gcd) of each
+    call, gcd that of the pivot that was no unit, None when there was none."""
+    calls, det_mod = [], linalg._det_mod
 
-    def counting(*args):
-        moduli.append(args[-1])
-        return det_mod(*args)
+    def recording(a, order, q):
+        try:
+            result = det_mod(a, order, q)
+        except linalg._NonUnitPivot as exc:
+            calls.append((q, exc.args[0]))
+            raise
+        calls.append((q, None))
+        return result
 
-    monkeypatch.setattr(linalg, "_det_mod", counting)
-    return moduli
+    monkeypatch.setattr(linalg, "_det_mod", recording)
+    return calls
 
 
-# the first two primes of the CRT; an entry that one of them divides can make
-# a pivot that is no unit modulo their product
-Q0, Q1 = islice(linalg._primes(), 2)
+def retried_moduli(bound, gcds):
+    """(the moduli, the primes drawn) of _symmetric_lift for a bound when the
+    elimination modulo each modulus but the last meets a pivot that shares
+    the next of gcds with it: first the leading primes whose product passes
+    2 * bound; after each failure the primes that divide its gcd are
+    dropped and the next primes drawn until the product passes again."""
+    primes, qs, drawn, moduli = linalg._primes(), [], [], []
+    for g in [*gcds, 1]:
+        while math.prod(qs) <= 2 * bound:
+            drawn.append(next(primes))
+            qs.append(drawn[-1])
+        moduli.append(math.prod(qs))
+        qs = [q for q in qs if g % q]
+    return moduli, drawn
+
+
+# the leading primes of the modulus; an entry that one of them divides can
+# make a pivot that is no unit modulo their product
+Q0, Q1, Q2, Q3, Q4 = islice(linalg._primes(), 5)
 prime_multiples = st.one_of(
     st.integers(-3, 3),
     st.builds(lambda c, q: c * q, st.integers(-3, 3).filter(bool), st.sampled_from([Q0, Q1, Q0 * Q1])),
@@ -448,28 +470,41 @@ class TestDetIntOracle:
         rng = random.Random(17)
         m = int_block(rng, 6, 2**200)
         drawn = count_primes(monkeypatch)
-        moduli = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m)
         assert len(drawn) >= 20  # the diagonal bound is about 2^1200
-        assert moduli == [math.prod(drawn)]  # one elimination, modulo their product
+        assert calls == [(math.prod(drawn), None)]  # one elimination, modulo their product
 
     def test_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
-        # either order puts a multiple of Q0 on the diagonal: modulo the
-        # product of the primes the first pivot is no unit, so each prime
-        # gets its own elimination.  Modulo Q0 the pivot 2 * Q0, past 2^30,
-        # is zero and borrows row 1: the fallback's rows are reduced
+        # either order puts a multiple of Q0 on the diagonal; the bound
+        # 2 * Q0^2 takes three primes.  Modulo Q0 * Q1 * Q2 the first pivot
+        # 2 * Q0 is no unit: Q0 is dropped, and Q1 * Q2 does not pass twice
+        # the bound, so Q3 is drawn and one more elimination runs modulo
+        # Q1 * Q2 * Q3 on the same unreduced rows
         m = [[2 * Q0, 3], [3, Q0]]
         drawn = count_primes(monkeypatch)
-        moduli = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m) == 2 * Q0 * Q0 - 9
-        assert len(drawn) >= 2 and moduli == [math.prod(drawn), *drawn]
+        assert drawn == [Q0, Q1, Q2, Q3] and calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
+
+    @pytest.mark.parametrize("det", [det_int, det_laurent])
+    def test_pivots_divisible_by_two_primes(self, monkeypatch, det):
+        # two blocks [[Q0, 1], [1, 1]] and [[Q3, 1], [1, 1]]: the bound
+        # Q0 * Q3 takes three primes.  The pivot Q0 fails modulo Q0 * Q1 * Q2,
+        # and Q3, drawn in its place, fails modulo Q1 * Q2 * Q3: two retries
+        m = [[Q0, 1, 0, 0], [1, 1, 0, 0], [0, 0, Q3, 1], [0, 0, 1, 1]]
+        drawn = count_primes(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
+        assert det(sparse_rows(m if det is det_int else constants(m))) == bareiss_det_int(m) == (Q0 - 1) * (Q3 - 1)
+        assert drawn == [Q0, Q1, Q2, Q3, Q4]
+        assert calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, Q3), (Q1 * Q2 * Q4, None)]
 
     def test_entries_divisible_by_a_prime(self, monkeypatch):
         # the rows go to the kernel unreduced; no pivot is divisible by a prime
         m = [[Q0 + 1, Q0], [Q0, Q0 + 1]]
-        moduli = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m) == 2 * Q0 + 1
-        assert len(moduli) == 1
+        assert len(calls) == 1 and calls[0][1] is None
 
     @given(st.one_of(blocks(max_dim=7, coefficients=prime_multiples, laurent=False),
                      blocks(max_dim=7, coefficients=prime_multiples, prime=True, laurent=False)))
@@ -685,18 +720,15 @@ class TestBorrowedRow:
         assert kernel_det(m) == bareiss_det_int(m) % Q0 == det % Q0
 
     def test_borrowed_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
-        # the block's first pivot, 2 * Q0 for det_int and Q0 for det_laurent,
-        # is no unit modulo Q0 * Q1; modulo Q0 it is 0 and borrows row 1,
-        # whose column 2 needs a mirrored zero in row 2.  det_int's 2 * Q0 is
-        # past 2^30, so only a reduced copy of the rows sees that zero
-        a, b = [[2 * Q0, -1, 0], [-1, 2, -1], [0, -1, 1]], [[Q0, -1, 0], [-1, 2, -1], [0, -1, 1]]
-        for det, rows, value in (det_int, sparse_rows(a), 2 * Q0 - 1), (det_laurent, sparse_rows(constants(b)), Q0 - 1):
-            with monkeypatch.context() as mp:
-                drawn = count_primes(mp)
-                moduli = count_eliminations(mp)
-                assert det(rows) == value
-            assert drawn == [Q0, Q1] and moduli == [Q0 * Q1, Q0, Q1]
-        assert bareiss_det_int(a) == 2 * Q0 - 1 and bareiss_det_int(b) == Q0 - 1
+        # column 0 of [[0, Q0], [Q0, 1]] borrows row 1, which brings the
+        # pivot Q0: no unit modulo Q0 * Q1 * Q2, the primes that pass twice
+        # |det| <= Q0^2.  Q0 is dropped and Q3 drawn, and modulo
+        # Q1 * Q2 * Q3 the borrowed pivot is a unit
+        drawn = count_primes(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
+        det = linalg._symmetric_lift(lambda q: [linalg._det_mod([{0: 0, 1: Q0}, {0: Q0, 1: 1}], None, q)[0]], Q0 * Q0)
+        assert det == [bareiss_det_int([[0, Q0], [Q0, 1]])] == [-Q0 * Q0]
+        assert drawn == [Q0, Q1, Q2, Q3] and calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
 
     def test_first_node_ends_early(self, monkeypatch):
         # the one-vertex block 2 - g^2 - g^-2 vanishes at the first node 1,
@@ -752,15 +784,6 @@ def hermitian_matrices(draw):
     return m
 
 
-def primes_past(bound):
-    """The number of primes _crt draws for a coefficient bound."""
-    k, m = 0, 1
-    for q in linalg._primes():
-        if m > 2 * bound:
-            return k
-        k, m = k + 1, m * q
-
-
 big_coefficients = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
 
 
@@ -814,7 +837,7 @@ class TestDetLaurentOracle:
             with monkeypatch.context() as mp:
                 bounds, assignment = [], linalg._max_assignment
                 mp.setattr(linalg, "_max_assignment", lambda w: bounds.append(assignment(w)) or bounds[-1])
-                calls = count_eliminations(mp)
+                calls = record_pivot_gcds(mp)
                 drawn = count_primes(mp)
                 assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
             assert len(bounds) == 1 and len(calls) == bounds[0] + 1 == nodes
@@ -827,20 +850,24 @@ class TestDetLaurentOracle:
         # every coefficient of g^hi * det M is at most prod_i ||M_ii||_1, and
         # det_laurent draws just the primes that pass twice that bound.  A
         # diagonal constant Q0 or Q1 can make a pivot that is no unit modulo
-        # their product: then each prime gets its own hi + 1 eliminations
+        # their product: then the eliminations modulo it stop at that node,
+        # and all hi + 1 nodes run again modulo the retried product
         bound = math.prod(sum(map(abs, row[i].coeffs.values())) if i in row else 0 for i, row in enumerate(m))
         hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
         with pytest.MonkeyPatch.context() as mp:
             drawn = count_primes(mp)
-            moduli = count_eliminations(mp)
+            calls = record_pivot_gcds(mp)
             det = det_laurent(m)
         assert det == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert all(abs(c) <= bound for c in det.coeffs.values())
-        assert len(drawn) == (primes_past(bound) if bound else 0)  # an empty row: det M = 0, no prime drawn
-        nodes = 0 if hi is None else hi + 1
-        first = len(moduli) - len(drawn) * nodes  # modulo the product, the last one ended by a non-unit pivot
-        assert moduli == [math.prod(drawn)] * nodes or (
-            0 < first <= nodes and moduli == [math.prod(drawn)] * first + [q for q in drawn for _ in range(nodes)])
+        if hi is None:  # an empty row: det M = 0, no prime drawn
+            assert det.is_zero and drawn == calls == []
+            return
+        runs = [list(run) for _, run in groupby(calls, key=lambda call: call[0])]
+        gcds = [run[-1][1] for run in runs[:-1]]
+        assert ([run[0][0] for run in runs], drawn) == retried_moduli(bound, gcds)
+        assert all(gcd is None for run in runs for _, gcd in run[:-1]) and all(gcds)
+        assert all(len(run) <= hi + 1 for run in runs) and len(runs[-1]) == hi + 1 and runs[-1][-1][1] is None
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_diagonal_bound_is_nearly_tight(self, n):
@@ -874,7 +901,7 @@ class TestDetLaurentOracle:
             {2: LaurentPoly({0: 2}), 3: neg_g},
             {3: LaurentPoly({0: 3}), 0: neg_g, 2: neg_gi},
         ]
-        calls = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         drawn = count_primes(monkeypatch)
         assert det_laurent(m) == 21
         assert len(calls) == len(drawn) == 1
@@ -889,22 +916,22 @@ class TestDetLaurentOracle:
     def test_large_coefficients_use_three_primes(self, monkeypatch):
         m = block([{0: 2**65 + 1}, {0: 2**64 + 5, 1: -(2**61), -1: -(2**61)}], [(0, 1, {1: 2**63, -2: 5})])
         drawn = count_primes(monkeypatch)
-        moduli = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert len(drawn) >= 3
         # the off-diagonal pair gives hi = 1 + 2 = 3: one elimination at each
         # of the nodes 1..4, all modulo the product of the primes
-        assert moduli == [math.prod(drawn)] * 4
+        assert calls == [(math.prod(drawn), None)] * 4
 
     def test_coefficient_equal_to_a_prime(self, monkeypatch):
-        # at the node 1 the first pivot is Q0, and a pivot that Q0 divides
-        # sends every prime through its own eliminations
+        # hi = 1: the nodes 1 and 2.  At the node 1 the first pivot is Q0, no
+        # unit modulo Q0 * Q1, the primes that pass twice the bound 5 * Q0;
+        # both nodes run again modulo Q1 * Q2
         m = block([{0: Q0}, {0: 3, 1: -1, -1: -1}], [(0, 1, {1: -1})])
         drawn = count_primes(monkeypatch)
-        moduli = count_eliminations(monkeypatch)
+        calls = record_pivot_gcds(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-        assert len(drawn) >= 2 and moduli[0] == math.prod(drawn)
-        assert sorted(set(moduli[1:])) == sorted(drawn)
+        assert drawn == [Q0, Q1, Q2] and calls == [(Q0 * Q1, Q0), (Q1 * Q2, None), (Q1 * Q2, None)]
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=150, deadline=None)
