@@ -81,9 +81,9 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
 
 
 def segment_preimage(c: CoverGraph, segment):
-    """(graph, ramification) over a base segment: cut as Segment.subgraph cuts
-    the base, the fibres over its vertices in cover order and the edges over
-    its edges; the ramification marks the fibres over its ramified ends."""
+    """(graph, ramification) over a base segment: the fibres over its
+    vertices in cover order and the edges over its edges; the ramification
+    marks the fibres over its ramified ends."""
     if foreign := segment.edge_ids - {e.id for e in c.base.edges}:
         raise GraphError(f"segment edge {min(foreign, key=str)!r} is not an edge of the cover's base")
     vertices = [w for w in c.graph.vertices if w[0] in segment.vertices]

@@ -37,11 +37,11 @@ The harnesses check the paper's identities; each checks p, the marks and
 the voltage before it decomposes X.  Three count trees on explicit covers.
 Theorem A (every mark totally ramified, trivial voltage) is the
 partial-ramification formula at n0 = 0, so verify_theorem_A checks its one
-extra hypothesis and calls verify_partial_ramification.  The factorization
-of the characteristic element builds M once and cuts it along the segments:
-det M is the product of the segment blocks' determinants, whose (mu, lambda)
-add up, and factorization_exact checks that the segments partition the
-unramified vertices and the edges, so that no entry of M joins two segments.
+extra hypothesis and calls verify_partial_ramification.  Both segment
+harnesses cut M once along the segments: S's block is S's Laplacian without
+its marks, whose det_int is F_t(S).  When no entry of M joins two segments
+(factorization_exact checks), det M is the product of the Laurent blocks'
+determinants, and their (mu, lambda) add up.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from .cover import build_cover, check_prime, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
 from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, laplacian, laplacian_index, prune_tails
-from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda,
-                     ord_p, root_of_unity_products)
+from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma,
+                     mu_lambda, ord_p, root_of_unity_products)
 from .seal import admissible_sets, decompose
 
 
@@ -103,6 +103,18 @@ def _within_limit(stage, block):
         return det_laurent(block)
     except WorkLimitExceeded as exc:
         raise GraphError(f"{stage}: {exc}") from exc
+
+
+def _segment_blocks(d, voltage):
+    """Each segment's block of M = graph.laplacian(d.graph, d.ramified, voltage), built
+    once: the rows and columns of its unramified vertices, in vertex order, which is
+    the segment's own Laplacian without its marks (see seal.decompose)."""
+    m = laplacian(d.graph, d.ramified, voltage)
+    index = laplacian_index(d.graph, d.ramified)
+    for s in d.segments:
+        rows = sorted(index[v] for v in s.vertices if v in index)
+        local = {i: k for k, i in enumerate(rows)}
+        yield [{local[j]: x for j, x in m[i].items() if j in local} for i in rows]
 
 
 def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharElement:
@@ -253,7 +265,8 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X_{n0}) * p^{(n-n0)(l-1)} * prod F_{t_i}(S^i)^{p^n - p^{n0}}
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
-    depth 0 keeps every cover connected; _explicit_kappa still checks."""
+    depth 0 keeps every cover connected; _explicit_kappa still checks.  Its
+    level-n0 cover refuses a level past SIZE_LIMIT before any count."""
     _check_request(g, r, voltage, p)
     if n < 0:
         raise GraphError(f"tower level must be non-negative, got {n}")
@@ -265,9 +278,9 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     if n < n0:
         raise TowerError("n must be at least n0")
     d = decompose(g, r)
-    counts = [forest_count_det(s.subgraph(d.graph), list(s.ramified)) for s in d.segments]
+    # build_cover refuses a level past SIZE_LIMIT before any count and before the powers by p^n below
     base = _explicit_kappa(build_cover(d.graph, r, voltage, p, n0))
-    # build_cover refuses a level past SIZE_LIMIT before the powers by p^n below
+    counts = [det_int(block) for block in _segment_blocks(d, None)]  # F_t(S) of each segment S
     lhs = base if n == n0 else _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
     l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
@@ -319,37 +332,28 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
     """det M = prod_S det M_S over the segments S, and mu and lambda add over
     products in Z_p[[T]]: mu = sum mu_S, lambda = sum lambda_S + l - 1.
 
-    M = graph.laplacian(d.graph, r.depths, voltage) is built once, for X with
-    its tails pruned, and cut along the segments: M_S holds the rows and
-    columns of S's unramified vertices, in vertex order.  A segment with no
+    M_S is S's block of one cut of M (_segment_blocks); a segment with no
     unramified vertex (an edge between marks, a loop at a mark) has
     det M_S = 1.  M is block-diagonal with the blocks M_S, so the product is
     det M, exactly when every unramified vertex and every edge lies in one
     segment and every edge at an unramified vertex is an edge of that
-    vertex's segment (then M_S is also the block of S as a graph of its
-    own, with the same degrees): factorization_exact reports that
-    hypothesis, and ok is that flag.  The reply's (mu, lambda) are those
-    sums: no product is formed.  Interpolating and expanding a factor of span
-    d and b-bit coefficients takes about (d + 1)^2 * (b + d) bit operations;
-    GraphError names the segment where their sum passes WORK_LIMIT.
+    vertex's segment: factorization_exact reports that hypothesis, and ok
+    is that flag.  The reply's (mu, lambda) are those sums: no product is
+    formed.  Interpolating and expanding a factor of span d and b-bit
+    coefficients takes about (d + 1)^2 * (b + d) bit operations; GraphError
+    names the segment where their sum passes WORK_LIMIT.
     """
     _check_request(g, r, voltage, p)
     d = decompose(g, r)
-    m = laplacian(d.graph, r.depths, voltage or {})
-    index = laplacian_index(d.graph, r.depths)  # M's rows
-    owner = [[] for _ in m]  # the segments that hold each row's vertex
-    holders = {}  # edge id -> the segments that hold it
+    owner, holders = {}, {}  # vertex -> the segments that hold it; edge id -> the same
     work, factors = 0, []  # the factors' bit operations so far, and their (mu, lambda)
-    for s in d.segments:
-        rows = sorted(index[v] for v in s.vertices if v in index)
-        for i in rows:
-            owner[i].append(s)
+    for s, block in zip(d.segments, _segment_blocks(d, voltage or {})):
+        for v in s.vertices:
+            owner.setdefault(v, []).append(s)
         for eid in s.edge_ids:
             holders.setdefault(eid, []).append(s)
-        local = {i: k for k, i in enumerate(rows)}
         mu_i = lam_i = 0
-        if rows:
-            block = [{local[j]: x for j, x in m[i].items() if j in local} for i in rows]
+        if block:
             det = _within_limit("characteristic element", block)
             span = max(det.coeffs, default=0) - min(det.coeffs, default=0)
             if (work := work + (span + 1) ** 2 * (det.norm().bit_length() + span)) > WORK_LIMIT:
@@ -357,9 +361,9 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
                                  f"would take about 2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
             mu_i, lam_i = mu_lambda(expand_at_gamma(det), p)
         factors.append({"segment": s.color, "mu": mu_i, "lambda": lam_i})
-    factor_ok = (all(len(ss) == 1 for ss in owner)
+    factor_ok = (all(len(owner.get(v, ())) == 1 for v in d.graph.vertices if v not in r.depths)
                  and all(len(holders.get(e.id, ())) == 1 for e in d.graph.edges)
-                 and all(holders[e.id][0] is owner[index[w]][0] for e in d.graph.edges for w in e[1:] if w in index))
+                 and all(holders[e.id][0] is owner[w][0] for e in d.graph.edges for w in e[1:] if w not in r.depths))
     sums = {"mu": sum(f["mu"] for f in factors), "lambda": sum(f["lambda"] for f in factors) + d.l - 1}
     return Verdict(factor_ok, sums, sums, {"factorization_exact": factor_ok, "factors": factors, "l": d.l})
 

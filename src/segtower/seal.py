@@ -69,11 +69,6 @@ class Segment:
     vertices: frozenset
     is_loop: bool = False  # loop edge at a ramified vertex, special-cased
 
-    def subgraph(self, g: Multigraph) -> Multigraph:
-        vs = [v for v in g.vertices if v in self.vertices]
-        es = [e for e in g.edges if e.id in self.edge_ids]
-        return Multigraph(vs, es)
-
 
 @dataclass(frozen=True)
 class SegmentDecomposition:

@@ -4,9 +4,10 @@ For each workload and seed, the benchmark's request list
 (perfbench/workloads.py of the checkout this script lives in) goes through
 perfbench/client.py once per checkout, in a subprocess with PYTHONHASHSEED
 set to the seed as perfbench/run.py sets it.  The "fixtures" list sends
-every fixture to `kappa`, to `seal`, to `invariants` (default,
+every fixture to `kappa`, to `seal`, to `forests` (--method det and brute,
+marked at its first mark and at its first two), to `invariants` (default,
 --symbolic-only, --empirical-only) and to `verify` (A, partial and general
-at n = 1, factorization) at p = 2, 3 and 5.
+at n = 1 and 2, factorization) at p = 2, 3 and 5.
 Prints, per list, how many (exit code, stdout) pairs differ.
 
   python tests/compare_replies.py OLD_CHECKOUT NEW_CHECKOUT --seeds 1 2 3 --seconds 2
@@ -37,13 +38,16 @@ if workload == "fixtures":
     fixtures = os.path.join(os.path.dirname(bench), "fixtures")
     argvs = [["kappa"], ["seal"]]
     argvs += [["invariants", "--p", p, *mode] for mode in ([], ["--symbolic-only"], ["--empirical-only"]) for p in "235"]
-    argvs += [["verify", "--theorem", t, "--p", p, *(["--n", "1"] if t != "factorization" else [])]
-              for t in ("A", "partial", "general", "factorization") for p in "235"]
+    argvs += [["verify", "--theorem", t, "--p", p, "--n", n] for t in ("A", "partial", "general") for p in "235" for n in "12"]
+    argvs += [["verify", "--theorem", "factorization", "--p", p] for p in "235"]
     reqs = []
     for name in sorted(os.listdir(fixtures)):
         with open(os.path.join(fixtures, name)) as f:
             text = f.read()
-        reqs += [workloads.Request(name, argv, None, stdin=text) for argv in argvs]
+        marks = [m["vertex"] for m in json.loads(text).get("ramified", [])]
+        marked = [",".join(marks[:k]) for k in (1, 2) if len(marks) >= k]
+        forests = [["forests", "--marked", m, "--method", method] for m in marked for method in ("det", "brute")]
+        reqs += [workloads.Request(name, argv, None, stdin=text) for argv in argvs + forests]
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)

@@ -520,6 +520,13 @@ def closure_groups_by_edge_ids(g, r, edge_ids):
     return list(groups.values())
 
 
+def segment_subgraph(g, s):
+    """Segment s of g as a Multigraph of its own: its vertices and edges, in
+    g's order.  The tests' own builder, independent of the cut of X's
+    Laplacian that the harnesses read their segment blocks from."""
+    return Multigraph([v for v in g.vertices if v in s.vertices], [e for e in g.edges if e.id in s.edge_ids])
+
+
 def segment_by_edge_ids(g, color, t, ram, edge_ids, is_loop=False):
     """The Segment of the given edge ids, their ends looked up in g."""
     vs = set()

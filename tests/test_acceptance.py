@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts
+from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts, segment_subgraph
 from segtower.cover import build_cover, segment_preimage
 from segtower.families import (
     chorded_cycle_f2,
@@ -183,7 +183,7 @@ def test_criterion_08_admissible_set_sum():
             d = decompose(g2, r)
             c = build_cover(g2, r, {}, p, n)
             for i, s in enumerate(d.segments):
-                sub = s.subgraph(g2)
+                sub = segment_subgraph(g2, s)
                 f_base = forest_count_det(sub, list(s.ramified))
                 k_base = kappa(sub)
                 assert vg.detail["segment_forests"][i] == f_base ** (p**n)
@@ -301,7 +301,7 @@ def test_criterion_12_property_suite():
         if len(g.edges) > 12:
             continue
         d = decompose(g, r)
-        seg_trees = [set(enumerate_spanning_trees(s.subgraph(g))) for s in d.two_segments]
+        seg_trees = [set(enumerate_spanning_trees(segment_subgraph(g, s))) for s in d.two_segments]
         for tree in enumerate_spanning_trees(g):
             hits = sum(
                 1
@@ -318,7 +318,7 @@ def test_criterion_12_property_suite():
         for I in admissible_sets(d):
             term = 1
             for i, s in enumerate(d.segments):
-                sub = s.subgraph(g)
+                sub = segment_subgraph(g, s)
                 if i in I:
                     term *= kappa(sub)
                 else:

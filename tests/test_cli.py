@@ -317,6 +317,24 @@ class TestVerify:
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and "past 2^11" in out["reason"]
 
+    @pytest.mark.parametrize("theorem", ["A", "partial"])
+    def test_refuses_an_oversized_base_cover_before_any_count(self, theorem):
+        # one mark m with 6000 triangles m-u_i0-u_i1-m: 6000 1-segments, and
+        # the level-0 cover, X itself, is past the size limit.  Counting the
+        # segments' forests first, one scan of X per segment, took 9-11 s of
+        # CPU before the refusal; the cover first takes 0.4 s, start-up
+        # included (Python 3.11.7, 2-core x86 host)
+        k = 6000
+        triangles = [(("m", f"u{i}_0"), (f"u{i}_0", f"u{i}_1"), (f"u{i}_1", "m")) for i in range(k)]
+        graph = {"vertices": ["m"] + [f"u{i}_{j}" for i in range(k) for j in (0, 1)],
+                 "edges": [{"from": u, "to": v} for t in triangles for u, v in t], "ramified": [{"vertex": "m"}]}
+        argv = ["-m", "segtower.cli", "verify", "--theorem", theorem, "--p", "2", "--n", "1"]
+        done = run_limited(argv, timeout=30, cpu=3, stdin=json.dumps(graph))
+        assert done.returncode == 1, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["error"] == "bad_input"
+        assert out["reason"].startswith("the level-0 cover would have at least 12001 vertices and 18000 edges, past 2^11")
+
     def test_hypothesis_violation_exit_2(self, capsys):
         code, out = invoke(
             capsys, "verify", "--theorem", "A", "--p", "3", "--n", "1",

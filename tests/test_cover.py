@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import load_fixture
+from conftest import load_fixture, segment_subgraph
 from segtower.cover import build_cover, check_prime, fibre_size, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
@@ -150,7 +150,7 @@ class TestSegmentPreimage:
         unram = [v for v in sub.vertices if v not in marks.depths]
         assert len(unram) == 2 * (len(long_seg.vertices) - 2)
         # forest count multiplies across the two copies
-        base_sub = long_seg.subgraph(g)
+        base_sub = segment_subgraph(g, long_seg)
         base_f = forest_count_det(base_sub, list(long_seg.ramified))
         assert forest_count_det(sub, list(marks.depths)) == base_f**2
 

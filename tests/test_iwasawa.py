@@ -17,10 +17,12 @@ from conftest import (
     load_fixture,
     parallel_voltage_json,
     segment_forest_counts,
+    segment_subgraph,
     taylor_shift_oracle,
 )
 from segtower import iwasawa, linalg
 from segtower.cover import build_cover
+from segtower.forests import forest_count_det
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian
 from segtower.iwasawa import (
     CharElement,
@@ -140,15 +142,13 @@ class TestCharElement:
 
     def test_body_at_origin_matches_forest_product(self):
         # with trivial voltage, body(0) is the product of the segment counts
-        from segtower.forests import forest_count_det
-
         for name in ["cycle5_ram45.json", "cycle5_ram245.json", "three_segment.json"]:
             g, r, _ = load_fixture(name)
             ce = char_element(g, r, {}, 2)
             d = decompose(g, r)
             prod = 1
             for s in d.segments:
-                prod *= forest_count_det(s.subgraph(g), list(s.ramified))
+                prod *= forest_count_det(segment_subgraph(g, s), list(s.ramified))
             assert ce.body[0] == prod, name
 
 
@@ -544,6 +544,9 @@ class TestCharFactorization:
         whole = laplacian(d.graph, r.depths, voltage)
         assert len(calls) == sum(1 for s in d.segments if s.vertices - r.depths.keys())  # none for a block of 0 rows
         assert sum(len(m) for m, _ in calls) == len(whole)
+        # each cut block is its own segment's Laplacian without its marks
+        own = [laplacian(segment_subgraph(d.graph, s), s.ramified, voltage) for s in d.segments if s.vertices - r.depths.keys()]
+        assert [m for m, _ in calls] == own
         product = LaurentPoly({0: 1})
         for _, det in calls:
             product = product * det
@@ -626,6 +629,20 @@ class TestCharFactorization:
         monkeypatch.setattr(iwasawa, "decompose", lambda g, r: dataclasses.replace(d, segments=(s0, s1)))
         v = verify_char_factorization(g, r, {"e0": 1}, 3)
         assert not v.ok and v.detail["factorization_exact"] is False
+
+
+class TestPartialCounts:
+    """verify_partial_ramification's segment counts, det_int of the cut
+    blocks, against F_t of each segment built as a graph of its own."""
+
+    @given(glued_segments())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_are_the_segments_forest_counts(self, x):
+        g, r, _, p = x
+        v = verify_partial_ramification(g, r, {}, p, 1)
+        d = decompose(g, r)
+        assert v.ok
+        assert v.detail["segment_counts"] == [forest_count_det(segment_subgraph(d.graph, s), list(s.ramified)) for s in d.segments]
 
 
 class TestHarnessChecks:

@@ -6,6 +6,7 @@ import sys
 import time
 from itertools import groupby, islice, permutations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -296,7 +297,7 @@ class TestDetLaurent:
         # at the one node column 1 cancels with no row left to borrow
         calls = record_eliminations(monkeypatch)
         assert det_laurent(block([{0: 1}, {0: 1}], [(0, 1, {1: -1})])).is_zero
-        assert [result for _, _, result in calls] == [(0, None)]
+        assert [c.result for c in calls] == [(0, None)]
 
     def test_pivot_swap(self, monkeypatch):
         # M(1) is singular, so the node 2 chooses the order; its first pivot
@@ -305,8 +306,9 @@ class TestDetLaurent:
         m = block([{0: 5, 1: -2, -1: -2}, {0: 2}, {0: 1}], [(0, 1, {0: -1}), (1, 2, {0: -1})])
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == LaurentPoly({0: 4, 1: -2, -1: -2})
-        assert calls[0][2] == (0, None)
-        (_, rows, (_, order)), = calls[1:]
+        assert calls[0].result == (0, None)
+        (last,) = calls[1:]
+        rows, (_, order) = last.rows, last.result
         assert rows[0][0] == 0 and 0 not in rows[2] and order[0] == 0
 
     @given(blocks(max_dim=3))
@@ -395,36 +397,39 @@ def count_primes(monkeypatch):
     return drawn
 
 
+class Elimination(NamedTuple):
+    """One call of linalg._det_mod: its order, its rows as they were passed
+    in, the modulus q, and its result, or, when a pivot was no unit, None
+    and that pivot's gcd with q (gcd None when there was none)."""
+
+    order: object
+    rows: list
+    q: int
+    result: object
+    gcd: object
+
+
 def record_eliminations(monkeypatch):
-    """Wrap linalg._det_mod; the returned list holds (order, rows, result)
-    of each call, the rows as they were passed in."""
+    """Wrap linalg._det_mod; the returned list holds an Elimination per call."""
     calls, det_mod = [], linalg._det_mod
 
     def recording(a, order, q):
         rows = [dict(row) for row in a]
-        calls.append((order, rows, det_mod(a, order, q)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(linalg, "_det_mod", recording)
-    return calls
-
-
-def record_pivot_gcds(monkeypatch):
-    """Wrap linalg._det_mod; the returned list holds (modulus, gcd) of each
-    call, gcd that of the pivot that was no unit, None when there was none."""
-    calls, det_mod = [], linalg._det_mod
-
-    def recording(a, order, q):
         try:
             result = det_mod(a, order, q)
         except linalg._NonUnitPivot as exc:
-            calls.append((q, exc.args[0]))
+            calls.append(Elimination(order, rows, q, None, exc.args[0]))
             raise
-        calls.append((q, None))
+        calls.append(Elimination(order, rows, q, result, None))
         return result
 
     monkeypatch.setattr(linalg, "_det_mod", recording)
     return calls
+
+
+def pivot_gcds(calls):
+    """(modulus, gcd) of each recorded elimination."""
+    return [(c.q, c.gcd) for c in calls]
 
 
 def retried_moduli(bound, gcds):
@@ -470,10 +475,10 @@ class TestDetIntOracle:
         rng = random.Random(17)
         m = int_block(rng, 6, 2**200)
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m)
         assert len(drawn) >= 20  # the diagonal bound is about 2^1200
-        assert calls == [(math.prod(drawn), None)]  # one elimination, modulo their product
+        assert pivot_gcds(calls) == [(math.prod(drawn), None)]  # one elimination, modulo their product
 
     def test_pivot_divisible_by_a_prime_falls_back(self, monkeypatch):
         # either order puts a multiple of Q0 on the diagonal; the bound
@@ -483,9 +488,9 @@ class TestDetIntOracle:
         # Q1 * Q2 * Q3 on the same unreduced rows
         m = [[2 * Q0, 3], [3, Q0]]
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m) == 2 * Q0 * Q0 - 9
-        assert drawn == [Q0, Q1, Q2, Q3] and calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
+        assert drawn == [Q0, Q1, Q2, Q3] and pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
 
     @pytest.mark.parametrize("det", [det_int, det_laurent])
     def test_pivots_divisible_by_two_primes(self, monkeypatch, det):
@@ -494,17 +499,17 @@ class TestDetIntOracle:
         # and Q3, drawn in its place, fails modulo Q1 * Q2 * Q3: two retries
         m = [[Q0, 1, 0, 0], [1, 1, 0, 0], [0, 0, Q3, 1], [0, 0, 1, 1]]
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det(sparse_rows(m if det is det_int else constants(m))) == bareiss_det_int(m) == (Q0 - 1) * (Q3 - 1)
         assert drawn == [Q0, Q1, Q2, Q3, Q4]
-        assert calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, Q3), (Q1 * Q2 * Q4, None)]
+        assert pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, Q3), (Q1 * Q2 * Q4, None)]
 
     def test_entries_divisible_by_a_prime(self, monkeypatch):
         # the rows go to the kernel unreduced; no pivot is divisible by a prime
         m = [[Q0 + 1, Q0], [Q0, Q0 + 1]]
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det_int(sparse_rows(m)) == bareiss_det_int(m) == 2 * Q0 + 1
-        assert len(calls) == 1 and calls[0][1] is None
+        assert len(calls) == 1 and calls[0].gcd is None
 
     @given(st.one_of(blocks(max_dim=7, coefficients=prime_multiples, laurent=False),
                      blocks(max_dim=7, coefficients=prime_multiples, prime=True, laurent=False)))
@@ -725,10 +730,10 @@ class TestBorrowedRow:
         # |det| <= Q0^2.  Q0 is dropped and Q3 drawn, and modulo
         # Q1 * Q2 * Q3 the borrowed pivot is a unit
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         det = linalg._symmetric_lift(lambda q: [linalg._det_mod([{0: 0, 1: Q0}, {0: Q0, 1: 1}], None, q)[0]], Q0 * Q0)
         assert det == [bareiss_det_int([[0, Q0], [Q0, 1]])] == [-Q0 * Q0]
-        assert drawn == [Q0, Q1, Q2, Q3] and calls == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
+        assert drawn == [Q0, Q1, Q2, Q3] and pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
 
     def test_first_node_ends_early(self, monkeypatch):
         # the one-vertex block 2 - g^2 - g^-2 vanishes at the first node 1,
@@ -737,8 +742,8 @@ class TestBorrowedRow:
         m = [{0: LaurentPoly({0: 2, 2: -1, -2: -1})}]
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == m[0][0]
-        assert [order for order, _, _ in calls] == [None, None, [0]]
-        assert calls[0][2] == (0, None) and calls[1][2][1] == calls[2][2][1] == [0]
+        assert [c.order for c in calls] == [None, None, [0]]
+        assert calls[0].result == (0, None) and calls[1].result[1] == calls[2].result[1] == [0]
 
 
 laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
@@ -837,7 +842,7 @@ class TestDetLaurentOracle:
             with monkeypatch.context() as mp:
                 bounds, assignment = [], linalg._max_assignment
                 mp.setattr(linalg, "_max_assignment", lambda w: bounds.append(assignment(w)) or bounds[-1])
-                calls = record_pivot_gcds(mp)
+                calls = record_eliminations(mp)
                 drawn = count_primes(mp)
                 assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
             assert len(bounds) == 1 and len(calls) == bounds[0] + 1 == nodes
@@ -856,18 +861,18 @@ class TestDetLaurentOracle:
         hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
         with pytest.MonkeyPatch.context() as mp:
             drawn = count_primes(mp)
-            calls = record_pivot_gcds(mp)
+            calls = record_eliminations(mp)
             det = det_laurent(m)
         assert det == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert all(abs(c) <= bound for c in det.coeffs.values())
         if hi is None:  # an empty row: det M = 0, no prime drawn
             assert det.is_zero and drawn == calls == []
             return
-        runs = [list(run) for _, run in groupby(calls, key=lambda call: call[0])]
-        gcds = [run[-1][1] for run in runs[:-1]]
-        assert ([run[0][0] for run in runs], drawn) == retried_moduli(bound, gcds)
-        assert all(gcd is None for run in runs for _, gcd in run[:-1]) and all(gcds)
-        assert all(len(run) <= hi + 1 for run in runs) and len(runs[-1]) == hi + 1 and runs[-1][-1][1] is None
+        runs = [list(run) for _, run in groupby(calls, key=lambda call: call.q)]
+        gcds = [run[-1].gcd for run in runs[:-1]]
+        assert ([run[0].q for run in runs], drawn) == retried_moduli(bound, gcds)
+        assert all(c.gcd is None for run in runs for c in run[:-1]) and all(gcds)
+        assert all(len(run) <= hi + 1 for run in runs) and len(runs[-1]) == hi + 1 and runs[-1][-1].gcd is None
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_diagonal_bound_is_nearly_tight(self, n):
@@ -901,7 +906,7 @@ class TestDetLaurentOracle:
             {2: LaurentPoly({0: 2}), 3: neg_g},
             {3: LaurentPoly({0: 3}), 0: neg_g, 2: neg_gi},
         ]
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         drawn = count_primes(monkeypatch)
         assert det_laurent(m) == 21
         assert len(calls) == len(drawn) == 1
@@ -916,12 +921,12 @@ class TestDetLaurentOracle:
     def test_large_coefficients_use_three_primes(self, monkeypatch):
         m = block([{0: 2**65 + 1}, {0: 2**64 + 5, 1: -(2**61), -1: -(2**61)}], [(0, 1, {1: 2**63, -2: 5})])
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert len(drawn) >= 3
         # the off-diagonal pair gives hi = 1 + 2 = 3: one elimination at each
         # of the nodes 1..4, all modulo the product of the primes
-        assert calls == [(math.prod(drawn), None)] * 4
+        assert pivot_gcds(calls) == [(math.prod(drawn), None)] * 4
 
     def test_coefficient_equal_to_a_prime(self, monkeypatch):
         # hi = 1: the nodes 1 and 2.  At the node 1 the first pivot is Q0, no
@@ -929,9 +934,9 @@ class TestDetLaurentOracle:
         # both nodes run again modulo Q1 * Q2
         m = block([{0: Q0}, {0: 3, 1: -1, -1: -1}], [(0, 1, {1: -1})])
         drawn = count_primes(monkeypatch)
-        calls = record_pivot_gcds(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-        assert drawn == [Q0, Q1, Q2] and calls == [(Q0 * Q1, Q0), (Q1 * Q2, None), (Q1 * Q2, None)]
+        assert drawn == [Q0, Q1, Q2] and pivot_gcds(calls) == [(Q0 * Q1, Q0), (Q1 * Q2, None), (Q1 * Q2, None)]
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from conftest import (
     load_fixture,
     path_decompose,
     random_connected_graph,
+    segment_subgraph,
 )
 from segtower.cli import run
 from segtower.forests import kappa
@@ -360,7 +361,7 @@ class TestLemmaCount:
             d = decompose(g, r)
             seg_trees = []
             for s in d.two_segments:
-                sub = s.subgraph(g)
+                sub = segment_subgraph(g, s)
                 seg_trees.append(set(enumerate_spanning_trees(sub)))
             for tree in enumerate_spanning_trees(g):
                 hits = 0
@@ -423,7 +424,7 @@ class TestAdmissibleSets:
             g, r, _ = load_fixture(name)
             d = decompose(g, r)
             expected = set()
-            seg_trees = [set(enumerate_spanning_trees(s.subgraph(g))) for s in d.two_segments]
+            seg_trees = [set(enumerate_spanning_trees(segment_subgraph(g, s))) for s in d.two_segments]
             for tree in enumerate_spanning_trees(g):
                 hit = frozenset(
                     i for i, (s, trees) in enumerate(zip(d.two_segments, seg_trees))
