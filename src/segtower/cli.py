@@ -95,7 +95,7 @@ def _dumps(x, indent="\n"):
 def _emit(obj):
     try:  # the whole reply or none of it
         text = _dumps(obj)
-    except ValueError:  # a JSON number past Python 3.11's digit limit, such as a level's edge count
+    except ValueError:  # a JSON number past Python 3.11's digit limit, such as a char_body coefficient
         raise GraphError("the reply holds a number past Python's int-to-str digit limit") from None
     sys.stdout.write(text + "\n")
 

@@ -36,6 +36,13 @@ def check_prime(p, name="p"):
         raise GraphError(f"{name} must be a prime, got {p}")
 
 
+def check_request(g: Multigraph, r: RamificationData, voltage, p: int):
+    """GraphError on a bad p, mark or voltage, checked in that order: what every entry point runs first."""
+    check_prime(p)
+    check_marks(g, r)
+    check_voltage(voltage)
+
+
 def fibre_size(r: RamificationData, p: int, n: int, v) -> int:
     """p^min(n, k_v): the number of vertices over v at level n."""
     return p ** min(n, r.depths.get(v, n))
@@ -50,9 +57,7 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     """
     if n < 0:
         raise GraphError("cover level must be non-negative")
-    check_prime(p)
-    check_marks(g, r)
-    check_voltage(voltage)
+    check_request(g, r, voltage, p)
     # from level m on, a fibre that still grows or one over an edge is past
     # SIZE_LIMIT: a cover within it has the fibres of level m, p^n unformed
     m = min(n, SIZE_LIMIT.bit_length())

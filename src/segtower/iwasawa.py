@@ -34,23 +34,25 @@ lambda*n + nu for n large (exactly for all n when the voltage is trivial);
 we fit the triple exactly over the integers from the last three levels.
 
 The harnesses check the paper's identities; each checks p, the marks and
-the voltage before it decomposes X.  Three count trees on explicit covers.
-Theorem A (every mark totally ramified, trivial voltage) is the
-partial-ramification formula at n0 = 0, so verify_theorem_A checks its one
-extra hypothesis and calls verify_partial_ramification.  Both segment
-harnesses cut M once along the segments: S's block is S's Laplacian without
-its marks, whose det_int is F_t(S).  When no entry of M joins two segments
-(factorization_exact checks), det M is the product of the Laurent blocks'
-determinants, and their (mu, lambda) add up.
+the voltage (cover.check_request) before it decomposes X.  Each builds at
+most one explicit cover, the level-n witness it counts.  Every other number
+comes from X's blocks, except the general identity's segment counts, taken
+on the cover's segment preimages (kappa(S_n) needs the preimage's own
+degrees at its marks).  Theorem A is the partial-ramification formula at
+n0 = 0.  Both segment harnesses cut M once along the segments: S's block is
+S's Laplacian without its marks, whose det_int is F_t(S).  When no entry of
+M joins two segments (factorization_exact checks), det M is the product of
+the Laurent blocks' determinants, and their (mu, lambda) add up.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .cover import build_cover, check_prime, fibre_size, segment_preimage
+from .cover import build_cover, check_request, fibre_size, segment_preimage
 from .forests import forest_count_det, kappa
-from .graph import GraphError, Multigraph, RamificationData, check_marks, check_voltage, laplacian, laplacian_index, prune_tails
+from .graph import GraphError, Multigraph, RamificationData, laplacian, laplacian_index, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma,
                      mu_lambda, ord_p, root_of_unity_products)
 from .seal import admissible_sets, decompose
@@ -89,14 +91,6 @@ class Verdict:
     detail: dict
 
 
-def _check_request(g, r, voltage, p):
-    """The checks every entry point runs first, so a bad p, mark or voltage
-    is a GraphError before any decomposition, cover or determinant."""
-    check_prime(p)
-    check_marks(g, r)
-    check_voltage(voltage)
-
-
 def _within_limit(stage, block):
     """det_laurent of a graph.laplacian block; WorkLimitExceeded becomes a GraphError naming the stage."""
     try:
@@ -121,7 +115,7 @@ def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharEle
     """T^l * det M at gamma = 1 + T, M = graph.laplacian(g, r.depths, voltage)
     the block of the voltage Laplacian on the unramified vertices (empty, with
     det M = 1, when every vertex is ramified)."""
-    _check_request(g, r, voltage, p)
+    check_request(g, r, voltage, p)
     if not g.vertices:
         raise GraphError("kappa of the empty graph")  # as forests.kappa refuses it
     det = _within_limit("characteristic element", laplacian(g, r.depths, voltage or {}))
@@ -147,9 +141,10 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     leaves det M unchanged: the Schur complement at a pendant vertex takes back
     the 1 it added to its neighbour's degree).  Level n takes about
     (p*d^2 + 1) * (p^n * log2(||det M_n||_1 * |c|^d) + (s_n + n) * log2 p) bit
-    operations, d the span and c the leading coefficient of det M_n; GraphError
-    names the level where their sum passes WORK_LIMIT before any chain starts."""
-    _check_request(g, r, voltage, p)
+    operations, d the span and c the leading coefficient of det M_n.  Before
+    any chain starts, GraphError names the level where their sum passes
+    WORK_LIMIT, or n_max if its counts would not print."""
+    check_request(g, r, voltage, p)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
@@ -166,6 +161,12 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         if work > WORK_LIMIT:
             raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, "
                              f"past 2^{WORK_LIMIT.bit_length() - 1}")
+    # here work >= n_max^2, so p^n_max is cheap.  Each level's counts print: refuse a last level past Python's
+    # int-to-str digit limit (0, or Python 3.10: none); a number below 2^(3 * limit) is below 10^limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    top = max(len(g.edges) * p**n_max, sum(fibre_size(r, p, n_max, v) for v in g.vertices))
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise GraphError(f"level {n_max} of the tower would have an edge or vertex count past Python's int-to-str digit limit")
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
 
     base, primitive, start, out = kappa(g), [1], 0, []  # primitive[n]: prod over a <= n of order p^a
@@ -253,7 +254,7 @@ def _explicit_kappa(c):
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X) * p^{n(l-1)} * prod F_{t_i}(S^i)^{p^n - 1}: the
     partial-ramification formula at n0 = 0, where every mark has depth 0."""
-    _check_request(g, r, voltage, p)
+    check_request(g, r, voltage, p)
     if any(r.depths.values()):
         raise TowerError("the product formula requires totally ramified vertices")
     if not any((voltage or {}).values()) and not r.depths:
@@ -265,9 +266,10 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X_{n0}) * p^{(n-n0)(l-1)} * prod F_{t_i}(S^i)^{p^n - p^{n0}}
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
-    depth 0 keeps every cover connected; _explicit_kappa still checks.  Its
-    level-n0 cover refuses a level past SIZE_LIMIT before any count."""
-    _check_request(g, r, voltage, p)
+    depth 0 keeps every cover connected; _explicit_kappa still checks.  The
+    one cover, at level n, refuses a level past SIZE_LIMIT before any count;
+    kappa(X_{n0}) = tower_kappas(...)[n0] comes from X's blocks."""
+    check_request(g, r, voltage, p)
     if n < 0:
         raise GraphError(f"tower level must be non-negative, got {n}")
     if any(a for a in (voltage or {}).values()):
@@ -279,9 +281,9 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
         raise TowerError("n must be at least n0")
     d = decompose(g, r)
     # build_cover refuses a level past SIZE_LIMIT before any count and before the powers by p^n below
-    base = _explicit_kappa(build_cover(d.graph, r, voltage, p, n0))
+    lhs = _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
+    base = tower_kappas(d.graph, r, voltage, p, n0)[n0]["kappa"]
     counts = [det_int(block) for block in _segment_blocks(d, None)]  # F_t(S) of each segment S
-    lhs = base if n == n0 else _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
     l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
@@ -297,7 +299,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
 def verify_general_case(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = sum over admissible I of
     prod_{i in I} kappa(S^i_n) * prod_{i not in I} F_{t_i}(S^i_n)."""
-    _check_request(g, r, voltage, p)
+    check_request(g, r, voltage, p)
     if any(k != 0 for k in r.depths.values()):
         raise TowerError("the admissible-set formula requires totally ramified vertices")
     d = decompose(g, r)
@@ -307,8 +309,9 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
     forests = []
     for s in d.segments:
         sub, marks = segment_preimage(c, s)
-        kappas.append(kappa(sub))
-        forests.append(forest_count_det(sub, list(marks.depths)))
+        ends = list(marks.depths)
+        forests.append(forest_count_det(sub, ends))
+        kappas.append(forest_count_det(sub, ends[:1]) if len(ends) > 1 else forests[-1])  # any one root gives kappa(sub)
     sets = admissible_sets(d)
     rhs = 0
     for I in sets:
@@ -343,7 +346,7 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
     coefficients takes about (d + 1)^2 * (b + d) bit operations; GraphError
     names the segment where their sum passes WORK_LIMIT.
     """
-    _check_request(g, r, voltage, p)
+    check_request(g, r, voltage, p)
     d = decompose(g, r)
     owner, holders = {}, {}  # vertex -> the segments that hold it; edge id -> the same
     work, factors = 0, []  # the factors' bit operations so far, and their (mu, lambda)
@@ -373,8 +376,7 @@ def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):
     report = {"p": p}
     sym = ce = None
     if symbolic:
-        g2 = prune_tails(g, r)
-        ce = char_element(g2, r, voltage, p)
+        ce = char_element(prune_tails(g, r), r, voltage, p)  # det M of the pruned X is X's, at less cost
         sym = symbolic_invariants(ce)
         report["char_body"] = list(ce.body)
         report["t_power"] = ce.t_power

@@ -8,7 +8,8 @@ every fixture to `kappa`, to `seal`, to `forests` (--method det and brute,
 marked at its first mark and at its first two), to `invariants` (default,
 --symbolic-only, --empirical-only) and to `verify` (A, partial and general
 at n = 1 and 2, factorization) at p = 2, 3 and 5.
-Prints, per list, how many (exit code, stdout) pairs differ.
+Prints, per list, how many (exit code, stdout) pairs differ, and the name
+and argv of the first three requests whose pairs differ.
 
   python tests/compare_replies.py OLD_CHECKOUT NEW_CHECKOUT --seeds 1 2 3 --seconds 2
 
@@ -52,17 +53,17 @@ else:
     for req in workloads.warmups(workload):
         client.call(cli, req)
     reqs = workloads.requests(workload, int(seed), int(seconds))
-json.dump([client.call(cli, req)[:2] for req in reqs], sys.stdout)
+json.dump([[req.name, req.argv, *client.call(cli, req)[:2]] for req in reqs], sys.stdout)
 """
 
 
 def replies(checkout, workload, seed, seconds):
-    """[(exit code, stdout)] of one list against one checkout."""
+    """[(request name, argv, (exit code, stdout))] of one list against one checkout."""
     env = {**os.environ, "PYTHONHASHSEED": str(seed % 2**32)}
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, os.path.join(ROOT, "perfbench"), os.path.abspath(checkout),
                            workload, str(seed), str(seconds)], env=env, capture_output=True, text=True, check=True)
-    return [tuple(x) for x in json.loads(proc.stdout)]
+    return [(name, argv, (code, out)) for name, argv, code, out in json.loads(proc.stdout)]
 
 
 def main():
@@ -76,10 +77,13 @@ def main():
     for workload in (*WORKLOADS, "fixtures"):
         for seed in args.seeds if workload != "fixtures" else args.seeds[:1]:
             old, new = (replies(c, workload, seed, args.seconds) for c in (args.old, args.new))
-            n = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+            changed = [(name, argv) for (name, argv, a), (_, _, b) in zip(old, new) if a != b]
+            n = len(changed) + abs(len(old) - len(new))
             total, differ = total + len(new), differ + n
             label = workload if workload == "fixtures" else f"{workload} seed {seed}"
             print(f"{label}: {n} of {len(new)} replies differ")
+            for name, argv in changed[:3]:
+                print(f"  {name}: {' '.join(argv)}")
     print(f"all: {differ} of {total} replies differ")
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -36,8 +37,8 @@ from conftest import (
 from segtower import iwasawa, linalg
 from segtower.cli import _dumps, _num, run
 from segtower.forests import forest_count_bruteforce
-from segtower.graph import RamificationData, graph_from_json, graph_to_json, laplacian
-from segtower.iwasawa import DisconnectedCover, tower_kappas
+from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, graph_to_json, laplacian
+from segtower.iwasawa import DisconnectedCover, empirical_invariants, tower_kappas
 from segtower.linalg import LaurentPoly
 from segtower.seal import DecompositionError
 
@@ -231,6 +232,57 @@ class TestInvariants:
             assert code == 1 and out["error"] == "bad_input" and "digit limit" in out["reason"]
 
 
+    @pytest.mark.parametrize("mode", [["--symbolic-only"], []])
+    def test_a_long_tail_costs_no_det_m_work(self, mode):
+        # a 1600-vertex pendant path on voltage_triangle_a: det M of X with
+        # its tails took 2.0 s of CPU, start-up included, in _max_assignment,
+        # where the pruned X takes 0.13 s (Python 3.11.7, 2-core x86 host)
+        graph = json.loads(Path(fixture_path("voltage_triangle_a.json")).read_text())
+        path = ["A"] + [f"t{i}" for i in range(1600)]
+        graph["vertices"] += path[1:]
+        graph["edges"] += [{"id": f"te{i}", "from": u, "to": v, "voltage": 1} for i, (u, v) in enumerate(zip(path, path[1:]))]
+        done = run_limited(["-m", "segtower.cli", "invariants", "--p", "3", *mode], timeout=30, cpu=1, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["char_body"] == [3] and out["t_power"] == 2 and out["symbolic"] == {"mu": 1, "lambda": 1}
+
+    def test_tower_past_the_digit_limit_refused_before_the_work(self):
+        # level 20000 of one edge between two marks has 2^20000 edges, 6021
+        # digits: the whole tower took 17 s of CPU before the reply could not
+        # print it.  Level 3000 (904 digits) still answers
+        edge = json.dumps({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+                           "ramified": [{"vertex": "a"}, {"vertex": "b"}]})
+        argv = ["-m", "segtower.cli", "invariants", "--p", "2", "--empirical-only", "--nmax"]
+        if sys.version_info >= (3, 11):  # Python 3.10 has no digit limit, and runs the tower
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            done = run_limited([*argv, "20000"], timeout=30, cpu=3, stdin=edge)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            assert done.returncode == 1, done.stderr[-300:]
+            out = json.loads(done.stdout)
+            assert out["error"] == "bad_input" and out["reason"].startswith("level 20000 of the tower would have")
+            assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+        done = run_limited([*argv, "3000"], timeout=30, cpu=3, stdin=edge)
+        assert done.returncode == 0, done.stderr[-300:]
+        assert json.loads(done.stdout)["levels"][3000]["edges"] == 2**3000
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 has no int-to-str digit limit")
+def test_digit_limit_boundary():
+    # 2^2126 has 640 digits and 2^2127 has 641: at the least limit Python
+    # allows, the first is the last level that prints.  Limit 0 is no limit
+    g, r = build_graph(["a", "b"], [("a", "b")]), RamificationData.totally_ramified(["a", "b"])
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert empirical_invariants(g, r, {}, 2, 2126)[1][-1]["edges"] == 2**2126
+        with pytest.raises(GraphError, match="^level 2127 of the tower would have an edge or vertex count past"):
+            empirical_invariants(g, r, {}, 2, 2127)
+        sys.set_int_max_str_digits(0)
+        assert empirical_invariants(g, r, {}, 2, 2127)[1][-1]["edges"] == 2**2127
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_num_any_size():
     for x in [0, 7, -12345, 10**4299, 10**4300 - 1, 3**20000, -(7**9001), 10**9000, 2**60000 + 1]:
         s = _num(x)
@@ -320,10 +372,10 @@ class TestVerify:
     @pytest.mark.parametrize("theorem", ["A", "partial"])
     def test_refuses_an_oversized_base_cover_before_any_count(self, theorem):
         # one mark m with 6000 triangles m-u_i0-u_i1-m: 6000 1-segments, and
-        # the level-0 cover, X itself, is past the size limit.  Counting the
-        # segments' forests first, one scan of X per segment, took 9-11 s of
-        # CPU before the refusal; the cover first takes 0.4 s, start-up
-        # included (Python 3.11.7, 2-core x86 host)
+        # X itself is past the size limit.  Counting the segments' forests
+        # first, one scan of X per segment, took 9-11 s of CPU before the
+        # refusal; the harness's one cover, at level n, comes first and takes
+        # 0.4 s, start-up included (Python 3.11.7, 2-core x86 host)
         k = 6000
         triangles = [(("m", f"u{i}_0"), (f"u{i}_0", f"u{i}_1"), (f"u{i}_1", "m")) for i in range(k)]
         graph = {"vertices": ["m"] + [f"u{i}_{j}" for i in range(k) for j in (0, 1)],
@@ -333,7 +385,7 @@ class TestVerify:
         assert done.returncode == 1, done.stderr[-300:]
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input"
-        assert out["reason"].startswith("the level-0 cover would have at least 12001 vertices and 18000 edges, past 2^11")
+        assert out["reason"].startswith("the level-1 cover would have at least 24001 vertices and 36000 edges, past 2^11")
 
     def test_hypothesis_violation_exit_2(self, capsys):
         code, out = invoke(

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from conftest import load_fixture, segment_subgraph
-from segtower.cover import build_cover, check_prime, fibre_size, segment_preimage
+from segtower.cover import build_cover, check_prime, check_request, fibre_size, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -125,6 +127,23 @@ class TestCheckPrime:
         check_prime(3 * 10**23 - 13, "--p")  # the largest prime below the bound
         with pytest.raises(GraphError, match=r"--p must be below 3 \* 10\^23"):
             check_prime(3 * 10**23 + 37, "--p")  # the least prime above it
+
+
+class TestCheckRequest:
+    @pytest.mark.parametrize("check", [check_request, lambda g, r, v, p: build_cover(g, r, v, p, 1)],
+                             ids=["check_request", "build_cover"])
+    def test_p_then_marks_then_voltage(self, check):
+        g = build_graph(["a", "b"], [("a", "b", "e0")])
+        good, stray, bad = RamificationData.totally_ramified(["a"]), RamificationData.totally_ramified(["z"]), {"e0": 1.5}
+        for r, voltage, p, message in [
+            (stray, bad, 4, "p must be a prime, got 4"),
+            (stray, bad, 3, "ramified vertex 'z' is not a vertex of the graph"),
+            (good, bad, 3, "voltage of edge 'e0' must be an integer, got 1.5"),
+        ]:
+            with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+                check(g, r, voltage, p)
+        check(g, good, {"e0": 1}, 3)
+        check(g, good, None, 3)
 
 
 class TestSegmentPreimage:

@@ -20,10 +20,10 @@ from conftest import (
     segment_subgraph,
     taylor_shift_oracle,
 )
-from segtower import iwasawa, linalg
-from segtower.cover import build_cover
-from segtower.forests import forest_count_det
-from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian
+from segtower import forests, iwasawa, linalg
+from segtower.cover import build_cover, check_request, segment_preimage
+from segtower.forests import forest_count_det, kappa
+from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian, prune_tails
 from segtower.iwasawa import (
     CharElement,
     DisconnectedCover,
@@ -40,7 +40,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_laurent, expand_at_gamma, mu_lambda, ord_p
+from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma, mu_lambda, ord_p
 from segtower.seal import DecompositionError, decompose
 
 
@@ -395,13 +395,14 @@ class TestVerdicts:
         "harness, name, n, levels",
         [
             (verify_partial_ramification, "cycle5_partial.json", 1, [1]),
-            (verify_partial_ramification, "cycle5_partial.json", 2, [1, 2]),
+            (verify_partial_ramification, "cycle5_partial.json", 2, [2]),
             (verify_theorem_A, "cycle5_ram45.json", 0, [0]),
-            (verify_theorem_A, "cycle5_ram45.json", 2, [0, 2]),
+            (verify_theorem_A, "cycle5_ram45.json", 2, [2]),
         ],
     )
     def test_builds_each_level_once(self, monkeypatch, harness, name, n, levels):
-        # at n = n0 the level-n0 cover was built and counted twice
+        # one cover, at level n: the witness the check counts; kappa(X_{n0})
+        # comes from X's blocks, with no level-n0 cover
         g, r, _ = load_fixture(name)
         want = harness(g, r, {}, 2, n)
         built = []
@@ -433,6 +434,37 @@ class TestVerdicts:
         for harness in (verify_theorem_A, verify_partial_ramification):
             with pytest.raises(GraphError, match=f"must be an integer, got {re.escape(repr(a))}$"):
                 harness(g, r, {g.edges[0].id: a}, 2, 1)
+
+    @pytest.mark.parametrize("name, n0", [("cycle5_partial.json", 1), ("cycle5_ram45.json", 0)])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_kappa_n0_is_the_explicit_count(self, name, n0, p):
+        # kappa(X_{n0}) from X's blocks against the tree count of the level-n0 cover
+        g, r, _ = load_fixture(name)
+        want = explicit_tower_kappas(g, r, {}, p, n0)[n0]["kappa"]
+        for n in (n0, n0 + 1):
+            v = verify_partial_ramification(g, r, {}, p, n)
+            assert v.ok and v.detail["n0"] == n0 and v.detail["kappa_n0"] == want
+
+    @pytest.mark.parametrize("name", ["three_segment.json", "glue_kappa_l2.json", "cycle5_ram245.json"])
+    def test_general_counts_a_one_segment_once(self, monkeypatch, name):
+        # kappa(S_n) and F_1(S_n) of a 1-segment are one determinant: one
+        # det_int per 1-segment and two per 2-segment, besides kappa(X_n)
+        g, r, _ = load_fixture(name)
+        d = decompose(g, r)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return det_int(m)
+
+        monkeypatch.setattr(forests, "det_int", counted)
+        v = verify_general_case(g, r, {}, 2, 1)
+        assert v.ok and len(calls) == 1 + sum(s.t for s in d.segments)
+        c = build_cover(d.graph, r, {}, 2, 1)
+        for s, k, f in zip(d.segments, v.detail["segment_kappas"], v.detail["segment_forests"]):
+            sub, marks = segment_preimage(c, s)
+            assert k == kappa(sub) and f == forest_count_det(sub, list(marks.depths))
+            assert s.t == 2 or k == f
 
     def test_partial_reduces_to_A_at_depth_zero(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
@@ -679,6 +711,11 @@ class TestHarnessChecks:
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             harness(g, RamificationData.totally_ramified(marks), voltage, p)
 
+    def test_one_request_check(self):
+        # the three checks are cover.check_request's, in its order, with no copy here
+        assert not {"_check_request", "check_prime", "check_marks", "check_voltage"} & set(vars(iwasawa))
+        assert iwasawa.check_request is check_request
+
     def test_single_vertex_factorization(self):
         # no segment, no unramified vertex: det M = 1 and no det_laurent call
         v, calls = spied_factorization(build_graph(["a"], []), RamificationData.totally_ramified(["a"]), {}, 2)
@@ -869,10 +906,30 @@ class TestVoltageCheck:
             call(g, r, {"e2": a})
 
 
+@st.composite
+def tailed_voltage_graphs(draw):
+    """(g, r, voltage, p): a connected core of 2-5 vertices with 0-4 extra
+    edges (loops and parallels allowed), 1 or 2 of them marked, and 1-5
+    pendant-tree vertices each hung on an unmarked core or tree vertex;
+    vertices shuffled, voltages -2..2 on every edge, p in 2, 3, 5."""
+    n = draw(st.integers(2, 5))
+    core = [f"c{i}" for i in range(n)]
+    edges = [(f"c{draw(st.integers(0, i - 1))}", f"c{i}") for i in range(1, n)]
+    edges += [(draw(st.sampled_from(core)), draw(st.sampled_from(core))) for _ in range(draw(st.integers(0, 4)))]
+    marks = draw(st.lists(st.sampled_from(core), min_size=1, max_size=min(2, n - 1), unique=True))
+    hooks = [v for v in core if v not in marks]
+    for i in range(draw(st.integers(1, 5))):
+        edges.append((draw(st.sampled_from(hooks)), f"t{i}"))
+        hooks.append(f"t{i}")
+    g = build_graph(draw(st.permutations(core + hooks[n - len(marks):])), edges)
+    voltage = {e.id: draw(st.integers(-2, 2)) for e in g.edges}
+    return g, RamificationData.totally_ramified(marks), voltage, draw(st.sampled_from((2, 3, 5)))
+
+
 class TestTowerReport:
     @pytest.mark.parametrize("name", ["glued_voltage_triangles.json", "cycle5_ram45.json"])
     def test_one_det_m_per_report(self, monkeypatch, name):
-        # char_element's det M on the pruned X serves the tower levels too
+        # char_element's det M on the pruned X serves the tower's last levels too
         calls = []
 
         def counted(m):
@@ -884,6 +941,31 @@ class TestTowerReport:
         report = tower_report(g, r, volt, 3)
         assert len(calls) == 1
         assert report["levels"] == explicit_tower_kappas(g, r, volt, 3, 4)
+
+    def test_char_element_takes_the_pruned_graph(self, monkeypatch):
+        # det M of X without its tails is X's (see the test below), and the
+        # levels still count X's own covers, tails and all
+        given = []
+        monkeypatch.setattr(iwasawa, "char_element", lambda g, *rest: given.append(g) or char_element(g, *rest))
+        x, r, volt = load_fixture("glued_voltage_triangles.json")
+        hook = next(v for v in x.vertices if not r.is_ramified(v))
+        g = build_graph([*x.vertices, "t0", "t1"], [*((u, v, e) for e, u, v in x.edges), (hook, "t0", "tail0"), ("t0", "t1", "tail1")])
+        volt = {**volt, "tail0": 1, "tail1": -2}
+        report = tower_report(g, r, volt, 3)
+        assert [h.vertices for h in given] == [x.vertices]
+        assert report["char_body"] == list(char_element(g, r, volt, 3).body)
+        assert report["levels"] == explicit_tower_kappas(g, r, volt, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tailed_voltage_graphs())
+    def test_tails_leave_the_char_element(self, x):
+        # the Schur complement at a pendant vertex takes back the 1 it added
+        # to its neighbour's degree, so pruning leaves det M as it is
+        g, r, voltage, p = x
+        pruned = prune_tails(g, r)
+        assert pruned is not g
+        whole, cut = char_element(g, r, voltage, p), char_element(pruned, r, voltage, p)
+        assert (whole.det_gamma, whole.body, whole.t_power) == (cut.det_gamma, cut.body, cut.t_power)
 
     def test_report_fields(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
