@@ -10,13 +10,16 @@ powers of gamma, f is a power series, kept to its first span + 1 terms
 Z_p[[T]], so shifting det(M) by a power of gamma changes neither mu nor
 lambda, and lambda <= span (see linalg.expand_at_gamma).
 
-The spanning-tree counts along the tower come from blocks of X alone.  A
-character of Z/p^n of order p^a lives on the fibre over v exactly when
-k_v >= a (k_v the depth, infinite when v is unmarked).  There L(X_n) is
-diag(p^max(0, n - k_v)) * M_a(zeta), M_a the unramified block for R_a, the
-marks of depth < a taken as depth 0 (M_a = M for a > n0, the largest depth);
-on the trivial part it is that diagonal times L(X).  The matrix-tree theorem
-with sum_v p^min(n, k_v) = |V_n| and sum_{a <= k} phi(p^a) = p^k - 1 gives
+The spanning-tree counts along the tower come from blocks of X alone, built
+without X's tails (graph.prune_tails): the Schur complement at a pendant
+unmarked vertex gives back the 1 it added to its neighbour's degree, so no
+det M_a changes, nor kappa(X).  A character of Z/p^n of order p^a lives on
+the fibre over v exactly when k_v >= a (k_v the depth, infinite when v is
+unmarked).  There L(X_n) is diag(p^max(0, n - k_v)) * M_a(zeta), M_a the
+unramified block for R_a, the marks of depth < a taken as depth 0 (M_a = M
+for a > n0, the largest depth); on the trivial part it is that diagonal
+times L(X).  The matrix-tree theorem with sum_v p^min(n, k_v) = |V_n| and
+sum_{a <= k} phi(p^a) = p^k - 1 gives
 
     kappa(X_n) = kappa(X) * p^s_n * prod_{a=1..n} prod_{ord zeta = p^a} det M_a(zeta),
     s_n = sum_{marks v} p^k_v * max(0, n - k_v) - n.
@@ -118,7 +121,9 @@ def char_element(g: Multigraph, r: RamificationData, voltage, p: int) -> CharEle
     check_request(g, r, voltage, p)
     if not g.vertices:
         raise GraphError("kappa of the empty graph")  # as forests.kappa refuses it
-    det = _within_limit("characteristic element", laplacian(g, r.depths, voltage or {}))
+    if not g.connected():
+        raise DisconnectedCover(0)
+    det = _within_limit("characteristic element", laplacian(prune_tails(g, r), r.depths, voltage or {}))
     body = expand_at_gamma(det)
     return CharElement(len(r.depths), body, det, p)
 
@@ -135,22 +140,22 @@ FIT_DEPTH = 4  # levels past the largest depth n0 that a default fit runs to
 
 
 def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
-    """kappa(X_n) for n = 0..n_max (see the module docstring); raises
-    DisconnectedCover at the first level whose count is 0.  _det_m is det M of
-    X's block with every mark ramified, when the caller has it (pruning tails
-    leaves det M unchanged: the Schur complement at a pendant vertex takes back
-    the 1 it added to its neighbour's degree).  Level n takes about
+    """kappa(X_n) for n = 0..n_max, read from the blocks of X without its
+    tails (see the module docstring); raises DisconnectedCover at the first
+    level whose count is 0.  _det_m is det M with every mark ramified, when
+    the caller has it.  Level n takes about
     (p*d^2 + 1) * (p^n * log2(||det M_n||_1 * |c|^d) + (s_n + n) * log2 p) bit
     operations, d the span and c the leading coefficient of det M_n.  Before
     any chain starts, GraphError names the level where their sum passes
     WORK_LIMIT, or n_max if its counts would not print."""
     check_request(g, r, voltage, p)
+    core = prune_tails(g, r)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
         if m not in dets:
             full = _det_m is not None and len(m) == len(r.depths)
-            dets[m] = _det_m if full else _within_limit(f"level {n}", laplacian(g, m, voltage or {}))
+            dets[m] = _det_m if full else _within_limit(f"level {n}", laplacian(core, m, voltage or {}))
         marks.append(m)
         shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
         cs = dets[m].coeffs
@@ -169,7 +174,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
         raise GraphError(f"level {n_max} of the tower would have an edge or vertex count past Python's int-to-str digit limit")
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
 
-    base, primitive, start, out = kappa(g), [1], 0, []  # primitive[n]: prod over a <= n of order p^a
+    base, primitive, start, out = kappa(core), [1], 0, []  # primitive[n]: prod over a <= n of order p^a
     for n, s in enumerate(shifts):
         if n:
             if marks[n] != marks[n - 1]:
@@ -225,22 +230,6 @@ def fit_orders(points, p):
         prev = solve(points[-4:-1])
         stable = prev == fit
     return fit, stable
-
-
-def empirical_invariants(g, r, voltage, p, n_max=None, *, _det_m=None):
-    """Fit (mu, lambda, nu) from tower spanning-tree counts.
-
-    Returns (InvariantTriple, levels, stable); levels is the per-level data.
-    """
-    if n_max is not None and n_max < 0:
-        raise GraphError(f"tower level must be non-negative, got {n_max}")
-    n0 = max(r.depths.values(), default=0)
-    n_max = n0 + FIT_DEPTH if n_max is None else max(n_max, n0 + 2)
-    levels = tower_kappas(g, r, voltage, p, n_max, _det_m=_det_m)
-    fit, stable = fit_orders([(lv["n"], ord_p(lv["kappa"], p)) for lv in levels], p)  # kappa > 0: tower_kappas raised on 0
-    if fit is None:
-        raise TowerError("no exact integer fit for the tower orders")
-    return fit, levels, stable
 
 
 def _explicit_kappa(c):
@@ -376,14 +365,20 @@ def tower_report(g, r, voltage, p, n_max=None, empirical=True, symbolic=True):
     report = {"p": p}
     sym = ce = None
     if symbolic:
-        ce = char_element(prune_tails(g, r), r, voltage, p)  # det M of the pruned X is X's, at less cost
+        ce = char_element(g, r, voltage, p)
         sym = symbolic_invariants(ce)
         report["char_body"] = list(ce.body)
         report["t_power"] = ce.t_power
         report["symbolic"] = {"mu": sym.mu, "lambda": sym.lam}
     if empirical:
-        fit, levels, stable = empirical_invariants(g, r, voltage, p, n_max, _det_m=ce.det_gamma if ce else None)
-        report["levels"] = levels
+        if n_max is not None and n_max < 0:
+            raise GraphError(f"tower level must be non-negative, got {n_max}")
+        n0 = max(r.depths.values(), default=0)
+        n_max = n0 + FIT_DEPTH if n_max is None else max(n_max, n0 + 2)
+        levels = report["levels"] = tower_kappas(g, r, voltage, p, n_max, _det_m=ce.det_gamma if ce else None)
+        fit, stable = fit_orders([(lv["n"], ord_p(lv["kappa"], p)) for lv in levels], p)  # kappa > 0: tower_kappas raised on 0
+        if fit is None:
+            raise TowerError("no exact integer fit for the tower orders")
         report["empirical"] = {"mu": fit.mu, "lambda": fit.lam, "nu": fit.nu}
         report["fit_stable"] = stable
         if sym is not None:

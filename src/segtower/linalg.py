@@ -301,14 +301,18 @@ def _max_assignment(w):
     """The maximum of sum_i w_i,s(i) over the permutations s through the
     entries of the sparse weight rows w = [{column: w_ij}], or None when no
     permutation runs through them.  Shortest augmenting paths: potentials
-    u_i + v_j >= w_ij start at the row maxima and v = 0; each row in turn
+    u_i + v_j >= w_ij start at the row maxima and v = 0, where each row takes
+    the first free column at its maximum (tight); each row left free in turn
     runs Dijkstra on the reduced weights u_i + v_j - w_ij >= 0 to the nearest
     free column, the potentials shift so that the path becomes tight, and the
     path flips.  Matched entries stay tight, so the maximum is sum u + sum v.
     """
     u, v = [max(row.values(), default=0) for row in w], [0] * len(w)
     row_of, col_of = [None] * len(w), [None] * len(w)  # the matching, from each side
-    for start in range(len(w)):
+    for i, row in enumerate(w):
+        if (j := next((j for j, x in row.items() if x == u[i] and row_of[j] is None), None)) is not None:
+            row_of[j], col_of[i] = i, j
+    for start in [i for i, j in enumerate(col_of) if j is None]:
         heap = [(u[start] + v[j] - x, j, start) for j, x in w[start].items()]
         heapq.heapify(heap)
         dist, came = {}, {}  # of each column reached: its distance, the row it was reached from

@@ -7,7 +7,9 @@ set to the seed as perfbench/run.py sets it.  The "fixtures" list sends
 every fixture to `kappa`, to `seal`, to `forests` (--method det and brute,
 marked at its first mark and at its first two), to `invariants` (default,
 --symbolic-only, --empirical-only) and to `verify` (A, partial and general
-at n = 1 and 2, factorization) at p = 2, 3 and 5.
+at n = 1 and 2, factorization) at p = 2, 3 and 5.  It also sends a tailed
+copy of each fixture, a 3-vertex pendant path of voltages 1, -1 and 2 hung
+on its first unmarked vertex, to the same `invariants` requests.
 Prints, per list, how many (exit code, stdout) pairs differ, and the name
 and argv of the first three requests whose pairs differ.
 
@@ -49,6 +51,14 @@ if workload == "fixtures":
         marked = [",".join(marks[:k]) for k in (1, 2) if len(marks) >= k]
         forests = [["forests", "--marked", m, "--method", method] for m in marked for method in ("det", "brute")]
         reqs += [workloads.Request(name, argv, None, stdin=text) for argv in argvs + forests]
+        obj = json.loads(text)
+        hook = next((v for v in obj["vertices"] if v not in marks), None)
+        if hook is not None:
+            path = [hook, "tail0", "tail1", "tail2"]
+            obj["vertices"] += path[1:]
+            obj["edges"] += [{"id": f"tail{i}", "from": u, "to": v, "voltage": a}
+                             for i, (u, v, a) in enumerate(zip(path, path[1:], (1, -1, 2)))]
+            reqs += [workloads.Request(name + " tailed", argv, None, stdin=json.dumps(obj)) for argv in argvs if argv[0] == "invariants"]
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)

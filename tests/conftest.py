@@ -14,7 +14,7 @@ import pytest
 from segtower.cover import build_cover
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
-from segtower.iwasawa import DisconnectedCover
+from segtower.iwasawa import DisconnectedCover, InvariantTriple, tower_report
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
 
@@ -90,6 +90,14 @@ def grid_graph(rows, cols):
     edges = [(name(i, j), name(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
     edges += [(name(i, j), name(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
     return build_graph(vertices, edges), RamificationData.totally_ramified([name(0, 0), name(rows - 1, cols - 1)])
+
+
+def empirical_fit(g, r, voltage, p, n_max=None):
+    """(InvariantTriple, levels, fit_stable) of iwasawa.tower_report's
+    empirical half."""
+    report = tower_report(g, r, voltage, p, n_max, symbolic=False)
+    fit = report["empirical"]
+    return InvariantTriple(fit["mu"], fit["lambda"], fit["nu"]), report["levels"], report["fit_stable"]
 
 
 def explicit_tower_kappas(g, r, voltage, p, n_max):

@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from conftest import enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts, segment_subgraph
+from conftest import empirical_fit, enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts, segment_subgraph
 from segtower.cover import build_cover, segment_preimage
 from segtower.families import (
     chorded_cycle_f2,
@@ -19,7 +19,6 @@ from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
 from segtower.graph import RamificationData, glue, laplacian
 from segtower.iwasawa import (
     char_element,
-    empirical_invariants,
     fit_orders,
     symbolic_invariants,
     verify_char_factorization,
@@ -207,7 +206,7 @@ def test_criterion_10_invariants():
     g, r, volt = load_fixture("glued_voltage_triangles.json")
     sym = symbolic_invariants(char_element(g, r, volt, 3))
     assert (sym.mu, sym.lam) == (2, 1)
-    fit, _, _ = empirical_invariants(g, r, volt, 3, 2)
+    fit, _, _ = empirical_fit(g, r, volt, 3, 2)
     assert (fit.mu, fit.lam) == (2, 1)
 
     for name in ["voltage_triangle_a.json", "voltage_triangle_b.json"]:

@@ -38,9 +38,20 @@ from segtower import iwasawa, linalg
 from segtower.cli import _dumps, _num, run
 from segtower.forests import forest_count_bruteforce
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, graph_to_json, laplacian
-from segtower.iwasawa import DisconnectedCover, empirical_invariants, tower_kappas
+from segtower.iwasawa import DisconnectedCover, tower_kappas, tower_report
 from segtower.linalg import LaurentPoly
 from segtower.seal import DecompositionError
+
+
+def with_pendant_path(name, hook, length, voltage=None):
+    """A fixture's graph JSON with a path of length new vertices hung on
+    hook, each of its edges of the given voltage."""
+    graph = json.loads(Path(fixture_path(name)).read_text())
+    path = [hook] + [f"t{i}" for i in range(length)]
+    graph["vertices"] += path[1:]
+    graph["edges"] += [{"id": f"te{i}", "from": u, "to": v, **({"voltage": voltage} if voltage else {})}
+                       for i, (u, v) in enumerate(zip(path, path[1:]))]
+    return graph
 
 
 def invoke(capsys, *argv):
@@ -199,7 +210,8 @@ class TestInvariants:
         assert [lv["kappa"] for lv in out["levels"]] == [str(3 ** (2 * n + 1)) for n in range(5)]
 
     def test_isolated_unmarked_vertex(self, capsys, monkeypatch):
-        # c gives the block an empty row, which det_laurent takes: det M = 0
+        # c would give the block an empty row, so det M = 0; X is refused
+        # as disconnected before any block
         graph = {
             "vertices": ["a", "b", "c"],
             "edges": [{"from": "a", "to": "b"}, {"from": "a", "to": "b"}],
@@ -207,7 +219,17 @@ class TestInvariants:
         }
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
         assert invoke(capsys, "invariants", "--symbolic-only", "--p", "3") == (
-            2, {"error": "hypothesis_violation", "reason": "characteristic body is zero (degenerate segment)"})
+            2, {"error": "hypothesis_violation", "reason": "cover at level 0 is disconnected"})
+
+    @pytest.mark.parametrize("mode", [["--symbolic-only"], [], ["--empirical-only"]])
+    def test_disconnected_graph_refused_in_every_mode(self, capsys, monkeypatch, mode):
+        # a-b, c-d with marks a and c: det M = 1, and --symbolic-only once
+        # answered mu 0 and lambda 1 where the other modes exit 2
+        graph = {"vertices": list("abcd"), "edges": [{"from": "a", "to": "b"}, {"from": "c", "to": "d"}],
+                 "ramified": [{"vertex": "a"}, {"vertex": "c"}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
+        assert invoke(capsys, "invariants", "--p", "3", *mode) == (
+            2, {"error": "hypothesis_violation", "reason": "cover at level 0 is disconnected"})
 
     def test_counts_past_the_digit_limit(self, capsys):
         code, out = invoke(
@@ -232,19 +254,52 @@ class TestInvariants:
             assert code == 1 and out["error"] == "bad_input" and "digit limit" in out["reason"]
 
 
-    @pytest.mark.parametrize("mode", [["--symbolic-only"], []])
+    @pytest.mark.parametrize("mode", [["--symbolic-only"], [], ["--empirical-only"]])
     def test_a_long_tail_costs_no_det_m_work(self, mode):
         # a 1600-vertex pendant path on voltage_triangle_a: det M of X with
         # its tails took 2.0 s of CPU, start-up included, in _max_assignment,
-        # where the pruned X takes 0.13 s (Python 3.11.7, 2-core x86 host)
-        graph = json.loads(Path(fixture_path("voltage_triangle_a.json")).read_text())
-        path = ["A"] + [f"t{i}" for i in range(1600)]
-        graph["vertices"] += path[1:]
-        graph["edges"] += [{"id": f"te{i}", "from": u, "to": v, "voltage": 1} for i, (u, v) in enumerate(zip(path, path[1:]))]
+        # where the pruned X takes 0.13 s; --empirical-only built the tower's
+        # block with its tails, 2.3 s (Python 3.11.7, 2-core x86 host)
+        graph = with_pendant_path("voltage_triangle_a.json", "A", 1600, voltage=1)
         done = run_limited(["-m", "segtower.cli", "invariants", "--p", "3", *mode], timeout=30, cpu=1, stdin=json.dumps(graph))
         assert done.returncode == 0, done.stderr[-300:]
         out = json.loads(done.stdout)
-        assert out["char_body"] == [3] and out["t_power"] == 2 and out["symbolic"] == {"mu": 1, "lambda": 1}
+        if "--empirical-only" not in mode:
+            assert out["char_body"] == [3] and out["t_power"] == 2 and out["symbolic"] == {"mu": 1, "lambda": 1}
+        if "--symbolic-only" not in mode:
+            g, r, volt = load_fixture("voltage_triangle_a.json")  # tails lift to tails: kappa(X_n) is the same
+            assert [lv["kappa"] for lv in out["levels"]] == [str(lv["kappa"]) for lv in tower_kappas(g, r, volt, 3, 4)]
+            assert out["empirical"] == {"mu": 1, "lambda": 1, "nu": -1}
+
+    @pytest.mark.parametrize("mode", [[], ["--empirical-only"]])
+    def test_a_long_tail_under_partial_ramification(self, mode):
+        # cycle5_partial with a 1600-vertex pendant path on v1: the level-1
+        # block, of the depth-0 mark alone, was built with the tail, 2.3 s of
+        # CPU by default and 4.7 s with --empirical-only, start-up included
+        # (Python 3.11.7, 2-core x86 host)
+        graph = with_pendant_path("cycle5_partial.json", "v1", 1600)
+        done = run_limited(["-m", "segtower.cli", "invariants", "--p", "3", *mode], timeout=30, cpu=1, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        g, r, _ = load_fixture("cycle5_partial.json")
+        assert [lv["kappa"] for lv in out["levels"]] == [str(lv["kappa"]) for lv in tower_kappas(g, r, {}, 3, 5)]
+        assert out["empirical"] == {"mu": 0, "lambda": 3, "nu": -3}
+
+    @pytest.mark.parametrize("mode", [["--symbolic-only"], []])
+    def test_a_long_path_segment(self, mode):
+        # 1600 unramified vertices between two depth-0 marks, voltage 1 on
+        # each edge: det M = 1601 with degree bound 0, but the bound's
+        # assignment searched down the path from every row, 2.3 s of CPU,
+        # start-up included (Python 3.11.7, 2-core x86 host)
+        path = ["a"] + [f"t{i}" for i in range(1600)] + ["b"]
+        graph = {"vertices": path, "edges": [{"from": u, "to": v, "voltage": 1} for u, v in zip(path, path[1:])],
+                 "ramified": [{"vertex": "a"}, {"vertex": "b"}]}
+        done = run_limited(["-m", "segtower.cli", "invariants", "--p", "3", *mode], timeout=30, cpu=1, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        out = json.loads(done.stdout)
+        assert out["char_body"] == [1601] and out["t_power"] == 2 and out["symbolic"] == {"mu": 0, "lambda": 1}
+        if not mode:  # theorem A: kappa(X_n) = kappa(X) * 3^n * F_2^(3^n - 1), kappa(X) = 1 and F_2 = 1601
+            assert [lv["kappa"] for lv in out["levels"]] == [str(3**n * 1601 ** (3**n - 1)) for n in range(5)]
 
     def test_tower_past_the_digit_limit_refused_before_the_work(self):
         # level 20000 of one edge between two marks has 2^20000 edges, 6021
@@ -274,11 +329,11 @@ def test_digit_limit_boundary():
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        assert empirical_invariants(g, r, {}, 2, 2126)[1][-1]["edges"] == 2**2126
+        assert tower_report(g, r, {}, 2, 2126, symbolic=False)["levels"][-1]["edges"] == 2**2126
         with pytest.raises(GraphError, match="^level 2127 of the tower would have an edge or vertex count past"):
-            empirical_invariants(g, r, {}, 2, 2127)
+            tower_report(g, r, {}, 2, 2127, symbolic=False)
         sys.set_int_max_str_digits(0)
-        assert empirical_invariants(g, r, {}, 2, 2127)[1][-1]["edges"] == 2**2127
+        assert tower_report(g, r, {}, 2, 2127, symbolic=False)["levels"][-1]["edges"] == 2**2127
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -957,7 +1012,8 @@ def test_every_subcommand_against_the_oracles(request, data):
         "connected": len({uf.find(w) for w in vertices}) == 1,
     })
 
-    # invariants: (mu, lambda) from det M by the oracles, refused exactly
+    # invariants: a disconnected X refused by name in every mode, before any
+    # block; else (mu, lambda) from det M by the oracles, refused exactly
     # when det M = 0, which the symbolic half reads first; the levels against
     # explicit covers as far as those are small, a disconnected one refused
     # by name
@@ -968,7 +1024,9 @@ def test_every_subcommand_against_the_oracles(request, data):
         dense(laplacian(prune_tails_quadratic(g, r), r.depths, voltage), LaurentPoly()))
     levels = None if mode == "--symbolic-only" or det == 0 else _small_levels(
         g, r, voltage, p, max(nmax, max(r.depths.values(), default=0) + 2))
-    if det == 0:
+    if not g.connected():
+        assert (code, reply["reason"]) == (2, "cover at level 0 is disconnected")
+    elif det == 0:
         assert (code, reply["reason"]) == (2, _HYPOTHESIS_REASONS[0])
     elif isinstance(levels, DisconnectedCover):
         assert (code, reply["reason"]) == (2, f"cover at level {levels.level} is disconnected")

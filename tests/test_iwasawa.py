@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     bareiss_det_laurent,
     dense,
+    empirical_fit,
     explicit_forest_counts,
     explicit_tower_kappas,
     grid_graph,
@@ -30,7 +31,6 @@ from segtower.iwasawa import (
     InvariantTriple,
     TowerError,
     char_element,
-    empirical_invariants,
     fit_orders,
     symbolic_invariants,
     tower_kappas,
@@ -166,26 +166,26 @@ class TestSymbolicInvariants:
 class TestEmpiricalInvariants:
     def test_motivating_p2(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
-        fit, levels, stable = empirical_invariants(g, r, {}, 2, 3)
+        fit, levels, stable = empirical_fit(g, r, {}, 2, 3)
         assert fit == InvariantTriple(2, 1, -2)
         assert stable
         assert [lv["kappa"] for lv in levels][:2] == [5, 5 * 2 * 4]
 
     def test_motivating_p3(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
-        fit, _, _ = empirical_invariants(g, r, {}, 3, 2)
+        fit, _, _ = empirical_fit(g, r, {}, 3, 2)
         assert fit == InvariantTriple(0, 1, 0)
 
     def test_second_placement_p3(self):
         g, r, _ = load_fixture("cycle5_ram25.json")
-        fit, _, _ = empirical_invariants(g, r, {}, 3, 3)
+        fit, _, _ = empirical_fit(g, r, {}, 3, 3)
         assert fit == InvariantTriple(1, 1, -1)
 
     def test_matches_symbolic_for_trivial_voltage(self):
         for name, p in [("cycle5_ram45.json", 2), ("cycle5_ram245.json", 2), ("three_segment.json", 3)]:
             g, r, _ = load_fixture(name)
             sym = symbolic_invariants(char_element(g, r, {}, p))
-            fit, levels, _ = empirical_invariants(g, r, {}, p)
+            fit, levels, _ = empirical_fit(g, r, {}, p)
             assert (sym.mu, sym.lam) == (fit.mu, fit.lam), name
             # the relation is exact at every level for trivial voltage
             from segtower.linalg import ord_p
@@ -348,16 +348,16 @@ class TestTowerKappas:
 class TestDefaultLevels:
     def test_empirical_default_spans_five_levels(self):
         g, r, _ = load_fixture("cycle5_ram45.json")
-        _, levels, stable = empirical_invariants(g, r, {}, 5)
+        _, levels, stable = empirical_fit(g, r, {}, 5)
         assert [lv["n"] for lv in levels] == [0, 1, 2, 3, 4]
         assert stable
         g, r, _ = load_fixture("cycle5_partial.json")
-        _, levels, _ = empirical_invariants(g, r, {}, 2)
+        _, levels, _ = empirical_fit(g, r, {}, 2)
         assert len(levels) == max(r.depths.values()) + 5
 
     def test_explicit_n_max_still_clamped(self):
         g, r, _ = load_fixture("cycle5_partial.json")
-        _, levels, _ = empirical_invariants(g, r, {}, 2, 0)
+        _, levels, _ = empirical_fit(g, r, {}, 2, 0)
         assert len(levels) == max(r.depths.values()) + 3
 
     def test_segment_default_spans_five_levels(self):
@@ -943,29 +943,27 @@ class TestTowerReport:
         assert report["levels"] == explicit_tower_kappas(g, r, volt, 3, 4)
 
     def test_char_element_takes_the_pruned_graph(self, monkeypatch):
-        # det M of X without its tails is X's (see the test below), and the
-        # levels still count X's own covers, tails and all
-        given = []
-        monkeypatch.setattr(iwasawa, "char_element", lambda g, *rest: given.append(g) or char_element(g, *rest))
-        x, r, volt = load_fixture("glued_voltage_triangles.json")
-        hook = next(v for v in x.vertices if not r.is_ramified(v))
-        g = build_graph([*x.vertices, "t0", "t1"], [*((u, v, e) for e, u, v in x.edges), (hook, "t0", "tail0"), ("t0", "t1", "tail1")])
-        volt = {**volt, "tail0": 1, "tail1": -2}
-        report = tower_report(g, r, volt, 3)
-        assert [h.vertices for h in given] == [x.vertices]
-        assert report["char_body"] == list(char_element(g, r, volt, 3).body)
-        assert report["levels"] == explicit_tower_kappas(g, r, volt, 3, 4)
+        # every block tower_report builds, the level-1 block of the depth-0
+        # mark included, is a block of X without its tails; the levels still
+        # count X's own covers, tails and all
+        built = []
+        monkeypatch.setattr(iwasawa, "laplacian", lambda h, marks, *rest: built.append((h, tuple(marks))) or laplacian(h, marks, *rest))
+        x, r, _ = load_fixture("cycle5_partial.json")
+        g = build_graph([*x.vertices, "t0", "t1"], [*((u, v, e) for e, u, v in x.edges), ("v1", "t0", "tail0"), ("t0", "t1", "tail1")])
+        volt = {"c1": 1, "tail0": 1, "tail1": -2}
+        report = tower_report(g, r, volt, 2)
+        assert sorted(marks for _, marks in built) == [("v4", "v5"), ("v5",)]
+        assert all(h.vertices == x.vertices for h, _ in built)
+        assert report["levels"] == explicit_tower_kappas(g, r, volt, 2, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(tailed_voltage_graphs())
     def test_tails_leave_the_char_element(self, x):
         # the Schur complement at a pendant vertex takes back the 1 it added
-        # to its neighbour's degree, so pruning leaves det M as it is
+        # to its neighbour's degree, so det M of X without its tails is X's
         g, r, voltage, p = x
-        pruned = prune_tails(g, r)
-        assert pruned is not g
-        whole, cut = char_element(g, r, voltage, p), char_element(pruned, r, voltage, p)
-        assert (whole.det_gamma, whole.body, whole.t_power) == (cut.det_gamma, cut.body, cut.t_power)
+        assert prune_tails(g, r) is not g
+        assert char_element(g, r, voltage, p).det_gamma == det_laurent(laplacian(g, r.depths, voltage))
 
     def test_report_fields(self):
         g, r, _ = load_fixture("cycle5_ram45.json")

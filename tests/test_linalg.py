@@ -766,6 +766,32 @@ sparse_weights = st.one_of(st.none(), st.integers(-6, 6))
 
 
 @st.composite
+def greedy_hard_weights(draw):
+    """Dense weight rows, None where the entry is 0, in two shapes.  A path
+    block of 1-7 rows has top exponents a and -a on mirrored off-diagonal
+    entries and -1..1 on the diagonal.  At a = 1 everywhere, every row but
+    the first has its maximum one column back, so the greedy pass leaves a
+    row free whose search runs down the path.  Otherwise rows 0..k-1 (3 <= k
+    <= n <= 7) have their strict maximum 7 in one column, so the greedy pass
+    leaves at least k - 1 of them free; every other entry is sparse_weights."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        w = [[None] * n for _ in range(n)]
+        for i in range(n):
+            w[i][i] = draw(st.integers(-1, 1))
+            if i:
+                a = draw(st.sampled_from([1, 1, -1, 0, 2]))
+                w[i][i - 1], w[i - 1][i] = a, -a
+        return w
+    n = max(n, 3)
+    k, c = draw(st.integers(3, n)), draw(st.integers(0, n - 1))
+    w = draw(st.lists(st.lists(sparse_weights, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(k):
+        w[i] = [7 if j == c else x for j, x in enumerate(w[i])]
+    return w
+
+
+@st.composite
 def hermitian_matrices(draw):
     """M_ji(g) = M_ij(1/g), as for a voltage Laplacian block, but in general
     not diagonally dominant: dimension 0-8, entries with exponents in
@@ -812,6 +838,16 @@ class TestDetLaurentOracle:
             for s in permutations(range(n))
             if None not in (w[i][s[i]] for i in range(n))
         ]
+        rows = [{j: x for j, x in enumerate(row) if x is not None} for row in w]
+        assert linalg._max_assignment(rows) == max(terms, default=None)
+
+    @given(greedy_hard_weights())
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_after_the_greedy_pass(self, w):
+        # the greedy tight matching, then a search from each row it left
+        # free, against the maximum over every permutation
+        n = len(w)
+        terms = [sum(w[i][s[i]] for i in range(n)) for s in permutations(range(n)) if None not in (w[i][s[i]] for i in range(n))]
         rows = [{j: x for j, x in enumerate(row) if x is not None} for row in w]
         assert linalg._max_assignment(rows) == max(terms, default=None)
 
