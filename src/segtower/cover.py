@@ -6,8 +6,10 @@ behave like k_v = infinity), and every edge fiber has p^n elements.  The
 edge (e, t) joins (o(e), t mod m_o) to (t(e), (t + a_e) mod m_t) where a_e
 is the voltage exponent of e and m_v the fiber modulus of v.
 
-Tree counts along the tower build no cover (see iwasawa.tower_kappas);
-covers serve the `cover` subcommand and the theorem harnesses.
+Tree counts along the tower build no cover (see iwasawa.tower_kappas).
+build_cover serves the `cover` subcommand; the theorem harnesses count their
+level-n witness on cover_laplacian.  segment_preimage has no caller in the
+library (the benchmark's tracer wraps it by name).
 """
 
 from __future__ import annotations
@@ -48,13 +50,10 @@ def fibre_size(r: RamificationData, p: int, n: int, v) -> int:
     return p ** min(n, r.depths.get(v, n))
 
 
-def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> CoverGraph:
-    """Build the level-n derived cover as an explicit multigraph.
-
-    voltage maps base edge id to the exponent a_e carried by the edge in its
-    stored direction (u -> v); the reverse dart carries -a_e.  Missing edges
-    default to voltage 0.  n = 0 returns an isomorphic copy of the base.
-    """
+def _fibres(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
+    """({v: fibre size}, the lifts of each edge) of the level-n cover, after
+    its checks: the level, the request (check_request), then a cover past
+    SIZE_LIMIT, refused before anything is built."""
     if n < 0:
         raise GraphError("cover level must be non-negative")
     check_request(g, r, voltage, p)
@@ -64,6 +63,17 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     mods = {v: fibre_size(r, p, m, v) for v in g.vertices}
     pm = p**m
     check_size(sum(mods.values()), len(g.edges) * pm, f"the level-{n} cover")
+    return mods, pm
+
+
+def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> CoverGraph:
+    """Build the level-n derived cover as an explicit multigraph.
+
+    voltage maps base edge id to the exponent a_e carried by the edge in its
+    stored direction (u -> v); the reverse dart carries -a_e.  Missing edges
+    default to voltage 0.  n = 0 returns an isomorphic copy of the base.
+    """
+    mods, pm = _fibres(g, r, voltage, p, n)
     voltage = voltage or {}
 
     vertices = [(v, i) for v in g.vertices for i in range(mods[v])]
@@ -83,6 +93,32 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
         {(v, i): max(k - n, 0) for v, k in r.depths.items() for i in range(mods[v])}
     )
     return CoverGraph(graph, g, residual, eproj, n)
+
+
+def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
+    """graph.laplacian(build_cover(...).graph, its first vertex), after the
+    same checks, filled straight from the p^n lifts of each edge of g: the
+    det_int block of kappa(X_n).  A lift whose ends coincide adds nothing."""
+    mods, pm = _fibres(g, r, voltage, p, n)
+    voltage = voltage or {}
+    first, size = {}, -1  # the row of each (v, 0); the cover's first vertex has none
+    for v in g.vertices:
+        first[v] = size
+        size += mods[v]
+    rows = [{} for _ in range(size)]
+    for eid, u, v in g.edges:
+        a, mu, mv, fu, fv = voltage.get(eid, 0), mods[u], mods[v], first[u], first[v]
+        for t in range(pm):
+            i, j = fu + t % mu, fv + (t + a) % mv
+            if i != j:
+                if i >= 0:
+                    rows[i][i] = rows[i].get(i, 0) + 1
+                if j >= 0:
+                    rows[j][j] = rows[j].get(j, 0) + 1
+                    if i >= 0:
+                        rows[i][j] = rows[i].get(j, 0) - 1
+                        rows[j][i] = rows[j].get(i, 0) - 1
+    return rows
 
 
 def segment_preimage(c: CoverGraph, segment):

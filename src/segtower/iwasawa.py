@@ -37,15 +37,24 @@ lambda*n + nu for n large (exactly for all n when the voltage is trivial);
 we fit the triple exactly over the integers from the last three levels.
 
 The harnesses check the paper's identities; each checks p, the marks and
-the voltage (cover.check_request) before it decomposes X.  Each builds at
-most one explicit cover, the level-n witness it counts.  Every other number
-comes from X's blocks, except the general identity's segment counts, taken
-on the cover's segment preimages (kappa(S_n) needs the preimage's own
-degrees at its marks).  Theorem A is the partial-ramification formula at
-n0 = 0.  Both segment harnesses cut M once along the segments: S's block is
-S's Laplacian without its marks, whose det_int is F_t(S).  When no entry of
-M joins two segments (factorization_exact checks), det M is the product of
-the Laurent blocks' determinants, and their (mu, lambda) add up.
+the voltage (cover.check_request) before it decomposes X.  Each counts one
+witness, kappa(X_n), as det_int of the level-n cover's Laplacian filled
+straight from the lifts of X's edges (cover.cover_laplacian), so no cover
+is built as a graph.  Every other number comes from X's blocks.  Theorem A
+is the partial-ramification formula at n0 = 0.  The segment harnesses cut
+M once along the segments: S's block M_S is S's Laplacian without its
+marks, whose det_int is F_t(S).  When no entry of M joins two segments
+(factorization_exact checks), det M is the product of the Laurent blocks'
+determinants, and their (mu, lambda) add up.
+
+The general identity's segment counts come from M_S too: a mark has depth
+0, so its fibre is one vertex, whose row lies in the trivial part.  With P
+the product of det M_S(zeta) over zeta^(p^n) = 1, zeta != 1,
+F_t(S_n) = det M_S(1) * P, and kappa(S_n) = p^n * kappa(S) * P at a
+2-segment (kappa(S) = det_int of S's Laplacian without one mark).  The
+cover and each such zeta see a voltage only mod p^n, so M_S takes the
+symmetric residues: det M_S has degree at most |V_S| * p^n, where a voltage
+as given (10^9, say) would pass det_laurent's work limit.
 """
 
 from __future__ import annotations
@@ -53,8 +62,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .cover import build_cover, check_request, fibre_size, segment_preimage
-from .forests import forest_count_det, kappa
+from .cover import check_request, cover_laplacian
+from .forests import kappa
 from .graph import GraphError, Multigraph, RamificationData, laplacian, laplacian_index, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma,
                      mu_lambda, ord_p, root_of_unity_products)
@@ -150,6 +159,10 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     WORK_LIMIT, or n_max if its counts would not print."""
     check_request(g, r, voltage, p)
     core = prune_tails(g, r)
+
+    def vertices(n):  # |V(X_n)|: p^n over each unmarked vertex, p^min(n, k_v) over each mark v
+        return (len(g.vertices) - len(r.depths)) * p**n + sum(p ** min(n, k) for k in r.depths.values())
+
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
@@ -169,7 +182,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     # here work >= n_max^2, so p^n_max is cheap.  Each level's counts print: refuse a last level past Python's
     # int-to-str digit limit (0, or Python 3.10: none); a number below 2^(3 * limit) is below 10^limit
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    top = max(len(g.edges) * p**n_max, sum(fibre_size(r, p, n_max, v) for v in g.vertices))
+    top = max(len(g.edges) * p**n_max, vertices(n_max))
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise GraphError(f"level {n_max} of the tower would have an edge or vertex count past Python's int-to-str digit limit")
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
@@ -192,8 +205,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
             raise LinalgError(f"level {n}: tree count not divisible by {p}^{-s}")
         if count == 0:
             raise DisconnectedCover(n)
-        vertices = sum(fibre_size(r, p, n, v) for v in g.vertices)
-        out.append({"n": n, "vertices": vertices, "edges": len(g.edges) * p**n, "kappa": count})
+        out.append({"n": n, "vertices": vertices(n), "edges": len(g.edges) * p**n, "kappa": count})
     return out
 
 
@@ -232,12 +244,27 @@ def fit_orders(points, p):
     return fit, stable
 
 
-def _explicit_kappa(c):
-    """kappa of an explicitly built cover; DisconnectedCover when it is 0."""
-    count = kappa(c.graph)
+def _witness(g, r, voltage, p, n):
+    """kappa(X_n) from cover.cover_laplacian; DisconnectedCover when it is 0."""
+    count = det_int(cover_laplacian(g, r, voltage, p, n))
     if count == 0:
-        raise DisconnectedCover(c.n)
+        raise DisconnectedCover(n)
     return count
+
+
+def _segment_kappa(d, s):
+    """kappa(S): det_int of S's own Laplacian without its first mark, from
+    S's edges alone, so the other mark's diagonal counts only those."""
+    index = {v: i for i, v in enumerate(v for v in d.graph.vertices if v in s.vertices and v != s.ramified[0])}
+    rows = [{} for _ in index]
+    for eid, u, v in d.graph.edges:
+        if u != v and eid in s.edge_ids:
+            for x, y in ((u, v), (v, u)):
+                if (i := index.get(x)) is not None:
+                    rows[i][i] = rows[i].get(i, 0) + 1
+                    if (j := index.get(y)) is not None:
+                        rows[i][j] = rows[i].get(j, 0) - 1
+    return det_int(rows)
 
 
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
@@ -269,11 +296,11 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     if n < n0:
         raise TowerError("n must be at least n0")
     d = decompose(g, r)
-    # build_cover refuses a level past SIZE_LIMIT before any count and before the powers by p^n below
-    lhs = _explicit_kappa(build_cover(d.graph, r, voltage, p, n))
+    # the witness refuses a level past SIZE_LIMIT before any count and before the powers by p^n below
+    lhs = _witness(d.graph, r, voltage, p, n)
     base = tower_kappas(d.graph, r, voltage, p, n0)[n0]["kappa"]
     counts = [det_int(block) for block in _segment_blocks(d, None)]  # F_t(S) of each segment S
-    l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
+    l_n0 = sum(p ** min(n0, k) for k in r.depths.values())
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
         rhs *= f ** (p**n - p**n0)
@@ -287,20 +314,23 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
 
 def verify_general_case(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = sum over admissible I of
-    prod_{i in I} kappa(S^i_n) * prod_{i not in I} F_{t_i}(S^i_n)."""
+    prod_{i in I} kappa(S^i_n) * prod_{i not in I} F_{t_i}(S^i_n), the right
+    side from the segment blocks (see the module docstring), after the
+    witness has refused a cover past SIZE_LIMIT."""
     check_request(g, r, voltage, p)
     if any(k != 0 for k in r.depths.values()):
         raise TowerError("the admissible-set formula requires totally ramified vertices")
     d = decompose(g, r)
-    c = build_cover(d.graph, r, voltage, p, n)
-    lhs = _explicit_kappa(c)
+    lhs = _witness(d.graph, r, voltage, p, n)
+    order, half = p**n, (p**n - 1) // 2
+    residue = {eid: (a + half) % order - half for eid, a in (voltage or {}).items()}  # in -half..order - 1 - half
     kappas = []
     forests = []
-    for s in d.segments:
-        sub, marks = segment_preimage(c, s)
-        ends = list(marks.depths)
-        forests.append(forest_count_det(sub, ends))
-        kappas.append(forest_count_det(sub, ends[:1]) if len(ends) > 1 else forests[-1])  # any one root gives kappa(sub)
+    for s, block in zip(d.segments, _segment_blocks(d, residue)):
+        det = _within_limit(f"segment {s.color}", block) if block else LaurentPoly({0: 1})  # no unramified vertex
+        chain = root_of_unity_products(det, p, n)[n]  # prod of det M_S(zeta) over zeta^(p^n) = 1, zeta != 1
+        forests.append(sum(det.coeffs.values()) * chain)
+        kappas.append(order * _segment_kappa(d, s) * chain if s.t == 2 else forests[-1])
     sets = admissible_sets(d)
     rhs = 0
     for I in sets:

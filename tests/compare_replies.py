@@ -7,9 +7,12 @@ set to the seed as perfbench/run.py sets it.  The "fixtures" list sends
 every fixture to `kappa`, to `seal`, to `forests` (--method det and brute,
 marked at its first mark and at its first two), to `invariants` (default,
 --symbolic-only, --empirical-only) and to `verify` (A, partial and general
-at n = 1 and 2, factorization) at p = 2, 3 and 5.  It also sends a tailed
-copy of each fixture, a 3-vertex pendant path of voltages 1, -1 and 2 hung
-on its first unmarked vertex, to the same `invariants` requests.
+at n = 1 and 2, factorization) at p = 2, 3 and 5, and to `verify` A,
+partial and general at p = 2, n = 4.  It also sends a tailed copy of each
+fixture, a 3-vertex pendant path of voltages 1, -1 and 2 hung on its first
+unmarked vertex, to the same `invariants` requests, and a copy whose every
+edge voltage is shifted by 10^9 to `verify --theorem general` at n = 1 and
+2, p = 2, 3 and 5.
 Prints, per list, how many (exit code, stdout) pairs differ, and the name
 and argv of the first three requests whose pairs differ.
 
@@ -43,6 +46,7 @@ if workload == "fixtures":
     argvs += [["invariants", "--p", p, *mode] for mode in ([], ["--symbolic-only"], ["--empirical-only"]) for p in "235"]
     argvs += [["verify", "--theorem", t, "--p", p, "--n", n] for t in ("A", "partial", "general") for p in "235" for n in "12"]
     argvs += [["verify", "--theorem", "factorization", "--p", p] for p in "235"]
+    argvs += [["verify", "--theorem", t, "--p", "2", "--n", "4"] for t in ("A", "partial", "general")]
     reqs = []
     for name in sorted(os.listdir(fixtures)):
         with open(os.path.join(fixtures, name)) as f:
@@ -59,6 +63,11 @@ if workload == "fixtures":
             obj["edges"] += [{"id": f"tail{i}", "from": u, "to": v, "voltage": a}
                              for i, (u, v, a) in enumerate(zip(path, path[1:], (1, -1, 2)))]
             reqs += [workloads.Request(name + " tailed", argv, None, stdin=json.dumps(obj)) for argv in argvs if argv[0] == "invariants"]
+        obj = json.loads(text)
+        for e in obj["edges"]:
+            e["voltage"] = e.get("voltage", 0) + 10**9
+        reqs += [workloads.Request(name + " shifted", argv, None, stdin=json.dumps(obj))
+                 for argv in argvs if argv[:3] == ["verify", "--theorem", "general"] and argv[-1] in ("1", "2")]
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from segtower.cover import build_cover
+from segtower.cover import build_cover, segment_preimage
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json
+from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json, laplacian
 from segtower.iwasawa import DisconnectedCover, InvariantTriple, tower_report
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
@@ -116,6 +116,27 @@ def explicit_tower_kappas(g, r, voltage, p, n_max):
             }
         )
     return out
+
+
+def explicit_cover_laplacian(g, r, voltage, p, n):
+    """Oracle for cover.cover_laplacian: the level-n cover built as a graph,
+    its Laplacian without its first vertex by graph.laplacian."""
+    c = build_cover(g, r, voltage, p, n).graph
+    return laplacian(c, c.vertices[:1])
+
+
+def preimage_segment_counts(d, r, voltage, p, n):
+    """Oracle for verify_general_case's segment counts: ([kappa(S_n)],
+    [F_t(S_n)]) of d's segments, by forest_count_det on each segment's
+    preimage in the explicit level-n cover of d.graph."""
+    c = build_cover(d.graph, r, voltage, p, n)
+    kappas, forests = [], []
+    for s in d.segments:
+        sub, marks = segment_preimage(c, s)
+        ends = list(marks.depths)
+        forests.append(forest_count_det(sub, ends))
+        kappas.append(forest_count_det(sub, ends[:1]))
+    return kappas, forests
 
 
 def explicit_forest_counts(g, r, voltage, p, n_max):

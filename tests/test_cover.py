@@ -1,9 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_fixture, segment_subgraph
-from segtower.cover import build_cover, check_prime, check_request, fibre_size, segment_preimage
+from conftest import explicit_cover_laplacian, load_fixture, segment_subgraph
+from segtower.cover import build_cover, check_prime, check_request, cover_laplacian, fibre_size, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -108,6 +110,54 @@ class TestBuildCover:
         one = build_graph(["a"], [])
         c = build_cover(one, RamificationData({"a": 2}), {}, 3, 10**9)
         assert c.graph.vertices == (("a", 0), ("a", 1), ("a", 2), ("a", 3), ("a", 4), ("a", 5), ("a", 6), ("a", 7), ("a", 8))
+
+
+@st.composite
+def voltage_multigraphs(draw):
+    """(g, r, voltage, p, n): 1-5 vertices, 0-16 edges drawn as vertex pairs
+    (loops and parallel edges included), marks of depth 0-2 on a subset,
+    voltages -3..3, p in 2, 3, 5 and n <= 3: some covers pass SIZE_LIMIT."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=16))
+    g = build_graph(vs, edges)
+    r = RamificationData(draw(st.dictionaries(st.sampled_from(vs), st.integers(0, 2))))
+    voltage = {e.id: draw(st.integers(-3, 3)) for e in g.edges}
+    return g, r, voltage, draw(st.sampled_from((2, 3, 5))), draw(st.integers(0, 3))
+
+
+def replies(f, *args):
+    """f(*args), or the message of the GraphError it raised."""
+    try:
+        return f(*args)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestCoverLaplacian:
+    """cover_laplacian, filled from the lifts of X's edges, against the
+    Laplacian of the explicit cover without its first vertex."""
+
+    @given(voltage_multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_explicit_cover(self, x):
+        assert replies(cover_laplacian, *x) == replies(explicit_cover_laplacian, *x)
+
+    def test_same_refusal(self):
+        # build_cover's fibre sizes and its SIZE_LIMIT refusal, message and all
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        assert cover_laplacian(g, r, {}, 2, 7) == explicit_cover_laplacian(g, r, {}, 2, 7)
+        for n in (8, 10**9):
+            with pytest.raises(GraphError) as want:
+                build_cover(g, r, {}, 2, n)
+            with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
+                cover_laplacian(g, r, {}, 2, n)
+
+    def test_coinciding_lift_adds_nothing(self):
+        # a loop of voltage 3 at p = 3 lifts to three loops; a mark's loop to one
+        g = build_graph(["m", "x"], [("m", "x", "e0"), ("x", "x", "e1"), ("m", "m", "e2")])
+        r = RamificationData({"m": 0})
+        assert cover_laplacian(g, r, {"e1": 3, "e2": 1}, 3, 1) == [{0: 1}, {1: 1}, {2: 1}]
+        assert cover_laplacian(g, r, {"e1": 1}, 3, 1)[0] == {0: 3, 1: -1, 2: -1}
 
 
 class TestCheckPrime:

@@ -17,12 +17,13 @@ from conftest import (
     grid_graph,
     load_fixture,
     parallel_voltage_json,
+    preimage_segment_counts,
     segment_forest_counts,
     segment_subgraph,
     taylor_shift_oracle,
 )
 from segtower import forests, iwasawa, linalg
-from segtower.cover import build_cover, check_request, segment_preimage
+from segtower.cover import build_cover, check_request, cover_laplacian, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian, prune_tails
 from segtower.iwasawa import (
@@ -260,7 +261,7 @@ class TestTowerKappas:
         g, _, volt = load_fixture("cycle5_partial.json")
         r, n_max = RamificationData(depths), 4 if p == 2 else 3
         want = explicit_tower_kappas(g, r, volt, p, n_max)
-        monkeypatch.setattr(iwasawa, "build_cover", no_cover)
+        monkeypatch.setattr(iwasawa, "cover_laplacian", no_cover)
         assert tower_kappas(g, r, volt, p, n_max) == want
 
     @given(voltage_towers(voltages=(0, 2, -2), marks=(0, 0), ps=(2,)))
@@ -401,17 +402,17 @@ class TestVerdicts:
         ],
     )
     def test_builds_each_level_once(self, monkeypatch, harness, name, n, levels):
-        # one cover, at level n: the witness the check counts; kappa(X_{n0})
-        # comes from X's blocks, with no level-n0 cover
+        # one witness, the level-n cover's Laplacian, whose det_int the check
+        # counts; kappa(X_{n0}) comes from X's blocks, with no level-n0 witness
         g, r, _ = load_fixture(name)
         want = harness(g, r, {}, 2, n)
         built = []
 
         def counted(g, r, voltage, p, n):
             built.append(n)
-            return build_cover(g, r, voltage, p, n)
+            return cover_laplacian(g, r, voltage, p, n)
 
-        monkeypatch.setattr(iwasawa, "build_cover", counted)
+        monkeypatch.setattr(iwasawa, "cover_laplacian", counted)
         assert harness(g, r, {}, 2, n) == want and want.ok
         assert built == levels
 
@@ -447,8 +448,9 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("name", ["three_segment.json", "glue_kappa_l2.json", "cycle5_ram245.json"])
     def test_general_counts_a_one_segment_once(self, monkeypatch, name):
-        # kappa(S_n) and F_1(S_n) of a 1-segment are one determinant: one
-        # det_int per 1-segment and two per 2-segment, besides kappa(X_n)
+        # kappa(S_n) and F_1(S_n) of a 1-segment are one number: det_int runs
+        # once for kappa(X_n) and once for kappa(S) of each 2-segment, and
+        # never on a segment preimage
         g, r, _ = load_fixture(name)
         d = decompose(g, r)
         calls = []
@@ -457,9 +459,10 @@ class TestVerdicts:
             calls.append(m)
             return det_int(m)
 
+        monkeypatch.setattr(iwasawa, "det_int", counted)
         monkeypatch.setattr(forests, "det_int", counted)
         v = verify_general_case(g, r, {}, 2, 1)
-        assert v.ok and len(calls) == 1 + sum(s.t for s in d.segments)
+        assert v.ok and len(calls) == 1 + d.k_prime
         c = build_cover(d.graph, r, {}, 2, 1)
         for s, k, f in zip(d.segments, v.detail["segment_kappas"], v.detail["segment_forests"]):
             sub, marks = segment_preimage(c, s)
@@ -661,6 +664,42 @@ class TestCharFactorization:
         monkeypatch.setattr(iwasawa, "decompose", lambda g, r: dataclasses.replace(d, segments=(s0, s1)))
         v = verify_char_factorization(g, r, {"e0": 1}, 3)
         assert not v.ok and v.detail["factorization_exact"] is False
+
+
+class TestGeneralCounts:
+    """verify_general_case's kappa(S_n) and F_t(S_n), read from each segment's
+    block, against forest_count_det on the segment preimages of the explicit
+    cover."""
+
+    @given(glued_segments(), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_are_the_preimages_counts(self, x, n):
+        # glued_segments holds parallel edges between marks (kappa(S) = F(S)
+        # = 1) and loops at marks
+        g, r, voltage, p = x
+        d = decompose(g, r)
+        try:
+            want = preimage_segment_counts(d, r, voltage, p, n)
+        except GraphError:  # past SIZE_LIMIT
+            assume(False)
+        v = verify_general_case(g, r, voltage, p, n)
+        assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == want
+
+    def test_large_voltage_is_read_mod_p_n(self):
+        # a triangle x-y-z of voltage 10^9 inside the 2-segment a-x ... z-b: at
+        # p = 3, n = 2 the voltage counts as 10^9 mod 9 = 1, so det M_S keeps a
+        # small degree; read as given, det_laurent would refuse it
+        g = build_graph(["a", "x", "y", "z", "b"],
+                        [("a", "x", "e0"), ("x", "y", "e1"), ("y", "z", "e2"), ("z", "x", "e3"), ("z", "b", "e4")])
+        r = RamificationData.totally_ramified(["a", "b"])
+        voltage = {"e3": 10**9}
+        with pytest.raises(WorkLimitExceeded):
+            det_laurent(laplacian(g, r.depths, voltage))
+        v = verify_general_case(g, r, voltage, 3, 2)
+        d = decompose(g, r)
+        assert v.ok and v.lhs == kappa(build_cover(g, r, voltage, 3, 2).graph) == 3080261547
+        assert v.detail == {"admissible_sets": [[0]], "segment_kappas": [3080261547], "segment_forests": [912670088]}
+        assert (v.detail["segment_kappas"], v.detail["segment_forests"]) == preimage_segment_counts(d, r, voltage, 3, 2)
 
 
 class TestPartialCounts:
