@@ -8,8 +8,10 @@ is the voltage exponent of e and m_v the fiber modulus of v.
 
 Tree counts along the tower build no cover (see iwasawa.tower_kappas).
 build_cover serves the `cover` subcommand; the theorem harnesses count their
-level-n witness on cover_laplacian.  segment_preimage has no caller in the
-library (the benchmark's tracer wraps it by name).
+level-n witness on cover_laplacian, and the general one a segment past the
+work limit on lift_laplacian.  build_cover and lift_laplacian read one
+lift rule (lifts).  segment_preimage has no caller in the library (the
+benchmark's tracer wraps it by name).
 """
 
 from __future__ import annotations
@@ -50,20 +52,31 @@ def fibre_size(r: RamificationData, p: int, n: int, v) -> int:
     return p ** min(n, r.depths.get(v, n))
 
 
+def level_size(g: Multigraph, r: RamificationData, p: int, n: int) -> int:
+    """|V(X_n)|: p^n vertices over each unmarked vertex, fibre_size over each mark."""
+    return (len(g.vertices) - len(r.depths)) * p**n + sum(fibre_size(r, p, n, v) for v in r.depths)
+
+
 def _fibres(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
-    """({v: fibre size}, the lifts of each edge) of the level-n cover, after
-    its checks: the level, the request (check_request), then a cover past
-    SIZE_LIMIT, refused before anything is built."""
+    """({v: fibre size}, p^m) of the level-n cover, p^m the lifts of each
+    edge, after its checks: the level, the request (check_request), then a
+    cover past SIZE_LIMIT, refused before anything is built."""
     if n < 0:
         raise GraphError("cover level must be non-negative")
     check_request(g, r, voltage, p)
     # from level m on, a fibre that still grows or one over an edge is past
     # SIZE_LIMIT: a cover within it has the fibres of level m, p^n unformed
     m = min(n, SIZE_LIMIT.bit_length())
-    mods = {v: fibre_size(r, p, m, v) for v in g.vertices}
-    pm = p**m
-    check_size(sum(mods.values()), len(g.edges) * pm, f"the level-{n} cover")
-    return mods, pm
+    check_size(level_size(g, r, p, m), len(g.edges) * p**m, f"the level-{n} cover")
+    return {v: fibre_size(r, p, m, v) for v in g.vertices}, p**m
+
+
+def lifts(edges, mods, pm, voltage):
+    """The pm lifts of each edge (eid, u, v), with fibre sizes mods:
+    (eid, u, v, [(i, j) for t < pm]), the lift (e, t) joining (u, i) to (v, j)."""
+    for eid, u, v in edges:
+        a, mu, mv = voltage.get(eid, 0), mods[u], mods[v]
+        yield eid, u, v, [(t % mu, (t + a) % mv) for t in range(pm)]
 
 
 def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> CoverGraph:
@@ -74,19 +87,14 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     default to voltage 0.  n = 0 returns an isomorphic copy of the base.
     """
     mods, pm = _fibres(g, r, voltage, p, n)
-    voltage = voltage or {}
-
     vertices = [(v, i) for v in g.vertices for i in range(mods[v])]
     edges = []
     eproj = {}
-    for e in g.edges:
-        a = voltage.get(e.id, 0)
-        for t in range(pm):
-            cu = (e.u, t % mods[e.u])
-            cv = (e.v, (t + a) % mods[e.v])
-            eid = f"{e.id}@{t}"
-            edges.append(Edge(eid, cu, cv))
-            eproj[eid] = e.id
+    for eid, u, v, ends in lifts(g.edges, mods, pm, voltage or {}):
+        for t, (i, j) in enumerate(ends):
+            cid = f"{eid}@{t}"
+            edges.append(Edge(cid, (u, i), (v, j)))
+            eproj[cid] = eid
 
     graph = Multigraph(vertices, edges)
     residual = RamificationData(
@@ -95,21 +103,15 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     return CoverGraph(graph, g, residual, eproj, n)
 
 
-def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
-    """graph.laplacian(build_cover(...).graph, its first vertex), after the
-    same checks, filled straight from the p^n lifts of each edge of g: the
-    det_int block of kappa(X_n).  A lift whose ends coincide adds nothing."""
-    mods, pm = _fibres(g, r, voltage, p, n)
-    voltage = voltage or {}
-    first, size = {}, -1  # the row of each (v, 0); the cover's first vertex has none
-    for v in g.vertices:
-        first[v] = size
-        size += mods[v]
+def lift_laplacian(edges, mods, pm, voltage, first, size):
+    """The size rows of the Laplacian of the lifts of edges (see lifts),
+    where (v, i) has row first[v] + i and a negative row is left out.  A
+    lift whose ends coincide adds nothing."""
     rows = [{} for _ in range(size)]
-    for eid, u, v in g.edges:
-        a, mu, mv, fu, fv = voltage.get(eid, 0), mods[u], mods[v], first[u], first[v]
-        for t in range(pm):
-            i, j = fu + t % mu, fv + (t + a) % mv
+    for _, u, v, ends in lifts(edges, mods, pm, voltage):
+        fu, fv = first[u], first[v]
+        for i, j in ends:
+            i, j = fu + i, fv + j
             if i != j:
                 if i >= 0:
                     rows[i][i] = rows[i].get(i, 0) + 1
@@ -119,6 +121,18 @@ def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int)
                         rows[i][j] = rows[i].get(j, 0) - 1
                         rows[j][i] = rows[j].get(i, 0) - 1
     return rows
+
+
+def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
+    """graph.laplacian(build_cover(...).graph, its first vertex), after the
+    same checks, filled straight from the p^n lifts of each edge of g: the
+    det_int block of kappa(X_n)."""
+    mods, pm = _fibres(g, r, voltage, p, n)
+    first, size = {}, -1  # the row of each (v, 0); the cover's first vertex has none
+    for v in g.vertices:
+        first[v] = size
+        size += mods[v]
+    return lift_laplacian(g.edges, mods, pm, voltage or {}, first, size)
 
 
 def segment_preimage(c: CoverGraph, segment):

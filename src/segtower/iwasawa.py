@@ -54,7 +54,10 @@ F_t(S_n) = det M_S(1) * P, and kappa(S_n) = p^n * kappa(S) * P at a
 2-segment (kappa(S) = det_int of S's Laplacian without one mark).  The
 cover and each such zeta see a voltage only mod p^n, so M_S takes the
 symmetric residues: det M_S has degree at most |V_S| * p^n, where a voltage
-as given (10^9, say) would pass det_laurent's work limit.
+as given (10^9, say) would pass det_laurent's work limit.  A segment whose
+det M_S or chain would pass WORK_LIMIT (the chain by tower_kappas' estimate)
+takes its counts as det_int of S_n's Laplacian, filled from the lifts of
+S's edges alone (cover.lift_laplacian): a part of the witness, so no larger.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .cover import check_request, cover_laplacian
+from .cover import check_request, cover_laplacian, fibre_size, level_size, lift_laplacian
 from .forests import kappa
 from .graph import GraphError, Multigraph, RamificationData, laplacian, laplacian_index, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma,
@@ -145,6 +148,17 @@ def symbolic_invariants(c: CharElement) -> InvariantTriple:
     return InvariantTriple(mu, (c.t_power - 1) + lam)
 
 
+def _chain_work(det, p, n, extra=0):
+    """About the bit operations of level n of det's chain (root_of_unity_products)
+    with extra more bits per step: (p*d^2 + 1) * (p^n * log2(||det||_1 * |c|^d) + extra),
+    d the span and c the leading coefficient of det."""
+    cs = det.coeffs
+    d = max(cs, default=0) - min(cs, default=0)
+    size = det.norm() * abs(cs.get(max(cs, default=0), 0)) ** d
+    bits = max(size - 1, 0).bit_length()  # 0 when det = ±1: then p**n, huge at a high level, is never built
+    return (p * d * d + 1) * ((bits and p**n * bits) + extra)
+
+
 FIT_DEPTH = 4  # levels past the largest depth n0 that a default fit runs to
 
 
@@ -159,10 +173,6 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     WORK_LIMIT, or n_max if its counts would not print."""
     check_request(g, r, voltage, p)
     core = prune_tails(g, r)
-
-    def vertices(n):  # |V(X_n)|: p^n over each unmarked vertex, p^min(n, k_v) over each mark v
-        return (len(g.vertices) - len(r.depths)) * p**n + sum(p ** min(n, k) for k in r.depths.values())
-
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
     for n in range(1, n_max + 1):
         m = tuple(v for v, k in r.depths.items() if k < n)
@@ -171,18 +181,14 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
             dets[m] = _det_m if full else _within_limit(f"level {n}", laplacian(core, m, voltage or {}))
         marks.append(m)
         shifts.append(sum(p**k * (n - k) for k in r.depths.values() if k < n) - n)
-        cs = dets[m].coeffs
-        d = max(cs, default=0) - min(cs, default=0)
-        size = dets[m].norm() * abs(cs.get(max(cs, default=0), 0)) ** d
-        bits = max(size - 1, 0).bit_length()  # 0 when det M = ±1: then p**n, huge at a high level, is never built
-        work += (p * d * d + 1) * ((bits and p**n * bits) + (max(shifts[n], 0) + n) * p.bit_length())
+        work += _chain_work(dets[m], p, n, (max(shifts[n], 0) + n) * p.bit_length())
         if work > WORK_LIMIT:
             raise GraphError(f"level {n} of the tower would take about 2^{work.bit_length() - 1} bit operations, "
                              f"past 2^{WORK_LIMIT.bit_length() - 1}")
     # here work >= n_max^2, so p^n_max is cheap.  Each level's counts print: refuse a last level past Python's
     # int-to-str digit limit (0, or Python 3.10: none); a number below 2^(3 * limit) is below 10^limit
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    top = max(len(g.edges) * p**n_max, vertices(n_max))
+    top = max(len(g.edges) * p**n_max, level_size(g, r, p, n_max))
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise GraphError(f"level {n_max} of the tower would have an edge or vertex count past Python's int-to-str digit limit")
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
@@ -205,7 +211,7 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
             raise LinalgError(f"level {n}: tree count not divisible by {p}^{-s}")
         if count == 0:
             raise DisconnectedCover(n)
-        out.append({"n": n, "vertices": vertices(n), "edges": len(g.edges) * p**n, "kappa": count})
+        out.append({"n": n, "vertices": level_size(g, r, p, n), "edges": len(g.edges) * p**n, "kappa": count})
     return out
 
 
@@ -252,19 +258,32 @@ def _witness(g, r, voltage, p, n):
     return count
 
 
-def _segment_kappa(d, s):
-    """kappa(S): det_int of S's own Laplacian without its first mark, from
-    S's edges alone, so the other mark's diagonal counts only those."""
-    index = {v: i for i, v in enumerate(v for v in d.graph.vertices if v in s.vertices and v != s.ramified[0])}
-    rows = [{} for _ in index]
-    for eid, u, v in d.graph.edges:
-        if u != v and eid in s.edge_ids:
-            for x, y in ((u, v), (v, u)):
-                if (i := index.get(x)) is not None:
-                    rows[i][i] = rows[i].get(i, 0) + 1
-                    if (j := index.get(y)) is not None:
-                        rows[i][j] = rows[i].get(j, 0) - 1
-    return det_int(rows)
+def _lifted_segment(d, s, r, voltage, p, n, drop):
+    """The Laplacian of S_n, the lifts of S's edges alone at level n, without
+    the marks in drop (of depth 0: one vertex each), so a mark left in counts
+    only those lifts; at n = 0 it is S's own Laplacian."""
+    mods, first, size = {}, {}, 0
+    for v in d.graph.vertices:
+        if v in s.vertices:
+            mods[v] = fibre_size(r, p, n, v)
+            first[v] = -1 if v in drop else size
+            size += 0 if v in drop else mods[v]
+    edges = [e for e in d.graph.edges if e.id in s.edge_ids]
+    return lift_laplacian(edges, mods, p**n, voltage, first, size)
+
+
+def _segment_chain(block, p, n):
+    """(det M_S(1), P) for S's block M_S, P the product of det M_S(zeta) over
+    zeta^(p^n) = 1, zeta != 1, or None where det_laurent or the chain would
+    pass WORK_LIMIT (see tower_kappas).  A segment with no unramified vertex
+    has det M_S = 1."""
+    try:
+        det = det_laurent(block) if block else LaurentPoly({0: 1})
+    except WorkLimitExceeded:
+        return None
+    if sum(_chain_work(det, p, a) for a in range(1, n + 1)) > WORK_LIMIT:
+        return None
+    return sum(det.coeffs.values()), root_of_unity_products(det, p, n)[n]
 
 
 def verify_theorem_A(g, r, voltage, p, n) -> Verdict:
@@ -282,9 +301,9 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     """kappa(X_n) = kappa(X_{n0}) * p^{(n-n0)(l-1)} * prod F_{t_i}(S^i)^{p^n - p^{n0}}
     where n0 = max depth and l is the ramified-vertex count at level n0; at
     n0 = 0 this is theorem A.  X decomposes, so it is connected, and a mark of
-    depth 0 keeps every cover connected; _explicit_kappa still checks.  The
-    one cover, at level n, refuses a level past SIZE_LIMIT before any count;
-    kappa(X_{n0}) = tower_kappas(...)[n0] comes from X's blocks."""
+    depth 0 keeps every cover connected; _witness still checks.  The witness,
+    cover_laplacian at level n, refuses a level past SIZE_LIMIT before any
+    count; kappa(X_{n0}) = tower_kappas(...)[n0] comes from X's blocks."""
     check_request(g, r, voltage, p)
     if n < 0:
         raise GraphError(f"tower level must be non-negative, got {n}")
@@ -300,7 +319,7 @@ def verify_partial_ramification(g, r, voltage, p, n) -> Verdict:
     lhs = _witness(d.graph, r, voltage, p, n)
     base = tower_kappas(d.graph, r, voltage, p, n0)[n0]["kappa"]
     counts = [det_int(block) for block in _segment_blocks(d, None)]  # F_t(S) of each segment S
-    l_n0 = sum(p ** min(n0, k) for k in r.depths.values())
+    l_n0 = sum(fibre_size(r, p, n0, v) for v in r.depths)
     rhs = base * p ** ((n - n0) * (l_n0 - 1))
     for f in counts:
         rhs *= f ** (p**n - p**n0)
@@ -322,15 +341,19 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
         raise TowerError("the admissible-set formula requires totally ramified vertices")
     d = decompose(g, r)
     lhs = _witness(d.graph, r, voltage, p, n)
-    order, half = p**n, (p**n - 1) // 2
-    residue = {eid: (a + half) % order - half for eid, a in (voltage or {}).items()}  # in -half..order - 1 - half
-    kappas = []
-    forests = []
-    for s, block in zip(d.segments, _segment_blocks(d, residue)):
-        det = _within_limit(f"segment {s.color}", block) if block else LaurentPoly({0: 1})  # no unramified vertex
-        chain = root_of_unity_products(det, p, n)[n]  # prod of det M_S(zeta) over zeta^(p^n) = 1, zeta != 1
-        forests.append(sum(det.coeffs.values()) * chain)
-        kappas.append(order * _segment_kappa(d, s) * chain if s.t == 2 else forests[-1])
+    kappas, forests = [], []
+    if d.segments:  # X has an edge, so the witness has bounded p^n
+        order, half = p**n, (p**n - 1) // 2
+        residue = {eid: (a + half) % order - half for eid, a in (voltage or {}).items()}  # in -half..order - 1 - half
+        for s, block in zip(d.segments, _segment_blocks(d, residue)):
+            if (chain := _segment_chain(block, p, n)) is None:  # S_n's own counts, on a part of the witness
+                forests.append(det_int(_lifted_segment(d, s, r, residue, p, n, s.ramified)))
+                kappas.append(det_int(_lifted_segment(d, s, r, residue, p, n, s.ramified[:1])) if s.t == 2 else forests[-1])
+            else:
+                at_one, product = chain
+                forests.append(at_one * product)
+                kappas.append(order * det_int(_lifted_segment(d, s, r, {}, p, 0, s.ramified[:1])) * product
+                              if s.t == 2 else forests[-1])
     sets = admissible_sets(d)
     rhs = 0
     for I in sets:

@@ -424,6 +424,21 @@ class TestVerify:
         out = json.loads(done.stdout)
         assert out["error"] == "bad_input" and "past 2^11" in out["reason"]
 
+    @pytest.mark.parametrize("theorem", ["A", "partial", "general"])
+    @pytest.mark.parametrize("tail", [[], [{"from": "m", "to": "x"}, {"from": "x", "to": "y"}]])
+    def test_a_level_with_no_edge_is_answered_at_once(self, theorem, tail):
+        # one mark with no edge, or only a pendant tail, which the checks
+        # prune: the cover's size stops growing, so no level is refused, and
+        # no p^n is formed.  In a child process with a CPU budget: p^n at
+        # n = 10^9 alone takes minutes
+        graph = {"vertices": ["m", "x", "y"][: 1 + len(tail)], "edges": tail, "ramified": [{"vertex": "m"}]}
+        argv = ["-m", "segtower.cli", "verify", "--theorem", theorem, "--p", "3", "--n", str(10**9)]
+        done = run_limited(argv, timeout=30, cpu=2, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        detail = ({"admissible_sets": [[]], "segment_kappas": [], "segment_forests": []} if theorem == "general"
+                  else {"n0": "0", "kappa_n0": "1", "l_n0": "1", "segment_counts": []})
+        assert json.loads(done.stdout) == {"theorem": theorem, "ok": True, "lhs": "1", "rhs": "1", "detail": detail}
+
     @pytest.mark.parametrize("theorem", ["A", "partial"])
     def test_refuses_an_oversized_base_cover_before_any_count(self, theorem):
         # one mark m with 6000 triangles m-u_i0-u_i1-m: 6000 1-segments, and

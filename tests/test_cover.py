@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit_cover_laplacian, load_fixture, segment_subgraph
-from segtower.cover import build_cover, check_prime, check_request, cover_laplacian, fibre_size, segment_preimage
+from segtower.cover import (build_cover, check_prime, check_request, cover_laplacian, fibre_size, level_size,
+                            segment_preimage)
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -45,6 +46,7 @@ class TestBuildCover:
             assert sizes["v1"] == 2**n
             assert len(c.graph.edges) == 2**n * len(g.edges)
             assert sizes == {v: fibre_size(r, 2, n, v) for v in g.vertices}
+            assert level_size(g, r, 2, n) == len(c.graph.vertices)
 
     def test_voltage_cover_adjacency(self):
         # level-1 cover of the doubled-edge path: 8 vertices, marked minor det 320

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from conftest import (
     load_fixture,
     parallel_voltage_json,
     preimage_segment_counts,
+    run_limited,
     segment_forest_counts,
     segment_subgraph,
     taylor_shift_oracle,
@@ -684,6 +687,43 @@ class TestGeneralCounts:
             assume(False)
         v = verify_general_case(g, r, voltage, p, n)
         assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == want
+
+    @pytest.mark.parametrize("module", [iwasawa, linalg])
+    @given(x=glued_segments(), n=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_lifted_counts_are_the_preimages_counts(self, module, x, n):
+        # with no work allowed, each segment whose chain (iwasawa's estimate)
+        # or det M_S (det_laurent) has any work is counted on its lifts
+        g, r, voltage, p = x
+        d = decompose(g, r)
+        try:
+            want = preimage_segment_counts(d, r, voltage, p, n)
+        except GraphError:  # past SIZE_LIMIT
+            assume(False)
+        with mock.patch.object(module, "WORK_LIMIT", 0):
+            v = verify_general_case(g, r, voltage, p, n)
+        assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == want
+
+    def test_a_chain_past_the_work_limit_is_not_run(self, monkeypatch):
+        # one 1-segment over m whose det M_S has span 176 at p = 101: its chain
+        # is estimated at about 2^36 bit operations and took 3.7 s of CPU,
+        # where a count on the segment's preimage, or on its lifted block, would
+        # take 0.15 s, start-up included (Python 3.11.7, 2-core x86).  In a
+        # child process with a CPU budget, so that the chain fails the test
+        graph = {"vertices": ["m", "u0", "u1", "u2", "u3"], "ramified": [{"vertex": "m"}],
+                 "edges": [{"from": u, "to": v, "voltage": a} for u, v, a in
+                           [("m", "u0", 82), ("u0", "u1", 83), ("m", "u2", 58), ("u0", "u3", 58), ("u1", "u3", 83),
+                            ("u1", "u2", 58), ("u2", "u1", 56)]]}
+        argv = ["-m", "segtower.cli", "verify", "--theorem", "general", "--p", "101", "--n", "1"]
+        done = run_limited(argv, timeout=30, cpu=2, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        g, r, voltage = graph_from_json(graph)
+        d = decompose(g, r)
+        (k,), (f,) = preimage_segment_counts(d, r, voltage, 101, 1)
+        out = json.loads(done.stdout)
+        assert out["ok"] is True and out["lhs"] == out["rhs"] == str(f) and out["detail"]["segment_forests"] == [str(f)]
+        monkeypatch.setattr(iwasawa, "root_of_unity_products", None)  # never called
+        assert verify_general_case(g, r, voltage, 101, 1).detail["segment_kappas"] == [k] == [f]
 
     def test_large_voltage_is_read_mod_p_n(self):
         # a triangle x-y-z of voltage 10^9 inside the 2-segment a-x ... z-b: at
