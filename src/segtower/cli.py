@@ -12,7 +12,6 @@ check that failed inside the library ("internal_error").
 from __future__ import annotations
 
 import contextlib
-import decimal
 import json
 import math
 import sys
@@ -37,6 +36,7 @@ def _num(x):
     to Decimal and joined with decimal's fast multiplication."""
     if x.bit_length() <= _STR_BITS:
         return str(x)
+    import decimal  # here: only a number past _STR_BITS needs it, and every call would pay for it at start-up
     if x < 0:
         return "-" + _num(-x)
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])

@@ -16,14 +16,13 @@ benchmark's tracer wraps it by name).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage
 from .linalg import PRIME_TEST_LIMIT, is_prime
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(NamedTuple):
     graph: Multigraph
     base: Multigraph
     ram: RamificationData  # residual ramification of the cover's vertices (v, i), each over v

@@ -30,7 +30,9 @@ def check_size(vertices, edges, what):
         raise GraphError(f"{what} would have at least {vertices} vertices and {edges} edges, past 2^{SIZE_LIMIT.bit_length() - 1} in all")
 
 
-class Edge(NamedTuple):  # a tuple: about a quarter of a frozen dataclass's cost to build
+# Every record of the package is a NamedTuple, not a frozen dataclass: cheaper to build per
+# request, and no class made by exec nor dataclasses' import of inspect at every call's start-up.
+class Edge(NamedTuple):
     id: str
     u: object
     v: object

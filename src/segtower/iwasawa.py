@@ -63,7 +63,7 @@ S's edges alone (cover.lift_laplacian): a part of the witness, so no larger.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import check_request, cover_laplacian, fibre_size, level_size, lift_laplacian
 from .forests import kappa
@@ -83,23 +83,20 @@ class DisconnectedCover(TowerError):
         super().__init__(f"cover at level {level} is disconnected")
 
 
-@dataclass(frozen=True)
-class CharElement:
+class CharElement(NamedTuple):
     t_power: int  # exponent l of the leading T^l factor
     body: tuple  # coefficients of det(M) at gamma = 1 + T, to its first span + 1 terms
     det_gamma: LaurentPoly  # det(M) as a Laurent polynomial in gamma
     p: int
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
+class InvariantTriple(NamedTuple):
     mu: int
     lam: int
     nu: int | None = None  # empirical fits only
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     lhs: object
     rhs: object

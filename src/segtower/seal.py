@@ -30,7 +30,7 @@ spanning trees of G_R, the marks joined by the 2-segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import GraphError, Multigraph, RamificationData, acyclic_subsets, prune_tails
 
@@ -52,16 +52,14 @@ class DecompositionError(ValueError):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class AdmissiblePath:
+class AdmissiblePath(NamedTuple):
     """Simple path between ramified vertices through unramified interior."""
 
     vertices: tuple  # v_0 .. v_m, endpoints ramified (possibly equal)
     edge_ids: tuple  # m edge ids in path order
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     color: int
     t: int  # 1 or 2
     ramified: tuple  # one vertex for t=1, two for t=2
@@ -70,8 +68,7 @@ class Segment:
     is_loop: bool = False  # loop edge at a ramified vertex, special-cased
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
+class SegmentDecomposition(NamedTuple):
     graph: Multigraph  # X with its tails pruned: the segments partition its edges
     segments: tuple  # 2-segments first, then 1-segments
     ramified: tuple

@@ -22,8 +22,10 @@ from segtower.graph import (
     laplacian,
     prune_tails,
 )
-from segtower.linalg import det_int, det_laurent
-from segtower.seal import decompose
+from segtower.cover import CoverGraph
+from segtower.iwasawa import CharElement, InvariantTriple, Verdict
+from segtower.linalg import LaurentPoly, det_int, det_laurent
+from segtower.seal import AdmissiblePath, Segment, SegmentDecomposition, decompose
 
 
 def test_edge_is_an_immutable_value():
@@ -35,6 +37,35 @@ def test_edge_is_an_immutable_value():
     assert (e.other("a"), e.other("b"), e.is_loop, Edge("e1", "a", "a").is_loop) == ("b", "a", False, True)
     with pytest.raises(GraphError, match="'c' is not an endpoint of edge 'e0'"):
         e.other("c")
+
+
+_PATH_GRAPH = build_graph(["a", "x", "b"], [("a", "x", "e0"), ("x", "b", "e1")])
+_SEGMENT = (0, 2, ("a", "b"), frozenset({"e0", "e1"}), frozenset({"a", "x", "b"}))
+_RECORDS = [
+    (CharElement, (1, (1, 2), LaurentPoly({0: 1, 1: 2}), 3)),
+    (InvariantTriple, (0, 1, None)),
+    (Verdict, (True, 5, [5], {"level": 1})),
+    (AdmissiblePath, (("a", "x", "b"), ("e0", "e1"))),
+    (Segment, (*_SEGMENT, False)),
+    (SegmentDecomposition, (_PATH_GRAPH, (Segment(*_SEGMENT),), ("a", "b"))),
+    (CoverGraph, (_PATH_GRAPH, _PATH_GRAPH, RamificationData.totally_ramified(["a"]), {"e0": "e0"}, 1)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_record_is_an_immutable_value(cls, fields):
+    """Each record of the package compares by its fields, refuses a new
+    value for one and shows its class in its repr, as a frozen dataclass did."""
+    x = cls(*fields)
+    assert x == cls(*fields)
+    with pytest.raises(AttributeError):
+        setattr(x, x._fields[0], fields[0])
+    assert repr(x).startswith(cls.__name__ + "(")
+
+
+def test_segment_is_hashable_and_no_loop_by_default():
+    s = Segment(*_SEGMENT)
+    assert not s.is_loop and hash(s) == hash(Segment(*_SEGMENT, False)) and len({s, Segment(*_SEGMENT, True)}) == 2
 
 
 def test_acyclic_subsets():

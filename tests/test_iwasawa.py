@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -659,12 +658,12 @@ class TestCharFactorization:
         assert s0.edge_ids == {"e0", "e1"} and s1.edge_ids == {"e2", "e3"}
         if case == "listed twice":
             g = build_graph(g.vertices, [(e.u, e.v, e.id) for e in g.edges] + [("x", "y", "e4")])
-            d = dataclasses.replace(d, graph=g)
-            s0, s1 = (dataclasses.replace(s, edge_ids=s.edge_ids | {"e4"}) for s in (s0, s1))
+            d = d._replace(graph=g)
+            s0, s1 = (s._replace(edge_ids=s.edge_ids | {"e4"}) for s in (s0, s1))
         else:
-            s0 = dataclasses.replace(s0, edge_ids=s0.edge_ids - {"e1"})
-            s1 = dataclasses.replace(s1, edge_ids=s1.edge_ids | {"e1"}, vertices=s1.vertices | ({"x"} if case == "with its ends" else set()))
-        monkeypatch.setattr(iwasawa, "decompose", lambda g, r: dataclasses.replace(d, segments=(s0, s1)))
+            s0 = s0._replace(edge_ids=s0.edge_ids - {"e1"})
+            s1 = s1._replace(edge_ids=s1.edge_ids | {"e1"}, vertices=s1.vertices | ({"x"} if case == "with its ends" else set()))
+        monkeypatch.setattr(iwasawa, "decompose", lambda g, r: d._replace(segments=(s0, s1)))
         v = verify_char_factorization(g, r, {"e0": 1}, 3)
         assert not v.ok and v.detail["factorization_exact"] is False
 

@@ -1,5 +1,6 @@
 """Rules over segtower's own source, from one parse of each module of
-src/segtower, and the README's CLI examples run end to end.
+src/segtower, the modules a fresh `import segtower.cli` loads, and the
+README's CLI examples run end to end.
 
 A name counts as used when a module of src/ reads it (a Name in Load
 context), reads it as an attribute or imports it.  __init__.py imports in
@@ -24,6 +25,7 @@ import pytest
 from segtower.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,19 @@ def test_benchmark_names_resolve(src):
     assert not bad, "perfbench/spans.py names what segtower does not define: " + ", ".join(bad)
 
 
+def test_cli_start_up_imports():
+    """A fresh interpreter's `import segtower.cli` loads none of dataclasses,
+    inspect (which pulls in ast, dis and tokenize) and decimal (which only
+    cli._num needs, past 10 000 bits): each costs every call milliseconds
+    before its request.  A module the interpreter loaded before (site) does
+    not count."""
+    code = ("import sys; before = set(sys.modules); import segtower.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'decimal'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"import segtower.cli loads {done.stdout.strip()}"
+
+
 def test_no_private_import_in_src(src):
     """A module of src/ imports only the public names of another: a name
     that two modules share is part of the API and is named so."""
@@ -136,8 +151,7 @@ def test_readme_examples(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert code == 0, f"{argv}: exit {code}: {out}"
         json.loads(out)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     for argv in (["--help"], ["invariants", "--help"], examples[0]):
-        done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-m", "segtower.cli", *argv], env=SRC_ENV, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0 and done.stdout.strip(), f"{argv}: exit {done.returncode}: {done.stderr}"
     json.loads(done.stdout)
