@@ -237,12 +237,17 @@ def _usage(command):
 def _parse(argv):
     """(handler, args) for argv by the table of build_parser: argv[0] is the
     subcommand, then options --name value, --name=value or a flag --name; a
-    repeated option keeps its last value.  Every bad argument is a GraphError."""
+    repeated option keeps its last value.  -h or --help as the subcommand or
+    an option name gives (None, the usage text).  Every bad argument is a GraphError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, _usage(None)
     fn, options = _COMMANDS.get(argv[0] if argv else None, (None, None))
     if fn is None:
         raise GraphError(f"expected a subcommand, one of {', '.join(_COMMANDS)}")
     values, rest = {}, iter(argv[1:])
     for arg in rest:
+        if arg in ("-h", "--help"):
+            return None, _usage(argv[0])
         name, eq, value = arg.partition("=")
         kind = options.get(name, (None,))[0]
         if kind is None or kind is bool and eq:  # an abbreviation and a stray positional too
@@ -266,10 +271,10 @@ def run(argv=None):
     """Answer one request: read the graph (not for family), write one reply, return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if "-h" in argv or "--help" in argv:
-            sys.stdout.write(_usage(argv[0] if argv[0] in _COMMANDS else None))
-            return 0
         fn, args = _parse(argv)
+        if fn is None:  # args is the usage text
+            sys.stdout.write(args)
+            return 0
         if "p" in vars(args):
             check_prime(args.p, "--p")
         for flag in ("n", "nmax"):  # subcommands with a tower level have one of them

@@ -7,11 +7,11 @@ edge (e, t) joins (o(e), t mod m_o) to (t(e), (t + a_e) mod m_t) where a_e
 is the voltage exponent of e and m_v the fiber modulus of v.
 
 Tree counts along the tower build no cover (see iwasawa.tower_kappas).
-build_cover serves the `cover` subcommand; the theorem harnesses count their
-level-n witness on cover_laplacian, and the general one a segment past the
-work limit on lift_laplacian.  build_cover and lift_laplacian read one
-lift rule (lifts).  segment_preimage has no caller in the library (the
-benchmark's tracer wraps it by name).
+build_cover serves the `cover` subcommand.  lift_laplacian alone numbers
+lifted rows: the theorem harnesses count their witness on it (through
+cover_laplacian), and the general one each segment it counts on its lifts.
+It and build_cover read one lift rule (lifts).  segment_preimage has no
+caller in the library (the benchmark's tracer wraps it by name).
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ def level_size(g: Multigraph, r: RamificationData, p: int, n: int) -> int:
     return (len(g.vertices) - len(r.depths)) * p**n + sum(fibre_size(r, p, n, v) for v in r.depths)
 
 
-def _fibres(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
-    """({v: fibre size}, p^m) of the level-n cover, p^m the lifts of each
-    edge, after its checks: the level, the request (check_request), then a
-    cover past SIZE_LIMIT, refused before anything is built."""
+def _fibres(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> int:
+    """The level m <= n whose fibres the level-n cover has, each edge with
+    p^m lifts, after its checks: the level, the request (check_request),
+    then a cover past SIZE_LIMIT, refused before anything is built."""
     if n < 0:
         raise GraphError("cover level must be non-negative")
     check_request(g, r, voltage, p)
@@ -67,15 +67,18 @@ def _fibres(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
     # SIZE_LIMIT: a cover within it has the fibres of level m, p^n unformed
     m = min(n, SIZE_LIMIT.bit_length())
     check_size(level_size(g, r, p, m), len(g.edges) * p**m, f"the level-{n} cover")
-    return {v: fibre_size(r, p, m, v) for v in g.vertices}, p**m
+    return m
 
 
-def lifts(edges, mods, pm, voltage):
-    """The pm lifts of each edge (eid, u, v), with fibre sizes mods:
-    (eid, u, v, [(i, j) for t < pm]), the lift (e, t) joining (u, i) to (v, j)."""
+def lifts(edges, fibres, pm, voltage):
+    """The pm lifts of each edge (eid, u, v), fibres[v] listing what stands
+    for (v, i) in the order of i: (eid, the ends of (e, t) in the order of
+    t), the lift (e, t) joining (u, t mod |fibres[u]|) to (v, (t + a_e) mod
+    |fibres[v]|).  Each fibre's size divides pm."""
     for eid, u, v in edges:
-        a, mu, mv = voltage.get(eid, 0), mods[u], mods[v]
-        yield eid, u, v, [(t % mu, (t + a) % mv) for t in range(pm)]
+        fu, fv = fibres[u], fibres[v]
+        a = voltage.get(eid, 0) % len(fv)
+        yield eid, zip(fu * (pm // len(fu)), (fv[a:] + fv[:a]) * (pm // len(fv)))
 
 
 def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> CoverGraph:
@@ -85,32 +88,36 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
     stored direction (u -> v); the reverse dart carries -a_e.  Missing edges
     default to voltage 0.  n = 0 returns an isomorphic copy of the base.
     """
-    mods, pm = _fibres(g, r, voltage, p, n)
-    vertices = [(v, i) for v in g.vertices for i in range(mods[v])]
+    m = _fibres(g, r, voltage, p, n)
+    fibres = {v: [(v, i) for i in range(fibre_size(r, p, m, v))] for v in g.vertices}
     edges = []
     eproj = {}
-    for eid, u, v, ends in lifts(g.edges, mods, pm, voltage or {}):
-        for t, (i, j) in enumerate(ends):
+    for eid, ends in lifts(g.edges, fibres, p**m, voltage or {}):
+        for t, (x, y) in enumerate(ends):
             cid = f"{eid}@{t}"
-            edges.append(Edge(cid, (u, i), (v, j)))
+            edges.append(Edge(cid, x, y))
             eproj[cid] = eid
 
-    graph = Multigraph(vertices, edges)
-    residual = RamificationData(
-        {(v, i): max(k - n, 0) for v, k in r.depths.items() for i in range(mods[v])}
-    )
+    graph = Multigraph([w for v in g.vertices for w in fibres[v]], edges)
+    residual = RamificationData({w: max(k - n, 0) for v, k in r.depths.items() for w in fibres[v]})
     return CoverGraph(graph, g, residual, eproj, n)
 
 
-def lift_laplacian(edges, mods, pm, voltage, first, size):
-    """The size rows of the Laplacian of the lifts of edges (see lifts),
-    where (v, i) has row first[v] + i and a negative row is left out.  A
-    lift whose ends coincide adds nothing."""
+def lift_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int, drop, part=None):
+    """The sparse rows of the Laplacian of the level-n lifts of g's edges, or
+    of part's alone (a segment), over their fibres in build_cover's vertex
+    order, without the row of (v, 0) for each v in drop.  A lift whose ends
+    coincide adds nothing."""
+    index, size = {}, 0  # index[v][i]: the row of (v, i), -1 when it is left out
+    for v in g.vertices:
+        if part is None or v in part.vertices:
+            k, out = fibre_size(r, p, n, v), v in drop
+            index[v] = [-1] * out + list(range(size, size + k - out))
+            size += k - out
+    edges = g.edges if part is None else [e for e in g.edges if e.id in part.edge_ids]
     rows = [{} for _ in range(size)]
-    for _, u, v, ends in lifts(edges, mods, pm, voltage):
-        fu, fv = first[u], first[v]
+    for _, ends in lifts(edges, index, p**n, voltage or {}):
         for i, j in ends:
-            i, j = fu + i, fv + j
             if i != j:
                 if i >= 0:
                     rows[i][i] = rows[i].get(i, 0) + 1
@@ -124,14 +131,8 @@ def lift_laplacian(edges, mods, pm, voltage, first, size):
 
 def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
     """graph.laplacian(build_cover(...).graph, its first vertex), after the
-    same checks, filled straight from the p^n lifts of each edge of g: the
-    det_int block of kappa(X_n)."""
-    mods, pm = _fibres(g, r, voltage, p, n)
-    first, size = {}, -1  # the row of each (v, 0); the cover's first vertex has none
-    for v in g.vertices:
-        first[v] = size
-        size += mods[v]
-    return lift_laplacian(g.edges, mods, pm, voltage or {}, first, size)
+    same checks: the det_int block of kappa(X_n)."""
+    return lift_laplacian(g, r, voltage, p, _fibres(g, r, voltage, p, n), g.vertices[:1])
 
 
 def segment_preimage(c: CoverGraph, segment):

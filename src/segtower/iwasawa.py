@@ -51,13 +51,14 @@ The general identity's segment counts come from M_S too: a mark has depth
 0, so its fibre is one vertex, whose row lies in the trivial part.  With P
 the product of det M_S(zeta) over zeta^(p^n) = 1, zeta != 1,
 F_t(S_n) = det M_S(1) * P, and kappa(S_n) = p^n * kappa(S) * P at a
-2-segment (kappa(S) = det_int of S's Laplacian without one mark).  The
-cover and each such zeta see a voltage only mod p^n, so M_S takes the
-symmetric residues: det M_S has degree at most |V_S| * p^n, where a voltage
-as given (10^9, say) would pass det_laurent's work limit.  A segment whose
-det M_S or chain would pass WORK_LIMIT (the chain by tower_kappas' estimate)
-takes its counts as det_int of S_n's Laplacian, filled from the lifts of
-S's edges alone (cover.lift_laplacian): a part of the witness, so no larger.
+2-segment.  The cover and each such zeta see a voltage only mod p^n, so
+M_S takes the symmetric residues: det M_S has degree at most |V_S| * p^n,
+where a voltage as given (10^9, say) would pass det_laurent's work limit.
+A segment whose det M_S or chain would pass WORK_LIMIT (the chain by
+tower_kappas' estimate) takes its counts as det_int of S_n's Laplacian,
+the lifts of S's edges alone: a part of the witness, so no larger.  That
+Laplacian and kappa(S)'s (the same at level 0) come from
+cover.lift_laplacian, as the witness's does.
 """
 
 from __future__ import annotations
@@ -161,13 +162,14 @@ FIT_DEPTH = 4  # levels past the largest depth n0 that a default fit runs to
 
 def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     """kappa(X_n) for n = 0..n_max, read from the blocks of X without its
-    tails (see the module docstring); raises DisconnectedCover at the first
-    level whose count is 0.  _det_m is det M with every mark ramified, when
-    the caller has it.  Level n takes about
+    tails (see the module docstring).  _det_m is det M with every mark
+    ramified, when the caller has it.  Level n takes about
     (p*d^2 + 1) * (p^n * log2(||det M_n||_1 * |c|^d) + (s_n + n) * log2 p) bit
     operations, d the span and c the leading coefficient of det M_n.  Before
     any chain starts, GraphError names the level where their sum passes
-    WORK_LIMIT, or n_max if its counts would not print."""
+    WORK_LIMIT, or n_max if its counts would not print, and then a
+    disconnected X raises DisconnectedCover(0); a later level whose count
+    is 0 raises it at that level."""
     check_request(g, r, voltage, p)
     core = prune_tails(g, r)
     marks, shifts, dets, work = [()], [0], {}, 0  # R_n, s_n, det M_n by R_n
@@ -188,9 +190,11 @@ def tower_kappas(g, r, voltage, p, n_max, *, _det_m=None):
     top = max(len(g.edges) * p**n_max, level_size(g, r, p, n_max))
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise GraphError(f"level {n_max} of the tower would have an edge or vertex count past Python's int-to-str digit limit")
+    if (base := kappa(core)) == 0:  # X is disconnected: refused before any chain
+        raise DisconnectedCover(0)
     chains = {m: root_of_unity_products(dets[m], p, max(n for n, x in enumerate(marks) if x == m)) for m in dets}
 
-    base, primitive, start, out = kappa(core), [1], 0, []  # primitive[n]: prod over a <= n of order p^a
+    primitive, start, out = [1], 0, []  # primitive[n]: prod over a <= n of order p^a
     for n, s in enumerate(shifts):
         if n:
             if marks[n] != marks[n - 1]:
@@ -253,20 +257,6 @@ def _witness(g, r, voltage, p, n):
     if count == 0:
         raise DisconnectedCover(n)
     return count
-
-
-def _lifted_segment(d, s, r, voltage, p, n, drop):
-    """The Laplacian of S_n, the lifts of S's edges alone at level n, without
-    the marks in drop (of depth 0: one vertex each), so a mark left in counts
-    only those lifts; at n = 0 it is S's own Laplacian."""
-    mods, first, size = {}, {}, 0
-    for v in d.graph.vertices:
-        if v in s.vertices:
-            mods[v] = fibre_size(r, p, n, v)
-            first[v] = -1 if v in drop else size
-            size += 0 if v in drop else mods[v]
-    edges = [e for e in d.graph.edges if e.id in s.edge_ids]
-    return lift_laplacian(edges, mods, p**n, voltage, first, size)
 
 
 def _segment_chain(block, p, n):
@@ -344,12 +334,12 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
         residue = {eid: (a + half) % order - half for eid, a in (voltage or {}).items()}  # in -half..order - 1 - half
         for s, block in zip(d.segments, _segment_blocks(d, residue)):
             if (chain := _segment_chain(block, p, n)) is None:  # S_n's own counts, on a part of the witness
-                forests.append(det_int(_lifted_segment(d, s, r, residue, p, n, s.ramified)))
-                kappas.append(det_int(_lifted_segment(d, s, r, residue, p, n, s.ramified[:1])) if s.t == 2 else forests[-1])
+                forests.append(det_int(lift_laplacian(d.graph, r, residue, p, n, s.ramified, s)))
+                kappas.append(det_int(lift_laplacian(d.graph, r, residue, p, n, s.ramified[:1], s)) if s.t == 2 else forests[-1])
             else:
                 at_one, product = chain
                 forests.append(at_one * product)
-                kappas.append(order * det_int(_lifted_segment(d, s, r, {}, p, 0, s.ramified[:1])) * product
+                kappas.append(order * det_int(lift_laplacian(d.graph, r, {}, p, 0, s.ramified[:1], s)) * product
                               if s.t == 2 else forests[-1])
     sets = admissible_sets(d)
     rhs = 0

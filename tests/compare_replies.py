@@ -10,9 +10,13 @@ marked at its first mark and at its first two), to `invariants` (default,
 at n = 1 and 2, factorization) at p = 2, 3 and 5, and to `verify` A,
 partial and general at p = 2, n = 4.  It also sends a tailed copy of each
 fixture, a 3-vertex pendant path of voltages 1, -1 and 2 hung on its first
-unmarked vertex, to the same `invariants` requests, and a copy whose every
-edge voltage is shifted by 10^9 to `verify --theorem general` at n = 1 and
-2, p = 2, 3 and 5.
+unmarked vertex, and a copy with an isolated extra mark (a disconnected X)
+to the same `invariants` requests, and a copy whose every edge voltage is
+shifted by 10^9 to `verify --theorem general` at n = 1 and 2, p = 2, 3
+and 5.  Two more requests send `verify --theorem general --p 101 --n 1`
+segments whose chains would pass the work limit, so that their counts come
+from their lifts (cover.lift_laplacian): a 1-segment, and the 2-segment
+that one more edge to a second mark makes of it.
 Prints, per list, how many (exit code, stdout) pairs differ, and the name
 and argv of the first three requests whose pairs differ.
 
@@ -68,6 +72,19 @@ if workload == "fixtures":
             e["voltage"] = e.get("voltage", 0) + 10**9
         reqs += [workloads.Request(name + " shifted", argv, None, stdin=json.dumps(obj))
                  for argv in argvs if argv[:3] == ["verify", "--theorem", "general"] and argv[-1] in ("1", "2")]
+        obj = json.loads(text)
+        obj["vertices"].append("isolated")
+        obj["ramified"].append({"vertex": "isolated"})
+        reqs += [workloads.Request(name + " isolated", argv, None, stdin=json.dumps(obj)) for argv in argvs if argv[0] == "invariants"]
+    lifted = {"vertices": ["m", "u0", "u1", "u2", "u3"], "ramified": [{"vertex": "m"}],
+              "edges": [{"from": u, "to": v, "voltage": a} for u, v, a in [("m", "u0", 82), ("u0", "u1", 83), ("m", "u2", 58),
+                        ("u0", "u3", 58), ("u1", "u3", 83), ("u1", "u2", 58), ("u2", "u1", 56)]]}
+    general = ["verify", "--theorem", "general", "--p", "101", "--n", "1"]
+    reqs.append(workloads.Request("lifted 1-segment", general, None, stdin=json.dumps(lifted)))
+    lifted["vertices"].append("w")
+    lifted["ramified"].append({"vertex": "w"})
+    lifted["edges"].append({"from": "u3", "to": "w", "voltage": 1})
+    reqs.append(workloads.Request("lifted 2-segment", general, None, stdin=json.dumps(lifted)))
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)

@@ -125,6 +125,17 @@ def explicit_cover_laplacian(g, r, voltage, p, n):
     return laplacian(c, c.vertices[:1])
 
 
+def explicit_lift_laplacian(g, r, voltage, p, n, drop, part=None):
+    """Oracle for cover.lift_laplacian: the level-n cover built as a graph,
+    cut to the fibres over part's vertices and the lifts of its edges (the
+    whole cover when part is None), its Laplacian without (v, 0) for each
+    v in drop by graph.laplacian."""
+    c = build_cover(g, r, voltage, p, n)
+    vertices = [w for w in c.graph.vertices if part is None or w[0] in part.vertices]
+    edges = [e for e in c.graph.edges if part is None or c.edge_projection[e.id] in part.edge_ids]
+    return laplacian(Multigraph(vertices, edges), [(v, 0) for v in drop])
+
+
 def preimage_segment_counts(d, r, voltage, p, n):
     """Oracle for verify_general_case's segment counts: ([kappa(S_n)],
     [F_t(S_n)]) of d's segments, by forest_count_det on each segment's

@@ -34,7 +34,7 @@ from conftest import (
     run_limited,
     taylor_shift_oracle,
 )
-from segtower import iwasawa, linalg
+from segtower import cli, iwasawa, linalg
 from segtower.cli import _dumps, _num, run
 from segtower.forests import forest_count_bruteforce
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, graph_to_json, laplacian
@@ -320,6 +320,19 @@ class TestInvariants:
         assert done.returncode == 0, done.stderr[-300:]
         assert json.loads(done.stdout)["levels"][3000]["edges"] == 2**3000
 
+    @pytest.mark.parametrize("mode", [["--empirical-only"], [], ["--symbolic-only"]])
+    def test_a_disconnected_x_is_refused_before_any_chain(self, mode):
+        # v1 is isolated: --empirical-only ran every root-of-unity chain of the
+        # tower before kappa(X) = 0 refused it, 16.5 s of CPU, where the other
+        # modes took 0.00 s (char_element checks connectivity first)
+        graph = {"vertices": ["v0", "v1", "v2", "v3", "v4", "v5"], "ramified": [{"vertex": "v1"}, {"vertex": "v2", "depth": 2}],
+                 "edges": [{"from": u, "to": v, "voltage": a} for u, v, a in
+                           [("v4", "v3", 1), ("v5", "v5", -1), ("v4", "v3", 2), ("v0", "v5", -1), ("v5", "v4", 2),
+                            ("v3", "v4", 1), ("v0", "v2", 0), ("v4", "v4", 2)]]}
+        done = run_limited(["-m", "segtower.cli", "invariants", "--p", "7", *mode], timeout=30, cpu=2, stdin=json.dumps(graph))
+        assert done.returncode == 2, done.stderr[-300:]
+        assert json.loads(done.stdout) == {"error": "hypothesis_violation", "reason": "cover at level 0 is disconnected"}
+
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 has no int-to-str digit limit")
 def test_digit_limit_boundary():
@@ -591,6 +604,34 @@ class TestArgv:
     def test_bad_arguments(self, capsys, argv):
         code, out = invoke(capsys, argv[0], *self.INPUT, *argv[1:])
         assert code == 1 and out["error"] == "bad_input"
+
+    @pytest.mark.parametrize("mark, argv", [("-h", ["--marked", "-h"]), ("-h", ["--marked=-h"]),
+                                            ("--help", ["--marked=--help"])])
+    def test_help_as_a_value_is_a_value(self, mark, argv):
+        # -h and --help mean help only in place of the subcommand or an option
+        # name: here they name the mark, and forests counts the forests
+        graph = {"vertices": [mark, "b"], "edges": [{"from": mark, "to": "b"}], "ramified": [{"vertex": mark}]}
+        done = run_limited(["-m", "segtower.cli", "forests", *argv], timeout=30, cpu=2, stdin=json.dumps(graph))
+        assert done.returncode == 0, done.stderr[-300:]
+        assert json.loads(done.stdout) == {"forest_count": "1", "t": 1, "method": "determinant"}
+
+    USAGE = ["usage: segtower seal [--input INPUT]",
+             "usage: segtower kappa [--input INPUT]",
+             "usage: segtower forests [--input INPUT] --marked MARKED [--method {det,brute}]",
+             "usage: segtower cover [--input INPUT] --p P --n N",
+             "usage: segtower invariants [--input INPUT] --p P [--nmax NMAX] [--symbolic-only] [--empirical-only]",
+             "usage: segtower verify [--input INPUT] --theorem {A,partial,general,factorization} --p P [--n N]",
+             "usage: segtower family --variant {line,modified_line,chorded_cycle,complete} [--params PARAMS]"]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_text(self, capsys, flag):
+        # the whole usage after the module docstring, or one subcommand's line,
+        # also after its options and in place of a missing required one
+        assert run([flag]) == 0
+        assert capsys.readouterr().out == cli.__doc__ + "\n" + "".join(line + "\n" for line in self.USAGE)
+        for argv in (["seal", flag], ["seal", "--input", "x.json", flag], ["forests", "--method", "brute", flag]):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == next(line for line in self.USAGE if line.split()[2] == argv[0]) + "\n"
 
     @pytest.mark.parametrize("argv", [["-h"], ["invariants", "--help"]])
     def test_help(self, capsys, argv):

@@ -1,12 +1,13 @@
 import re
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_cover_laplacian, load_fixture, segment_subgraph
+from conftest import explicit_cover_laplacian, explicit_lift_laplacian, load_fixture, segment_subgraph
 from segtower.cover import (build_cover, check_prime, check_request, cover_laplacian, fibre_size, level_size,
-                            segment_preimage)
+                            lift_laplacian, segment_preimage)
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph
 from segtower.seal import decompose
@@ -160,6 +161,41 @@ class TestCoverLaplacian:
         r = RamificationData({"m": 0})
         assert cover_laplacian(g, r, {"e1": 3, "e2": 1}, 3, 1) == [{0: 1}, {1: 1}, {2: 1}]
         assert cover_laplacian(g, r, {"e1": 1}, 3, 1)[0] == {0: 3, 1: -1, 2: -1}
+
+
+@st.composite
+def lift_requests(draw):
+    """(g, r, voltage, p, n, drop, part) for lift_laplacian: a request of
+    voltage_multigraphs, any set of its vertices to drop, marked or not, and
+    no part or a part of any of its edges, their ends and any more vertices."""
+    g, r, voltage, p, n = draw(voltage_multigraphs())
+    drop = draw(st.lists(st.sampled_from(g.vertices), unique=True))
+    part = None
+    if draw(st.booleans()):
+        eids = draw(st.sets(st.sampled_from([e.id for e in g.edges]))) if g.edges else set()
+        ends = {w for e in g.edges if e.id in eids for w in e[1:]}
+        part = SimpleNamespace(vertices=ends | draw(st.sets(st.sampled_from(g.vertices))), edge_ids=eids)
+    return g, r, voltage, p, n, drop, part
+
+
+class TestLiftLaplacian:
+    """lift_laplacian alone, any drop set and any part, against the explicit
+    cover cut to the part's fibres and lifts."""
+
+    @given(lift_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_cut_explicit_cover(self, x):
+        try:
+            want = explicit_lift_laplacian(*x)
+        except GraphError:  # past SIZE_LIMIT, which lift_laplacian leaves to its callers
+            assume(False)
+        assert lift_laplacian(*x) == want
+
+    def test_drops_only_the_first_vertex_of_a_fibre(self):
+        # the fibre over v has three vertices at p = 3, n = 1: (v, 0) goes, (v, 1) and (v, 2) stay
+        g = build_graph(["m", "v"], [("m", "v", "e0")])
+        r = RamificationData({"m": 0})
+        assert lift_laplacian(g, r, {}, 3, 1, ["v"]) == [{0: 3, 1: -1, 2: -1}, {0: -1, 1: 1}, {0: -1, 2: 1}]
 
 
 class TestCheckPrime:

@@ -25,7 +25,7 @@ from conftest import (
     taylor_shift_oracle,
 )
 from segtower import forests, iwasawa, linalg
-from segtower.cover import build_cover, check_request, cover_laplacian, segment_preimage
+from segtower.cover import build_cover, check_request, cover_laplacian, lift_laplacian, segment_preimage
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import GraphError, RamificationData, build_graph, graph_from_json, laplacian, prune_tails
 from segtower.iwasawa import (
@@ -723,6 +723,30 @@ class TestGeneralCounts:
         assert out["ok"] is True and out["lhs"] == out["rhs"] == str(f) and out["detail"]["segment_forests"] == [str(f)]
         monkeypatch.setattr(iwasawa, "root_of_unity_products", None)  # never called
         assert verify_general_case(g, r, voltage, 101, 1).detail["segment_kappas"] == [k] == [f]
+
+    def test_a_two_segment_past_the_work_limit_is_counted_on_its_lifts(self, monkeypatch):
+        # the block above with an edge u3-w to a second mark: one 2-segment,
+        # whose F(S_n) and kappa(S_n) both come from the lifts of its edges
+        # at level n, one lift_laplacian call each, and no chain runs
+        edges = [("m", "u0", 82), ("u0", "u1", 83), ("m", "u2", 58), ("u0", "u3", 58), ("u1", "u3", 83),
+                 ("u1", "u2", 58), ("u2", "u1", 56), ("u3", "w", 1)]
+        g, r, voltage = graph_from_json({"vertices": ["m", "u0", "u1", "u2", "u3", "w"],
+                                         "ramified": [{"vertex": "m"}, {"vertex": "w"}],
+                                         "edges": [{"from": u, "to": v, "voltage": a} for u, v, a in edges]})
+        d = decompose(g, r)
+        (s,) = d.segments
+        assert s.t == 2 and s.ramified == ("m", "w")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4:])
+            return lift_laplacian(*args)
+
+        monkeypatch.setattr(iwasawa, "lift_laplacian", spy)
+        monkeypatch.setattr(iwasawa, "root_of_unity_products", None)  # never called
+        v = verify_general_case(g, r, voltage, 101, 1)
+        assert calls == [(1, ("m", "w"), s), (1, ("m",), s)]
+        assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == preimage_segment_counts(d, r, voltage, 101, 1)
 
     def test_large_voltage_is_read_mod_p_n(self):
         # a triangle x-y-z of voltage 10^9 inside the 2-segment a-x ... z-b: at
