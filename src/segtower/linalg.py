@@ -2,10 +2,12 @@
 
 A matrix is a list of sparse rows [{column: entry}] of its nonzero entries:
 a block as graph.laplacian builds it, the one kind both determinants take
-(see _block_bound).  One elimination kernel serves det_int directly and
-det_laurent at interpolation nodes, modulo a product of primes below 2^30
-(one CPython digit each); it pivots on the diagonal of the block's symmetric
-pattern and reads a minimum-degree order from the row lengths as it goes.
+(see _block_bound).  Both determinants eliminate modulo a product of primes
+below 2^30 (one CPython digit each), pivoting on the diagonal of the block's
+symmetric pattern in a minimum-degree order read from the row lengths as
+they go: det_int one matrix (_det_mod), det_laurent up to GROUP_WIDTH
+interpolation nodes in one pass (_det_mod_nodes), each entry a list of its
+values at the nodes, before it interpolates det M in g + 1/g.
 Products of a Laurent polynomial over the p^a-th roots of unity come from
 one root-power (Graeffe) chain over Z, with no matrix and no prime.  Laurent
 polynomials in the deck generator g expand at g = 1 + T to integer tuples
@@ -29,6 +31,7 @@ class WorkLimitExceeded(LinalgError):
 
 
 WORK_LIMIT = 2**31  # bit operations that det_laurent, a tower or the factors of a factorization may take
+GROUP_WIDTH = 16  # the most nodes one pass of det_laurent's kernel eliminates: W copies of the filled block
 
 
 class LaurentPoly:
@@ -200,7 +203,7 @@ def _symmetric_lift(residues, bound):
 
 def _least_length_first(a):
     """Yield the rows of a to eliminate, each a row of least length among
-    those left, ties to the lower index, as _det_mod eliminates them: a lazy
+    those left, ties to the lower index, as both kernels take them: a lazy
     heap of (length, row) whose stale entries are skipped.  A step changes
     only the lengths of the rows it updates, the taken row's neighbours;
     each of them whose length changed is pushed again.  In a symmetric
@@ -220,37 +223,54 @@ def _least_length_first(a):
                     heapq.heappush(heap, (n, i))
 
 
-def _det_mod(a, order, q):
-    """(det mod q, the order of the eliminated columns) of the square matrix
-    of sparse rows a, [{column: entry}], which it overwrites; the order is
-    None when a zero column ends the elimination early.  q is a product of
-    primes; a pivot it must invert whose gcd with q is g > 1 raises
-    _NonUnitPivot(g).  An entry that q divides must be 0 (|entry| < q).
+def _inverses(xs, q):
+    """[x^-1 mod q for x in xs] from one pow: the prefix products are
+    inverted at once and unwound (Montgomery, Math. Comp. 48, 1987).  When
+    some x shares a prime factor with q, _NonUnitPivot names the gcd of
+    their product with q."""
+    prefix, acc = [], 1
+    for x in xs:
+        prefix.append(acc)
+        acc = acc * x % q
+    try:
+        inv = pow(acc, -1, q)
+    except ValueError:
+        raise _NonUnitPivot(math.gcd(acc, q)) from None
+    out = [0] * len(xs)
+    for t in range(len(xs) - 1, -1, -1):
+        out[t] = inv * prefix[t] % q
+        inv = inv * xs[t] % q
+    return out
+
+
+def _det_mod(a, q):
+    """det mod q of the square matrix of sparse rows a, [{column: entry}],
+    which it overwrites.  q is a product of primes; a pivot it must invert
+    whose gcd with q is g > 1 raises _NonUnitPivot(g).  An entry that q
+    divides must be 0 (|entry| < q).
 
     The pattern of a must be symmetric (j in a[i] exactly when i in a[j])
     and hold every diagonal entry; zero residues stay.  Each step pivots on
-    the diagonal of the next column k in order, or, with order None, of a
-    row of least length (see _least_length_first).  It updates the rows of
-    the pivot row's columns, every one by all of its columns, even for a
-    factor of 0, so the pattern stays symmetric and no zero is deleted.  A
-    zero diagonal first borrows a row: the first row i of the pivot row's
-    columns with a[i][k] nonzero is added to row k, which leaves det
-    unchanged, and each column that row k gains gets a zero mirror.  With no
-    such row column k is zero, and so is det.
+    the diagonal of a row of least length (see _least_length_first).  It
+    updates the rows of the pivot row's columns, every one by all of its
+    columns, even for a factor of 0, so the pattern stays symmetric and no
+    zero is deleted.  A zero diagonal first borrows a row: the first row i
+    of the pivot row's columns with a[i][k] nonzero is added to row k, which
+    leaves det unchanged, and each column that row k gains gets a zero
+    mirror.  With no such row column k is zero, and so is det.
     """
-    used, det = [], 1
-    for k in order or _least_length_first(a):
+    det = 1
+    for k in _least_length_first(a):
         rp = a[k]
         if not rp[k]:
             i = next((i for i in rp if a[i][k]), None)
             if i is None:
-                return 0, None
+                return 0
             for j, y in a[i].items():
                 a[j].setdefault(k, 0)
                 rp[j] = (rp.get(j, 0) + y) % q
         x = rp.pop(k)
         a[k] = None
-        used.append(k)
         det = det * x % q
         if not rp:
             continue
@@ -263,7 +283,52 @@ def _det_mod(a, order, q):
             f = ri.pop(k) * inv % q
             for j, y in rp.items():
                 ri[j] = (ri.get(j, 0) - f * y) % q
-    return det, used
+    return det
+
+
+def _det_mod_nodes(a, q, width):
+    """[det mod q at each node] of the square matrix a at width nodes at
+    once: its sparse rows [{column: [entry at each node]}], which it
+    overwrites, eliminated as _det_mod eliminates one matrix.
+
+    The pivot order depends only on the pattern, so one order serves every
+    node, and each step inverts the pivots of all nodes by one pow (see
+    _inverses).  Where a pivot is 0, that node alone borrows a row as
+    _det_mod does; the columns row k gains hold zeros at the other nodes
+    and get zero mirrors, so every node keeps one pattern.  A node whose
+    column k is zero has det 0 and is frozen: its later pivots count as 1,
+    so it never borrows, raises _NonUnitPivot or drops a prime again.  When
+    every node is frozen the elimination ends.  Every update builds a new
+    list, so entries may share one.
+    """
+    dets, frozen, zero = [1] * width, set(), [0] * width
+    for k in _least_length_first(a):
+        rp = a[k]
+        if 0 in rp[k]:
+            for t, x in enumerate(rp[k]):
+                if x or t in frozen:
+                    continue
+                if (i := next((i for i in rp if a[i][k][t]), None)) is None:
+                    frozen.add(t)
+                    continue
+                for j, y in a[i].items():
+                    a[j].setdefault(k, zero)
+                    v = rp[j] = list(rp.get(j, zero))
+                    v[t] = (v[t] + y[t]) % q
+            if len(frozen) == width:
+                return zero
+        xs = rp.pop(k)
+        a[k] = None
+        dets = [d * x % q for d, x in zip(dets, xs)]
+        if not rp:
+            continue
+        invs = _inverses([1 if t in frozen else x for t, x in enumerate(xs)] if frozen else xs, q)
+        for i in rp:
+            ri = a[i]
+            fs = [f * inv % q for f, inv in zip(ri.pop(k), invs)]
+            for j, ys in rp.items():
+                ri[j] = [(r - f * y) % q for r, f, y in zip(ri.get(j, zero), fs, ys)]
+    return dets
 
 
 def _block_bound(m, what, norm, constant, mirrors, zero):
@@ -294,7 +359,7 @@ def det_int(m) -> int:
     _symmetric_lift), which takes the rows unreduced: |M_ij| <= M_ii <= bound."""
     if not (bound := _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)):
         return 0
-    return _symmetric_lift(lambda q: [_det_mod([dict(row) for row in m], None, q)[0]], bound)[0]
+    return _symmetric_lift(lambda q: [_det_mod([dict(row) for row in m], q)], bound)[0]
 
 
 def _max_assignment(w):
@@ -354,18 +419,24 @@ def det_laurent(m) -> LaurentPoly:
     nonnegative diagonal, so positive semidefinite, and Hadamard's
     inequality gives 0 <= det M(g) <= prod_i M_ii(g) <= prod_i ||M_ii||_1 =
     2^b, which by Parseval bounds every coefficient of Q.  Interpolating Q
-    and Taylor-shifting it to g = 1 + T take about (d + 1)^2 * (b + d) bit
-    operations; past WORK_LIMIT, WorkLimitExceeded names d before any node
-    is evaluated.
+    at d + 1 points and Taylor-shifting it to g = 1 + T take about
+    (d + 1)^2 * (b + d) bit operations; past WORK_LIMIT, WorkLimitExceeded
+    names d before any node is evaluated.  (The interpolation below takes
+    about 3/8 of those products, so the estimate over-counts it.)
 
-    Modulo a product of primes that passes 2^(b + 1) (see _symmetric_lift),
-    the kernel eliminates M at the nodes x = 1..hi + 1.  det M(1/x) = det M(x)
-    gives Q at x and at 1/x (x * y < q for every prime q, so the nodes and
-    their differences are units), and Newton interpolation recovers Q.  The
-    first node whose elimination runs to the end chooses the minimum-degree
-    order (see _det_mod), and every later node replays it.  A node is raised
-    to each exponent that occurs by one pow, so an exponent E costs
-    O(log E) multiplications, not E.
+    At hi = 0, det M is the integer det M(1), and M(1) is a block det_int
+    takes: M_ii(1) >= 2 c_0(M_ii) - ||M_ii||_1 >= sum_j ||M_ij||_1.  Else,
+    modulo a product of primes that passes 2^(b + 1) (see _symmetric_lift),
+    _det_mod_nodes eliminates M at the nodes x = 1..hi + 1, GROUP_WIDTH at
+    a time, each distinct entry evaluated once per group as a list of its
+    values; a node is raised to each exponent that occurs by one pow, so an
+    exponent E costs O(log E) multiplications, not E.  As det M(1/g) =
+    det M(g), det M = P(g + 1/g) with deg P <= hi, and P is
+    Newton-interpolated at the points u = x + 1/x, which are distinct units
+    (u_x - u_y = (x - y)(x y - 1)/(x y), and x * y < q for every prime q);
+    a divided difference inverts the small integer (x - y)(x y - 1).
+    Horner over the Newton form, each step a product with
+    g (u - u_j) = g^2 - u_j g + 1, gives Q = g^hi * P(g + 1/g).
     """
     bound = _block_bound(m, "det_laurent takes only mirrored", LaurentPoly.norm, LaurentPoly.constant, LaurentPoly.mirrors, LaurentPoly())
     # max_exp raises LinalgError on a zero entry
@@ -375,36 +446,35 @@ def det_laurent(m) -> LaurentPoly:
     if (work := size**2 * (bound.bit_length() + 2 * hi)) > WORK_LIMIT:
         raise WorkLimitExceeded(f"det M has degree up to {2 * hi}; interpolating and expanding it would take about "
                                 f"2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
-    rows = [[(j, list(x.coeffs.items())) for j, x in row.items()] for row in m]
-    exps = {e for row in m for x in row.values() for e in x.coeffs}
+    if not hi:
+        return LaurentPoly({0: det_int([{j: sum(x.coeffs.values()) for j, x in row.items()} for row in m])})
+    rows = [[(j, tuple(x.coeffs.items())) for j, x in row.items()] for row in m]
+    entries = {terms for row in rows for _, terms in row}
+    exps = {e for terms in entries for e, _ in terms}
 
     def residues(q):
-        xs, values, order = [], [], None
-        for x in range(1, hi + 2):
-            xp = {e: pow(x, e, q) for e in exps}
-            a = []
-            for row in rows:
-                r = {}
-                for j, terms in row:
-                    v = 0
-                    for e, c in terms:
-                        v += c * xp[e]
-                    r[j] = v % q
-                a.append(r)
-            d, used = _det_mod(a, order, q)  # det M(x) = det M(1/x)
-            order = order or used
-            xs.append(x)
-            values.append(d * pow(x, hi, q) % q)  # Q(x) = x^hi * d
-            if x > 1:  # Q(1/x) = x^-hi * d
-                xs.append(pow(x, -1, q))
-                values.append(d * pow(x, -hi, q) % q)
-        for j in range(1, size):  # values[i] becomes Q[x_i-j, ..., x_i]
-            for i in range(size - 1, j - 1, -1):
-                values[i] = (values[i] - values[i - 1]) * pow(xs[i] - xs[i - j], -1, q) % q
-        for j in range(size - 2, -1, -1):  # Newton form to monomials, Horner from the top
-            for i in range(j, size - 1):
-                values[i] = (values[i] - xs[j] * values[i + 1]) % q
-        return values
+        values = []
+        for first in range(1, hi + 2, GROUP_WIDTH):
+            nodes = range(first, min(first + GROUP_WIDTH, hi + 2))
+            powers = {e: [pow(x, e, q) for x in nodes] for e in exps}
+            at = {}
+            for terms in entries:
+                v = [0] * len(nodes)
+                for e, c in terms:
+                    v = [s + c * y for s, y in zip(v, powers[e])]
+                at[terms] = [s % q for s in v]
+            values += _det_mod_nodes([{j: at[terms] for j, terms in row} for row in rows], q, len(nodes))
+        us = [(x + pow(x, -1, q)) % q for x in range(1, hi + 2)]
+        for j in range(1, hi + 1):  # values[i] becomes P[u_i-j, ..., u_i]
+            for i in range(hi, j - 1, -1):
+                x, y = i + 1, i + 1 - j
+                values[i] = (values[i] - values[i - 1]) * x * y * pow((x - y) * (x * y - 1), -1, q) % q
+        out = [values[hi]]  # g^(hi - j) times the Newton tail from j, lowest first
+        for j in range(hi - 1, -1, -1):
+            u = us[j]
+            out = [(a + b - u * c) % q for a, b, c in zip(out + [0, 0], [0, 0] + out, [0, *out, 0])]
+            out[hi - j] = (out[hi - j] + values[j]) % q
+        return out
 
     return LaurentPoly({e - hi: c for e, c in enumerate(_symmetric_lift(residues, bound))})
 

@@ -16,7 +16,13 @@ shifted by 10^9 to `verify --theorem general` at n = 1 and 2, p = 2, 3
 and 5.  Two more requests send `verify --theorem general --p 101 --n 1`
 segments whose chains would pass the work limit, so that their counts come
 from their lifts (cover.lift_laplacian): a 1-segment, and the 2-segment
-that one more edge to a second mark makes of it.
+that one more edge to a second mark makes of it.  The "grids" list sends
+`invariants --symbolic-only` at p = 2 and 3 and `verify --theorem
+factorization --p 3` to k x k grids, k = 6, 8 and 10, with two opposite
+corners marked and voltages +-1 on 70% of the edges (perfbench's
+workloads._graph) drawn with seeds 0-2: hi from 18 to 53, so up to four groups of
+linalg.GROUP_WIDTH nodes, where no request of the benchmark's lists for
+seeds 1 and 2 passes hi = 15, one group.
 Prints, per list, how many (exit code, stdout) pairs differ, and the name
 and argv of the first three requests whose pairs differ.
 
@@ -85,6 +91,15 @@ if workload == "fixtures":
     lifted["ramified"].append({"vertex": "w"})
     lifted["edges"].append({"from": "u3", "to": "w", "voltage": 1})
     reqs.append(workloads.Request("lifted 2-segment", general, None, stdin=json.dumps(lifted)))
+elif workload == "grids":
+    import random
+    argvs = [["invariants", "--p", p, "--symbolic-only"] for p in "23"] + [["verify", "--theorem", "factorization", "--p", "3"]]
+    reqs = []
+    for k in (6, 8, 10):
+        vs, es, ram = workloads.grid(k, k, [(0, 0), (k - 1, k - 1)])
+        for s in range(3):
+            g = workloads._graph(vs, es, dict.fromkeys(ram, 0), random.Random(s), volt=True)
+            reqs += [workloads.Request(f"grid {k}x{k} seed {s}", argv, g) for argv in argvs]
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)
@@ -110,13 +125,13 @@ def main():
     ap.add_argument("--seconds", type=int, default=2)
     args = ap.parse_args()
     total = differ = 0
-    for workload in (*WORKLOADS, "fixtures"):
-        for seed in args.seeds if workload != "fixtures" else args.seeds[:1]:
+    for workload in (*WORKLOADS, "fixtures", "grids"):
+        for seed in args.seeds if workload in WORKLOADS else args.seeds[:1]:
             old, new = (replies(c, workload, seed, args.seconds) for c in (args.old, args.new))
             changed = [(name, argv) for (name, argv, a), (_, _, b) in zip(old, new) if a != b]
             n = len(changed) + abs(len(old) - len(new))
             total, differ = total + len(new), differ + n
-            label = workload if workload == "fixtures" else f"{workload} seed {seed}"
+            label = f"{workload} seed {seed}" if workload in WORKLOADS else workload
             print(f"{label}: {n} of {len(new)} replies differ")
             for name, argv in changed[:3]:
                 print(f"  {name}: {' '.join(argv)}")

@@ -915,15 +915,15 @@ class TestInterpolationWork:
     the stage."""
 
     def test_estimate_admits_a_degree_of_1000(self, monkeypatch):
-        # 4 - g^500 - g^-500: interpolated in about 2.5 s, still answered.
-        # The first node's elimination ends the call, so none is paid for
+        # 4 - g^500 - g^-500: interpolated in under half a second, still answered.
+        # The first pass of nodes ends the call, so none is paid for
         class Sentinel(Exception):
             pass
 
         def first_node(*args):
             raise Sentinel
 
-        monkeypatch.setattr(linalg, "_det_mod", first_node)
+        monkeypatch.setattr(linalg, "_det_mod_nodes", first_node)
         with pytest.raises(Sentinel):
             char_element(*graph_from_json(parallel_voltage_json(500)), 2)
 
@@ -938,12 +938,14 @@ class TestInterpolationWork:
     )
     def test_refused_before_any_node(self, monkeypatch, call, stage):
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         with pytest.raises(GraphError, match=f"^{stage}: det M has degree up to 2000000; .* past 2\\^31"):
             call(*graph_from_json(parallel_voltage_json(10**6)))
 
     def test_det_laurent_refuses_before_ordering(self, monkeypatch):
         # the estimate belongs to det_laurent itself, not to its callers
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         g, r, volt = graph_from_json(parallel_voltage_json(10**6))
         m = laplacian(g, r.depths, volt)
         with pytest.raises(WorkLimitExceeded, match="^det M has degree up to 2000000; .* past 2\\^31$"):

@@ -293,23 +293,25 @@ class TestDetLaurent:
             assert det_laurent(sparse_rows([[a, b], [mirror(b), d]])) == laurent_sub(a * d, b * mirror(b))
 
     def test_zero_column(self, monkeypatch):
-        # one edge of voltage 1 between two unmarked vertices: det M = 0, and
-        # at the one node column 1 cancels with no row left to borrow
+        # one edge of voltage 1 between two unmarked vertices: det M = 0.
+        # hi = 0, so det M is det_int of M(1) = [[1, -1], [-1, 1]], whose
+        # column 1 cancels with no row left to borrow
         calls = record_eliminations(monkeypatch)
         assert det_laurent(block([{0: 1}, {0: 1}], [(0, 1, {1: -1})])).is_zero
-        assert [c.result for c in calls] == [(0, None)]
+        assert [(c.width, c.result, c.order) for c in calls] == [(None, 0, None)]
 
     def test_pivot_swap(self, monkeypatch):
-        # M(1) is singular, so the node 2 chooses the order; its first pivot
+        # hi = 1: the nodes 1 and 2 in one pass.  M(1) is singular, so the
+        # node 1 ends frozen at det 0; at the node 2 the first pivot
         # 5 - 4 - 1 = 0 borrows row 1, which brings column 2 into row 0 and
         # so needs a zero in row 2 at column 0
         m = block([{0: 5, 1: -2, -1: -2}, {0: 2}, {0: 1}], [(0, 1, {0: -1}), (1, 2, {0: -1})])
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == LaurentPoly({0: 4, 1: -2, -1: -2})
-        assert calls[0].result == (0, None)
-        (last,) = calls[1:]
-        rows, (_, order) = last.rows, last.result
-        assert rows[0][0] == 0 and 0 not in rows[2] and order[0] == 0
+        (call,) = calls
+        rows, order = call.rows, call.order
+        assert call.width == 2 and call.result[0] == 0 and call.result[1]
+        assert rows[0][0] == [1, 0] and 0 not in rows[2] and order[0] == 0
 
     @given(blocks(max_dim=3))
     @settings(max_examples=25, deadline=None)
@@ -352,12 +354,14 @@ class TestDetLaurent:
         # before any bound or node
         monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         with pytest.raises(LinalgError, match="^det_laurent takes only mirrored, diagonally dominant blocks; row 0 is not one$"):
             det_laurent(m)
 
     def test_empty_row_is_accepted(self, monkeypatch):
         # an isolated unmarked vertex: no permutation runs through M's entries
         monkeypatch.setattr(linalg, "_det_mod", lambda *args: pytest.fail("_det_mod ran"))
+        monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         assert det_laurent([{}, {1: LaurentPoly({0: 1})}]).is_zero
 
     def test_non_square_rejected(self):
@@ -398,32 +402,49 @@ def count_primes(monkeypatch):
 
 
 class Elimination(NamedTuple):
-    """One call of linalg._det_mod: its order, its rows as they were passed
-    in, the modulus q, and its result, or, when a pivot was no unit, None
-    and that pivot's gcd with q (gcd None when there was none)."""
+    """One call of a kernel: linalg._det_mod (width None) or
+    linalg._det_mod_nodes at width nodes.  Its rows as they were passed in,
+    the modulus q, the width, the pivot order it took (None when it ended
+    early: a zero column, or every node frozen), and its result (det, or
+    the dets of the nodes), or, when a pivot was no unit, None and that
+    pivot's gcd with q (gcd None when there was none)."""
 
-    order: object
     rows: list
     q: int
+    width: object
+    order: object
     result: object
     gcd: object
 
 
 def record_eliminations(monkeypatch):
-    """Wrap linalg._det_mod; the returned list holds an Elimination per call."""
-    calls, det_mod = [], linalg._det_mod
+    """Wrap both kernels and their pivot order (linalg._least_length_first);
+    the returned list holds an Elimination per kernel call, in call order."""
+    calls, order, take = [], [], linalg._least_length_first
 
-    def recording(a, order, q):
-        rows = [dict(row) for row in a]
-        try:
-            result = det_mod(a, order, q)
-        except linalg._NonUnitPivot as exc:
-            calls.append(Elimination(order, rows, q, None, exc.args[0]))
-            raise
-        calls.append(Elimination(order, rows, q, result, None))
-        return result
+    def taking(a):
+        order.clear()
+        for k in take(a):
+            order.append(k)
+            yield k
+        order.append(None)  # the order ran to its end
 
-    monkeypatch.setattr(linalg, "_det_mod", recording)
+    def recorded(kernel):
+        def recording(a, q, *args):  # _det_mod_nodes also takes the width
+            rows, width = [dict(row) for row in a], (args or [None])[0]  # no kernel changes an entry list in place
+            try:
+                result = kernel(a, q, *args)
+            except linalg._NonUnitPivot as exc:
+                calls.append(Elimination(rows, q, width, None, None, exc.args[0]))
+                raise
+            calls.append(Elimination(rows, q, width, order[:-1] if order[-1:] == [None] else None, result, None))
+            return result
+
+        return recording
+
+    monkeypatch.setattr(linalg, "_least_length_first", taking)
+    monkeypatch.setattr(linalg, "_det_mod", recorded(linalg._det_mod))
+    monkeypatch.setattr(linalg, "_det_mod_nodes", recorded(linalg._det_mod_nodes))
     return calls
 
 
@@ -496,13 +517,15 @@ class TestDetIntOracle:
     def test_pivots_divisible_by_two_primes(self, monkeypatch, det):
         # two blocks [[Q0, 1], [1, 1]] and [[Q3, 1], [1, 1]]: the bound
         # Q0 * Q3 takes three primes.  The pivot Q0 fails modulo Q0 * Q1 * Q2,
-        # and Q3, drawn in its place, fails modulo Q1 * Q2 * Q3: two retries
+        # and Q3, drawn in its place, fails modulo Q1 * Q2 * Q3: two retries.
+        # As constants the block has hi = 0, and det_laurent hands it to det_int
         m = [[Q0, 1, 0, 0], [1, 1, 0, 0], [0, 0, Q3, 1], [0, 0, 1, 1]]
         drawn = count_primes(monkeypatch)
         calls = record_eliminations(monkeypatch)
         assert det(sparse_rows(m if det is det_int else constants(m))) == bareiss_det_int(m) == (Q0 - 1) * (Q3 - 1)
         assert drawn == [Q0, Q1, Q2, Q3, Q4]
         assert pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, Q3), (Q1 * Q2 * Q4, None)]
+        assert all(c.width is None for c in calls)
 
     def test_entries_divisible_by_a_prime(self, monkeypatch):
         # the rows go to the kernel unreduced; no pivot is divisible by a prime
@@ -592,13 +615,16 @@ def kernel_rows(m, q=Q0):
 
 def kernel_det(m, q=Q0):
     """det mod q of the dense integer matrix m, from the kernel itself."""
-    return linalg._det_mod(kernel_rows(sparse_rows(m), q), None, q)[0]
+    return linalg._det_mod(kernel_rows(sparse_rows(m), q), q)
 
 
 def kernel_order(m, q=Q0):
     """The order in which the kernel eliminates the integer sparse rows m
     modulo q (see kernel_rows); None when a zero column ends it early."""
-    return linalg._det_mod(kernel_rows(m, q), None, q)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_eliminations(mp)
+        linalg._det_mod(kernel_rows(m, q), q)
+    return calls[0].order
 
 
 def pattern_rows(pattern):
@@ -731,19 +757,19 @@ class TestBorrowedRow:
         # Q1 * Q2 * Q3 the borrowed pivot is a unit
         drawn = count_primes(monkeypatch)
         calls = record_eliminations(monkeypatch)
-        det = linalg._symmetric_lift(lambda q: [linalg._det_mod([{0: 0, 1: Q0}, {0: Q0, 1: 1}], None, q)[0]], Q0 * Q0)
+        det = linalg._symmetric_lift(lambda q: [linalg._det_mod([{0: 0, 1: Q0}, {0: Q0, 1: 1}], q)], Q0 * Q0)
         assert det == [bareiss_det_int([[0, Q0], [Q0, 1]])] == [-Q0 * Q0]
         assert drawn == [Q0, Q1, Q2, Q3] and pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
 
     def test_first_node_ends_early(self, monkeypatch):
         # the one-vertex block 2 - g^2 - g^-2 vanishes at the first node 1,
-        # where column 0 is zero with no row to borrow: node 2 chooses the
-        # order, node 3 replays it
+        # where column 0 is zero with no row to borrow: node 1 ends frozen
+        # at det 0, and the nodes 2 and 3 run on in the same pass
         m = [{0: LaurentPoly({0: 2, 2: -1, -2: -1})}]
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == m[0][0]
-        assert [c.order for c in calls] == [None, None, [0]]
-        assert calls[0].result == (0, None) and calls[1].result[1] == calls[2].result[1] == [0]
+        assert [(c.width, c.order) for c in calls] == [(3, [0])]
+        assert calls[0].result[0] == 0 and 0 not in calls[0].result[1:]
 
 
 laurent_terms = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=3)
@@ -866,7 +892,8 @@ class TestDetLaurentOracle:
 
     def test_mirrored_nodes_on_a_grid_block(self, monkeypatch):
         # one elimination, modulo the product of the primes, per node x
-        # serves x and 1/x: hi + 1 of them for hi the one assignment's value;
+        # serves x and 1/x: hi + 1 of them for hi the one assignment's value,
+        # GROUP_WIDTH to a kernel call at most;
         # a row-span bound D = sum_i (row max - min(0, row min)) needs D + 1;
         # the diagonal coefficient bound takes 2 primes at 5x5 and 4 at 8x8,
         # where the row norms take 3 and 6
@@ -881,9 +908,11 @@ class TestDetLaurentOracle:
                 calls = record_eliminations(mp)
                 drawn = count_primes(mp)
                 assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-            assert len(bounds) == 1 and len(calls) == bounds[0] + 1 == nodes
-            assert len(drawn) == primes
-            assert 2 * len(calls) < spans + 1
+            widths = [c.width for c in calls]
+            assert len(bounds) == 1 and sum(widths) == bounds[0] + 1 == nodes
+            assert len(calls) == -(-nodes // linalg.GROUP_WIDTH) and max(widths) <= linalg.GROUP_WIDTH
+            assert len(drawn) == primes and len({c.q for c in calls}) == 1
+            assert 2 * sum(widths) < spans + 1
 
     @given(st.one_of(blocks(), blocks(prime=True)))
     @settings(max_examples=200, deadline=None)
@@ -891,8 +920,10 @@ class TestDetLaurentOracle:
         # every coefficient of g^hi * det M is at most prod_i ||M_ii||_1, and
         # det_laurent draws just the primes that pass twice that bound.  A
         # diagonal constant Q0 or Q1 can make a pivot that is no unit modulo
-        # their product: then the eliminations modulo it stop at that node,
-        # and all hi + 1 nodes run again modulo the retried product
+        # their product: then the eliminations modulo it stop at that pass,
+        # and all hi + 1 nodes run again modulo the retried product, in
+        # passes of at most GROUP_WIDTH nodes.  At hi = 0 (no loop, so each
+        # diagonal is its constant and both bounds agree) det_int takes M(1)
         bound = math.prod(sum(map(abs, row[i].coeffs.values())) if i in row else 0 for i, row in enumerate(m))
         hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
         with pytest.MonkeyPatch.context() as mp:
@@ -908,7 +939,10 @@ class TestDetLaurentOracle:
         gcds = [run[-1].gcd for run in runs[:-1]]
         assert ([run[0].q for run in runs], drawn) == retried_moduli(bound, gcds)
         assert all(c.gcd is None for run in runs for c in run[:-1]) and all(gcds)
-        assert all(len(run) <= hi + 1 for run in runs) and len(runs[-1]) == hi + 1 and runs[-1][-1].gcd is None
+        assert all((c.width is None) == (hi == 0) and (c.width or 1) <= linalg.GROUP_WIDTH for c in calls)
+        nodes = [sum(c.width or 1 for c in run) for run in runs]  # M(1) is the one node at hi = 0
+        assert all(k <= hi + 1 for k in nodes) and nodes[-1] == hi + 1 and runs[-1][-1].gcd is None
+        assert len(runs[-1]) == -(-(hi + 1) // linalg.GROUP_WIDTH)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_diagonal_bound_is_nearly_tight(self, n):
@@ -934,7 +968,8 @@ class TestDetLaurentOracle:
     def test_forest_block_takes_one_node(self, monkeypatch):
         # a tower block whose pattern is the path 1-0-3-2: its permutations
         # are the diagonal and transpositions of mirrored pairs, whose
-        # exponents sum to 0, so hi = 0: one node and one elimination per prime
+        # exponents sum to 0, so hi = 0: det M is det_int of M(1), one
+        # elimination and one prime
         neg_g, neg_gi = LaurentPoly({1: -1}), LaurentPoly({-1: -1})
         m = [
             {0: LaurentPoly({0: 3}), 1: neg_g, 3: neg_gi},
@@ -945,7 +980,7 @@ class TestDetLaurentOracle:
         calls = record_eliminations(monkeypatch)
         drawn = count_primes(monkeypatch)
         assert det_laurent(m) == 21
-        assert len(calls) == len(drawn) == 1
+        assert len(calls) == len(drawn) == 1 and calls[0].width is None
 
     @given(blocks(max_dim=5, coefficients=big_coefficients))
     @settings(max_examples=100, deadline=None)
@@ -960,19 +995,20 @@ class TestDetLaurentOracle:
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
         assert len(drawn) >= 3
-        # the off-diagonal pair gives hi = 1 + 2 = 3: one elimination at each
-        # of the nodes 1..4, all modulo the product of the primes
-        assert pivot_gcds(calls) == [(math.prod(drawn), None)] * 4
+        # the off-diagonal pair gives hi = 1 + 2 = 3: the nodes 1..4 in one
+        # pass, modulo the product of the primes
+        assert pivot_gcds(calls) == [(math.prod(drawn), None)] and calls[0].width == 4
 
     def test_coefficient_equal_to_a_prime(self, monkeypatch):
-        # hi = 1: the nodes 1 and 2.  At the node 1 the first pivot is Q0, no
-        # unit modulo Q0 * Q1, the primes that pass twice the bound 5 * Q0;
-        # both nodes run again modulo Q1 * Q2
+        # hi = 1: the nodes 1 and 2 in one pass.  At both nodes the first
+        # pivot is Q0, no unit modulo Q0 * Q1, the primes that pass twice the
+        # bound 5 * Q0; both nodes run again modulo Q1 * Q2
         m = block([{0: Q0}, {0: 3, 1: -1, -1: -1}], [(0, 1, {1: -1})])
         drawn = count_primes(monkeypatch)
         calls = record_eliminations(monkeypatch)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
-        assert drawn == [Q0, Q1, Q2] and pivot_gcds(calls) == [(Q0 * Q1, Q0), (Q1 * Q2, None), (Q1 * Q2, None)]
+        assert drawn == [Q0, Q1, Q2] and pivot_gcds(calls) == [(Q0 * Q1, Q0), (Q1 * Q2, None)]
+        assert [c.width for c in calls] == [2, 2]
 
     @given(st.integers(0, 2**32), st.data())
     @settings(max_examples=150, deadline=None)
@@ -983,6 +1019,106 @@ class TestDetLaurentOracle:
         marks = data.draw(st.lists(st.sampled_from(g.vertices), unique=True, max_size=len(g.vertices) - 1))
         m = laplacian(g, marks, voltage)
         assert det_laurent(m) == interpolated_det_laurent(dense(m, LaurentPoly()))
+
+
+def direct_sum(*ms):
+    """The block-diagonal matrix of the sparse-row matrices ms, in order."""
+    out = []
+    for m in ms:
+        base = len(out)
+        out += [{base + j: x for j, x in row.items()} for row in m]
+    return out
+
+
+# Mirrored blocks, as block's arguments, that each do one thing at a node.
+# A block's first row goes first among its rows, so they do it in any direct sum.
+# test_pivot_swap's block: the first pivot 5 - 2(x + 1/x) is 0 at the node 2 only, and M(1) is singular
+ZERO_PIVOT_AT_2 = ([{0: 5, 1: -2, -1: -2}, {0: 2}, {0: 1}], [(0, 1, {0: -1}), (1, 2, {0: -1})])
+# test_zero_column's block with a loop 2 - g - 1/g on its first vertex: column 1 vanishes at the node 1 only
+VANISHES_AT_1 = ([{0: 3, 1: -1, -1: -1}, {0: 1}], [(0, 1, {1: -1})])
+# test_zero_column's block: column 1 vanishes at every node
+VANISHES = ([{0: 1}, {0: 1}], [(0, 1, {1: -1})])
+# the first pivot Q0 + 2 - x - 1/x is Q0 at the node 1 only: no unit modulo a product of primes with Q0
+PRIME_PIVOT_AT_1 = ([{0: Q0 + 2, 1: -1, -1: -1}, {0: 1}], [(0, 1, {0: -1})])
+GADGETS = (ZERO_PIVOT_AT_2, VANISHES_AT_1, VANISHES, PRIME_PIVOT_AT_1)
+
+
+class TestNodeGroups:
+    """_det_mod_nodes eliminates up to GROUP_WIDTH nodes in one pass: one
+    pivot order, one batched inverse per pivot, borrowing and freezing node
+    by node."""
+
+    @given(blocks(max_dim=4), st.lists(st.sampled_from(range(len(GADGETS))), unique=True), st.sampled_from([1, 2, 3, linalg.GROUP_WIDTH]))
+    @settings(max_examples=200, deadline=None)
+    def test_gadget_blocks(self, rand, picks, width):
+        # a random block, then the gadgets in the drawn order, at the drawn
+        # group width: against both oracles, in passes of at most that many
+        # nodes, with the retried moduli of the pivots that failed
+        m = direct_sum(rand, *(block(*GADGETS[i]) for i in picks))
+        bound = math.prod(sum(map(abs, row[i].coeffs.values())) if i in row else 0 for i, row in enumerate(m))
+        hi = linalg._max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GROUP_WIDTH", width)
+            drawn = count_primes(mp)
+            calls = record_eliminations(mp)
+            det = det_laurent(m)
+        assert det == interpolated_det_laurent(dense(m, LaurentPoly())) == bareiss_det_laurent(dense(m, LaurentPoly()))
+        if hi is None:
+            assert det.is_zero and drawn == calls == []
+            return
+        assert all((c.width is None) == (hi == 0) and (c.width or 1) <= width for c in calls)
+        runs = [list(run) for _, run in groupby(calls, key=lambda call: call.q)]
+        gcds = [run[-1].gcd for run in runs[:-1]]
+        assert ([run[0].q for run in runs], drawn) == retried_moduli(bound, gcds)
+        assert sum(c.width or 1 for c in runs[-1]) == hi + 1 and len(runs[-1]) == -(-(hi + 1) // width)
+        if (prime := GADGETS.index(PRIME_PIVOT_AT_1)) in picks:
+            # each of the others ends the node 1 at det 0 before the prime
+            # pivot: then that frozen node draws no prime.  With none of them
+            # and no zero of the random block's det at 1, it draws Q2 for Q0
+            if picks.index(prime):
+                assert gcds == []
+            elif bareiss_det_int([[sum(x.coeffs.values()) for x in row] for row in dense(rand, LaurentPoly())]):
+                assert gcds[0] == Q0 and Q2 in drawn
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_frozen_node_draws_no_prime(self, monkeypatch, first):
+        # VANISHES_AT_1 ends the node 1 at det 0; the first pivot of
+        # PRIME_PIVOT_AT_1 is Q0 there, no unit modulo Q0 * Q1, the primes
+        # that pass twice the bound 5 * (Q0 + 4).  hi = 2: the nodes 1..3 in
+        # one pass.  When the vanishing block goes first, the node 1 is frozen
+        # before that pivot, which it then never inverts; else the pivot drops
+        # Q0 and draws Q2
+        a, b = block(*VANISHES_AT_1), block(*PRIME_PIVOT_AT_1)
+        m = direct_sum(a, b) if first else direct_sum(b, a)
+        drawn = count_primes(monkeypatch)
+        calls = record_eliminations(monkeypatch)
+        assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly()))
+        assert [c.width for c in calls] == ([3] if first else [3, 3])
+        if first:
+            assert drawn == [Q0, Q1] and pivot_gcds(calls) == [(Q0 * Q1, None)] and calls[0].result[0] == 0
+        else:
+            assert drawn == [Q0, Q1, Q2] and pivot_gcds(calls) == [(Q0 * Q1, Q0), (Q1 * Q2, None)]
+
+    def test_hi_zero_hands_m1_to_det_int(self, monkeypatch):
+        # a triangle whose voltages 1, -1 and 0 sum to 0 around it, so
+        # hi = 0: det M is the integer det M(1), the block of the sums of
+        # M's coefficients, which det_int takes; no node is evaluated
+        m = block([{0: 3}, {0: 2}, {0: 3}], [(0, 1, {1: -1}), (1, 2, {-1: -1}), (0, 2, {0: -1})])
+        taken, det = [], linalg.det_int
+        monkeypatch.setattr(linalg, "det_int", lambda rows: taken.append(rows) or det(rows))
+        monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
+        assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == 8
+        assert taken == [[{0: 3, 1: -1, 2: -1}, {1: 2, 0: -1, 2: -1}, {2: 3, 1: -1, 0: -1}]]
+
+    def test_batched_inverses(self):
+        q = Q0 * Q1
+        xs = [1, 2, q - 1, Q0 + 1, 12345678901]
+        assert linalg._inverses(xs, q) == [pow(x, -1, q) for x in xs] and linalg._inverses([], q) == []
+        # an x that is no unit: the product's gcd with q names its primes
+        for xs, g in ([3, 2 * Q1, 5], Q1), ([Q0, 7, 2 * Q1], q):
+            with pytest.raises(linalg._NonUnitPivot) as exc:
+                linalg._inverses(xs, q)
+            assert exc.value.args == (g,)
 
 
 class TestExpandAtGamma:
