@@ -8,7 +8,6 @@ the one enumerator, counts spanning trees for forests and seal.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Hashable
 from itertools import combinations
@@ -70,7 +69,9 @@ class Multigraph:
         if len(incident) != len(vs):
             raise GraphError("duplicate vertex id")
         if len({e.id for e in es}) != len(es):
-            raise GraphError("duplicate edge id")
+            seen = set()  # name the first id seen twice
+            dup = next(e.id for e in es if e.id in seen or seen.add(e.id))
+            raise GraphError(f"duplicate edge id {dup!r}")
         if unknown is not None:
             raise GraphError(f"edge {unknown!r} has unknown endpoint")
         self.vertices = vs
@@ -239,31 +240,52 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
     """Iteratively delete unramified vertices with a single neighbour joined
     by a single edge.  The spanning-tree count is unchanged.
 
-    A heap of candidate positions always deletes the first deletable vertex
-    in vertex order, which decides which end of an isolated edge survives.
-    Only unmarked vertices go, so r holds for the result unchanged.  A g
-    with no tail (no unmarked vertex of degree 1) is returned itself.
+    The result is that of deleting, each time, the first deletable vertex
+    in vertex order.  Deletions commute but for the last edge of a component
+    that is a tree without marks: that rule keeps the tree's last vertex in
+    vertex order, found by one walk of the tree.  So each tail is walked
+    from its leaf inwards, in order of the leaves, and degrees are kept only
+    for the vertices a deletion reaches.  Only unmarked vertices go, so r
+    holds for the result unchanged.  A g with no tail (no unmarked vertex of
+    degree 1) is returned itself.
     """
     check_marks(g, r)
-    incident = g._incident
-    todo = [i for i, v in enumerate(g.vertices) if len(incident[v]) == 1 and not r.is_ramified(v)]  # sorted: a heap
-    if not todo:
+    incident, marks = g._incident, r.depths
+    leaves = [v for v, es in incident.items() if len(es) == 1 and v not in marks]  # a loop counts 2: never one
+    if not leaves:
         return g
-    position = {v: i for i, v in enumerate(g.vertices)}
-    degree = {v: len(es) for v, es in incident.items()}  # a loop counts 2, so degree 1 is never a loop
+    degree = {}  # the degrees that deletions lowered
     gone_vertices, gone_edges = set(), set()
-    while todo:
-        v = g.vertices[heapq.heappop(todo)]
-        if degree[v] != 1:  # its neighbour went first and left it isolated
-            continue
-        e = next(e for e in incident[v] if e.id not in gone_edges)
-        w = e.other(v)
-        gone_vertices.add(v)
-        gone_edges.add(e.id)
-        degree[v] = 0
-        degree[w] -= 1
-        if degree[w] == 1 and not r.is_ramified(w):
-            heapq.heappush(todo, position[w])
+    position = None  # vertex order, built for the first tree without marks
+    for v in leaves:
+        while v not in gone_vertices:
+            for e in incident[v]:  # v's last edge
+                if e.id not in gone_edges:
+                    break
+            else:  # a tree without marks left v alone
+                break
+            w = e.v if e.u == v else e.u
+            d = degree.get(w, len(incident[w]))
+            if d == 1 and w not in marks:  # the last edge of a tree without marks
+                if position is None:
+                    position = {x: i for i, x in enumerate(g.vertices)}
+                tree, todo = {v}, [v]
+                while todo:
+                    for _, a, b in incident[todo.pop()]:
+                        for x in (a, b):
+                            if x not in tree:
+                                tree.add(x)
+                                todo.append(x)
+                gone_vertices |= tree
+                gone_vertices.remove(max(tree, key=position.__getitem__))
+                gone_edges.add(e.id)
+                break
+            gone_vertices.add(v)
+            gone_edges.add(e.id)
+            degree[w] = d - 1
+            if d != 2 or w in marks:
+                break
+            v = w
     return Multigraph(
         [v for v in g.vertices if v not in gone_vertices],
         [e for e in g.edges if e.id not in gone_edges],
@@ -335,7 +357,9 @@ def graph_from_json(obj):
 
     Malformed input raises GraphError: ids must be hashable and distinct as
     strings, voltages and depths integers, and ramified vertices vertices of
-    the graph, each listed once."""
+    the graph, each listed once.  One loop reads each edge's ends, then its
+    id (str of "id", e<i> without one), then its voltage, judged as
+    check_voltage judges it."""
     if not isinstance(obj, dict):
         raise GraphError("graph JSON must be an object")
     try:
@@ -353,14 +377,15 @@ def graph_from_json(obj):
             u, v = e["from"], e["to"]
         except (KeyError, TypeError):
             raise GraphError(f"edge #{i} missing from/to") from None
-        eid = str(e.get("id", f"e{i}"))
+        eid = str(e["id"]) if "id" in e else f"e{i}"
         edges.append(Edge(eid, u, v))
         a = e.get("voltage", 0)
-        check_voltage({eid: a})
+        if type(a) is not int:
+            raise GraphError(f"voltage of edge {eid!r} must be an integer, got {a!r}")
         if a:
             voltage[eid] = a
     g = Multigraph(vertices, edges)
-    if len({str(v) for v in g.vertices}) != len(g.vertices):  # replies print ids as strings
+    if len(set(map(str, g.vertices))) != len(g.vertices):  # replies print ids as strings
         raise GraphError('vertex ids must differ as strings (1 and "1" do not)')
     depths = {}
     for m in marks:

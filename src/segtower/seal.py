@@ -12,7 +12,8 @@ No path is listed.  The closure classes of "shares an unramified vertex"
 over all edges are the direct edges and loops at ramified vertices, and the
 components of X minus its ramified vertices with their attaching edges:
 one pass over the Edge tuples labels the components, a second groups the
-edges by label, each class in the order of its first edge.  An admissible
+edges by label and collects each class's edge ids and marks, each class in
+the order of its first edge.  An admissible
 path runs inside one class, so each class is judged by the ramified
 vertices it touches:
 
@@ -120,9 +121,12 @@ def admissible_paths(g: Multigraph, r: RamificationData, v, v2, cap=10000):
 
 def _closure_groups(edges, r):
     """The closure classes of "shares an unramified vertex" over edges (Edge
-    tuples), in the order of their first edges and each in edge order: one
-    pass labels the components of the edges' unramified vertices, a second
-    groups the edges by label.  An edge with no unramified end is alone."""
+    tuples), in the order of their first edges: one pass labels the
+    components of the edges' unramified vertices, a second groups the edges
+    by label.  An edge with no unramified end is alone.  Each class comes as
+    (its edges in edge order, their ids, the set of marks they touch, its
+    vertex set): the second pass collects the ids and the marks, and the
+    vertex set is the component's list from the first with those marks."""
     marks, comp = r.depths, {}  # unramified vertex -> its component's vertex list
     for _, u, v in edges:
         if u in marks:
@@ -139,18 +143,29 @@ def _closure_groups(edges, r):
                 cu, cv = cv, cu
             cu += cv
             comp.update(dict.fromkeys(cv, cu))
-    groups = {}
+    groups = {}  # a component by its list's identity, an edge between marks by itself
     for e in edges:
-        c = comp.get(e.u) or comp.get(e.v)
-        groups.setdefault(id(c) if c else e, []).append(e)  # a component by its list's identity
-    return list(groups.values())
+        eid, u, v = e
+        cu, cv = comp.get(u), comp.get(v)  # None: a mark
+        c = cu or cv
+        key = id(c) if c else e
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [], set(), c or ())
+        group[0].append(e)
+        group[1].append(eid)
+        if cu is None:
+            group[2].add(u)
+        if cv is None:
+            group[2].add(v)
+    return [(es, ids, touched, frozenset(c).union(touched)) for es, ids, touched, c in groups.values()]
 
 
 def _block_with(edges, v, v2):
-    """The ids of the edges (Edge tuples) that share a biconnected block with
-    a virtual edge v-v2 (those on some simple v-v2 path), by one iterative
-    lowpoint DFS from v whose first tree edge is the virtual one: its block
-    stays last."""
+    """The edges (Edge tuples, in their order) that share no biconnected
+    block with a virtual edge v-v2 (those on no simple v-v2 path), by one
+    iterative lowpoint DFS from v whose first tree edge is the virtual one:
+    its block stays last."""
     adj = {v: [(v2, 0)], v2: [(v, 0)]}  # index 0: virtual
     for i, (_, a, b) in enumerate(edges, 1):
         if a != b:
@@ -180,7 +195,10 @@ def _block_with(edges, v, v2):
                 if low[x] >= disc[parent]:  # x's subtree closes a block without the virtual edge
                     while stack.pop() != via:
                         pass
-    return {edges[i - 1].id for i in stack if i}
+    if len(stack) > len(edges):  # the virtual edge's block holds every edge: each is stacked once
+        return []
+    kept = set(stack)
+    return [e for i, e in enumerate(edges, 1) if i not in kept]
 
 
 def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
@@ -189,6 +207,8 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
 
     The graph must be connected and have at least one ramified vertex; a
     mark that is not a vertex of g is a GraphError (prune_tails checks).
+    Each class is judged, and its segment built and keyed for sorting, from
+    what _closure_groups collected while building it.
     """
     g = prune_tails(g, r)
     if not g.connected():
@@ -202,8 +222,8 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     two_segments = []
     one_segments = []
     uncoloured = set()
-    for piece in _closure_groups(g.edges, r):
-        touched = sorted({w for e in piece for w in e[1:] if w in marks}, key=rank.get)
+    for piece, ids, touched, vertices in _closure_groups(g.edges, r):
+        touched = sorted(touched, key=rank.__getitem__)
         if len(touched) > 2:
             a, b, c = touched[:3]
             eid = next(e.id for e in piece if a in e[1:])
@@ -212,24 +232,23 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
                 {"edge": eid, "pairs": [[a, b], [a, c]]},
             )
         if len(touched) == 2:
-            kept = _block_with(piece, *touched)
-            if len(kept) == len(piece):
-                two_segments.append((tuple(sorted(touched, key=str)), piece, False))
-            else:  # kept holds every edge at the two ramified vertices
-                uncoloured.update(e.id for e in piece if e.id not in kept)
+            if rest := _block_with(piece, *touched):  # rest avoids the two ramified vertices
+                uncoloured.update(e.id for e in rest)
+            else:
+                two_segments.append((tuple(sorted(touched, key=str)), ids, vertices, False))
         else:  # a connected graph has no class without a ramified vertex
-            one_segments.append(((touched[0],), piece, len(piece) == 1 and piece[0].is_loop))
+            one_segments.append(((touched[0],), ids, vertices, len(piece) == 1 and piece[0].is_loop))
     if uncoloured:
-        piece = _closure_groups([e for e in g.edges if e.id in uncoloured], r)[0]
-        raise DecompositionError(
-            "uncoloured edge group touches 0 ramified vertices", {"edges": sorted(e.id for e in piece), "ramified": []}
-        )
+        piece = _closure_groups([e for e in g.edges if e.id in uncoloured], r)[0][1]
+        raise DecompositionError("uncoloured edge group touches 0 ramified vertices", {"edges": sorted(piece), "ramified": []})
 
-    for found in (two_segments, one_segments):  # deterministic: by endpoints as strings, then edge ids
-        found.sort(key=lambda sp: ([str(w) for w in sp[0]], sorted(e.id for e in sp[1])))
+    # deterministic: by endpoints as strings, then by sorted edge ids, which segments with the
+    # same endpoints share none of, so that their least ids decide
+    for found in (two_segments, one_segments):
+        found.sort(key=lambda sp: ([str(w) for w in sp[0]], min(sp[1])))
     segments = [
-        Segment(color, len(ends), ends, frozenset(e.id for e in piece), frozenset(w for e in piece for w in e[1:]), is_loop)
-        for color, (ends, piece, is_loop) in enumerate(two_segments + one_segments)  # 2-segments first
+        Segment(color, len(ends), ends, frozenset(ids), vertices, is_loop)
+        for color, (ends, ids, vertices, is_loop) in enumerate(two_segments + one_segments)  # 2-segments first
     ]
     return SegmentDecomposition(g, tuple(segments), tuple(ram))
 

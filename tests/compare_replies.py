@@ -10,8 +10,11 @@ marked at its first mark and at its first two), to `invariants` (default,
 at n = 1 and 2, factorization) at p = 2, 3 and 5, and to `verify` A,
 partial and general at p = 2, n = 4.  It also sends a tailed copy of each
 fixture, a 3-vertex pendant path of voltages 1, -1 and 2 hung on its first
-unmarked vertex, and a copy with an isolated extra mark (a disconnected X)
-to the same `invariants` requests, and a copy whose every edge voltage is
+unmarked vertex, and a branched copy, a 5-vertex pendant tree with two
+forks hung on its first mark, to the same `invariants` requests, to `seal`
+and to `verify` A, partial and general at p = 2, n = 1 (graph.prune_tails
+takes both trees off); a copy with an isolated extra mark (a disconnected
+X) to the same `invariants` requests; and a copy whose every edge voltage is
 shifted by 10^9 to `verify --theorem general` at n = 1 and 2, p = 2, 3
 and 5.  Two more requests send `verify --theorem general --p 101 --n 1`
 segments whose chains would pass the work limit, so that their counts come
@@ -65,14 +68,20 @@ if workload == "fixtures":
         marked = [",".join(marks[:k]) for k in (1, 2) if len(marks) >= k]
         forests = [["forests", "--marked", m, "--method", method] for m in marked for method in ("det", "brute")]
         reqs += [workloads.Request(name, argv, None, stdin=text) for argv in argvs + forests]
-        obj = json.loads(text)
-        hook = next((v for v in obj["vertices"] if v not in marks), None)
-        if hook is not None:
-            path = [hook, "tail0", "tail1", "tail2"]
-            obj["vertices"] += path[1:]
-            obj["edges"] += [{"id": f"tail{i}", "from": u, "to": v, "voltage": a}
-                             for i, (u, v, a) in enumerate(zip(path, path[1:], (1, -1, 2)))]
-            reqs += [workloads.Request(name + " tailed", argv, None, stdin=json.dumps(obj)) for argv in argvs if argv[0] == "invariants"]
+        # pendant trees, (parent, child, voltage) over [hook, prefix0, prefix1, ...]:
+        # a path on the first unmarked vertex and a branching tree on the first mark
+        hook = next((v for v in json.loads(text)["vertices"] if v not in marks), None)
+        for label, prefix, at, tree in [("tailed", "tail", hook, [(0, 1, 1), (1, 2, -1), (2, 3, 2)]),
+                                        ("branched", "branch", marks[0] if marks else None,
+                                         [(0, 1, 1), (1, 2, 0), (1, 3, -1), (3, 4, 2), (3, 5, 0)])]:
+            if at is None:
+                continue
+            obj = json.loads(text)
+            ends = [at] + [f"{prefix}{i}" for i in range(len(tree))]
+            obj["vertices"] += ends[1:]
+            obj["edges"] += [{"id": ends[b], "from": ends[a], "to": ends[b], "voltage": x} for a, b, x in tree]
+            reqs += [workloads.Request(f"{name} {label}", argv, None, stdin=json.dumps(obj))
+                     for argv in argvs if argv[0] in ("invariants", "seal") or argv[4:] == ["2", "--n", "1"]]
         obj = json.loads(text)
         for e in obj["edges"]:
             e["voltage"] = e.get("voltage", 0) + 10**9

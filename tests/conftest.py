@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+from collections.abc import Hashable
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from segtower.cover import build_cover, segment_preimage
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, graph_from_json, laplacian
+from segtower.graph import Edge, GraphError, Multigraph, RamificationData, build_graph, check_voltage, graph_from_json, laplacian
 from segtower.iwasawa import DisconnectedCover, InvariantTriple, tower_report
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
@@ -511,6 +512,50 @@ def admissible_sets_by_trees(d):
     included), as sets of 2-segment indices."""
     ends = [(*s.ramified, i) for i, s in enumerate(d.two_segments)]
     return {frozenset(combo) for combo in enumerate_spanning_trees(build_graph(d.ramified, ends))}
+
+
+def graph_from_json_reference(obj):
+    """Reference for graph.graph_from_json, its checks in their order, one
+    helper call per edge: the default id e<i> goes through str() like any
+    other, and check_voltage judges a one-entry voltage map."""
+    if not isinstance(obj, dict):
+        raise GraphError("graph JSON must be an object")
+    try:
+        vertices = obj["vertices"]
+        raw_edges = obj["edges"]
+    except KeyError as exc:
+        raise GraphError(f"graph JSON missing field: {exc}") from None
+    marks = obj.get("ramified", [])
+    if not all(isinstance(x, list) for x in (vertices, raw_edges, marks)):
+        raise GraphError("vertices, edges and ramified must be lists")
+    edges = []
+    voltage = {}
+    for i, e in enumerate(raw_edges):
+        try:
+            u, v = e["from"], e["to"]
+        except (KeyError, TypeError):
+            raise GraphError(f"edge #{i} missing from/to") from None
+        eid = str(e.get("id", f"e{i}"))
+        edges.append(Edge(eid, u, v))
+        a = e.get("voltage", 0)
+        check_voltage({eid: a})
+        if a:
+            voltage[eid] = a
+    g = Multigraph(vertices, edges)
+    if len({str(v) for v in g.vertices}) != len(g.vertices):
+        raise GraphError('vertex ids must differ as strings (1 and "1" do not)')
+    depths = {}
+    for m in marks:
+        try:
+            v = m["vertex"]
+        except (KeyError, TypeError):
+            raise GraphError("ramified entries need a 'vertex' field") from None
+        if not isinstance(v, Hashable) or not g.has_vertex(v):
+            raise GraphError(f"ramified vertex {v!r} is not a vertex of the graph")
+        if v in depths:
+            raise GraphError(f"ramified vertex {v!r} is listed twice")
+        depths[v] = m.get("depth", 0)
+    return g, RamificationData(depths), voltage
 
 
 def prune_tails_quadratic(g, r):

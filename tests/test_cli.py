@@ -683,6 +683,14 @@ class TestErrors:
         code, out = invoke(capsys, "kappa", "--input", str(bad))
         assert code == 1
 
+    def test_duplicate_default_edge_id_is_named(self, capsys, monkeypatch):
+        # the second edge's default id is e1, its position in "edges"
+        graph = {"vertices": ["a", "b", "c"], "edges": [{"id": "e1", "from": "a", "to": "b"}, {"from": "b", "to": "c"}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph)))
+        code, out = invoke(capsys, "seal")
+        assert code == 1
+        assert out == {"error": "bad_input", "reason": "duplicate edge id 'e1'"}
+
     def test_unreadable_json(self, capsys, tmp_path):
         # bytes that are not UTF-8, and nesting past the recursion limit
         for name, data in [("bytes.json", b"\xff\xfe{}"), ("deep.json", b"[" * 200_000)]:

@@ -3,10 +3,17 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import laplacian_minor_by_copy, load_fixture, prune_tails_quadratic, random_connected_graph, sparse_rows
+from conftest import (
+    graph_from_json_reference,
+    laplacian_minor_by_copy,
+    load_fixture,
+    prune_tails_quadratic,
+    random_connected_graph,
+    sparse_rows,
+)
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import (
     Edge,
@@ -104,8 +111,10 @@ class TestBuildGraph:
             build_graph(["a"], [("a", "b")])
         with pytest.raises(GraphError, match="^duplicate edge id 'e'$"):
             build_graph(["a", "b"], [("a", "b", "e"), ("a", "b", "e")])
-        with pytest.raises(GraphError, match="^duplicate edge id$"):
+        with pytest.raises(GraphError, match="^duplicate edge id 'e'$"):
             Multigraph(["a", "b"], [Edge("e", "a", "b"), Edge("e", "b", "a")])
+        with pytest.raises(GraphError, match="^duplicate edge id 'f'$"):  # the first id seen twice
+            Multigraph(["a", "b"], [Edge("e", "a", "b"), Edge("f", "a", "b"), Edge("f", "b", "a"), Edge("e", "b", "a")])
         hashable = "^vertex ids and edge endpoints must be hashable$"
         with pytest.raises(GraphError, match=hashable):
             Multigraph([["a"]], [])
@@ -119,7 +128,9 @@ class TestBuildGraph:
             (["a", "a"], [Edge("e0", "a", ["a"])], "vertex ids and edge endpoints must be hashable"),
             (["a", "a"], [Edge("e0", "a", "z")], "duplicate vertex id"),
             (["a", "a"], [Edge("e", "a", "a"), Edge("e", "a", "a")], "duplicate vertex id"),
-            (["a"], [Edge("e", "a", "z"), Edge("e", "a", "a")], "duplicate edge id"),
+            pytest.param(
+                ["a"], [Edge("e", "a", "z"), Edge("e", "a", "a")], "duplicate edge id 'e'", id="vertices3-edges3-duplicate edge id"
+            ),
             # an unknown u hides v, even an unhashable one; later edges are still hashed
             (["a"], [Edge("e0", "z", ["a"])], "edge 'e0' has unknown endpoint"),
             (["a"], [Edge("e0", "z", "a"), Edge("e1", "a", ["a"])], "vertex ids and edge endpoints must be hashable"),
@@ -258,16 +269,25 @@ class TestPruneTails:
         pruned = prune_tails(g, RamificationData())
         assert pruned.vertices == ("a", "c") and [e.id for e in pruned.edges] == ["e1"]
 
-    @given(st.integers(0, 2**32))
+    @given(st.integers(0, 2**32), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matches_quadratic_oracle(self, seed):
+    def test_matches_quadratic_oracle(self, seed, long_tails):
         # a random multigraph, possibly disconnected, with pendant trees hung
         # on it and a free-standing tree, vertices shuffled so that tree
-        # vertices interleave with the rest
+        # vertices interleave with the rest; with long_tails also the seal
+        # workload's shape: pendant paths of up to 30 vertices, hung on its
+        # marks (drawn first) and on unmarked vertices
         rng = random.Random(seed)
         g = random_connected_graph(rng, max_vertices=6, max_edges=9)
         vertices = list(g.vertices)
         edges = [(e.u, e.v, e.id) for e in g.edges]
+        if long_tails:
+            marks = rng.sample(vertices, rng.randint(1, 2))
+            unmarked = [v for v in vertices if v not in marks] or marks
+            for i in range(rng.randint(1, 4)):
+                path = [rng.choice(marks if i % 2 else unmarked)] + [f"p{i}_{j}" for j in range(rng.randint(1, 30))]
+                edges += [(u, v, f"pe{i}_{j}") for j, (u, v) in enumerate(zip(path, path[1:]))]
+                vertices += path[1:]
         for i in range(rng.randint(0, 12)):
             new = f"t{i}"
             edges.append((rng.choice(vertices), new, f"te{i}"))
@@ -280,7 +300,9 @@ class TestPruneTails:
         rng.shuffle(vertices)
         rng.shuffle(edges)
         gt = build_graph(vertices, edges)
-        r = RamificationData.totally_ramified(rng.sample(vertices, rng.randint(0, min(3, len(vertices)))))
+        if not long_tails:
+            marks = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
+        r = RamificationData.totally_ramified(marks)
         pruned, expected = prune_tails(gt, r), prune_tails_quadratic(gt, r)
         assert pruned.vertices == expected.vertices and pruned.edges == expected.edges
 
@@ -339,6 +361,56 @@ class TestGlue:
             glue(g1, r1, g2, r2, [("nope", "w1")])
 
 
+# ids of every JSON type, some printing alike ("1", 1, True, None and "None"; "e1" and the default e1)
+JSON_IDS = st.sampled_from([None, 0, 1, 2, True, False, 1.0, "0", "1", "e0", "e1", "e2", "None", "a", [1], {"k": 1}])
+
+
+@st.composite
+def messy_graph_json(draw):
+    """Graph JSON with ids of every type, voltages 0, false, 0.0, null, "x"
+    and big ints, edges that are not objects or lack from/to, unknown
+    endpoints and marks listed twice.  Each oddity is drawn for one item in
+    a few, so that many graphs are read whole."""
+    rng = draw(st.randoms(use_true_random=True))  # the rates: Hypothesis favours the ends of a range
+
+    def pick(clean, messy, rate):
+        return draw(messy if rng.random() < rate else clean)
+
+    vertices = [pick(st.just(v), JSON_IDS, 0.1) for v in draw(st.lists(st.sampled_from("abcdef"), max_size=6, unique=True))]
+    if rng.random() < 0.1:
+        vertices += draw(st.sampled_from([[1, "1"], [None, "None"], ["0", 0]]))  # alike as strings
+    ends = st.sampled_from(vertices) if vertices else JSON_IDS
+    edges = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rng.random() < 0.05:  # not an object
+            edges.append(draw(st.sampled_from([None, 3, "ab", ["a", "b"]])))
+            continue
+        e = {}
+        if rng.random() < 0.5:
+            e["id"] = pick(st.sampled_from(["e0", "e1", "e2", "x", None]), JSON_IDS, 0.4)
+        for end in ("from", "to"):
+            if rng.random() > 0.05:
+                e[end] = pick(ends, JSON_IDS, 0.05)
+        if rng.random() < 0.5:
+            e["voltage"] = pick(st.sampled_from([0, 1, -2, 2**70, -(2**64)]), st.sampled_from([False, True, 0.0, None, "x", 1.5]), 0.2)
+        edges.append(e)
+    obj = {"vertices": vertices, "edges": edges}
+    marks = []
+    for _ in range(draw(st.integers(0, 3))):
+        if rng.random() < 0.05:
+            marks.append(draw(st.sampled_from([None, "a", {"depth": 1}])))
+            continue
+        m = {"vertex": pick(ends, JSON_IDS, 0.05)}
+        if rng.random() < 0.5:
+            m["depth"] = pick(st.sampled_from([0, 1, 2]), st.sampled_from([-1, True, 1.0, None]), 0.2)
+        marks.append(m)
+    if marks and rng.random() < 0.15:
+        marks.append(marks[0])  # listed twice
+    if marks or rng.random() < 0.5:
+        obj["ramified"] = marks
+    return obj
+
+
 class TestJson:
     def test_round_trip(self):
         g, r, volt = load_fixture("voltage_segment.json")
@@ -367,6 +439,20 @@ class TestJson:
         edge = [{"from": "a", "to": "b"}]
         with pytest.raises(GraphError, match="ramified vertex 'a' is listed twice"):
             graph_from_json({"vertices": ["a", "b"], "edges": edge, "ramified": [{"vertex": "a"}, {"vertex": "a", "depth": 2}]})
+
+    @given(messy_graph_json())
+    @example({"vertices": ["a", "b"], "edges": [{"id": None, "from": "a", "to": "b"}]})
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_reader(self, obj):
+        # the same graph, marks and voltage, or the same GraphError text
+        def read(reader):
+            try:
+                g, r, voltage = reader(obj)
+            except GraphError as exc:
+                return str(exc)
+            return repr((g.vertices, g.edges, r.depths, voltage))  # repr: 1, 1.0 and True differ
+
+        assert read(graph_from_json) == read(graph_from_json_reference)
 
     def test_ids_distinct_as_strings(self):
         # every reply prints vertex ids as strings, so 1 and "1" would be ambiguous

@@ -290,10 +290,14 @@ def marked_edge_subsets(draw):
 @settings(max_examples=400, deadline=None)
 def test_closure_groups_match_the_union_find(case):
     """seal's labelling gives the union-find's groups, in the same order,
-    each in edge order."""
+    each in edge order, with the ids, marks and vertices of its edges."""
     g, r, edges = case
-    got = [[e.id for e in group] for group in _closure_groups(edges, r)]
-    assert got == closure_groups_by_edge_ids(g, r, [e.id for e in edges])
+    groups = _closure_groups(edges, r)
+    assert [ids for _, ids, _, _ in groups] == closure_groups_by_edge_ids(g, r, [e.id for e in edges])
+    for group, ids, touched, vertices in groups:
+        assert ids == [e.id for e in group]
+        assert vertices == {w for e in group for w in (e.u, e.v)}
+        assert touched == {w for w in vertices if r.is_ramified(w)}
 
 
 class TestAgainstPaths:
