@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage
+from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage, heaviest
 from .linalg import PRIME_TEST_LIMIT, is_prime
 
 
@@ -130,9 +130,10 @@ def lift_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int, 
 
 
 def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):
-    """graph.laplacian(build_cover(...).graph, its first vertex), after the
-    same checks: the det_int block of kappa(X_n)."""
-    return lift_laplacian(g, r, voltage, p, _fibres(g, r, voltage, p, n), g.vertices[:1])
+    """graph.laplacian(build_cover(...).graph, the lift (v, 0) of largest degree deg(v) * p^(m - min(m, k_v)),
+    m the fibres' level: graph.heaviest), after the same checks: the det_int block of kappa(X_n)."""
+    m = _fibres(g, r, voltage, p, n)
+    return lift_laplacian(g, r, voltage, p, m, heaviest(g.vertices, lambda v: g.degree(v) * p**m // fibre_size(r, p, m, v)))
 
 
 def segment_preimage(c: CoverGraph, segment):

@@ -12,7 +12,7 @@ the cap raise GraphError.
 
 from __future__ import annotations
 
-from .graph import GraphError, Multigraph, acyclic_subsets, laplacian
+from .graph import GraphError, Multigraph, acyclic_subsets, heaviest, laplacian
 from .linalg import det_int
 
 
@@ -20,10 +20,10 @@ ENUMERATION_CAP = 20  # most edges whose subsets forest_count_bruteforce enumera
 
 
 def kappa(g: Multigraph) -> int:
-    """Number of spanning trees by matrix-tree.  A disconnected graph gives 0."""
+    """Number of spanning trees by matrix-tree, without a densest row (graph.heaviest).  A disconnected graph gives 0."""
     if not g.vertices:
         raise GraphError("kappa of the empty graph")
-    return det_int(laplacian(g, g.vertices[:1]))
+    return det_int(laplacian(g, heaviest(g.vertices, g.degree)))
 
 
 def _check_marked(g: Multigraph, marked) -> list:

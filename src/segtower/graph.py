@@ -205,17 +205,22 @@ def laplacian_index(g: Multigraph, deleted=()):
     return {v: i for i, v in enumerate(v for v in g.vertices if v not in deleted)}
 
 
+def heaviest(vertices, degree):
+    """(The first of vertices of largest degree(v),), or () with none: the row tree counts delete."""
+    return (max(vertices, key=degree),) if vertices else ()
+
+
 def laplacian(g: Multigraph, deleted=(), voltage=None):
     """Sparse rows [{column: entry}] of the nonzero entries of the Laplacian
     Val - A without the rows and columns of the vertices in deleted, rows
     as laplacian_index numbers them, from one pass over the edges: every
-    block that linalg.det_int takes (voltage None: int entries) and
-    linalg.det_laurent takes (a voltage map {edge id: a}: LaurentPoly
-    entries in g, each dart u -> v of voltage a adding -g^a at (v, u)).
-    Loops add 2 to both the degree and the adjacency diagonal, so at
-    voltage 0 they cancel.
+    block that linalg.det_int takes (int entries, when voltage holds no
+    nonzero value) and linalg.det_laurent takes (those, or with a voltage
+    map {edge id: a} with some a != 0: LaurentPoly entries in g, each dart
+    u -> v of voltage a adding -g^a at (v, u)).  Loops add 2 to both the
+    degree and the adjacency diagonal, so at voltage 0 they cancel.
     """
-    ints, index = voltage is None, laplacian_index(g, deleted)
+    ints, index = not any((voltage or {}).values()), laplacian_index(g, deleted)
     rows = [{i: g.degree(v)} if ints else {i: {0: g.degree(v)}} for v, i in index.items()]
     for eid, u, v in g.edges:
         if u in index and v in index:

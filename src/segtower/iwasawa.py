@@ -38,14 +38,14 @@ we fit the triple exactly over the integers from the last three levels.
 
 The harnesses check the paper's identities; each checks p, the marks and
 the voltage (cover.check_request) before it decomposes X.  Each counts one
-witness, kappa(X_n), as det_int of the level-n cover's Laplacian filled
-straight from the lifts of X's edges (cover.cover_laplacian), so no cover
-is built as a graph.  Every other number comes from X's blocks.  Theorem A
-is the partial-ramification formula at n0 = 0.  The segment harnesses cut
-M once along the segments: S's block M_S is S's Laplacian without its
-marks, whose det_int is F_t(S).  When no entry of M joins two segments
-(factorization_exact checks), det M is the product of the Laurent blocks'
-determinants, and their (mu, lambda) add up.
+witness, kappa(X_n), as det_int of the level-n cover's Laplacian less its
+densest row, filled from the lifts of X's edges (cover.cover_laplacian),
+so no cover is built as a graph.  Every other number comes from X's
+blocks.  Theorem A is the partial-ramification formula at n0 = 0.  The
+segment harnesses cut M once along the segments: S's block M_S is S's
+Laplacian without its marks, whose det_int is F_t(S).  When no entry of
+M joins two segments (factorization_exact checks), det M is the product
+of the Laurent blocks' determinants, and their (mu, lambda) add up.
 
 The general identity's segment counts come from M_S too: a mark has depth
 0, so its fibre is one vertex, whose row lies in the trivial part.  With P
@@ -58,7 +58,8 @@ A segment whose det M_S or chain would pass WORK_LIMIT (the chain by
 tower_kappas' estimate) takes its counts as det_int of S_n's Laplacian,
 the lifts of S's edges alone: a part of the witness, so no larger.  That
 Laplacian and kappa(S)'s (the same at level 0) come from
-cover.lift_laplacian, as the witness's does.
+cover.lift_laplacian, as the witness's does, less S's densest mark
+(graph.heaviest).  With no voltage det_laurent is det_int.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from typing import NamedTuple
 
 from .cover import check_request, cover_laplacian, fibre_size, level_size, lift_laplacian
 from .forests import kappa
-from .graph import GraphError, Multigraph, RamificationData, laplacian, laplacian_index, prune_tails
+from .graph import GraphError, Multigraph, RamificationData, heaviest, laplacian, laplacian_index, prune_tails
 from .linalg import (WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma,
                      mu_lambda, ord_p, root_of_unity_products)
 from .seal import admissible_sets, decompose
@@ -333,13 +334,14 @@ def verify_general_case(g, r, voltage, p, n) -> Verdict:
         order, half = p**n, (p**n - 1) // 2
         residue = {eid: (a + half) % order - half for eid, a in (voltage or {}).items()}  # in -half..order - 1 - half
         for s, block in zip(d.segments, _segment_blocks(d, residue)):
+            mark = heaviest(s.ramified, [w for e in d.graph.edges if e.id in s.edge_ids for w in e[1:]].count)  # S's densest
             if (chain := _segment_chain(block, p, n)) is None:  # S_n's own counts, on a part of the witness
                 forests.append(det_int(lift_laplacian(d.graph, r, residue, p, n, s.ramified, s)))
-                kappas.append(det_int(lift_laplacian(d.graph, r, residue, p, n, s.ramified[:1], s)) if s.t == 2 else forests[-1])
+                kappas.append(det_int(lift_laplacian(d.graph, r, residue, p, n, mark, s)) if s.t == 2 else forests[-1])
             else:
                 at_one, product = chain
                 forests.append(at_one * product)
-                kappas.append(order * det_int(lift_laplacian(d.graph, r, {}, p, 0, s.ramified[:1], s)) * product
+                kappas.append(order * det_int(lift_laplacian(d.graph, r, {}, p, 0, mark, s)) * product
                               if s.t == 2 else forests[-1])
     sets = admissible_sets(d)
     rhs = 0

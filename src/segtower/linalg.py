@@ -336,13 +336,14 @@ def _block_bound(m, what, norm, constant, mirrors, zero):
     column in range(n), with mirrors(M_ij, M_ji) for every entry and
     2 constant(M_ii) >= sum_j norm(M_ij) (M_ii = zero if absent), so a row
     is empty (the bound 0) or holds its diagonal.  Else a LinalgError, for a
-    row that fails at its first entry, naming what takes blocks and the row."""
-    if not all(isinstance(row, dict) for row in m) or not set().union(*m) <= set(range(len(m))):
+    row that fails at its first entry, naming what takes blocks and the row
+    (a TypeError for norms that do not sum to an int: a float's, say)."""
+    if not all(map(isinstance, m, itertools.repeat(dict))) or not set().union(*m) <= set(range(len(m))):
         raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
     bound = 1
     for i, row in enumerate(m):
         d = row.get(i, zero)
-        dominant = 2 * constant(d) >= sum(map(norm, row.values()))
+        dominant = operator.index(sum(map(norm, row.values()))) <= 2 * constant(d)
         for j, x in row.items():
             if not (dominant and mirrors(x, m[j].get(i))):
                 raise LinalgError(f"{what}, diagonally dominant blocks; row {i} is not one")
@@ -350,16 +351,19 @@ def _block_bound(m, what, norm, constant, mirrors, zero):
     return bound
 
 
-def det_int(m) -> int:
+def det_int(m, *, _bound=None) -> int:
     """Exact determinant of a symmetric integer block M, 2 M_ii >= sum_j
     |M_ij|, as graph.laplacian builds it with no voltage (else LinalgError
     before any prime): 0 <= det M <= prod_i M_ii (Hadamard; M is positive
     semidefinite), 0 when a row is empty.  One elimination (see _det_mod)
-    modulo a product of primes that passes twice that bound (see
-    _symmetric_lift), which takes the rows unreduced: |M_ij| <= M_ii <= bound."""
-    if not (bound := _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)):
-        return 0
-    return _symmetric_lift(lambda q: [_det_mod([dict(row) for row in m], q)], bound)[0]
+    modulo a product of primes that passes twice that bound, or _bound if
+    the caller has just checked M against it (see _symmetric_lift), which
+    takes the rows unreduced: |M_ij| <= M_ii <= bound."""
+    try:  # abs refuses a LaurentPoly or a str, operator.index a float
+        bound = _bound or _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)
+    except TypeError:
+        raise LinalgError("det_int takes only rows whose entries are all int") from None
+    return _symmetric_lift(lambda q: [_det_mod(list(map(dict.copy, m)), q)], bound)[0] if bound else 0
 
 
 def _max_assignment(w):
@@ -406,10 +410,11 @@ def _max_assignment(w):
 
 def det_laurent(m) -> LaurentPoly:
     """Exact determinant of an unramified block M, given by its sparse rows
-    [{column: LaurentPoly}] of nonzero entries: mirrored, M_ji(g) =
-    M_ij(1/g), and diagonally dominant, 2 c_0(M_ii) >= sum_j ||M_ij||_1 (c_0
-    the constant coefficient), as graph.laplacian builds it with a voltage;
-    any other M is a LinalgError before any node (see _block_bound).
+    [{column: entry}] of nonzero entries, as graph.laplacian builds it: with
+    no voltage all int, handed to det_int as it is; else all LaurentPoly,
+    mirrored, M_ji(g) = M_ij(1/g), and diagonally dominant, 2 c_0(M_ii) >=
+    sum_j ||M_ij||_1 (c_0 the constant coefficient).  Any other M is a
+    LinalgError before any prime or node (see _block_bound).
 
     hi, the exact maximum over the permutations through M's entries of the
     sum of their top exponents (see _max_assignment), bounds det M at both
@@ -424,8 +429,8 @@ def det_laurent(m) -> LaurentPoly:
     names d before any node is evaluated.  (The interpolation below takes
     about 3/8 of those products, so the estimate over-counts it.)
 
-    At hi = 0, det M is the integer det M(1), and M(1) is a block det_int
-    takes: M_ii(1) >= 2 c_0(M_ii) - ||M_ii||_1 >= sum_j ||M_ij||_1.  Else,
+    At hi = 0, det M is the integer det M(1), which det_int takes with the
+    bound just checked: ||M_ii||_1 >= M_ii(1) >= sum_j ||M_ij||_1.  Else,
     modulo a product of primes that passes 2^(b + 1) (see _symmetric_lift),
     _det_mod_nodes eliminates M at the nodes x = 1..hi + 1, GROUP_WIDTH at
     a time, each distinct entry evaluated once per group as a list of its
@@ -438,6 +443,8 @@ def det_laurent(m) -> LaurentPoly:
     Horner over the Newton form, each step a product with
     g (u - u_j) = g^2 - u_j g + 1, gives Q = g^hi * P(g + 1/g).
     """
+    if not any(m) or not all(type(x) is LaurentPoly for row in m if isinstance(row, dict) for x in row.values()):
+        return LaurentPoly({0: det_int(m)})  # all int (or no entry), or a block det_int refuses
     bound = _block_bound(m, "det_laurent takes only mirrored", LaurentPoly.norm, LaurentPoly.constant, LaurentPoly.mirrors, LaurentPoly())
     # max_exp raises LinalgError on a zero entry
     if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
@@ -447,7 +454,7 @@ def det_laurent(m) -> LaurentPoly:
         raise WorkLimitExceeded(f"det M has degree up to {2 * hi}; interpolating and expanding it would take about "
                                 f"2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     if not hi:
-        return LaurentPoly({0: det_int([{j: sum(x.coeffs.values()) for j, x in row.items()} for row in m])})
+        return LaurentPoly({0: det_int([{j: sum(x.coeffs.values()) for j, x in row.items()} for row in m], _bound=bound)})
     rows = [[(j, tuple(x.coeffs.items())) for j, x in row.items()] for row in m]
     entries = {terms for row in rows for _, terms in row}
     exps = {e for terms in entries for e, _ in terms}

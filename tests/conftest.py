@@ -121,9 +121,11 @@ def explicit_tower_kappas(g, r, voltage, p, n_max):
 
 def explicit_cover_laplacian(g, r, voltage, p, n):
     """Oracle for cover.cover_laplacian: the level-n cover built as a graph,
-    its Laplacian without its first vertex by graph.laplacian."""
+    its Laplacian by graph.laplacian without the first of its vertices of
+    largest degree in the cover."""
     c = build_cover(g, r, voltage, p, n).graph
-    return laplacian(c, c.vertices[:1])
+    top = max(map(c.degree, c.vertices), default=None)
+    return laplacian(c, [w for w in c.vertices if c.degree(w) == top][:1])
 
 
 def explicit_lift_laplacian(g, r, voltage, p, n, drop, part=None):
@@ -286,9 +288,16 @@ def laurent_sub(a, b):
     return LaurentPoly({e: a.coeffs.get(e, 0) - b.coeffs.get(e, 0) for e in a.coeffs.keys() | b.coeffs.keys()})
 
 
+def as_laurent(m):
+    """The dense matrix m, each int entry x as the constant LaurentPoly x:
+    the Laurent oracles take the int blocks det_laurent takes."""
+    return [[x if isinstance(x, LaurentPoly) else LaurentPoly({0: x}) for x in row] for row in m]
+
+
 def bareiss_det_laurent(m):
-    """Oracle for linalg.det_laurent: Bareiss fraction-free elimination over
-    Z[g] with polynomial products and exact long division.
+    """Oracle for linalg.det_laurent on a dense matrix (see as_laurent):
+    Bareiss fraction-free elimination over Z[g] with polynomial products and
+    exact long division.
 
     Negative exponents are cleared row by row (multiply row i by g^{k_i}),
     and the result is shifted back by g^{-sum k_i}.
@@ -299,7 +308,7 @@ def bareiss_det_laurent(m):
             raise LinalgError("matrix is not square")
     if n == 0:
         return LaurentPoly({0: 1})
-    a = [list(row) for row in m]
+    a = as_laurent(m)
     total_shift = 0
     for i in range(n):
         mins = [x.min_exp() for x in a[i] if not x.is_zero]
@@ -331,8 +340,9 @@ def bareiss_det_laurent(m):
 
 
 def interpolated_det_laurent(m):
-    """Oracle for linalg.det_laurent on a dense matrix: evaluation at integer
-    nodes by bareiss_det_int and exact interpolation over Z.
+    """Oracle for linalg.det_laurent on a dense matrix (see as_laurent):
+    evaluation at integer nodes by bareiss_det_int and exact interpolation
+    over Z.
 
     Row i times g^-a_i, a_i its least exponent, has polynomial entries, so
     its determinant P has degree at most D = sum_i (b_i - a_i), b_i the
@@ -340,6 +350,7 @@ def interpolated_det_laurent(m):
     differences at 0 are k! times its coefficients in the falling factorials
     x(x-1)...(x-k+1), which are multiplied out; det = g^(sum a_i) * P.
     """
+    m = as_laurent(m)
     spans = [(min(es), max(es)) if (es := [e for x in row for e in x.coeffs]) else (0, 0) for row in m]
     terms = [[[(e - a, c) for e, c in y.coeffs.items()] for y in row] for row, (a, _) in zip(m, spans)]
     size = sum(b - a for a, b in spans) + 1

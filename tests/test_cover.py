@@ -9,7 +9,8 @@ from conftest import explicit_cover_laplacian, explicit_lift_laplacian, load_fix
 from segtower.cover import (build_cover, check_prime, check_request, cover_laplacian, fibre_size, level_size,
                             lift_laplacian, segment_preimage)
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import GraphError, RamificationData, build_graph
+from segtower.graph import GraphError, RamificationData, build_graph, laplacian
+from segtower.linalg import det_int
 from segtower.seal import decompose
 
 
@@ -136,9 +137,35 @@ def replies(f, *args):
         return str(exc)
 
 
+@st.composite
+def connected_voltage_multigraphs(draw):
+    """(g, r, voltage, p, n): a connected multigraph on 1-6 vertices in any
+    order, a random tree and 0-8 more edges (loops and parallel edges
+    included) in any order, marks of depth 0-2 on a subset, voltages -3..3,
+    p in 2, 3 and n <= 3: every cover within SIZE_LIMIT."""
+    vs = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(1, 6)))]))
+    tree = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, len(vs))]
+    extra = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=8))
+    g = build_graph(vs, draw(st.permutations(tree + extra)))
+    r = RamificationData(draw(st.dictionaries(st.sampled_from(vs), st.integers(0, 2))))
+    voltage = {e.id: draw(st.integers(-3, 3)) for e in g.edges}
+    return g, r, voltage, draw(st.sampled_from((2, 3))), draw(st.integers(0, 3))
+
+
 class TestCoverLaplacian:
     """cover_laplacian, filled from the lifts of X's edges, against the
-    Laplacian of the explicit cover without its first vertex."""
+    Laplacian of the explicit cover without its densest vertex, and its
+    tree count against the explicit cover's without its first vertex."""
+
+    @given(connected_voltage_multigraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_the_trees_of_the_explicit_cover(self, x):
+        # any deleted vertex gives kappa: the first vertex of the explicit
+        # cover is an independent oracle for the count, its densest one for the rows
+        c = build_cover(*x).graph
+        rows = cover_laplacian(*x)
+        assert det_int(rows) == det_int(laplacian(c, c.vertices[:1]))
+        assert rows == explicit_cover_laplacian(*x)
 
     @given(voltage_multigraphs())
     @settings(max_examples=300, deadline=None)
@@ -154,6 +181,18 @@ class TestCoverLaplacian:
                 build_cover(g, r, {}, 2, n)
             with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
                 cover_laplacian(g, r, {}, 2, n)
+
+    def test_deletes_the_densest_lift(self):
+        # cycle5_ram45 marks v4 and v5 at depth 0: at p = 2, n = 7 each has one
+        # lift of degree 2 * 2^7, and the first, (v4, 0), is the row deleted;
+        # with no mark every lift has degree 2, and (v1, 0) goes
+        g, r, _ = load_fixture("cycle5_ram45.json")
+        rows = cover_laplacian(g, r, {}, 2, 7)
+        assert len(rows) == 3 * 128 + 1 and rows[-1][3 * 128] == 256  # (v5, 0) stays, the last row
+        c = build_cover(g, r, {}, 2, 7).graph
+        assert rows == laplacian(c, [("v4", 0)]) != laplacian(c, [("v1", 0)])
+        unmarked = build_cover(g, RamificationData(), {}, 2, 3).graph
+        assert cover_laplacian(g, RamificationData(), {}, 2, 3) == laplacian(unmarked, [("v1", 0)])
 
     def test_coinciding_lift_adds_nothing(self):
         # a loop of voltage 3 at p = 3 lifts to three loops; a mark's loop to one

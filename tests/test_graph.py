@@ -206,16 +206,32 @@ class TestLaplacianMinor:
     @given(multigraphs_with_deleted(), st.integers(-3, 3))
     @settings(max_examples=200, deadline=None)
     def test_one_builder_for_both_entry_kinds(self, case, a):
-        # with a voltage map the builder makes the same rows with LaurentPoly
-        # entries: at voltage 0 the integer rows, and at g = 1 of any voltage
-        # their nonzero values; both determinants take what it builds
+        # with a nonzero voltage the builder makes the same rows with
+        # LaurentPoly entries, whose values at g = 1 are the integer rows'
+        # nonzero entries; with none (voltage 0, or no edge) it makes the
+        # integer rows themselves; both determinants take what it builds
         g, deleted = case
         ints = laplacian(g, deleted)
         laurent = laplacian(g, deleted, {e.id: a for e in g.edges})
-        assert laplacian(g, deleted, {}) == ints
-        assert [{j: v for j, x in row.items() if (v := sum(x.coeffs.values()))} for row in laurent] == ints
+        assert laplacian(g, deleted, {}) == ints and all(type(x) is int for row in ints for x in row.values())
+        if a and g.edges:
+            assert all(type(x) is LaurentPoly for row in laurent for x in row.values())
+            assert [{j: v for j, x in row.items() if (v := sum(x.coeffs.values()))} for row in laurent] == ints
+        else:
+            assert laurent == ints and all(type(x) is int for row in laurent for x in row.values())
         assert det_laurent(laplacian(g, deleted, {})) == det_int(ints) >= 0
         det_laurent(laurent)
+
+    @given(multigraphs_with_deleted())
+    @settings(max_examples=100, deadline=None)
+    def test_no_voltage_builds_int_rows(self, case):
+        # an empty voltage map, or one whose every value is 0, builds the
+        # rows of voltage None: int entries, no LaurentPoly
+        g, deleted = case
+        ints = laplacian(g, deleted)
+        for voltage in ({}, {e.id: 0 for e in g.edges}, {e.id: 0 for e in g.edges[:1]}):
+            rows = laplacian(g, deleted, voltage)
+            assert rows == ints and all(type(x) is int for row in rows for x in row.values())
 
 
 class TestPruneTails:

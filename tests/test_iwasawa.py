@@ -43,7 +43,7 @@ from segtower.iwasawa import (
     verify_partial_ramification,
     verify_theorem_A,
 )
-from segtower.linalg import LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma, mu_lambda, ord_p
+from segtower.linalg import WORK_LIMIT, LaurentPoly, LinalgError, WorkLimitExceeded, det_int, det_laurent, expand_at_gamma, mu_lambda, ord_p
 from segtower.seal import DecompositionError, decompose
 
 
@@ -100,7 +100,8 @@ def test_every_block_is_one_det_laurent_takes(data):
     # of depth 0-2 and voltages -6..6: the block of every mark set that
     # char_element or a tower level uses is mirrored, its rows' 2 c_0 less
     # their norm counts their edges to marks, and det_laurent takes it as far
-    # as its one assignment
+    # as its one assignment; with no nonzero voltage, or no entry, the block
+    # is an int block, symmetric, that det_laurent takes as far as det_int
     vs = [f"v{i}" for i in range(data.draw(st.integers(1, 7)))]
     ends = st.sampled_from(vs)
     g = build_graph(vs, data.draw(st.lists(st.tuples(ends, ends), max_size=12)))
@@ -110,20 +111,49 @@ def test_every_block_is_one_det_laurent_takes(data):
     class Accepted(Exception):
         pass
 
-    def accepted(w):
-        raise Accepted
+    def accepted(where):
+        def stop(rows):
+            raise Accepted(where)
+        return stop
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_max_assignment", accepted)
+        mp.setattr(linalg, "_max_assignment", accepted("assignment"))
+        mp.setattr(linalg, "det_int", accepted("det_int"))
         for marks in {tuple(v for v, k in depths.items() if k < a) for a in range(4)}:
             m = laplacian(g, marks, voltage)
+            ints = not any(voltage.values()) or not any(m)
             for i, (v, row) in enumerate(zip([v for v in vs if v not in marks], m)):
                 to_marks = sum((e.u == v and e.v in marks) + (e.v == v and e.u in marks) for e in g.edges)
+                if ints:
+                    assert all(type(x) is int for x in row.values())
+                    assert 2 * row.get(i, 0) - sum(map(abs, row.values())) == to_marks
+                    assert all(i in m[j] and m[j][i] == x for j, x in row.items())
+                    continue
                 c0 = row[i].coeffs.get(0, 0) if i in row else 0
                 assert 2 * c0 - sum(abs(c) for x in row.values() for c in x.coeffs.values()) == to_marks
                 assert all(i in m[j] and m[j][i] == LaurentPoly({-e: c for e, c in x.coeffs.items()}) for j, x in row.items())
-            with pytest.raises(Accepted):
+            with pytest.raises(Accepted, match="^det_int$" if ints else "^assignment$"):
                 det_laurent(m)
+
+
+VOLTAGE_FREE = ["chorded_cycle_pendant_triangle.json", "cycle5_partial.json", "cycle5_ram245.json", "glue_kappa_l2.json",
+                "glue_two_l2.json", "cycle5_ram25.json", "three_segment.json"]
+
+
+@pytest.mark.parametrize("name", VOLTAGE_FREE)
+def test_voltage_free_requests_take_no_assignment(monkeypatch, name):
+    # with no voltage every block is an int block: invariants and verify (A,
+    # partial, general, factorization) never reach linalg._max_assignment,
+    # at no voltage map, an empty one or one of zeros, and each check holds
+    # where its hypotheses do (A and general want depth 0, partial a depth-0 mark)
+    g, r, _ = load_fixture(name)
+    monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
+    for voltage in (None, {}, {e.id: 0 for e in g.edges}):
+        assert {"symbolic", "levels"} <= tower_report(g, r, voltage, 3).keys()
+        assert verify_char_factorization(g, r, voltage, 2).ok
+        assert verify_partial_ramification(g, r, voltage, 2, 2).ok
+        if not any(r.depths.values()):
+            assert verify_theorem_A(g, r, voltage, 3, 1).ok and verify_general_case(g, r, voltage, 2, 2).ok
 
 
 class TestCharElement:
@@ -747,6 +777,28 @@ class TestGeneralCounts:
         v = verify_general_case(g, r, voltage, 101, 1)
         assert calls == [(1, ("m", "w"), s), (1, ("m",), s)]
         assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == preimage_segment_counts(d, r, voltage, 101, 1)
+
+    @pytest.mark.parametrize("limit", [WORK_LIMIT, 0])
+    def test_kappa_deletes_the_densest_mark(self, monkeypatch, limit):
+        # a 2-segment a ... b whose second mark b has three of its edge ends
+        # to a's one: kappa(S), by the chain, and kappa(S_n), on the lifts
+        # when nothing may pass the work limit, delete b's one lift
+        g = build_graph(["a", "x", "y", "b"], [("a", "x"), ("x", "y"), ("y", "b"), ("b", "x"), ("b", "y")])
+        r = RamificationData.totally_ramified(["a", "b"])
+        d = decompose(g, r)
+        (s,) = d.segments
+        assert s.ramified == ("a", "b")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4:6])
+            return lift_laplacian(*args)
+
+        monkeypatch.setattr(iwasawa, "lift_laplacian", spy)
+        monkeypatch.setattr(iwasawa, "WORK_LIMIT", limit)
+        v = verify_general_case(g, r, {"e0": 1}, 3, 2)
+        assert calls == ([(0, ("b",))] if limit else [(2, ("a", "b")), (2, ("b",))])
+        assert v.ok and (v.detail["segment_kappas"], v.detail["segment_forests"]) == preimage_segment_counts(d, r, {"e0": 1}, 3, 2)
 
     def test_large_voltage_is_read_mod_p_n(self):
         # a triangle x-y-z of voltage 10^9 inside the 2-segment a-x ... z-b: at

@@ -47,6 +47,8 @@ from segtower.linalg import (
     root_of_unity_products,
 )
 
+ONE = LaurentPoly({0: 1})
+
 
 def det_cofactor(m):
     """Independent oracle: Leibniz expansion."""
@@ -146,11 +148,38 @@ class TestDetInt:
         with pytest.raises(LinalgError, match="rows"):
             det_int([{0: 1, 1: 2}])
 
-    @pytest.mark.parametrize("m", [[{0: 1}, {2: 1}], [{-1: 1}, {1: 1}], [[1]], [{0: 1}, [0, 1]], [None]])
-    def test_malformed_rows_rejected(self, m):
-        # a column outside range(n), a negative column, a row that is no dict
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [{0: 1}, {2: 1}],
+            [{-1: 1}, {1: 1}],
+            [[1]],
+            [{0: 1}, [0, 1]],
+            [None],
+            [{0: LaurentPoly({0: 2})}],
+            [{0: 2.0}],
+            [{0: 2.0, 1: -1.0}, {0: -1.0, 1: 2.0}],
+            [{0: 2, 1: -1}, {0: -1, 1: 2.0}],
+            [{0: 2, 1: -1}, {0: LaurentPoly({0: -1}), 1: 2}],
+            [{0: "2"}],
+            [{0: "x"}],
+        ],
+    )
+    def test_malformed_rows_rejected(self, monkeypatch, m):
+        # a column outside range(n), a negative column, a row that is no dict;
+        # an entry that is no int: a LaurentPoly, a float (in a 1 x 1 block
+        # or a larger one, alone or among ints), a str (one that int reads,
+        # and one it does not); before any prime
+        monkeypatch.setattr(linalg, "_primes", lambda: pytest.fail("a prime was drawn"))
         with pytest.raises(LinalgError, match="rows"):
             det_int(m)
+
+    def test_shape_is_checked_before_entries(self):
+        # a float in a block of the wrong shape: the shape's error
+        with pytest.raises(LinalgError, match="^a matrix must be n rows"):
+            det_int([{0: 2.0}, {2: 1}])
+        with pytest.raises(LinalgError, match="^det_int takes only rows whose entries are all int$"):
+            det_int([{0: 2, 1: -1}, {0: -1, 1: 2.0}])
 
     def test_empty_matrix(self):
         assert det_int([]) == 1
@@ -368,13 +397,42 @@ class TestDetLaurent:
         with pytest.raises(LinalgError, match="rows"):
             det_laurent([{0: LaurentPoly({0: 1}), 1: LaurentPoly({0: 1})}])
 
-    @pytest.mark.parametrize("m", [[{0: 1}, {2: 1}], [{-1: 1}, {1: 1}], [[1]], [{0: 1}, [0, 1]], [None]])
-    def test_malformed_rows_rejected(self, m):
-        # a column outside range(n), a negative column, a row that is no dict
-        one = LaurentPoly({0: 1})
-        rows = [{j: one for j in row} if isinstance(row, dict) else row for row in m]
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [{0: ONE}, {2: ONE}],
+            [{-1: ONE}, {1: ONE}],
+            [[1]],
+            [{0: ONE}, [0, 1]],
+            [None],
+            [{0: LaurentPoly({0: 2}), 1: -1}, {0: LaurentPoly({0: -1}), 1: LaurentPoly({0: 2})}],
+            [{0: 2, 1: -1}, {0: LaurentPoly({0: -1}), 1: 2}],
+            [{0: 2.0}],
+            [{0: LaurentPoly({0: 2}), 1: LaurentPoly({0: -1})}, {0: LaurentPoly({0: -1}), 1: 2.0}],
+            [{0: "2"}],
+            [{0: "x"}],
+        ],
+    )
+    def test_malformed_rows_rejected(self, monkeypatch, m):
+        # a column outside range(n), a negative column, a row that is no dict;
+        # entries neither all int nor all LaurentPoly: the two kinds mixed,
+        # a float, a str; before any prime or assignment
+        monkeypatch.setattr(linalg, "_primes", lambda: pytest.fail("a prime was drawn"))
+        monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
         with pytest.raises(LinalgError, match="rows"):
-            det_laurent(rows)
+            det_laurent(m)
+
+    def test_an_int_block_is_det_ints(self, monkeypatch):
+        # graph.laplacian's block with no nonzero voltage: det_int takes it
+        # as it is, with no LaurentPoly, no mirrored check and no assignment,
+        # and refuses it as det_int refuses it
+        monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
+        monkeypatch.setattr(LaurentPoly, "mirrors", lambda *args: pytest.fail("a mirrored check ran"))
+        assert det_laurent([{0: 2}]) == 2 and type(det_laurent([{0: 2}])) is LaurentPoly
+        for m in ([], [{}], [{0: 2, 1: -1}, {0: -1, 1: 2}], [{0: 3, 1: -1, 2: -1}, {0: -1, 1: 2, 2: -1}, {0: -1, 1: -1, 2: 3}]):
+            assert det_laurent(m) == LaurentPoly({0: det_int(m)}) == bareiss_det_int(dense(m))
+        with pytest.raises(LinalgError, match="^det_int takes only symmetric, diagonally dominant blocks; row 0 is not one$"):
+            det_laurent([{0: 2, 1: -1}, {1: 2}])
 
     def test_zero_entry_rejected(self):
         with pytest.raises(LinalgError, match="zero polynomial"):
@@ -635,8 +693,10 @@ def pattern_rows(pattern):
 
 
 def at_node(m, x, q=Q0):
-    """The residues modulo q of the Laurent sparse rows m at g = x."""
-    return [{j: sum(c * pow(x, e, q) for e, c in y.coeffs.items()) % q for j, y in row.items()} for row in m]
+    """The residues modulo q of the sparse rows m at g = x: of each LaurentPoly
+    entry's value there, and of each int entry (a block with no voltage)."""
+    return [{j: (sum(c * pow(x, e, q) for e, c in y.coeffs.items()) if isinstance(y, LaurentPoly) else y) % q
+             for j, y in row.items()} for row in m]
 
 
 class TestSparseKernel:
@@ -1102,13 +1162,17 @@ class TestNodeGroups:
     def test_hi_zero_hands_m1_to_det_int(self, monkeypatch):
         # a triangle whose voltages 1, -1 and 0 sum to 0 around it, so
         # hi = 0: det M is the integer det M(1), the block of the sums of
-        # M's coefficients, which det_int takes; no node is evaluated
+        # M's coefficients, which det_int takes with the bound
+        # prod_i ||M_ii||_1 = 18 just checked on M: M(1) is not checked
+        # again, and no node is evaluated
         m = block([{0: 3}, {0: 2}, {0: 3}], [(0, 1, {1: -1}), (1, 2, {-1: -1}), (0, 2, {0: -1})])
-        taken, det = [], linalg.det_int
-        monkeypatch.setattr(linalg, "det_int", lambda rows: taken.append(rows) or det(rows))
+        taken, det, checked, bound = [], linalg.det_int, [], linalg._block_bound
+        monkeypatch.setattr(linalg, "det_int", lambda rows, **kw: taken.append((rows, kw)) or det(rows, **kw))
+        monkeypatch.setattr(linalg, "_block_bound", lambda rows, *args: checked.append(rows) or bound(rows, *args))
         monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == 8
-        assert taken == [[{0: 3, 1: -1, 2: -1}, {1: 2, 0: -1, 2: -1}, {2: 3, 1: -1, 0: -1}]]
+        assert taken == [([{0: 3, 1: -1, 2: -1}, {1: 2, 0: -1, 2: -1}, {2: 3, 1: -1, 0: -1}], {"_bound": 18})]
+        assert checked == [m]
 
     def test_batched_inverses(self):
         q = Q0 * Q1
