@@ -2,12 +2,12 @@
 
 A matrix is a list of sparse rows [{column: entry}] of its nonzero entries:
 a block as graph.laplacian builds it, the one kind both determinants take
-(see _block_bound).  Both determinants eliminate modulo a product of primes
+(see det_int, det_laurent).  Both determinants eliminate modulo a product of primes
 below 2^30 (one CPython digit each), pivoting on the diagonal of the block's
 symmetric pattern in a minimum-degree order read from the row lengths as
 they go: det_int one matrix (_det_mod), det_laurent up to GROUP_WIDTH
 interpolation nodes in one pass (_det_mod_nodes), each entry a list of its
-values at the nodes, before it interpolates det M in g + 1/g.
+values at the nodes, reduced only in pivot rows, and interpolates in g + 1/g.
 Products of a Laurent polynomial over the p^a-th roots of unity come from
 one root-power (Graeffe) chain over Z, with no matrix and no prime.  Laurent
 polynomials in the deck generator g expand at g = 1 + T to integer tuples
@@ -64,12 +64,6 @@ class LaurentPoly:
     def shift(self, k):
         """Multiply by g^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def mirrors(self, other):  # whether other is this polynomial at 1/g
-        return isinstance(other, LaurentPoly) and other.coeffs == {-e: c for e, c in self.coeffs.items()}
-
-    def constant(self):
-        return self.coeffs.get(0, 0)
 
     def norm(self):  # the l1 norm of the coefficients
         return sum(map(abs, self.coeffs.values()))
@@ -289,7 +283,8 @@ def _det_mod(a, q):
 def _det_mod_nodes(a, q, width):
     """[det mod q at each node] of the square matrix a at width nodes at
     once: its sparse rows [{column: [entry at each node]}], which it
-    overwrites, eliminated as _det_mod eliminates one matrix.
+    overwrites, eliminated as _det_mod eliminates one matrix, its entries
+    any ints: a row is reduced mod q once, as it becomes the pivot row.
 
     The pivot order depends only on the pattern, so one order serves every
     node, and each step inverts the pivots of all nodes by one pow (see
@@ -304,11 +299,13 @@ def _det_mod_nodes(a, q, width):
     dets, frozen, zero = [1] * width, set(), [0] * width
     for k in _least_length_first(a):
         rp = a[k]
+        for j, v in rp.items():  # in place: the pivot order reads this dict after the step
+            rp[j] = [x % q for x in v]
         if 0 in rp[k]:
             for t, x in enumerate(rp[k]):
                 if x or t in frozen:
                     continue
-                if (i := next((i for i in rp if a[i][k][t]), None)) is None:
+                if (i := next((i for i in rp if a[i][k][t] % q), None)) is None:
                     frozen.add(t)
                     continue
                 for j, y in a[i].items():
@@ -327,27 +324,29 @@ def _det_mod_nodes(a, q, width):
             ri = a[i]
             fs = [f * inv % q for f, inv in zip(ri.pop(k), invs)]
             for j, ys in rp.items():
-                ri[j] = [(r - f * y) % q for r, f, y in zip(ri.get(j, zero), fs, ys)]
+                ri[j] = [r - f * y for r, f, y in zip(ri.get(j, zero), fs, ys)]
     return dets
 
 
-def _block_bound(m, what, norm, constant, mirrors, zero):
-    """prod_i norm(M_ii) of the block m: n sparse rows {column: entry}, every
-    column in range(n), with mirrors(M_ij, M_ji) for every entry and
-    2 constant(M_ii) >= sum_j norm(M_ij) (M_ii = zero if absent), so a row
-    is empty (the bound 0) or holds its diagonal.  Else a LinalgError, for a
-    row that fails at its first entry, naming what takes blocks and the row
-    (a TypeError for norms that do not sum to an int: a float's, say)."""
-    if not all(map(isinstance, m, itertools.repeat(dict))) or not set().union(*m) <= set(range(len(m))):
+def _square(m):  # whether m is n sparse rows {column: entry}, every column in range(n)
+    return all(map(isinstance, m, itertools.repeat(dict))) and set().union(*m) <= set(range(len(m)))
+
+
+def _block_bound(m):
+    """prod_i M_ii of det_int's int block m (see _square), M_ji = M_ij and
+    2 M_ii >= sum_j |M_ij| (M_ii = 0 if absent), so a row is empty (the
+    bound 0) or holds its diagonal; else a LinalgError naming the first row
+    that fails (a TypeError when the |M_ij| do not sum to an int, as floats do)."""
+    if not _square(m):
         raise LinalgError("a matrix must be n rows {column: entry} with every column in range(n)")
     bound = 1
     for i, row in enumerate(m):
-        d = row.get(i, zero)
-        dominant = operator.index(sum(map(norm, row.values()))) <= 2 * constant(d)
+        d = row.get(i, 0)
+        dominant = operator.index(sum(map(abs, row.values()))) <= 2 * int(d)
         for j, x in row.items():
-            if not (dominant and mirrors(x, m[j].get(i))):
-                raise LinalgError(f"{what}, diagonally dominant blocks; row {i} is not one")
-        bound *= norm(d)
+            if not (dominant and x == m[j].get(i)):
+                raise LinalgError(f"det_int takes only symmetric, diagonally dominant blocks; row {i} is not one")
+        bound *= abs(d)
     return bound
 
 
@@ -360,7 +359,7 @@ def det_int(m, *, _bound=None) -> int:
     the caller has just checked M against it (see _symmetric_lift), which
     takes the rows unreduced: |M_ij| <= M_ii <= bound."""
     try:  # abs refuses a LaurentPoly or a str, operator.index a float
-        bound = _bound or _block_bound(m, "det_int takes only symmetric", abs, int, operator.eq, 0)
+        bound = _bound or _block_bound(m)
     except TypeError:
         raise LinalgError("det_int takes only rows whose entries are all int") from None
     return _symmetric_lift(lambda q: [_det_mod(list(map(dict.copy, m)), q)], bound)[0] if bound else 0
@@ -414,7 +413,9 @@ def det_laurent(m) -> LaurentPoly:
     no voltage all int, handed to det_int as it is; else all LaurentPoly,
     mirrored, M_ji(g) = M_ij(1/g), and diagonally dominant, 2 c_0(M_ii) >=
     sum_j ||M_ij||_1 (c_0 the constant coefficient).  Any other M is a
-    LinalgError before any prime or node (see _block_bound).
+    LinalgError before any prime or node: the shape's, else the first
+    failing row's, else a zero entry's, from one pass that reads each
+    distinct entry (by its terms) once and compares dicts, not term orders.
 
     hi, the exact maximum over the permutations through M's entries of the
     sum of their top exponents (see _max_assignment), bounds det M at both
@@ -443,11 +444,22 @@ def det_laurent(m) -> LaurentPoly:
     Horner over the Newton form, each step a product with
     g (u - u_j) = g^2 - u_j g + 1, gives Q = g^hi * P(g + 1/g).
     """
-    if not any(m) or not all(type(x) is LaurentPoly for row in m if isinstance(row, dict) for x in row.values()):
+    if not (any(m) and all(type(x) is LaurentPoly for row in m if isinstance(row, dict) for x in row.values()) and _square(m)):
         return LaurentPoly({0: det_int(m)})  # all int (or no entry), or a block det_int refuses
-    bound = _block_bound(m, "det_laurent takes only mirrored", LaurentPoly.norm, LaurentPoly.constant, LaurentPoly.mirrors, LaurentPoly())
-    # max_exp raises LinalgError on a zero entry
-    if (hi := _max_assignment([{j: x.max_exp() for j, x in row.items()} for row in m])) is None:
+    seen, rows, weights, bound = {}, [{} for _ in m], [{} for _ in m], 1  # seen: terms -> l1 norm, top exponent, terms at 1/g
+    for i, (row, keys, tops) in enumerate(zip(m, rows, weights)):
+        s, ok = 0, True
+        for j, x in row.items():
+            if (f := seen.get(k := tuple(x.coeffs.items()))) is None:
+                f = seen[k] = (sum(map(abs, x.coeffs.values())), max(x.coeffs, default=0), {-e: c for e, c in k})
+            keys[j], tops[j], s = k, f[1], s + f[0]
+            ok = ok and (y := m[j].get(i)) is not None and y.coeffs == f[2]
+        if row and not (ok and s <= 2 * (row[i].coeffs.get(0, 0) if i in row else 0)):
+            raise LinalgError(f"det_laurent takes only mirrored, diagonally dominant blocks; row {i} is not one")
+        bound *= seen[keys[i]][0] if i in row else 0
+    if () in seen:
+        raise LinalgError("zero polynomial has no exponents")
+    if (hi := _max_assignment(weights)) is None:
         return LaurentPoly()
     size = 2 * hi + 1  # d + 1
     if (work := size**2 * (bound.bit_length() + 2 * hi)) > WORK_LIMIT:
@@ -455,9 +467,7 @@ def det_laurent(m) -> LaurentPoly:
                                 f"2^{work.bit_length() - 1} bit operations, past 2^{WORK_LIMIT.bit_length() - 1}")
     if not hi:
         return LaurentPoly({0: det_int([{j: sum(x.coeffs.values()) for j, x in row.items()} for row in m], _bound=bound)})
-    rows = [[(j, tuple(x.coeffs.items())) for j, x in row.items()] for row in m]
-    entries = {terms for row in rows for _, terms in row}
-    exps = {e for terms in entries for e, _ in terms}
+    exps = {e for terms in seen for e, _ in terms}
 
     def residues(q):
         values = []
@@ -465,12 +475,12 @@ def det_laurent(m) -> LaurentPoly:
             nodes = range(first, min(first + GROUP_WIDTH, hi + 2))
             powers = {e: [pow(x, e, q) for x in nodes] for e in exps}
             at = {}
-            for terms in entries:
+            for terms in seen:
                 v = [0] * len(nodes)
                 for e, c in terms:
                     v = [s + c * y for s, y in zip(v, powers[e])]
                 at[terms] = [s % q for s in v]
-            values += _det_mod_nodes([{j: at[terms] for j, terms in row} for row in rows], q, len(nodes))
+            values += _det_mod_nodes([{j: at[k] for j, k in row.items()} for row in rows], q, len(nodes))
         us = [(x + pow(x, -1, q)) % q for x in range(1, hi + 2)]
         for j in range(1, hi + 1):  # values[i] becomes P[u_i-j, ..., u_i]
             for i in range(hi, j - 1, -1):

@@ -211,10 +211,20 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     what _closure_groups collected while building it.
     """
     g = prune_tails(g, r)
-    if not g.connected():
-        raise DecompositionError("graph is disconnected")
     marks = r.depths
     ram = [v for v in g.vertices if v in marks]
+    # connected: one vertex, or each unmarked vertex in a class and the classes linking all the marks (no search of g)
+    tree, left = {v: [v] for v in ram}, len(g.vertices) - len(ram)  # tree: a mark -> the marks linked to it so far
+    for _, _, touched, vs in (groups := _closure_groups(g.edges, r)):
+        left -= len(vs) - (len(touched) or 1)  # a class with no mark leaves one: with no mark, 1 is left iff g is one class
+        a, *rest = touched or [None]
+        for v in rest:
+            if (t := tree[v]) is not (linked := tree[a]):  # the shorter list joins the longer
+                t, linked = (t, linked) if len(t) <= len(linked) else (linked, t)
+                linked += t
+                tree.update(dict.fromkeys(t, linked))
+    if len(g.vertices) > 1 and (left != (0 if ram else 1) or ram and len(tree[ram[0]]) < len(ram)):
+        raise DecompositionError("graph is disconnected")
     if not ram:
         raise DecompositionError("no ramified vertex")
     rank = {v: i for i, v in enumerate(ram)}
@@ -222,7 +232,7 @@ def decompose(g: Multigraph, r: RamificationData) -> SegmentDecomposition:
     two_segments = []
     one_segments = []
     uncoloured = set()
-    for piece, ids, touched, vertices in _closure_groups(g.edges, r):
+    for piece, ids, touched, vertices in groups:
         touched = sorted(touched, key=rank.__getitem__)
         if len(touched) > 2:
             a, b, c = touched[:3]

@@ -27,7 +27,12 @@ factorization --p 3` to k x k grids, k = 6, 8 and 10, with two opposite
 corners marked and voltages +-1 on 70% of the edges (perfbench's
 workloads._graph) drawn with seeds 0-2: hi from 18 to 53, so up to four groups of
 linalg.GROUP_WIDTH nodes, where no request of the benchmark's lists for
-seeds 1 and 2 passes hi = 15, one group.
+seeds 1 and 2 passes hi = 15, one group.  It sends the same requests to
+5 x 5 and 8 x 8 grids whose every edge is doubled, each copy with its own
+voltage drawn from -3..3 (seeds 0-2): their off-diagonal entries have up to
+two terms and 24-31 distinct ones per block, where the grids above, with
+single edges of voltage +-1, have one term each, and hi (37 to 139)
+passes one group.
 Prints, per list, how many (exit code, stdout) pairs differ, and the name
 and argv of the first three requests whose pairs differ.
 
@@ -111,6 +116,13 @@ elif workload == "grids":
         for s in range(3):
             g = workloads._graph(vs, es, dict.fromkeys(ram, 0), random.Random(s), volt=True)
             reqs += [workloads.Request(f"grid {k}x{k} seed {s}", argv, g) for argv in argvs]
+    for k in (5, 8):  # every edge doubled, each copy with its own voltage in -3..3: entries of several terms
+        vs, es, ram = workloads.grid(k, k, [(0, 0), (k - 1, k - 1)])
+        for s in range(3):
+            rng = random.Random(s)
+            g = {"vertices": vs, "ramified": [{"vertex": v} for v in ram],
+                 "edges": [{"from": u, "to": v, "voltage": rng.randint(-3, 3)} for u, v in es for _ in range(2)]}
+            reqs += [workloads.Request(f"doubled grid {k}x{k} seed {s}", argv, g) for argv in argvs]
 else:
     for req in workloads.warmups(workload):
         client.call(cli, req)

@@ -427,16 +427,58 @@ class TestDetLaurent:
         # as it is, with no LaurentPoly, no mirrored check and no assignment,
         # and refuses it as det_int refuses it
         monkeypatch.setattr(linalg, "_max_assignment", lambda w: pytest.fail("_max_assignment ran"))
-        monkeypatch.setattr(LaurentPoly, "mirrors", lambda *args: pytest.fail("a mirrored check ran"))
+        taken, det = [], linalg.det_int
+        monkeypatch.setattr(linalg, "det_int", lambda rows, **kw: taken.append((rows, kw)) or det(rows, **kw))
         assert det_laurent([{0: 2}]) == 2 and type(det_laurent([{0: 2}])) is LaurentPoly
         for m in ([], [{}], [{0: 2, 1: -1}, {0: -1, 1: 2}], [{0: 3, 1: -1, 2: -1}, {0: -1, 1: 2, 2: -1}, {0: -1, 1: -1, 2: 3}]):
+            taken.clear()
             assert det_laurent(m) == LaurentPoly({0: det_int(m)}) == bareiss_det_int(dense(m))
+            assert len(taken) == 1 and taken[0][0] is m and taken[0][1] == {}  # the block itself, checked by det_int
         with pytest.raises(LinalgError, match="^det_int takes only symmetric, diagonally dominant blocks; row 0 is not one$"):
             det_laurent([{0: 2, 1: -1}, {1: 2}])
 
     def test_zero_entry_rejected(self):
         with pytest.raises(LinalgError, match="zero polynomial"):
             det_laurent([{0: LaurentPoly()}])
+
+    def test_terms_in_any_order(self):
+        # an entry's terms and its mirror's, or an equal entry's, may come in
+        # any dict order: g + 1/g is {1: 1, -1: 1} or {-1: 1, 1: 1}
+        a, b = LaurentPoly({1: -1, -1: -1}), LaurentPoly({-1: -1, 1: -1})
+        d, e = LaurentPoly({0: 4, 2: -1, -2: -1}), LaurentPoly({-2: -1, 0: 6, 2: -1})
+        m = [{0: d, 1: a}, {0: a, 1: e, 2: b}, {1: b, 2: d}]
+        assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == interpolated_det_laurent(dense(m, LaurentPoly()))
+        m[2][1] = LaurentPoly({-1: -1, 1: -2})  # no longer row 1's mirror
+        with pytest.raises(LinalgError, match="^det_laurent takes only mirrored, diagonally dominant blocks; row 1 is not one$"):
+            det_laurent(m)
+
+    @given(blocks(max_dim=4), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_reordered_terms(self, m, rnd):
+        # every entry rebuilt with its terms in a random dict order, so that
+        # equal and mirrored entries list them differently: the same det as
+        # both oracles.  Then one coefficient of one entry off by one: the
+        # block is refused at the first row that the rule (a mirrored
+        # partner for every entry of a row, and dominance) fails, with the
+        # same message, before any prime
+        m = [{j: LaurentPoly(dict(rnd.sample(list(x.coeffs.items()), len(x.coeffs)))) for j, x in row.items()} for row in m]
+        assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == interpolated_det_laurent(dense(m, LaurentPoly()))
+        if not (cells := [(i, j) for i, row in enumerate(m) for j in row]):
+            return
+        i, j = rnd.choice(cells)
+        e = rnd.choice(list(m[i][j].coeffs))
+        m[i][j] = LaurentPoly({**m[i][j].coeffs, e: m[i][j].coeffs[e] + rnd.choice([-1, 1])})
+        bad = next((k for k, row in enumerate(m) if row and not (
+            sum(x.norm() for x in row.values()) <= 2 * row.get(k, LaurentPoly()).coeffs.get(0, 0)
+            and all(m[c].get(k) is not None and m[c][k].coeffs == mirror(x).coeffs for c, x in row.items()))), None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_primes", lambda: pytest.fail("a prime was drawn"))
+            if bad is not None:
+                with pytest.raises(LinalgError, match=f"^det_laurent takes only mirrored, diagonally dominant blocks; row {bad} is not one$"):
+                    det_laurent(m)
+            elif any(x.is_zero for row in m for x in row.values()):
+                with pytest.raises(LinalgError, match="^zero polynomial has no exponents$"):
+                    det_laurent(m)
 
     def test_short_prime_supply_raises(self, monkeypatch):
         # the coefficient 2^70 needs three primes below 2^30: one must not be lifted
@@ -1103,6 +1145,22 @@ PRIME_PIVOT_AT_1 = ([{0: Q0 + 2, 1: -1, -1: -1}, {0: 1}], [(0, 1, {0: -1})])
 GADGETS = (ZERO_PIVOT_AT_2, VANISHES_AT_1, VANISHES, PRIME_PIVOT_AT_1)
 
 
+def assert_unreduced_replays(calls, rnd):
+    """Replay each recorded _det_mod_nodes call with every lane of its rows
+    shifted by a multiple of its modulus q drawn from rnd (a nonzero one for
+    a lane that q divides), against its recorded dets or gcd."""
+    for c in calls:
+        if c.width is None:
+            continue
+        shift = lambda x: x + c.q * (rnd.choice([-2, -1, 1, 2]) if x % c.q == 0 else rnd.randint(-3, 3))  # noqa: E731
+        rows = [{j: [shift(x) for x in v] for j, v in row.items()} for row in c.rows]
+        try:
+            got = linalg._det_mod_nodes(rows, c.q, c.width), None
+        except linalg._NonUnitPivot as exc:
+            got = None, exc.args[0]
+        assert got == (c.result, c.gcd)
+
+
 class TestNodeGroups:
     """_det_mod_nodes eliminates up to GROUP_WIDTH nodes in one pass: one
     pivot order, one batched inverse per pivot, borrowing and freezing node
@@ -1159,20 +1217,50 @@ class TestNodeGroups:
         else:
             assert drawn == [Q0, Q1, Q2] and pivot_gcds(calls) == [(Q0 * Q1, Q0), (Q1 * Q2, None)]
 
+    @given(blocks(max_dim=4), st.lists(st.sampled_from(range(len(GADGETS))), unique=True), st.sampled_from([1, 2, 3, linalg.GROUP_WIDTH]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_unreduced_entries(self, rand, picks, width, rnd):
+        # the kernel reduces a row when it takes it as pivot row, so each
+        # input det_laurent hands it may come with every entry shifted by
+        # multiples of q, each lane by its own in [-3q, 3q], a zero lane by a
+        # nonzero one (a zero pivot given as q, say): the same dets, or the
+        # same gcd of a pivot that is no unit
+        m = direct_sum(rand, *(block(*GADGETS[i]) for i in picks))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GROUP_WIDTH", width)
+            calls = record_eliminations(mp)
+            det_laurent(m)
+        assert_unreduced_replays(calls, rnd)
+
+    @pytest.mark.parametrize("gadget", GADGETS, ids=["borrow", "frozen at 1", "frozen", "prime pivot"])
+    def test_unreduced_gadgets(self, gadget):
+        # each gadget, before VANISHES_AT_1 (which makes hi = 1 at least):
+        # a borrowed row at the node 2, a node frozen at 1, every node
+        # frozen, a pivot that is no unit and its retried modulus
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_eliminations(mp)
+            det_laurent(direct_sum(block(*gadget), block(*VANISHES_AT_1)))
+        kernel = [c for c in calls if c.width]
+        assert kernel and (gadget is not PRIME_PIVOT_AT_1 or kernel[0].gcd == Q0)
+        for seed in range(20):
+            assert_unreduced_replays(calls, random.Random(seed))
+
     def test_hi_zero_hands_m1_to_det_int(self, monkeypatch):
         # a triangle whose voltages 1, -1 and 0 sum to 0 around it, so
         # hi = 0: det M is the integer det M(1), the block of the sums of
         # M's coefficients, which det_int takes with the bound
-        # prod_i ||M_ii||_1 = 18 just checked on M: M(1) is not checked
-        # again, and no node is evaluated
+        # prod_i ||M_ii||_1 = 18 just checked on M, by det_laurent's own
+        # pass over M: M(1) is not checked again (det_int's check,
+        # _block_bound, never runs), and no node is evaluated
         m = block([{0: 3}, {0: 2}, {0: 3}], [(0, 1, {1: -1}), (1, 2, {-1: -1}), (0, 2, {0: -1})])
         taken, det, checked, bound = [], linalg.det_int, [], linalg._block_bound
         monkeypatch.setattr(linalg, "det_int", lambda rows, **kw: taken.append((rows, kw)) or det(rows, **kw))
-        monkeypatch.setattr(linalg, "_block_bound", lambda rows, *args: checked.append(rows) or bound(rows, *args))
+        monkeypatch.setattr(linalg, "_block_bound", lambda rows: checked.append(rows) or bound(rows))
         monkeypatch.setattr(linalg, "_det_mod_nodes", lambda *args: pytest.fail("_det_mod_nodes ran"))
         assert det_laurent(m) == bareiss_det_laurent(dense(m, LaurentPoly())) == 8
         assert taken == [([{0: 3, 1: -1, 2: -1}, {1: 2, 0: -1, 2: -1}, {2: 3, 1: -1, 0: -1}], {"_bound": 18})]
-        assert checked == [m]
+        assert checked == []
 
     def test_batched_inverses(self):
         q = Q0 * Q1

@@ -288,6 +288,26 @@ def marked_edge_subsets(draw):
 
 @given(marked_edge_subsets())
 @settings(max_examples=400, deadline=None)
+def test_connectivity_is_read_from_the_classes(case):
+    """decompose calls X disconnected exactly when a search of X does
+    (Multigraph.connected), and before it finds no mark, on the graph of a
+    random edge subset: disconnected ones, ones with no mark, isolated
+    vertices and components made only of marks among them."""
+    g, r, edges = case
+    x = prune_tails(build_graph(g.vertices, [(e.u, e.v, e.id) for e in edges]), r)
+    reason = None
+    try:
+        decompose(x, r)
+    except DecompositionError as exc:
+        reason = exc.reason
+    if not x.connected():
+        assert reason == "graph is disconnected"
+    else:
+        assert reason != "graph is disconnected" and (reason == "no ramified vertex") == (not r.depths)
+
+
+@given(marked_edge_subsets())
+@settings(max_examples=400, deadline=None)
 def test_closure_groups_match_the_union_find(case):
     """seal's labelling gives the union-find's groups, in the same order,
     each in edge order, with the ids, marks and vertices of its edges."""
