@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage, heaviest
+from .graph import (SIZE_LIMIT, Edge, GraphError, Multigraph, RamificationData, check_marks, check_size, check_voltage, heaviest,
+                    laplacian_rows)
 from .linalg import PRIME_TEST_LIMIT, is_prime
 
 
@@ -106,8 +107,8 @@ def build_cover(g: Multigraph, r: RamificationData, voltage, p: int, n: int) -> 
 def lift_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int, drop, part=None):
     """The sparse rows of the Laplacian of the level-n lifts of g's edges, or
     of part's alone (a segment), over their fibres in build_cover's vertex
-    order, without the row of (v, 0) for each v in drop.  A lift whose ends
-    coincide adds nothing."""
+    order, without the row of (v, 0) for each v in drop: graph.laplacian_rows
+    of each lift's pair of rows, so a lift whose ends coincide adds nothing."""
     index, size = {}, 0  # index[v][i]: the row of (v, i), -1 when it is left out
     for v in g.vertices:
         if part is None or v in part.vertices:
@@ -115,18 +116,7 @@ def lift_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int, 
             index[v] = [-1] * out + list(range(size, size + k - out))
             size += k - out
     edges = g.edges if part is None else [e for e in g.edges if e.id in part.edge_ids]
-    rows = [{} for _ in range(size)]
-    for _, ends in lifts(edges, index, p**n, voltage or {}):
-        for i, j in ends:
-            if i != j:
-                if i >= 0:
-                    rows[i][i] = rows[i].get(i, 0) + 1
-                if j >= 0:
-                    rows[j][j] = rows[j].get(j, 0) + 1
-                    if i >= 0:
-                        rows[i][j] = rows[i].get(j, 0) - 1
-                        rows[j][i] = rows[j].get(i, 0) - 1
-    return rows
+    return laplacian_rows(size, (ij for _, ends in lifts(edges, index, p**n, voltage or {}) for ij in ends))
 
 
 def cover_laplacian(g: Multigraph, r: RamificationData, voltage, p: int, n: int):

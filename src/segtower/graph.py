@@ -210,35 +210,45 @@ def heaviest(vertices, degree):
     return (max(vertices, key=degree),) if vertices else ()
 
 
+def laplacian_rows(size, ends):
+    """Sparse rows of the size-row integer Laplacian of the edges whose rows
+    are the pairs (i, j) of ends, -1 for an end left out: 1 on the diagonal
+    of each end kept, -1 at (i, j) and (j, i) when both are; a pair i = j
+    adds nothing.  A row lists its diagonal first, its columns in edge order."""
+    rows = [{} for _ in range(size)]
+    for i, j in ends:
+        if i != j:
+            if i >= 0:
+                rows[i][i] = rows[i].get(i, 0) + 1
+            if j >= 0:
+                rows[j][j] = rows[j].get(j, 0) + 1
+                if i >= 0:
+                    rows[i][j] = rows[i].get(j, 0) - 1
+                    rows[j][i] = rows[j].get(i, 0) - 1
+    return rows
+
+
 def laplacian(g: Multigraph, deleted=(), voltage=None):
     """Sparse rows [{column: entry}] of the nonzero entries of the Laplacian
     Val - A without the rows and columns of the vertices in deleted, rows
-    as laplacian_index numbers them, from one pass over the edges: every
-    block that linalg.det_int takes (int entries, when voltage holds no
-    nonzero value) and linalg.det_laurent takes (those, or with a voltage
-    map {edge id: a} with some a != 0: LaurentPoly entries in g, each dart
-    u -> v of voltage a adding -g^a at (v, u)).  Loops add 2 to both the
-    degree and the adjacency diagonal, so at voltage 0 they cancel.
+    as laplacian_index numbers them: every block that linalg.det_int takes
+    (int entries from laplacian_rows, when voltage holds no nonzero value)
+    and linalg.det_laurent takes (those, or with a voltage map {edge id: a}
+    with some a != 0: LaurentPoly entries in g from one pass over the
+    edges, each dart u -> v of voltage a adding -g^a at (v, u); a loop adds
+    2 to the degree and -g^a - g^-a to the diagonal).
     """
-    ints, index = not any((voltage or {}).values()), laplacian_index(g, deleted)
-    rows = [{i: g.degree(v)} if ints else {i: {0: g.degree(v)}} for v, i in index.items()]
+    index = laplacian_index(g, deleted)
+    if not any((voltage or {}).values()):
+        return laplacian_rows(len(index), [(index.get(u, -1), index.get(v, -1)) for _, u, v in g.edges])
+    rows = [{i: {0: g.degree(v)}} for v, i in index.items()]
     for eid, u, v in g.edges:
         if u in index and v in index:
-            i, j = index[u], index[v]
-            if ints:
-                rows[i][j] = rows[i].get(j, 0) - 1
-                rows[j][i] = rows[j].get(i, 0) - 1
-            else:
-                a = voltage.get(eid, 0)
-                for row, col, b in ((j, i, a), (i, j, -a)):
-                    cs = rows[row].setdefault(col, {})
-                    cs[b] = cs.get(b, 0) - 1
-    if not ints:
-        return [{j: x for j, cs in row.items() if (x := LaurentPoly(cs)).coeffs} for row in rows]
-    for i, row in enumerate(rows):  # a vertex with no edge but loops
-        if not row[i]:
-            del row[i]
-    return rows
+            i, j, a = index[u], index[v], voltage.get(eid, 0)
+            for row, col, b in ((j, i, a), (i, j, -a)):
+                cs = rows[row].setdefault(col, {})
+                cs[b] = cs.get(b, 0) - 1
+    return [{j: x for j, cs in row.items() if (x := LaurentPoly(cs)).coeffs} for row in rows]
 
 
 def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:

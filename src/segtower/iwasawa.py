@@ -388,7 +388,7 @@ def verify_char_factorization(g, r, voltage, p) -> Verdict:
             holders.setdefault(eid, []).append(s)
         mu_i = lam_i = 0
         if block:
-            det = _within_limit("characteristic element", block)
+            det = _within_limit(f"characteristic element of segment {s.color}", block)
             span = max(det.coeffs, default=0) - min(det.coeffs, default=0)
             if (work := work + (span + 1) ** 2 * (det.norm().bit_length() + span)) > WORK_LIMIT:
                 raise GraphError(f"characteristic element: interpolating and expanding the factors of segments 0..{s.color} "

@@ -5,9 +5,10 @@ a block as graph.laplacian builds it, the one kind both determinants take
 (see det_int, det_laurent).  Both determinants eliminate modulo a product of primes
 below 2^30 (one CPython digit each), pivoting on the diagonal of the block's
 symmetric pattern in a minimum-degree order read from the row lengths as
-they go: det_int one matrix (_det_mod), det_laurent up to GROUP_WIDTH
-interpolation nodes in one pass (_det_mod_nodes), each entry a list of its
-values at the nodes, reduced only in pivot rows, and interpolates in g + 1/g.
+they go: det_int one matrix (_det_mod, which borrows no row), det_laurent up
+to GROUP_WIDTH interpolation nodes in one pass (_det_mod_nodes, where a node
+may borrow one), each entry a list of its values at the nodes, reduced only
+in pivot rows, and interpolates in g + 1/g.
 Products of a Laurent polynomial over the p^a-th roots of unity come from
 one root-power (Graeffe) chain over Z, with no matrix and no prime.  Laurent
 polynomials in the deck generator g expand at g = 1 + T to integer tuples
@@ -238,32 +239,29 @@ def _inverses(xs, q):
 
 
 def _det_mod(a, q):
-    """det mod q of the square matrix of sparse rows a, [{column: entry}],
-    which it overwrites.  q is a product of primes; a pivot it must invert
-    whose gcd with q is g > 1 raises _NonUnitPivot(g).  An entry that q
-    divides must be 0 (|entry| < q).
+    """det mod q of det_int's block a, sparse rows [{column: entry}], which
+    it overwrites.  q is a product of primes; a pivot it must invert whose
+    gcd with q is g > 1 raises _NonUnitPivot(g).  An entry that q divides
+    must be 0 (|entry| < q).
 
     The pattern of a must be symmetric (j in a[i] exactly when i in a[j])
     and hold every diagonal entry; zero residues stay.  Each step pivots on
     the diagonal of a row of least length (see _least_length_first).  It
     updates the rows of the pivot row's columns, every one by all of its
     columns, even for a factor of 0, so the pattern stays symmetric and no
-    zero is deleted.  A zero diagonal first borrows a row: the first row i
-    of the pivot row's columns with a[i][k] nonzero is added to row k, which
-    leaves det unchanged, and each column that row k gains gets a zero
-    mirror.  With no such row column k is zero, and so is det.
+    zero is deleted.  No row is borrowed: q passes twice the bound of the
+    semidefinite block and earlier pivots are units, so a zero pivot is 0
+    over Q, and in a semidefinite Schur complement so is its column: det 0.
+    A nonzero residue in that column is a LinalgError.
     """
     det = 1
     for k in _least_length_first(a):
         rp = a[k]
-        if not rp[k]:
-            i = next((i for i in rp if a[i][k]), None)
-            if i is None:
-                return 0
-            for j, y in a[i].items():
-                a[j].setdefault(k, 0)
-                rp[j] = (rp.get(j, 0) + y) % q
         x = rp.pop(k)
+        if not x:
+            if any(a[i][k] for i in rp):
+                raise LinalgError(f"pivot {k} is 0 over a nonzero column, so the matrix is no block det_int takes")
+            return 0
         a[k] = None
         det = det * x % q
         if not rp:
@@ -283,18 +281,19 @@ def _det_mod(a, q):
 def _det_mod_nodes(a, q, width):
     """[det mod q at each node] of the square matrix a at width nodes at
     once: its sparse rows [{column: [entry at each node]}], which it
-    overwrites, eliminated as _det_mod eliminates one matrix, its entries
-    any ints: a row is reduced mod q once, as it becomes the pivot row.
+    overwrites, its entries any ints: a row is reduced mod q once, as it
+    becomes the pivot row.  It takes _det_mod's pattern and order, which
+    depends only on the pattern and so serves every node; each step inverts
+    the pivots of all nodes by one pow (see _inverses).
 
-    The pivot order depends only on the pattern, so one order serves every
-    node, and each step inverts the pivots of all nodes by one pow (see
-    _inverses).  Where a pivot is 0, that node alone borrows a row as
-    _det_mod does; the columns row k gains hold zeros at the other nodes
-    and get zero mirrors, so every node keeps one pattern.  A node whose
-    column k is zero has det 0 and is frozen: its later pivots count as 1,
-    so it never borrows, raises _NonUnitPivot or drops a prime again.  When
-    every node is frozen the elimination ends.  Every update builds a new
-    list, so entries may share one.
+    M(x) is neither symmetric nor definite, so a node's pivot can be 0 over
+    a nonzero column: that node alone adds to row k the first row i of its
+    columns with a[i][k] nonzero there, which leaves det unchanged; the
+    columns row k gains hold zeros at the other nodes and get zero mirrors.
+    A node whose column k is zero has det 0 and is frozen: its later pivots
+    count as 1, so it never borrows, raises _NonUnitPivot or drops a prime
+    again.  When every node is frozen the elimination ends.  Every update
+    builds a new list, so entries may share one.
     """
     dets, frozen, zero = [1] * width, set(), [0] * width
     for k in _least_length_first(a):

@@ -14,7 +14,7 @@ import pytest
 
 from segtower.cover import build_cover, segment_preimage
 from segtower.forests import forest_count_det, kappa
-from segtower.graph import Edge, GraphError, Multigraph, RamificationData, build_graph, check_voltage, graph_from_json, laplacian
+from segtower.graph import Edge, GraphError, Multigraph, RamificationData, build_graph, check_voltage, graph_from_json
 from segtower.iwasawa import DisconnectedCover, InvariantTriple, tower_report
 from segtower.linalg import LaurentPoly, LinalgError, laurent_exact_div, root_of_unity_products
 from segtower.seal import DecompositionError, Segment, SegmentDecomposition, admissible_paths
@@ -121,22 +121,23 @@ def explicit_tower_kappas(g, r, voltage, p, n_max):
 
 def explicit_cover_laplacian(g, r, voltage, p, n):
     """Oracle for cover.cover_laplacian: the level-n cover built as a graph,
-    its Laplacian by graph.laplacian without the first of its vertices of
-    largest degree in the cover."""
+    its Laplacian by the per-pair copy (laplacian_minor_by_copy, which shares
+    no fill with the library) without the first of its vertices of largest
+    degree in the cover."""
     c = build_cover(g, r, voltage, p, n).graph
     top = max(map(c.degree, c.vertices), default=None)
-    return laplacian(c, [w for w in c.vertices if c.degree(w) == top][:1])
+    return sparse_rows(laplacian_minor_by_copy(c, [w for w in c.vertices if c.degree(w) == top][:1]))
 
 
 def explicit_lift_laplacian(g, r, voltage, p, n, drop, part=None):
     """Oracle for cover.lift_laplacian: the level-n cover built as a graph,
     cut to the fibres over part's vertices and the lifts of its edges (the
     whole cover when part is None), its Laplacian without (v, 0) for each
-    v in drop by graph.laplacian."""
+    v in drop by the per-pair copy (laplacian_minor_by_copy)."""
     c = build_cover(g, r, voltage, p, n)
     vertices = [w for w in c.graph.vertices if part is None or w[0] in part.vertices]
     edges = [e for e in c.graph.edges if part is None or c.edge_projection[e.id] in part.edge_ids]
-    return laplacian(Multigraph(vertices, edges), [(v, 0) for v in drop])
+    return sparse_rows(laplacian_minor_by_copy(Multigraph(vertices, edges), [(v, 0) for v in drop]))
 
 
 def preimage_segment_counts(d, r, voltage, p, n):

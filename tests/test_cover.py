@@ -2,7 +2,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import explicit_cover_laplacian, explicit_lift_laplacian, load_fixture, segment_subgraph
@@ -217,12 +217,19 @@ def lift_requests(draw):
     return g, r, voltage, p, n, drop, part
 
 
+LOOP_AND_ISOLATED = build_graph(["v", "w", "x", "y"], [("v", "w", "e0"), ("x", "x", "e1")])
+
+
 class TestLiftLaplacian:
     """lift_laplacian alone, any drop set and any part, against the explicit
     cover cut to the part's fibres and lifts."""
 
     @given(lift_requests())
     @settings(max_examples=300, deadline=None)
+    # x has only a loop and y no edge: at voltage 0 each lift of the loop is
+    # a loop and adds nothing, at voltage 1 the two lifts join x's sheets
+    @example((LOOP_AND_ISOLATED, RamificationData(), {"e1": 0}, 2, 1, ["v"], None))
+    @example((LOOP_AND_ISOLATED, RamificationData({"x": 1}), {"e1": 1}, 2, 1, [], None))
     def test_equals_the_cut_explicit_cover(self, x):
         try:
             want = explicit_lift_laplacian(*x)

@@ -27,6 +27,7 @@ from segtower.graph import (
     graph_from_json,
     graph_to_json,
     laplacian,
+    laplacian_rows,
     prune_tails,
 )
 from segtower.cover import CoverGraph
@@ -158,6 +159,14 @@ class TestLaplacian:
         # the zero diagonal entry is left out
         g = build_graph(["a"], [("a", "a")])
         assert laplacian(g) == [{}]
+
+    def test_fill_from_pairs_of_rows(self):
+        # -1 leaves an end out, a pair whose ends coincide adds nothing, and
+        # a row lists its diagonal first, then its columns in edge order
+        rows = laplacian_rows(4, [(2, 0), (-1, 1), (3, 3), (0, 1), (-1, -1), (1, 0)])
+        assert rows == [{0: 3, 2: -1, 1: -2}, {1: 3, 0: -2}, {2: 1, 0: -1}, {}]
+        assert [list(row) for row in rows] == [[0, 2, 1], [1, 0], [2, 0], []]
+        assert laplacian_rows(0, []) == []
 
     def test_triangle_minor(self):
         g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])

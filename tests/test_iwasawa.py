@@ -985,7 +985,7 @@ class TestInterpolationWork:
             (lambda g, r, v: char_element(g, r, v, 2), "characteristic element"),
             (lambda g, r, v: tower_kappas(g, r, v, 2, 2), "level 1"),
             (lambda g, r, v: tower_report(g, r, v, 2, n_max=2, empirical=False), "characteristic element"),
-            (lambda g, r, v: verify_char_factorization(g, r, v, 2), "characteristic element"),
+            (lambda g, r, v: verify_char_factorization(g, r, v, 2), "characteristic element of segment 0"),
         ],
     )
     def test_refused_before_any_node(self, monkeypatch, call, stage):

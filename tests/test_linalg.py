@@ -324,7 +324,7 @@ class TestDetLaurent:
     def test_zero_column(self, monkeypatch):
         # one edge of voltage 1 between two unmarked vertices: det M = 0.
         # hi = 0, so det M is det_int of M(1) = [[1, -1], [-1, 1]], whose
-        # column 1 cancels with no row left to borrow
+        # pivot 1 cancels over a zero column: det 0, with no row borrowed
         calls = record_eliminations(monkeypatch)
         assert det_laurent(block([{0: 1}, {0: 1}], [(0, 1, {1: -1})])).is_zero
         assert [(c.width, c.result, c.order) for c in calls] == [(None, 0, None)]
@@ -714,8 +714,9 @@ def kernel_rows(m, q=Q0):
 
 
 def kernel_det(m, q=Q0):
-    """det mod q of the dense integer matrix m, from the kernel itself."""
-    return linalg._det_mod(kernel_rows(sparse_rows(m), q), q)
+    """det mod q of the dense integer matrix m, from the kernel that borrows
+    rows: linalg._det_mod_nodes at one node."""
+    return linalg._det_mod_nodes([{j: [x] for j, x in row.items()} for row in kernel_rows(sparse_rows(m), q)], q, 1)[0]
 
 
 def kernel_order(m, q=Q0):
@@ -752,7 +753,7 @@ class TestSparseKernel:
     @given(zero_diagonal_matrices())
     @settings(max_examples=200, deadline=None)
     def test_zero_diagonal(self, m):
-        # no block has a zero diagonal but an empty row; the kernel itself
+        # no block has a zero diagonal but an empty row; the node kernel
         # borrows a row for every one of them, modulo a prime
         assert kernel_det(m) == bareiss_det_int(m) % Q0
 
@@ -830,11 +831,13 @@ def constants(m):
 
 
 class TestBorrowedRow:
-    """A zero diagonal pivot borrows a row of its column, against Bareiss
-    over Z.  In a block over Z a diagonal that cancels leaves its row and
-    column zero (a Schur complement of a positive semidefinite matrix is one),
-    so a block borrows only modulo a prime that divides a pivot, or at a
-    node of det_laurent; the kernel itself borrows for any matrix."""
+    """A zero diagonal pivot of the node kernel borrows a row of its column,
+    against Bareiss over Z; that kernel borrows for any matrix.  det_int's
+    kernel never borrows: in a block over Z a diagonal that cancels leaves
+    its row and column zero (a Schur complement of a positive semidefinite
+    matrix is one), and modulo a product past twice the block's bound a
+    pivot is 0 only when it is 0 over Z.  A row is borrowed only at a node
+    of det_laurent, where M(x) is neither symmetric nor definite."""
 
     @pytest.mark.parametrize(
         "m, det",
@@ -859,9 +862,17 @@ class TestBorrowedRow:
         # Q1 * Q2 * Q3 the borrowed pivot is a unit
         drawn = count_primes(monkeypatch)
         calls = record_eliminations(monkeypatch)
-        det = linalg._symmetric_lift(lambda q: [linalg._det_mod([{0: 0, 1: Q0}, {0: Q0, 1: 1}], q)], Q0 * Q0)
+        det = linalg._symmetric_lift(lambda q: linalg._det_mod_nodes([{0: [0], 1: [Q0]}, {0: [Q0], 1: [1]}], q, 1), Q0 * Q0)
         assert det == [bareiss_det_int([[0, Q0], [Q0, 1]])] == [-Q0 * Q0]
         assert drawn == [Q0, Q1, Q2, Q3] and pivot_gcds(calls) == [(Q0 * Q1 * Q2, Q0), (Q1 * Q2 * Q3, None)]
+
+    def test_det_int_kernel_never_borrows(self):
+        # after the first step the diagonal of column 1 cancels over a
+        # nonzero column: no block det_int takes, so the kernel refuses it
+        # instead of borrowing; a cancelling pivot over a zero column is det 0
+        with pytest.raises(LinalgError, match="^pivot 1 is 0 over a nonzero column"):
+            linalg._det_mod(kernel_rows(sparse_rows([[1, 1, 0], [1, 1, 1], [0, 1, 0]])), Q0)
+        assert linalg._det_mod(kernel_rows(sparse_rows([[1, 1], [1, 1]])), Q0) == 0
 
     def test_first_node_ends_early(self, monkeypatch):
         # the one-vertex block 2 - g^2 - g^-2 vanishes at the first node 1,

@@ -90,6 +90,23 @@ def test_every_definition_is_used(src):
     assert not bad, "\n".join(bad)
 
 
+def test_det_mod_read_only_by_det_int(src):
+    """linalg._det_mod borrows no row: a zero pivot over a nonzero column
+    raises LinalgError.  That holds for the blocks det_int has checked (and
+    det_laurent's M(1), which it passes with the bound it checked), so the
+    kernel's one reader is det_int: a new caller fails here, not at run time."""
+
+    def readers(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if "_det_mod" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                yield inner
+            yield from readers(child, inner)
+
+    found = {(path.name, where) for path, nodes in src.nodes.items() for where in readers(nodes[0], None)}
+    assert found == {("linalg.py", "det_int")}, f"_det_mod is read outside det_int: {sorted(found, key=str)}"
+
+
 def test_benchmark_names_resolve(src):
     """Each (module, function) key of perfbench/spans.py's SPANS and
     ERROR_COUNTERS, and each exception class an ERROR_COUNTERS entry counts,
