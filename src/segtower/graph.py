@@ -253,16 +253,14 @@ def laplacian(g: Multigraph, deleted=(), voltage=None):
 
 def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
     """Iteratively delete unramified vertices with a single neighbour joined
-    by a single edge.  The spanning-tree count is unchanged.
+    by a single edge.  κ, every F_t and the marks are unchanged.
 
-    The result is that of deleting, each time, the first deletable vertex
-    in vertex order.  Deletions commute but for the last edge of a component
-    that is a tree without marks: that rule keeps the tree's last vertex in
-    vertex order, found by one walk of the tree.  So each tail is walked
-    from its leaf inwards, in order of the leaves, and degrees are kept only
-    for the vertices a deletion reaches.  Only unmarked vertices go, so r
-    holds for the result unchanged.  A g with no tail (no unmarked vertex of
-    degree 1) is returned itself.
+    Each tail is walked from its leaf inwards, in order of the leaves, and
+    degrees are kept only for the vertices a deletion reaches.  A component
+    that is a tree without marks goes down to one vertex, the one its last
+    walk reaches.  Only unmarked vertices go, so r holds for the result
+    unchanged.  A g with no tail (no unmarked vertex of degree 1) is
+    returned itself.
     """
     check_marks(g, r)
     incident, marks = g._incident, r.depths
@@ -271,9 +269,8 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
         return g
     degree = {}  # the degrees that deletions lowered
     gone_vertices, gone_edges = set(), set()
-    position = None  # vertex order, built for the first tree without marks
     for v in leaves:
-        while v not in gone_vertices:
+        while True:
             for e in incident[v]:  # v's last edge
                 if e.id not in gone_edges:
                     break
@@ -281,20 +278,6 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
                 break
             w = e.v if e.u == v else e.u
             d = degree.get(w, len(incident[w]))
-            if d == 1 and w not in marks:  # the last edge of a tree without marks
-                if position is None:
-                    position = {x: i for i, x in enumerate(g.vertices)}
-                tree, todo = {v}, [v]
-                while todo:
-                    for _, a, b in incident[todo.pop()]:
-                        for x in (a, b):
-                            if x not in tree:
-                                tree.add(x)
-                                todo.append(x)
-                gone_vertices |= tree
-                gone_vertices.remove(max(tree, key=position.__getitem__))
-                gone_edges.add(e.id)
-                break
             gone_vertices.add(v)
             gone_edges.add(e.id)
             degree[w] = d - 1
@@ -305,52 +288,6 @@ def prune_tails(g: Multigraph, r: RamificationData) -> Multigraph:
         [v for v in g.vertices if v not in gone_vertices],
         [e for e in g.edges if e.id not in gone_edges],
     )
-
-
-def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationData, identification):
-    """Glue g2 onto g1 by identifying g ramified vertex pairs (1 <= g <= 2).
-
-    identification is a list of (vertex_in_g1, vertex_in_g2) pairs.  Vertices
-    and edges of g2 whose ids collide with g1 are renamed with a "'" suffix.
-    Identified vertices keep g1's id and depth.
-    """
-    pairs = list(identification)
-    if not 1 <= len(pairs) <= 2:
-        raise GraphError("identification must list 1 or 2 vertex pairs")
-    for a, b in pairs:
-        if not g1.has_vertex(a) or not g2.has_vertex(b):
-            raise GraphError(f"identification pair ({a!r}, {b!r}) references a missing vertex")
-        if not r1.is_ramified(a) or not r2.is_ramified(b):
-            raise GraphError(f"identification pair ({a!r}, {b!r}) references an unramified vertex")
-    if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
-        raise GraphError("identification pairs must be distinct on both sides")
-
-    vertices = list(g1.vertices)
-    taken = set(vertices)
-    vmap = {b: a for a, b in pairs}
-    for v in g2.vertices:
-        if v in vmap:
-            continue
-        name = v
-        while name in taken:
-            name = f"{name}'"
-        vmap[v] = name
-        taken.add(name)
-        vertices.append(name)
-
-    edge_ids = {e.id for e in g1.edges}
-    edges = list(g1.edges)
-    for e in g2.edges:
-        eid = e.id
-        while eid in edge_ids:
-            eid = f"{eid}'"
-        edge_ids.add(eid)
-        edges.append(Edge(eid, vmap[e.u], vmap[e.v]))
-
-    depths = dict(r1.depths)
-    for v, k in r2.depths.items():
-        depths.setdefault(vmap[v], k)
-    return Multigraph(vertices, edges), RamificationData(depths)
 
 
 # --- shared JSON format -----------------------------------------------------

@@ -16,12 +16,17 @@ on its first unmarked vertex, and a branched copy, a 5-vertex pendant
 tree with two forks hung on its first mark, to the same `invariants`
 requests, to `seal` and to `verify` A, partial and general at p = 2, n = 1
 (graph.prune_tails takes both trees off); a copy with an isolated extra mark (a disconnected
-X) to the same `invariants` requests; and a copy whose every edge voltage is
+X) to the same `invariants` requests; a copy with a star without marks
+beside it (x-a, x-b, x-c in vertex order [a, b, c, x], which prune_tails
+takes down to c) to `seal`, to `invariants` (default, --symbolic-only,
+--empirical-only) at p = 2 and to `verify` A, partial and general at
+p = 2, n = 1 and factorization at p = 2; and a copy whose every edge voltage is
 shifted by 10^9 to `verify --theorem general` at n = 1 and 2, p = 2, 3
 and 5.  Two more requests send `verify --theorem general --p 101 --n 1`
 segments whose chains would pass the work limit, so that their counts come
 from their lifts (cover.lift_laplacian): a 1-segment, and the 2-segment
-that one more edge to a second mark makes of it.  The "grids" list sends
+that one more edge to a second mark makes of it.  The star alone goes to
+the requests of the copies with a star.  The "grids" list sends
 `invariants --symbolic-only` at p = 2 and 3 and `verify --theorem
 factorization --p 3` to k x k grids, k = 6, 8 and 10, with two opposite
 corners marked and voltages +-1 on 70% of the edges (perfbench's
@@ -67,6 +72,11 @@ if workload == "fixtures":
     argvs += [["verify", "--theorem", t, "--p", p, "--n", n] for t in ("A", "partial", "general") for p in "235" for n in "12"]
     argvs += [["verify", "--theorem", "factorization", "--p", p] for p in "235"]
     argvs += [["verify", "--theorem", t, "--p", p, "--n", n] for t in ("A", "partial", "general") for p, n in (("2", "4"), ("3", "3"))]
+    # a star without marks, x-a, x-b, x-c in vertex order [a, b, c, x]: graph.prune_tails
+    # keeps c, where deleting the first deletable vertex each time would keep x
+    star = {"vertices": ["star_a", "star_b", "star_c", "star_x"], "ramified": [],
+            "edges": [{"id": f"star_x{v}", "from": "star_x", "to": f"star_{v}"} for v in "abc"]}
+    starred = [argv for argv in argvs if argv == ["seal"] or argv[:3] == ["invariants", "--p", "2"] or argv[4:] in (["2", "--n", "1"], ["2"])]
     reqs = []
     for name in sorted(os.listdir(fixtures)):
         with open(os.path.join(fixtures, name)) as f:
@@ -98,6 +108,11 @@ if workload == "fixtures":
         obj["vertices"].append("isolated")
         obj["ramified"].append({"vertex": "isolated"})
         reqs += [workloads.Request(name + " isolated", argv, None, stdin=json.dumps(obj)) for argv in argvs if argv[0] == "invariants"]
+        obj = json.loads(text)
+        obj["vertices"] += star["vertices"]
+        obj["edges"] += star["edges"]
+        reqs += [workloads.Request(name + " with a star", argv, None, stdin=json.dumps(obj)) for argv in starred]
+    reqs += [workloads.Request("star", argv, None, stdin=json.dumps(star)) for argv in starred]
     lifted = {"vertices": ["m", "u0", "u1", "u2", "u3"], "ramified": [{"vertex": "m"}],
               "edges": [{"from": u, "to": v, "voltage": a} for u, v, a in [("m", "u0", 82), ("u0", "u1", 83), ("m", "u2", 58),
                         ("u0", "u3", 58), ("u1", "u3", 83), ("u1", "u2", 58), ("u2", "u1", 56)]]}

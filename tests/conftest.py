@@ -93,6 +93,53 @@ def grid_graph(rows, cols):
     return build_graph(vertices, edges), RamificationData.totally_ramified([name(0, 0), name(rows - 1, cols - 1)])
 
 
+def glue(g1: Multigraph, r1: RamificationData, g2: Multigraph, r2: RamificationData, identification):
+    """(graph, ramification): g2 glued onto g1 by identifying g ramified
+    vertex pairs (1 <= g <= 2), as the tests build glued examples.
+
+    identification is a list of (vertex_in_g1, vertex_in_g2) pairs.  Vertices
+    and edges of g2 whose ids collide with g1 are renamed with a "'" suffix.
+    Identified vertices keep g1's id and depth.
+    """
+    pairs = list(identification)
+    if not 1 <= len(pairs) <= 2:
+        raise GraphError("identification must list 1 or 2 vertex pairs")
+    for a, b in pairs:
+        if not g1.has_vertex(a) or not g2.has_vertex(b):
+            raise GraphError(f"identification pair ({a!r}, {b!r}) references a missing vertex")
+        if not r1.is_ramified(a) or not r2.is_ramified(b):
+            raise GraphError(f"identification pair ({a!r}, {b!r}) references an unramified vertex")
+    if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
+        raise GraphError("identification pairs must be distinct on both sides")
+
+    vertices = list(g1.vertices)
+    taken = set(vertices)
+    vmap = {b: a for a, b in pairs}
+    for v in g2.vertices:
+        if v in vmap:
+            continue
+        name = v
+        while name in taken:
+            name = f"{name}'"
+        vmap[v] = name
+        taken.add(name)
+        vertices.append(name)
+
+    edge_ids = {e.id for e in g1.edges}
+    edges = list(g1.edges)
+    for e in g2.edges:
+        eid = e.id
+        while eid in edge_ids:
+            eid = f"{eid}'"
+        edge_ids.add(eid)
+        edges.append(Edge(eid, vmap[e.u], vmap[e.v]))
+
+    depths = dict(r1.depths)
+    for v, k in r2.depths.items():
+        depths.setdefault(vmap[v], k)
+    return Multigraph(vertices, edges), RamificationData(depths)
+
+
 def empirical_fit(g, r, voltage, p, n_max=None):
     """(InvariantTriple, levels, fit_stable) of iwasawa.tower_report's
     empirical half."""

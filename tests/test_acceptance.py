@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from conftest import empirical_fit, enumerate_spanning_trees, load_fixture, random_connected_graph, segment_forest_counts, segment_subgraph
+from conftest import empirical_fit, enumerate_spanning_trees, glue, load_fixture, random_connected_graph, segment_forest_counts, segment_subgraph
 from segtower.cover import build_cover, segment_preimage
 from segtower.families import (
     chorded_cycle_f2,
@@ -16,7 +16,7 @@ from segtower.families import (
     modified_line_graph,
 )
 from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
-from segtower.graph import RamificationData, glue, laplacian
+from segtower.graph import RamificationData, laplacian
 from segtower.iwasawa import (
     char_element,
     fit_orders,

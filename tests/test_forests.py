@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_spanning_trees, forest_count_by_roots, grid_graph, kappa_enumerate, load_fixture, random_connected_graph
+from conftest import enumerate_spanning_trees, forest_count_by_roots, glue, grid_graph, kappa_enumerate, load_fixture, random_connected_graph
 from segtower.forests import forest_count_bruteforce, forest_count_det, kappa
-from segtower.graph import GraphError, Multigraph, RamificationData, build_graph, glue
+from segtower.graph import GraphError, Multigraph, RamificationData, build_graph
 
 
 class TestKappa:

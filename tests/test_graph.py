@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    glue,
     graph_from_json_reference,
     laplacian_minor_by_copy,
     load_fixture,
     prune_tails_quadratic,
     random_connected_graph,
     sparse_rows,
+    UnionFind,
 )
 from segtower.forests import forest_count_det, kappa
 from segtower.graph import (
@@ -23,7 +25,6 @@ from segtower.graph import (
     acyclic_subsets,
     build_graph,
     check_marks,
-    glue,
     graph_from_json,
     graph_to_json,
     laplacian,
@@ -329,7 +330,60 @@ class TestPruneTails:
             marks = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
         r = RamificationData.totally_ramified(marks)
         pruned, expected = prune_tails(gt, r), prune_tails_quadratic(gt, r)
-        assert pruned.vertices == expected.vertices and pruned.edges == expected.edges
+        # the oracle keeps a tree without marks at the last vertex in vertex
+        # order, prune_tails at the end of its last walk: such a component
+        # keeps one vertex and no edge, and all else is the oracle's
+        component = UnionFind()
+        for _, u, v in gt.edges:
+            component.union(u, v)
+        excess = {}  # vertices less edges: 1 for a tree
+        for v in gt.vertices:
+            excess[component.find(v)] = excess.get(component.find(v), 0) + 1
+        for _, u, _ in gt.edges:
+            excess[component.find(u)] -= 1
+        trees = {c for c, x in excess.items() if x == 1} - {component.find(m) for m in marks}
+        outside = lambda h: [v for v in h.vertices if component.find(v) not in trees]
+        assert pruned.edges == expected.edges and outside(pruned) == outside(expected)
+        kept = [component.find(v) for v in pruned.vertices if component.find(v) in trees]
+        assert sorted(kept) == sorted(trees)
+        assert not any(component.find(u) in trees for _, u, _ in pruned.edges)
+
+    def test_star_without_marks_keeps_where_the_last_walk_ends(self):
+        # x-a, x-b, x-c in vertex order [a, b, c, x]: the walk from a leaves
+        # x two edges, the walk from b goes on through x and ends at c, where
+        # prune_tails_quadratic's rule (the first deletable vertex each time)
+        # keeps x
+        g = build_graph(["a", "b", "c", "x"], [("x", "a"), ("x", "b"), ("x", "c")])
+        pruned = prune_tails(g, RamificationData())
+        assert pruned.vertices == ("c",) and pruned.edges == ()
+
+    @given(st.integers(0, 2**32), st.sampled_from(["connected", "with a free tree", "a tree"]), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_kappa_and_forest_counts_preserved(self, seed, shape, t):
+        """What pruning owes every reply: κ and F_t of the result are the
+        input's, for t = 1 or 2 marks (t = 0: κ alone, with no mark), on
+        graphs with pendant trees, a tree without marks beside them, or a
+        tree alone, vertices shuffled."""
+        rng = random.Random(seed)
+        vertices, edges = [], []
+        if shape != "a tree":
+            g = random_connected_graph(rng, max_vertices=6, max_edges=9)
+            vertices, edges = list(g.vertices), [(e.u, e.v, e.id) for e in g.edges]
+            for i in range(rng.randint(1, 8)):
+                edges.append((rng.choice(vertices), f"p{i}", f"pe{i}"))
+                vertices.append(f"p{i}")
+        if shape != "connected":
+            for i in range(rng.randint(1, 8)):
+                if i:
+                    edges.append((f"f{rng.randrange(i)}", f"f{i}", f"fe{i}"))
+                vertices.append(f"f{i}")
+        rng.shuffle(vertices)
+        gt = build_graph(vertices, edges)
+        marks = rng.sample(vertices, min(t, len(vertices)))
+        pruned = prune_tails(gt, RamificationData.totally_ramified(marks))
+        assert kappa(pruned) == kappa(gt)
+        if marks:
+            assert forest_count_det(pruned, marks) == forest_count_det(gt, marks)
 
     def test_long_tail_is_linear(self):
         n = 20_000

@@ -5,7 +5,8 @@ README's CLI examples run end to end.
 A name counts as used when a module of src/ reads it (a Name in Load
 context), reads it as an attribute or imports it.  __init__.py imports in
 order to re-export, so a name it imports is the package's API and counts as
-used (``graph.glue`` is used only that way).  perfbench/spans.py wraps
+used; a helper that only the tests call belongs in tests/conftest.py, not
+in that API.  perfbench/spans.py wraps
 functions by module and name from outside, so the keys of its SPANS count as
 uses of those functions, and each of those names must exist.
 """
